@@ -35,7 +35,6 @@ from .groups import (
     REAL_ADDITIVE,
     RGroup,
 )
-from .kernels import BACKEND
 from .meanvalue import (
     MeanFunction,
     empirical_mean,
@@ -77,7 +76,6 @@ from .trig import TrigPolynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Ball",
     "Box",
     "AlgebraElement",

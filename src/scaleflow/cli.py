@@ -31,7 +31,7 @@ from .measures import (
     verify_homogeneity,
 )
 from .quadrature import Box, UnderResolvedError
-from .sigma import trace_norm_bound_check, verify_sigma_convergence
+from .sigma import trace_norm_bound_rows, verify_sigma_convergence
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -277,12 +277,7 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
     per_test = {}
     for part in partials:
         per_test.update(part.per_test)
-    norm_rows = []
-    for field in [u, *battery]:
-        for eps in ladder:
-            entry = trace_norm_bound_check(field, action, eps, p, spec)
-            entry["field"] = field.name
-            norm_rows.append(entry)
+    norm_rows = trace_norm_bound_rows([u, *battery], action, ladder, p, spec)
     norm_ok = all(r["passed"] for r in norm_rows)
     passed = all(part.passed for part in partials) and norm_ok
     orders_ok = all(

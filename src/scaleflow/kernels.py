@@ -1,8 +1,7 @@
 """NumPy implementations of the hot quadrature kernels.
 
-These are the fallback used when the compiled extension is unavailable.
-Both backends reduce sums with the same block-pairwise scheme so a given
-input always produces the same output on repeated runs.
+Sums reduce in a fixed block-pairwise order, so a given input always
+produces the same output on repeated runs.
 """
 
 import numpy as np

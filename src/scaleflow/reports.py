@@ -2,8 +2,8 @@
 
 Outputs are byte-stable for a fixed config: float fields use shortest
 round-trip formatting, JSON keys are sorted, and no timestamps appear.
-Every file starts from a header carrying the tool version, the kernel
-backend, the sampling seed and the SHA-256 digest of the config file.
+Every file starts from a header carrying the tool version, the sampling
+seed and the SHA-256 digest of the config file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import os
 
 from . import __version__
-from .kernels import BACKEND
 
 
 def config_digest(path: str) -> str:
@@ -28,7 +27,6 @@ def report_header(digest: str, seed: int) -> dict:
     return {
         "tool": "scaleflow",
         "version": __version__,
-        "backend": BACKEND,
         "seed": seed,
         "config_sha256": digest,
     }

@@ -155,6 +155,17 @@ def trace_norm_bound_check(
     return {"eps": float(eps), "lhs": lhs, "rhs": rhs, "passed": lhs <= rhs * (1.0 + 1e-6)}
 
 
+def trace_norm_bound_rows(fields, action: Action, ladder, p: float, grid_spec: GridSpec) -> list:
+    """:func:`trace_norm_bound_check` of every field at every ladder entry."""
+    rows = []
+    for field in fields:
+        for eps in ladder:
+            entry = trace_norm_bound_check(field, action, eps, p, grid_spec)
+            entry["field"] = field.name
+            rows.append(entry)
+    return rows
+
+
 def _resolved_grid(
     u: TwoScaleField,
     psi: TwoScaleField | None,
@@ -305,12 +316,8 @@ def verify_sigma_convergence(
         passed = passed and final <= tol
     norm_rows = []
     if check_norm_bound:
-        for field in [u, *psi_battery]:
-            for eps in ladder:
-                entry = trace_norm_bound_check(field, action, eps, p, spec)
-                entry["field"] = field.name
-                norm_rows.append(entry)
-                passed = passed and entry["passed"]
+        norm_rows = trace_norm_bound_rows([u, *psi_battery], action, ladder, p, spec)
+        passed = passed and all(r["passed"] for r in norm_rows)
     return SigmaReport(
         rows=rows, per_test=per_test, norm_bound_rows=norm_rows, tolerance=tol, passed=passed
     )

@@ -2,7 +2,7 @@
 
 The frequency list is kept canonical (lexicographically sorted, duplicates
 merged) so coefficient extraction is exact and reproducible.  Evaluation on
-point arrays goes through the kernel backend.
+point arrays goes through ``kernels.trig_eval``.
 """
 
 from __future__ import annotations

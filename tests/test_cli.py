@@ -147,9 +147,8 @@ def test_reports_embed_header(tmp_path):
         "--out", str(out),
     ])
     text = (out / "homogeneity.csv").read_text()
-    assert "# config_sha256:" in text
-    assert "# version:" in text
-    assert "# backend:" in text
+    keys = [line[2:].split(":", 1)[0] for line in text.splitlines() if line.startswith("# ")]
+    assert keys == ["tool", "version", "seed", "config_sha256"]
 
 
 def test_console_entry_point():
