@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .groups import POSITIVE_MULTIPLICATIVE, REAL_ADDITIVE, RGroup
 
@@ -53,19 +52,36 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def _halton(dim: int, count: int) -> np.ndarray:
+    """First ``count`` points of the unscrambled Halton sequence (Halton 1960):
+    coordinate j is the radical inverse of the point index in the j-th prime."""
+    bases = []
+    candidate = 2
+    while len(bases) < dim:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    out = np.zeros((count, dim))
+    for j, base in enumerate(bases):
+        index = np.arange(count)
+        scale = 1.0 / base
+        while index.any():
+            out[:, j] += (index % base) * scale
+            index //= base
+            scale /= base
+    return out
+
+
 def sphere_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy unit directions, axes included."""
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
-    if dim == 1:
-        return axes[: max(2, count)] if count <= 2 else axes
     extra = max(0, count - 2 * dim)
-    if extra == 0:
+    if dim == 1 or extra == 0:
         return axes
-    sampler = qmc.Halton(d=dim, scramble=False, seed=0)
-    u = sampler.random(extra + 8)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    z = z[norms > 1e-8][:extra]
+    inv_cdf = NormalDist().inv_cdf
+    u = np.clip(_halton(dim, extra + 8), 1e-12, 1 - 1e-12)
+    z = np.array([[inv_cdf(v) for v in row] for row in u.tolist()])
+    z = z[np.linalg.norm(z, axis=1) > 1e-8][:extra]
     return np.concatenate([axes, z / np.linalg.norm(z, axis=1, keepdims=True)])
 
 
@@ -153,9 +169,6 @@ class DiagonalScaling(Action):
         pts, single = _as_points(x, self.dimension)
         out = pts * eps ** -np.asarray(self.exponents, dtype=np.float64)
         return out[0] if single else out
-
-    def apply_inverse(self, eps: float, x):
-        return self.apply(self.group.inverse(eps), x)
 
     def operator_norm(self, eps: float) -> float:
         eps = self.group.validate(eps)

@@ -12,7 +12,7 @@ construction is checked by the same homogeneity battery as the built-ins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .quadrature import (
     MIDPOINT,
     Box,
     QuadratureGrid,
+    UnderResolvedError,
+    _axis_rule,
     boundary_mass_fraction,
     integrate_with_refinement,
     resolved_nodes,
@@ -34,6 +36,7 @@ DIRAC = "dirac"
 
 BOUNDARY_MASS_TOL = 1e-6
 DEFAULT_TAIL_CUT = 1e-10
+SEED_NODES_PER_AXIS = 128
 
 
 class SupportEscapeError(RuntimeError):
@@ -280,9 +283,7 @@ class Homogenizer:
         )
 
     def with_factor_map(self, factor_map) -> "Homogenizer":
-        return Homogenizer(
-            action=self.action, measure=self.measure, factor_map=factor_map, grid_spec=self.grid_spec
-        )
+        return replace(self, factor_map=factor_map)
 
 
 def _weighted_integrand(measure, phi):
@@ -469,17 +470,11 @@ class ConstructedMeasure:
         if self.group.kind == POSITIVE_MULTIPLICATIVE:
             v_hi = math.log(v_hi)
         q = 8
-        panels_per_block = max(1, int(round(self.block_width * self.nodes_per_unit / q)))
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(q)
+        nodes = q * max(1, int(round(self.block_width * self.nodes_per_unit / q)))
         for j in range(self.max_blocks):
             lo = v_hi - (j + 1) * self.block_width
             hi = v_hi - j * self.block_width
-            edges = np.linspace(lo, hi, panels_per_block + 1)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            v = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-            w = (half[:, None] * ref_weights[None, :]).ravel()
-            yield v, w
+            yield _axis_rule(lo, hi, nodes, GAUSS, q)
 
     def _block_value(self, phi, v: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
         """One-block contribution, the largest |phi| seen, the smallest orbit norm."""
@@ -517,6 +512,10 @@ class ConstructedMeasure:
                     break
             else:
                 quiet = 0
+        else:
+            raise UnderResolvedError(
+                f"orbit sweep still contributing after {self.max_blocks} blocks"
+            )
         return total, peak
 
     def pairing(self, phi) -> tuple[complex, float]:
@@ -527,16 +526,7 @@ class ConstructedMeasure:
             )
             radius = float(np.linalg.norm(np.max(corners, axis=0)))
         value, peak = self._sweep(phi, radius)
-        fine = ConstructedMeasure(
-            group=self.group,
-            action=self.action,
-            seed_nodes=self.seed_nodes,
-            seed_weights=self.seed_weights,
-            tail_cut=self.tail_cut,
-            nodes_per_unit=self.nodes_per_unit * 2,
-            block_width=self.block_width,
-            max_blocks=self.max_blocks,
-        )
+        fine = replace(self, nodes_per_unit=self.nodes_per_unit * 2)
         refined, _ = fine._sweep(phi, radius)
         estimate = abs(refined - value) + self.tail_cut * peak
         return refined, estimate
@@ -556,7 +546,6 @@ def construct_measure(
     action: Action,
     seed: MeasureDescriptor,
     tail_cut: float = DEFAULT_TAIL_CUT,
-    seed_nodes_per_axis: int = 128,
 ) -> ConstructedMeasure:
     """Build a homogeneous measure from a compactly supported seed off-center.
 
@@ -574,7 +563,7 @@ def construct_measure(
         ):
             raise ValueError("seed measures need a finite domain box")
         box = Box(seed.domain_lows, seed.domain_highs)
-        grid = QuadratureGrid(box=box, nodes_per_axis=(seed_nodes_per_axis,) * box.dim)
+        grid = QuadratureGrid(box=box, nodes_per_axis=(SEED_NODES_PER_AXIS,) * box.dim)
         nodes, weights = grid.points_and_weights()
         if seed.kind == WEIGHTED:
             weights = weights * np.asarray(seed.density(nodes), dtype=np.float64)

@@ -121,9 +121,6 @@ class QuadratureGrid:
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
 
-    def with_box(self, box: Box) -> "QuadratureGrid":
-        return replace(self, box=box)
-
     def to_config(self) -> dict:
         return {
             "box": self.box.to_config(),

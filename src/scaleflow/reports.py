@@ -15,6 +15,8 @@ import json
 import math
 import os
 
+import numpy as np
+
 from . import __version__
 
 
@@ -59,19 +61,12 @@ class _Encoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, complex):
             return {"re": o.real, "im": o.imag}
-        if isinstance(o, float) and not math.isfinite(o):
-            return repr(o)
-        try:
-            import numpy as np
-
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if isinstance(o, np.complexfloating):
-                return {"re": float(o.real), "im": float(o.imag)}
-        except ImportError:
-            pass
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        if isinstance(o, np.complexfloating):
+            return {"re": float(o.real), "im": float(o.imag)}
         return super().default(o)
 
     def iterencode(self, o, _one_shot=False):

@@ -29,6 +29,7 @@ from .quadrature import (
 )
 
 _CHUNK = 1 << 21
+ENVELOPE_CELL_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,14 @@ class TwoScaleField:
 
         return TestFunction(name=f"{self.name}-mean", fn=fn, support=self.domain)
 
-    def envelope_norm(self, p: float, grid_spec: GridSpec, cell_samples: int = 2048) -> float:
+    def envelope_norm(self, p: float, grid_spec: GridSpec) -> float:
         """(integral over the domain of sup_y |u0(x, y)|^p)^(1/p).
 
         The sup in the oscillation slot is taken over a dense deterministic
         sample of the algebra's almost-period window, so the result is a
         slight underestimate of the true envelope.
         """
-        y = _cell_sample(self.algebra, cell_samples)
+        y = _cell_sample(self.algebra, ENVELOPE_CELL_SAMPLES)
         values = np.stack([w.poly(y) for _, w in self.terms])  # (J, My)
 
         def fn(pts):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from scaleflow import (
     Ball,
@@ -19,6 +21,7 @@ from scaleflow import (
     matrix_exponential,
     product,
 )
+from scaleflow.actions import _halton, sphere_directions
 from scaleflow.groups import INTEGER_ADDITIVE
 
 
@@ -210,3 +213,28 @@ def test_volume_factor_matches_determinant():
     for eps in (-1.0, 0.3, 2.0):
         det = abs(np.linalg.det(action.matrix(eps)))
         assert action.volume_factor(eps) == pytest.approx(det, rel=1e-12)
+
+
+def test_halton_matches_scipy():
+    for dim in range(2, 6):
+        for count in (1, 9, 64, 520):
+            ref = qmc.Halton(d=dim, scramble=False).random(count)
+            assert np.array_equal(_halton(dim, count), ref), (dim, count)
+
+
+def test_sphere_directions_match_ndtri_construction():
+    # the former construction: scipy's Halton points mapped through ndtri
+    for dim in (2, 3, 4):
+        for count in (2 * dim, 2 * dim + 1, 64 * dim):
+            extra = count - 2 * dim
+            u = qmc.Halton(d=dim, scramble=False).random(extra + 8)
+            z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+            z = z[np.linalg.norm(z, axis=1) > 1e-8][:extra]
+            ref = np.concatenate(
+                [np.eye(dim), -np.eye(dim), z / np.linalg.norm(z, axis=1, keepdims=True)]
+            )
+            dirs = sphere_directions(dim, count)
+            assert dirs.shape == ref.shape
+            assert np.max(np.abs(dirs - ref)) <= 1e-14, (dim, count)
+    for count in (1, 2, 64):
+        assert np.array_equal(sphere_directions(1, count), [[1.0], [-1.0]])

@@ -85,6 +85,46 @@ def test_cli_verify_action_passes(tmp_path):
     assert (tmp_path / "out" / "action_summary.csv").exists()
 
 
+# Runs the CLI in an interpreter whose import system refuses scipy.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from scaleflow.cli import main
+
+code = main(sys.argv[1:])
+assert "scipy" not in sys.modules
+sys.exit(code)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle; a 2-D absorption certificate samples
+    # Halton directions, the code path that once needed it
+    cfg = dict(BASE)
+    cfg["action"] = {"variant": "diagonal-scaling", "exponents": [1, 2]}
+    cfg["absorption"] = {"source_radius": 10.0, "target_radius": 1.0}
+    path = tmp_path / "absorb_2d.yaml"
+    write_yaml(path, cfg)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "verify-action", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_homogeneity_negative_control(tmp_path):
     cfg = dict(BASE)
     cfg["ladder"] = {"values": [0.5, 0.25, 0.125]}

@@ -4,6 +4,7 @@ Every derived expectation is recomputed here by an independent oracle:
 scipy adaptive quadrature or a closed form worked out by substitution.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -28,7 +29,7 @@ from scaleflow import (
     verify_homogeneity,
 )
 from scaleflow.measures import check_factor_multiplicative
-from scaleflow.quadrature import Box
+from scaleflow.quadrature import Box, UnderResolvedError
 
 
 def test_integrate_unit_mass_bump():
@@ -219,6 +220,14 @@ def test_constructed_measure_linear_and_positive():
     vq, _ = measure.pairing(psi)
     assert abs(left - (a * vp + vq)) <= 1e-10 * max(1.0, abs(a * vp + vq))
     assert vp.real >= 0.0 and vq.real >= 0.0
+
+
+def test_constructed_measure_exhausted_sweep_raises():
+    # two blocks end the sweep far above the orbit radii that reach phi
+    _, _, measure = _half_line_setup()
+    short = dataclasses.replace(measure, max_blocks=2)
+    with pytest.raises(UnderResolvedError):
+        short.pairing(gaussian([3.0], 0.5))
 
 
 def test_constructed_measure_rejects_center_support():
