@@ -138,9 +138,6 @@ class Action:
         """|det| of the representing matrix; used by Lebesgue pushforwards."""
         return abs(float(np.linalg.det(self.matrix(eps))))
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DiagonalScaling(Action):
@@ -177,9 +174,6 @@ class DiagonalScaling(Action):
     def volume_factor(self, eps: float) -> float:
         return float(self.group.validate(eps) ** -sum(self.exponents))
 
-    def to_config(self) -> dict:
-        return {"variant": "diagonal-scaling", "exponents": list(self.exponents)}
-
 
 @dataclass(frozen=True)
 class LinearFamily(Action):
@@ -209,9 +203,6 @@ class LinearFamily(Action):
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular matrix: invalid action definition") from exc
         return out[0] if single else out
-
-    def to_config(self) -> dict:
-        return {"variant": "linear-family", "dimension": self.dimension}
 
 
 @dataclass(frozen=True)
@@ -252,13 +243,6 @@ class ExpSemigroup(Action):
         # masquerade as a composition-law violation
         growth = self.k + float(np.linalg.norm(self.generator_matrix(), 2))
         return min(3.0, 4.0 / growth)
-
-    def to_config(self) -> dict:
-        return {
-            "variant": "exp-semigroup",
-            "k": self.k,
-            "matrix": self.generator_matrix().tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -317,9 +301,6 @@ class ProductAction(Action):
 
     def parameter_window(self) -> float:
         return min(f.parameter_window() for f in self.factors)
-
-    def to_config(self) -> dict:
-        return {"variant": "product", "factors": [f.to_config() for f in self.factors]}
 
 
 def product(actions) -> ProductAction:

@@ -96,13 +96,6 @@ class HAlgebra:
     def constant(self, value) -> "AlgebraElement":
         return self.element(TrigPolynomial.constant(value, self.dimension))
 
-    def to_config(self) -> dict:
-        out = {"kind": self.kind, "dimension": self.dimension}
-        if self.kind == AP_SUBGROUP:
-            out["generators"] = [list(g) for g in self.generators]
-            out["degree"] = self.degree
-        return out
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
@@ -140,9 +133,6 @@ class AlgebraElement:
 
     def conjugate(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.poly.conjugate())
-
-    def to_config(self) -> list:
-        return [[list(f), c.real, c.imag] for f, c in self.poly.terms()]
 
 
 def _check_products(u: AlgebraElement, v: AlgebraElement) -> None:

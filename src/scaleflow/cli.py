@@ -24,6 +24,7 @@ from .contraction import ContractionFlow, certify_submultiplicative, fixed_point
 from .meanvalue import empirical_mean, mean_with_estimate, verify_convolution, \
     verify_translation_invariance
 from .measures import (
+    DEFAULT_TAIL_CUT,
     SupportEscapeError,
     check_factor_multiplicative,
     construct_measure,
@@ -182,7 +183,7 @@ def _run_construct(cfg, header, out, jobs) -> bool:
     block = cfg.get("construct") or {}
     seed_measure = cfg_mod.build_seed_measure(block.get("seed_measure", {"kind": "dirac", "point": [1.0]}))
     measure = construct_measure(group, action, seed_measure,
-                                tail_cut=float(block.get("tail_cut", 1e-10)))
+                                tail_cut=float(block.get("tail_cut", DEFAULT_TAIL_CUT)))
     hz = measure.as_homogenizer(cfg_mod.build_grid_spec(cfg))
     ladder = cfg_mod.build_ladder(cfg, group)
     battery = cfg_mod.build_battery(cfg, action.dimension)

@@ -19,6 +19,7 @@ from .measures import (
     MeasureDescriptor,
     TestFunction,
     bump,
+    default_battery,
     gaussian,
     mollifier,
     parabola,
@@ -170,13 +171,8 @@ def build_grid_spec(cfg: dict) -> GridSpec:
     rule = block.get("rule", MIDPOINT)
     if rule not in (MIDPOINT, GAUSS):
         raise ConfigError(f"unknown grid rule {rule!r}")
-    return GridSpec(
-        rule=rule,
-        base_nodes=int(block.get("base_nodes", 1024)),
-        panel_order=int(block.get("panel_order", 16)),
-        max_nodes=int(block.get("max_nodes", 1 << 21)),
-        nodes_per_period=int(block.get("nodes_per_period", 8)),
-    )
+    counts = {key: int(value) for key, value in block.items() if key != "rule"}
+    return GridSpec(rule=rule, **counts)
 
 
 def build_test_function(block: dict, dim: int) -> TestFunction:
@@ -204,8 +200,6 @@ def build_test_function(block: dict, dim: int) -> TestFunction:
 
 
 def build_battery(cfg: dict, dim: int) -> list:
-    from .measures import default_battery
-
     entries = cfg.get("battery")
     if not entries:
         return default_battery(dim)

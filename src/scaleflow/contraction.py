@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action
+from .actions import Action, _sample_parameters
 
 SUBMULT_SLACK = 1e-9
 DEFAULT_TOL = 1e-12
@@ -75,8 +75,6 @@ def certify_submultiplicative(
     l(eps^-1) must stay finite, decrease monotonically and end below their
     starting value by a factor of 10.
     """
-    from .actions import _sample_parameters
-
     group = flow.action.group
     rng = np.random.default_rng(seed)
     eps1 = _sample_parameters(group, rng, sample_count)

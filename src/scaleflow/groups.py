@@ -156,10 +156,3 @@ class RGroup:
                 raise ValueError("integer ladder steps below 1 repeat entries")
             return -np.round(n * s)
         return -n * s
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "weight_param": self.weight_param}
-
-    @classmethod
-    def from_config(cls, block: dict) -> "RGroup":
-        return cls(kind=block["kind"], weight_param=block.get("weight_param"))

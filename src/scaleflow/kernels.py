@@ -10,6 +10,10 @@ import numpy as np
 # error O(log n), large enough that the pure path stays vectorised.
 _BLOCK = 1024
 
+# Most points (or point-term pairs) one vectorised evaluation takes at once;
+# callers slice larger inputs so their temporaries stay a few tens of MB.
+POINT_BUDGET = 1 << 21
+
 
 def _pairwise(values: np.ndarray) -> complex:
     n = values.shape[0]
@@ -51,7 +55,7 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     m = pts.shape[0]
     out = np.empty(m, dtype=np.complex128)
     # chunk the point axis so the (chunk, K) phase temporary stays small
-    chunk = max(1, (1 << 21) // max(1, freqs.shape[0]))
+    chunk = max(1, POINT_BUDGET // max(1, freqs.shape[0]))
     tau = 2.0 * np.pi
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)

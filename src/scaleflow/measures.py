@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .actions import Action, DiagonalScaling
+from . import kernels
+from .actions import Action, DiagonalScaling, _sample_parameters
 from .groups import INTEGER_ADDITIVE, POSITIVE_MULTIPLICATIVE, RGroup
 from .quadrature import (
     GAUSS,
@@ -37,6 +38,7 @@ DIRAC = "dirac"
 BOUNDARY_MASS_TOL = 1e-6
 DEFAULT_TAIL_CUT = 1e-10
 SEED_NODES_PER_AXIS = 128
+HAAR_BLOCK_WIDTH = 4.0  # width of one orbit-sweep block in the Haar coordinate
 
 
 class SupportEscapeError(RuntimeError):
@@ -229,15 +231,6 @@ class GridSpec:
         )
         return QuadratureGrid(box=box, nodes_per_axis=nodes, rule=self.rule, panel_order=self.panel_order)
 
-    def to_config(self) -> dict:
-        return {
-            "rule": self.rule,
-            "base_nodes": self.base_nodes,
-            "panel_order": self.panel_order,
-            "max_nodes": self.max_nodes,
-            "nodes_per_period": self.nodes_per_period,
-        }
-
 
 @dataclass(frozen=True)
 class Homogenizer:
@@ -419,8 +412,6 @@ def verify_homogeneity(
 
 def check_factor_multiplicative(hz: Homogenizer, sample_count: int = 128, seed: int = 0) -> float:
     """Worst relative defect of c(e e') = c(e) c(e') on sampled pairs."""
-    from .actions import _sample_parameters
-
     rng = np.random.default_rng(seed)
     group = hz.action.group
     eps1 = _sample_parameters(group, rng, sample_count)
@@ -452,10 +443,7 @@ class ConstructedMeasure:
     seed_weights: np.ndarray  # (K,)
     tail_cut: float = DEFAULT_TAIL_CUT
     nodes_per_unit: int = 96
-    block_width: float = 4.0
     max_blocks: int = 120
-
-    kind = "constructed"
 
     def _haar_windows(self):
         """Yield (parameter array, quadrature weights) blocks, upper end first."""
@@ -470,27 +458,38 @@ class ConstructedMeasure:
         if self.group.kind == POSITIVE_MULTIPLICATIVE:
             v_hi = math.log(v_hi)
         q = 8
-        nodes = q * max(1, int(round(self.block_width * self.nodes_per_unit / q)))
+        nodes = q * max(1, int(round(HAAR_BLOCK_WIDTH * self.nodes_per_unit / q)))
         for j in range(self.max_blocks):
-            lo = v_hi - (j + 1) * self.block_width
-            hi = v_hi - j * self.block_width
+            lo = v_hi - (j + 1) * HAAR_BLOCK_WIDTH
+            hi = v_hi - j * HAAR_BLOCK_WIDTH
             yield _axis_rule(lo, hi, nodes, GAUSS, q)
 
     def _block_value(self, phi, v: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
-        """One-block contribution, the largest |phi| seen, the smallest orbit norm."""
+        """One-block contribution, the largest |phi| seen, the smallest orbit norm.
+
+        phi sees the orbit points of many Haar nodes in one call, at most
+        ``kernels.POINT_BUDGET`` of them (or one node's seed images); the sum
+        still runs node by node, so it rounds exactly as a per-node loop.
+        """
         multiplicative = self.group.kind == POSITIVE_MULTIPLICATIVE
+        params = [math.exp(vi) if multiplicative else float(vi) for vi in v]
+        k, dim = self.seed_nodes.shape
+        step = max(1, kernels.POINT_BUDGET // k)
         total = 0j
         peak = 0.0
         min_norm = math.inf
-        for vi, wi in zip(v, w):
-            eps = math.exp(vi) if multiplicative else float(vi)
-            images = self.action.apply(eps, self.seed_nodes)
-            min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=1))))
-            values = np.asarray(phi(images), dtype=np.complex128).ravel()
+        for start in range(0, len(params), step):
+            stop = start + step
+            part = params[start:stop]
+            images = np.stack([self.action.apply(eps, self.seed_nodes) for eps in part])
+            min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=2))))
+            values = np.asarray(phi(images.reshape(-1, dim)), dtype=np.complex128)
+            values = values.reshape(len(part), k)
             if not np.all(np.isfinite(values.view(np.float64))):
                 raise ValueError("integrand returned non-finite values")
             peak = max(peak, float(np.max(np.abs(values))))
-            total += wi * self.group.weight(eps) * complex(np.dot(self.seed_weights, values))
+            for eps, wi, row in zip(part, w[start:stop], values):
+                total += wi * self.group.weight(eps) * complex(np.dot(self.seed_weights, row))
         return total, peak, min_norm
 
     def _sweep(self, phi, support_radius: float | None) -> tuple[complex, float]:

@@ -8,6 +8,7 @@ depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,8 +58,17 @@ class Box:
         pairs = [tuple(p) for p in pairs]
         return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
-    def to_config(self) -> list:
-        return [[l, h] for l, h in zip(self.lows, self.highs)]
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(q: int):
+    """Gauss-Legendre nodes and weights of order q on [-1, 1], computed once.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(q)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
@@ -70,7 +80,7 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
     if rule == GAUSS:
         q = panel_order
         panels = max(1, -(-n // q))
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(q)
+        ref_nodes, ref_weights = _legendre_rule(q)
         edges = np.linspace(lo, hi, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -120,14 +130,6 @@ class QuadratureGrid:
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
-
-    def to_config(self) -> dict:
-        return {
-            "box": self.box.to_config(),
-            "nodes": list(self.nodes_per_axis),
-            "rule": self.rule,
-            "panel_order": self.panel_order,
-        }
 
 
 def integrate_on_grid(f, grid: QuadratureGrid) -> complex:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .actions import Action
 from .algebra import AlgebraElement, spectral_pairing, gelfand_mean
 from .measures import GridSpec, TestFunction
@@ -28,7 +29,6 @@ from .quadrature import (
     integrate_with_refinement,
 )
 
-_CHUNK = 1 << 21
 ENVELOPE_CELL_SAMPLES = 2048
 
 
@@ -93,7 +93,7 @@ class TwoScaleField:
                 [np.asarray(m(pts), dtype=np.complex128) for m, _ in self.terms]
             )  # (J, Mx)
             out = np.empty(pts.shape[0])
-            step = max(1, _CHUNK // values.shape[1])
+            step = max(1, kernels.POINT_BUDGET // values.shape[1])
             for start in range(0, pts.shape[0], step):
                 stop = min(pts.shape[0], start + step)
                 field = macro[:, start:stop].T @ values  # (chunk, My)

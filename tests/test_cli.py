@@ -125,6 +125,26 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_benchmark_spans_install():
+    # the benchmark traces scaleflow by wrapping functions and methods by
+    # name; renaming or deleting one of them must fail here, not only there
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
+        "import scaleflow.cli\n"
+        "import spans\n"
+        "spans.install(spans.Recorder())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_homogeneity_negative_control(tmp_path):
     cfg = dict(BASE)
     cfg["ladder"] = {"values": [0.5, 0.25, 0.125]}
@@ -165,12 +185,12 @@ def test_cli_tol_override_forces_failure(tmp_path):
     assert code == 1
 
 
-def test_cli_sigma_jobs_deterministic(tmp_path):
+def _assert_jobs_deterministic(tmp_path, subcommand, config):
     outs = []
     for name, jobs in (("a", "1"), ("b", "2")):
         out = tmp_path / name
         code = run_cli([
-            "sigma", "--config", os.path.join(CONFIG_DIR, "sigma_periodic.yaml"),
+            subcommand, "--config", os.path.join(CONFIG_DIR, config),
             "--out", str(out), "--jobs", jobs,
         ])
         assert code == 0
@@ -178,6 +198,14 @@ def test_cli_sigma_jobs_deterministic(tmp_path):
     for name in sorted(os.listdir(outs[0])):
         with open(outs[0] / name, "rb") as fa, open(outs[1] / name, "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_cli_sigma_jobs_deterministic(tmp_path):
+    _assert_jobs_deterministic(tmp_path, "sigma", "sigma_periodic.yaml")
+
+
+def test_cli_construct_jobs_deterministic(tmp_path):
+    _assert_jobs_deterministic(tmp_path, "construct-measure", "construct_measure.yaml")
 
 
 def test_reports_embed_header(tmp_path):

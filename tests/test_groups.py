@@ -189,8 +189,3 @@ def test_ladder_shapes(kind):
     assert all(group.compare(x, group.identity) <= 0 for x in ladder)
     if kind == POSITIVE_MULTIPLICATIVE:
         assert ladder[0] == 0.5 and ladder[-1] == 2.0**-10
-
-
-def test_config_round_trip():
-    g = RGroup(POSITIVE_MULTIPLICATIVE, 2.5)
-    assert RGroup.from_config(g.to_config()) == g

@@ -7,13 +7,17 @@ scipy adaptive quadrature or a closed form worked out by substitution.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from scaleflow import (
     DiagonalScaling,
+    ExpSemigroup,
     GridSpec,
     Homogenizer,
+    INTEGER_ADDITIVE,
+    LinearFamily,
     MeasureDescriptor,
     POSITIVE_MULTIPLICATIVE,
     RGroup,
@@ -28,6 +32,8 @@ from scaleflow import (
     verify_center_null,
     verify_homogeneity,
 )
+from scaleflow import kernels
+from scaleflow.config import build_seed_measure
 from scaleflow.measures import check_factor_multiplicative
 from scaleflow.quadrature import Box, UnderResolvedError
 
@@ -228,6 +234,80 @@ def test_constructed_measure_exhausted_sweep_raises():
     short = dataclasses.replace(measure, max_blocks=2)
     with pytest.raises(UnderResolvedError):
         short.pairing(gaussian([3.0], 0.5))
+
+
+def _gauss_profile(center, sigma):
+    return lambda t: math.exp(-((t - center) ** 2) / (2 * sigma**2))
+
+
+@pytest.mark.parametrize("center, sigma", [(1.0, 0.25), (0.6, 0.15)])
+def test_constructed_measure_real_additive_oracle(center, sigma):
+    # H_eps x = exp(-2.5 eps) x with weight exp(-eps): substituting
+    # t = exp(-2.5 eps) turns the orbit integral into 0.4 * phi(t) t^-0.6 dt
+    action = ExpSemigroup.from_matrix(2.0, [[0.5]])
+    measure = construct_measure(action.group, action, MeasureDescriptor.dirac([1.0]))
+    value, _ = measure.pairing(gaussian([center], sigma))
+    profile = _gauss_profile(center, sigma)
+    integral, _ = quad(
+        lambda t: profile(t) * t**-0.6, 0.0, center + 14.0 * sigma, epsabs=0.0, epsrel=1e-12
+    )
+    oracle = 0.4 * integral
+    assert abs(value - oracle) <= 1e-7 * oracle
+
+
+def _uniform_seed_measure():
+    group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
+    action = DiagonalScaling((1,), group=group)
+    seed = build_seed_measure({"kind": "uniform", "box": [[1.0, 2.0]]})
+    return construct_measure(group, action, seed)
+
+
+def test_constructed_measure_uniform_seed_oracle():
+    # each seed point s carries the density s^-2 * t dt (t = s / eps), so the
+    # pairing is sum_k w_k s_k^-2 times the integral of phi(t) t
+    measure = _uniform_seed_measure()
+    assert measure.seed_nodes.shape == (128, 1)
+    center, sigma = 3.0, 0.5
+    value, _ = measure.pairing(gaussian([center], sigma))
+    profile = _gauss_profile(center, sigma)
+    moment, _ = quad(lambda t: profile(t) * t, 0.0, center + 14.0 * sigma,
+                     epsabs=0.0, epsrel=1e-13)
+    seed_mass = float(np.sum(measure.seed_weights * measure.seed_nodes[:, 0] ** -2))
+    oracle = seed_mass * moment
+    assert abs(value - oracle) <= 1e-12 * oracle
+
+
+def test_constructed_measure_rejects_non_finite_orbit_value():
+    # the orbit of 1 under n -> 2^-n passes 4 exactly (n = -2)
+    group = RGroup(INTEGER_ADDITIVE, 0.5)
+    action = LinearFamily(group=group, dimension=1,
+                          matrix_fn=lambda n: np.array([[2.0**-n]]))
+    measure = construct_measure(group, action, MeasureDescriptor.dirac([1.0]))
+    phi = gaussian([2.0], 0.5)
+    spiked = TestFunction(
+        "spiked", lambda p: np.where(p[:, 0] == 4.0, np.inf, phi.fn(p)), Box((0.0,), (8.0,))
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        measure.pairing(spiked)
+
+
+def test_constructed_measure_point_budget_slices_blocks(monkeypatch):
+    # a small point budget splits each Haar block across several phi calls
+    # without changing a bit of the result; should the budget constant be
+    # renamed, raising=False leaves the sweep unbounded and the size check fails
+    measure = _uniform_seed_measure()
+    phi = gaussian([3.0], 0.5)
+    expected = measure.pairing(phi)
+    sizes = []
+
+    def recording(pts):
+        sizes.append(len(pts))
+        return phi.fn(pts)
+
+    monkeypatch.setattr(kernels, "POINT_BUDGET", 1000, raising=False)
+    value = measure.pairing(TestFunction("recording", recording, phi.support))
+    assert value == expected
+    assert max(sizes) <= 1000
 
 
 def test_constructed_measure_rejects_center_support():

@@ -11,6 +11,8 @@ from scaleflow.quadrature import (
     GAUSS,
     QuadratureGrid,
     UnderResolvedError,
+    _axis_rule,
+    _legendre_rule,
     boundary_mass_fraction,
     integrate_on_grid,
     integrate_with_refinement,
@@ -34,6 +36,28 @@ def test_gauss_exact_for_polynomials():
     grid = QuadratureGrid(box=Box((0.0,), (1.0,)), nodes_per_axis=(16,), rule=GAUSS)
     value = integrate_on_grid(lambda p: p[:, 0] ** 5, grid)
     assert value.real == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+
+def test_gauss_axis_rule_shares_one_legendre_rule():
+    # composite 8-point rule on four panels of [-1, 3], built from scratch
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(-1.0, 3.0, 5)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    expected_nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
+    expected_weights = (half[:, None] * ref_weights[None, :]).ravel()
+    for _ in range(3):
+        nodes, weights = _axis_rule(-1.0, 3.0, 32, GAUSS, 8)
+        np.testing.assert_array_equal(nodes, expected_nodes)
+        np.testing.assert_array_equal(weights, expected_weights)
+        # callers own what they get back; scribbling on it must not leak
+        nodes *= 2.0
+        weights[:] = 0.0
+    shared = _legendre_rule(8)
+    assert _legendre_rule(8) is shared
+    assert not any(array.flags.writeable for array in shared)
+    with pytest.raises(ValueError):
+        shared[0][0] = 0.0
 
 
 def test_midpoint_weights_sum_to_volume():
