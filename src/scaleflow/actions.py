@@ -312,21 +312,12 @@ def product(actions) -> ProductAction:
 
 @dataclass
 class GroupLawReport:
+    check: str = field(default="group-law", init=False)
     passed: bool
     worst_violation: float
     tolerance: float
     sample_count: int
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "check": "group-law",
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
 
 
 def _sample_parameters(
@@ -369,25 +360,13 @@ def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> 
 class AbsorptionCertificate:
     """Witness that H at inverse parameters maps K into V from a threshold on."""
 
-    source_set: Ball
-    target_set: Ball
+    check: str = field(default="absorption", init=False)
+    source: Ball
+    target: Ball
     threshold: float | None
     sample_evidence: list  # (eps, worst sampled distance from center)
     exact_bounds: list | None  # (eps, operator-norm distance bound)
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "absorption",
-            "source": {"center": list(self.source_set.center), "radius": self.source_set.radius},
-            "target": {"center": list(self.target_set.center), "radius": self.target_set.radius},
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "sample_evidence": [[e, d] for e, d in self.sample_evidence],
-            "exact_bounds": None
-            if self.exact_bounds is None
-            else [[e, d] for e, d in self.exact_bounds],
-        }
 
 
 def certify_absorption(
@@ -433,8 +412,8 @@ def certify_absorption(
             threshold = ladder[i]
             break
     return AbsorptionCertificate(
-        source_set=source,
-        target_set=target,
+        source=source,
+        target=target,
         threshold=threshold,
         sample_evidence=evidence,
         exact_bounds=exact,
@@ -444,19 +423,11 @@ def certify_absorption(
 
 @dataclass
 class EscapeReport:
+    check: str = field(default="escape", init=False)
     passed: bool
     threshold: float | None
     radius: float
     norms: list  # (eps, |H_eps(x)|)
-
-    def to_json(self) -> dict:
-        return {
-            "check": "escape",
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "radius": self.radius,
-            "norms": [[e, n] for e, n in self.norms],
-        }
 
 
 def certify_escape(action: Action, x, ladder, radius: float) -> EscapeReport:

@@ -60,7 +60,7 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
     seed = int(cfg.get("seed", 0))
     results = {}
     law = certify_group_law(action, sample_count=256, seed=seed)
-    results["group_law"] = law.to_json()
+    results["group_law"] = law
     _status("group-law", law.passed, f"worst={law.worst_violation:.3e}")
     ok = law.passed
     block = cfg.get("absorption")
@@ -71,20 +71,18 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
             action, source, target, ladder,
             directions_per_dim=int(block.get("directions_per_dim", 64)),
         )
-        results["absorption"] = cert.to_json()
+        results["absorption"] = cert
         _status("absorption", cert.passed, f"threshold={cert.threshold}")
         ok = ok and cert.passed
     block = cfg.get("escape")
     if block:
         rep = certify_escape(action, block["point"], ladder, float(block["radius"]))
-        results["escape"] = rep.to_json()
+        results["escape"] = rep
         _status("escape", rep.passed, f"threshold={rep.threshold}")
         ok = ok and rep.passed
     reports.write_json(f"{out}/action_certificates.json", {"passed": ok, "results": results}, header)
-    rows = []
-    for name, payload in results.items():
-        rows.append({"check": name, "passed": payload["passed"]})
-    reports.write_csv(f"{out}/action_summary.csv", ["check", "passed"], rows, header)
+    rows = [{"check": name, "passed": payload.passed} for name, payload in results.items()]
+    reports.write_csv(f"{out}/action_summary.csv", rows, header)
     return ok
 
 
@@ -113,14 +111,14 @@ def _run_contract(cfg, header, out, jobs) -> bool:
             fp_rows.append(
                 {
                     "start": i,
-                    "residual": result.residual,
                     "iterations": result.iterations,
+                    "residual": result.residual,
                     "center_distance": result.center_distance,
                     "passed": True,
                 }
             )
         except (RuntimeError, ValueError) as exc:
-            fp_rows.append({"start": i, "residual": float("nan"), "iterations": 0,
+            fp_rows.append({"start": i, "iterations": 0, "residual": float("nan"),
                             "center_distance": float("nan"), "passed": False})
             _status("fixed-point", False, str(exc))
             ok = False
@@ -128,18 +126,11 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     _status("fixed-point", fp_ok, f"starts={starts} eps={eps}")
     reports.write_json(
         f"{out}/contraction.json",
-        {"passed": ok and fp_ok, "submultiplicative": sub.to_json(), "fixed_point": fp_rows},
+        {"passed": ok and fp_ok, "submultiplicative": sub, "fixed_point": fp_rows},
         header,
     )
-    reports.write_csv(
-        f"{out}/fixed_point.csv",
-        ["start", "iterations", "residual", "center_distance", "passed"],
-        fp_rows, header,
-    )
+    reports.write_csv(f"{out}/fixed_point.csv", fp_rows, header)
     return ok and fp_ok
-
-
-_HOMOG_FIELDS = ["eps", "phi", "lhs", "rhs", "abs_err", "rel_err", "quad_est", "passed"]
 
 
 def _run_homogeneity(cfg, header, out, jobs) -> bool:
@@ -162,14 +153,14 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
     _status("homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
     _status("factor-multiplicative", mult_defect <= 1e-9, f"defect={mult_defect:.3e}")
     _status("center-null", null.passed)
-    reports.write_csv(f"{out}/homogeneity.csv", _HOMOG_FIELDS, rows, header)
+    reports.write_csv(f"{out}/homogeneity.csv", rows, header)
     reports.write_json(
         f"{out}/homogeneity.json",
         {
             "passed": ok,
             "worst_rel_err": worst,
             "factor_multiplicative_defect": mult_defect,
-            "center_null": null.to_json(),
+            "center_null": null,
             "decay": partials[0].factor_decay,
         },
         header,
@@ -195,7 +186,7 @@ def _run_construct(cfg, header, out, jobs) -> bool:
     passed = all(part.passed for part in partials)
     worst = max(row["rel_err"] for row in rows)
     _status("construct-homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
-    reports.write_csv(f"{out}/construct_homogeneity.csv", _HOMOG_FIELDS, rows, header)
+    reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
     reports.write_json(
         f"{out}/construct_homogeneity.json", {"passed": passed, "worst_rel_err": worst}, header
     )
@@ -225,30 +216,22 @@ def _run_mean(cfg, header, out, jobs) -> bool:
         "empirical-mean", ok,
         f"final_err={report.final_error:.3e} order={report.fitted_order:.2f}",
     )
-    results = {"empirical": report.to_json(), "closed_form": value}
+    results = {"empirical": report, "closed_form": value}
     if block.get("shift") is not None:
         trans = verify_translation_invariance(u, hz, block["shift"], phi, ladder, spec)
-        results["translation"] = trans.to_json()
+        results["translation"] = trans
         _status("translation-invariance", trans.passed, f"diff={trans.difference:.3e}")
         ok = ok and trans.passed
     if block.get("kernel") is not None:
         kernel = cfg_mod.build_test_function(block["kernel"], action.dimension)
         conv = verify_convolution(kernel, u, hz, phi, ladder, spec)
-        results["convolution"] = conv.to_json()
+        results["convolution"] = conv
         _status("convolution", conv.passed, f"diff={conv.difference:.3e}")
         ok = ok and conv.passed
-    rows = [
-        {"eps": r["eps"], "value": r["value"], "abs_err": r["abs_err"], "quad_est": r["quad_est"]}
-        for r in report.rows
-    ]
-    reports.write_csv(f"{out}/mean.csv", ["eps", "value", "abs_err", "quad_est"], rows, header)
+    reports.write_csv(f"{out}/mean.csv", report.rows, header)
     reports.write_json(f"{out}/mean.json", {"passed": ok, "results": results}, header)
     reports.write_curve(f"{out}/mean_error.dat", reports.log_error_curve(report.rows), header)
     return ok
-
-
-_SIGMA_FIELDS = ["psi", "eps", "lhs", "rhs", "abs_err", "rel_err", "quad_est", "nodes",
-                 "oscillation_free"]
 
 
 def _run_sigma(cfg, header, out, jobs) -> bool:
@@ -292,11 +275,10 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
             f"final_rel={info['final_rel_err']:.3e} order={info['fitted_order']:.2f}",
         )
     _status("trace-norm-bound", norm_ok)
-    reports.write_csv(f"{out}/sigma.csv", _SIGMA_FIELDS, rows, header)
+    reports.write_csv(f"{out}/sigma.csv", rows, header)
     reports.write_json(
         f"{out}/sigma.json",
-        {"passed": ok, "per_test": per_test,
-         "norm_bound": [{k: v for k, v in r.items()} for r in norm_rows]},
+        {"passed": ok, "per_test": per_test, "norm_bound": norm_rows},
         header,
     )
     for name in sorted(per_test):

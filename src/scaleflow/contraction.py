@@ -7,7 +7,7 @@ supremum over point pairs, which only bounds the constant from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,23 +44,13 @@ class ContractionFlow:
 
 @dataclass
 class SubmultiplicativityReport:
+    check: str = field(default="submultiplicative", init=False)
     passed: bool
     worst_excess: float
-    decay_values: list  # (eps, l(eps^-1)) along the ladder
+    decay: list  # (eps, l(eps^-1)) along the ladder
     decay_monotone: bool
     decay_final: float
     bounded: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "submultiplicative",
-            "passed": self.passed,
-            "worst_excess": self.worst_excess,
-            "decay": [[e, v] for e, v in self.decay_values],
-            "decay_monotone": self.decay_monotone,
-            "decay_final": self.decay_final,
-            "bounded": self.bounded,
-        }
 
 
 def certify_submultiplicative(
@@ -95,7 +85,7 @@ def certify_submultiplicative(
     return SubmultiplicativityReport(
         passed=worst <= SUBMULT_SLACK and bounded and monotone and decayed,
         worst_excess=worst,
-        decay_values=decay,
+        decay=decay,
         decay_monotone=monotone,
         decay_final=values[-1],
         bounded=bounded,
@@ -111,17 +101,6 @@ class FixedPointResult:
     contraction_bound: float
     center_distance: float
     cross_parameter_distance: float
-
-    def to_json(self) -> dict:
-        return {
-            "check": "fixed-point",
-            "point": self.point.tolist(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "contraction_bound": self.contraction_bound,
-            "center_distance": self.center_distance,
-            "cross_parameter_distance": self.cross_parameter_distance,
-        }
 
 
 def _iterate(flow: ContractionFlow, eps: float, x0, tol: float, max_iter: int):

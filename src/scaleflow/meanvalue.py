@@ -155,14 +155,6 @@ class ConvergenceReport:
     def final_error(self) -> float:
         return self.rows[-1]["abs_err"]
 
-    def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "fitted_order": self.fitted_order,
-            "floor": self.floor,
-            "rows": self.rows,
-        }
-
 
 def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FLOOR) -> float:
     """Least-squares slope of log(error) against log(eps-scale).
@@ -291,15 +283,6 @@ class ComparisonReport:
     difference: float
     tolerance: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-        }
 
 
 def _combined_tolerance(a: ConvergenceReport, b: ConvergenceReport) -> float:

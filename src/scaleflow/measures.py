@@ -355,16 +355,6 @@ class HomogeneityReport:
     passed: bool
     tol_rel: float
 
-    def to_json(self) -> dict:
-        return {
-            "check": "homogeneity",
-            "passed": self.passed,
-            "tol_rel": self.tol_rel,
-            "decay_ok": self.decay_ok,
-            "factor_decay": [[e, c] for e, c in self.factor_decay],
-            "rows": self.rows,
-        }
-
 
 def verify_homogeneity(
     hz: Homogenizer,
@@ -585,17 +575,10 @@ def construct_measure(
 
 @dataclass
 class CenterNullReport:
+    check: str = field(default="center-null", init=False)
     masses: list  # (radius, mass)
     trivial: bool
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "center-null",
-            "passed": self.passed,
-            "trivial": self.trivial,
-            "masses": [[r, m] for r, m in self.masses],
-        }
 
 
 def verify_center_null(hz: Homogenizer, radii=None) -> CenterNullReport:

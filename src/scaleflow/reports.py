@@ -3,12 +3,15 @@
 Outputs are byte-stable for a fixed config: float fields use shortest
 round-trip formatting, JSON keys are sorted, and no timestamps appear.
 Every file starts from a header carrying the tool version, the sampling
-seed and the SHA-256 digest of the config file.
+seed and the SHA-256 digest of the config file.  A report dataclass is
+written as its fields, so its field names are the JSON keys; CSV columns
+are the keys of the first row, in order.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -44,8 +47,9 @@ def _format(value):
     return value
 
 
-def write_csv(path: str, fieldnames, rows, header: dict) -> None:
+def write_csv(path: str, rows, header: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    fieldnames = list(rows[0]) if rows else []
     buffer = io.StringIO()
     for key, value in header.items():
         buffer.write(f"# {key}: {value}\n")
@@ -75,6 +79,10 @@ class _Encoder(json.JSONEncoder):
 
 
 def _sanitize(obj):
+    # dataclasses become dicts here, not in the encoder's default(), so
+    # their non-finite floats still pass through the repr below
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     if isinstance(obj, dict):

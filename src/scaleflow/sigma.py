@@ -12,6 +12,7 @@ All pairings integrate against Lebesgue measure on the domain box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,12 +78,15 @@ class TwoScaleField:
 
         return TestFunction(name=f"{self.name}-mean", fn=fn, support=self.domain)
 
+    # every ladder entry of a norm-bound check asks for the same few norms
+    @functools.lru_cache(maxsize=64)
     def envelope_norm(self, p: float, grid_spec: GridSpec) -> float:
         """(integral over the domain of sup_y |u0(x, y)|^p)^(1/p).
 
         The sup in the oscillation slot is taken over a dense deterministic
         sample of the algebra's almost-period window, so the result is a
-        slight underestimate of the true envelope.
+        slight underestimate of the true envelope.  Each (field, p, grid
+        spec) is computed once; the cache keeps its fields alive.
         """
         y = _cell_sample(self.algebra, ENVELOPE_CELL_SAMPLES)
         values = np.stack([w.poly(y) for _, w in self.terms])  # (J, My)
@@ -249,16 +253,6 @@ class SigmaReport:
     norm_bound_rows: list
     tolerance: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "sigma-convergence",
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "per_test": self.per_test,
-            "norm_bound": self.norm_bound_rows,
-            "rows": self.rows,
-        }
 
 
 def verify_sigma_convergence(

@@ -1,7 +1,6 @@
 """Config validation, CLI exit codes, report determinism."""
 
 import os
-import shutil
 import subprocess
 import sys
 
@@ -85,6 +84,14 @@ def test_cli_verify_action_passes(tmp_path):
     assert (tmp_path / "out" / "action_summary.csv").exists()
 
 
+def _src_env():
+    """The caller's environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 # Runs the CLI in an interpreter whose import system refuses scipy.
 _WITHOUT_SCIPY = """
 import sys
@@ -114,13 +121,10 @@ def test_cli_runs_without_scipy(tmp_path):
     cfg["absorption"] = {"source_radius": 10.0, "target_radius": 1.0}
     path = tmp_path / "absorb_2d.yaml"
     write_yaml(path, cfg)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, "verify-action", "--config", str(path),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert result.returncode == 0, result.stderr
 
@@ -129,10 +133,6 @@ def test_benchmark_spans_install():
     # the benchmark traces scaleflow by wrapping functions and methods by
     # name; renaming or deleting one of them must fail here, not only there
     root = os.path.join(os.path.dirname(__file__), "..")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
     script = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
@@ -141,7 +141,7 @@ def test_benchmark_spans_install():
         "spans.install(spans.Recorder())\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env)
+                            env=_src_env())
     assert result.returncode == 0, result.stderr
 
 
@@ -219,13 +219,11 @@ def test_reports_embed_header(tmp_path):
     assert keys == ["tool", "version", "seed", "config_sha256"]
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "scaleflow.cli", "verify-action", "--config",
-         os.path.join(CONFIG_DIR, "verify_action.yaml"), "--out",
-         "/tmp/scaleflow-entry-test"],
-        capture_output=True, text=True,
+         os.path.join(CONFIG_DIR, "verify_action.yaml"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(),
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert "PASS" in result.stdout
-    shutil.rmtree("/tmp/scaleflow-entry-test", ignore_errors=True)

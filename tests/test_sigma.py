@@ -23,8 +23,9 @@ from scaleflow import (
     trace_norm_bound_check,
     verify_sigma_convergence,
 )
+from scaleflow import sigma as sigma_module
 from scaleflow.quadrature import Box
-from scaleflow.sigma import validate_ladder
+from scaleflow.sigma import trace_norm_bound_rows, validate_ladder
 
 ROOT2 = math.sqrt(2.0)
 OMEGA = Box((0.0,), (1.0,))
@@ -75,6 +76,31 @@ def test_trace_norm_bound_closed_forms():
     assert entry["passed"]
     assert entry["lhs"] == pytest.approx(norm_g / math.sqrt(2.0), rel=1e-3)
     assert entry["rhs"] == pytest.approx(norm_g, rel=1e-4)
+
+
+def test_norm_bound_rows_compute_each_envelope_once(monkeypatch):
+    samples = []
+    cell_sample = sigma_module._cell_sample
+
+    def counted(algebra, count):
+        samples.append(count)
+        return cell_sample(algebra, count)
+
+    monkeypatch.setattr(sigma_module, "_cell_sample", counted)
+    g = gaussian([0.5], 0.15, name="G")
+    fields = [
+        field([(g, SIN_EL)], "osc"),
+        field([(g, ONE_EL)], "plain"),
+        field([(ident(), SIN_EL)], "flat-osc"),
+        field([(g, ALG.element(TrigPolynomial.character([1.0])))], "char"),
+    ]
+    ladder = [2.0**-n for n in range(1, 13)]
+    rows = trace_norm_bound_rows(fields, SCALING, ladder, 2.0, SPEC)
+    assert len(rows) == 48 and all(r["passed"] for r in rows)
+    assert len(samples) == 4
+    # the memoised norm is the one a fresh computation gives
+    fresh = TwoScaleField.envelope_norm.__wrapped__(fields[0], 2.0, SPEC)
+    assert rows[0]["rhs"] == fresh
 
 
 def test_lhs_oscillation_free_is_parameter_independent():
