@@ -26,7 +26,6 @@ from .algebra import (
     TruncationOverflowError,
     spectral_pairing,
     gelfand_mean,
-    spectrum_of,
 )
 from .contraction import ContractionFlow, certify_submultiplicative, fixed_point
 from .groups import (
@@ -41,7 +40,6 @@ from .meanvalue import (
     mean,
     verify_convolution,
     verify_translation_invariance,
-    window_seminorm,
 )
 from .measures import (
     ConstructedMeasure,
@@ -67,7 +65,6 @@ from .sigma import (
     TwoScaleField,
     sigma_pairing_lhs,
     sigma_pairing_rhs,
-    trace,
     trace_norm_bound_check,
     verify_sigma_convergence,
 )
@@ -122,8 +119,6 @@ __all__ = [
     "pushforward_pairing",
     "sigma_pairing_lhs",
     "sigma_pairing_rhs",
-    "spectrum_of",
-    "trace",
     "trace_norm_bound_check",
     "triangle",
     "verify_center_null",
@@ -131,6 +126,5 @@ __all__ = [
     "verify_homogeneity",
     "verify_sigma_convergence",
     "verify_translation_invariance",
-    "window_seminorm",
     "__version__",
 ]

@@ -160,11 +160,6 @@ def gelfand_mean(u: AlgebraElement) -> complex:
     return u.poly.zero_coefficient()
 
 
-def spectrum_of(u: AlgebraElement) -> list:
-    """Frequencies carrying a coefficient above the spectral floor."""
-    return [tuple(f) for f, c in u.poly.terms() if abs(c) > SPECTRUM_TOL]
-
-
 def spectral_pairing(u: AlgebraElement, v: AlgebraElement) -> complex:
     """Spectral pairing: zero-frequency coefficient of the product u*v.
 
@@ -178,14 +173,3 @@ def spectral_pairing(u: AlgebraElement, v: AlgebraElement) -> complex:
         partner = v.poly.coefficient([-f for f in freq])
         contributions.append(coeff * partner)
     return kernels.pairwise_sum(np.asarray(contributions, dtype=np.complex128))
-
-
-def nonnegative_on_sample(u: AlgebraElement, count: int = 512, seed: int = 0,
-                          tolerance: float = 1e-10) -> bool:
-    """Certify u >= 0 by dense sampling (imaginary part must vanish too)."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-20.0, 20.0, size=(count, u.algebra.dimension))
-    values = u(pts)
-    return bool(
-        np.max(np.abs(values.imag)) <= tolerance and np.min(values.real) >= -tolerance
-    )

@@ -21,8 +21,7 @@ from . import reports
 from .actions import Ball, certify_absorption, certify_escape, certify_group_law
 from .config import ConfigError
 from .contraction import ContractionFlow, certify_submultiplicative, fixed_point
-from .meanvalue import empirical_mean, mean_with_estimate, verify_convolution, \
-    verify_translation_invariance
+from .meanvalue import empirical_mean, mean, verify_convolution, verify_translation_invariance
 from .measures import (
     DEFAULT_TAIL_CUT,
     SupportEscapeError,
@@ -45,6 +44,16 @@ def _parallel(fn, items, jobs: int):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int):
+    """verify_homogeneity per battery entry: (partials, rows, passed, worst rel_err)."""
+    partials = _parallel(
+        lambda phi: verify_homogeneity(hz, ladder, [phi], tol_rel=tol), battery, jobs
+    )
+    rows = [row for part in partials for row in part.rows]
+    passed = all(part.passed for part in partials)
+    return partials, rows, passed, max(row["rel_err"] for row in rows)
 
 
 def _status(name: str, passed: bool, detail: str = "") -> None:
@@ -90,6 +99,9 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     group = cfg_mod.build_group(cfg)
     action = cfg_mod.build_action(cfg, group)
     block = cfg.get("contraction") or {}
+    starts = int(block.get("starts", 10))
+    if starts < 1:
+        raise ConfigError("contraction.starts must be at least 1")
     seed = int(cfg.get("seed", 0))
     flow = ContractionFlow(action)
     sub = certify_submultiplicative(
@@ -98,7 +110,6 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     )
     _status("submultiplicative", sub.passed, f"worst_excess={sub.worst_excess:.3e}")
     eps = group.validate(block.get("eps", 0.5 if group.theta == 0.0 else -1.0))
-    starts = int(block.get("starts", 10))
     tol = float(block.get("tol", 1e-12))
     rng = np.random.default_rng(seed)
     fp_rows = []
@@ -141,12 +152,7 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
     ladder = cfg_mod.build_ladder(cfg, group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol = cfg_mod.tolerance(cfg, "rel", 1e-6)
-    partials = _parallel(
-        lambda phi: verify_homogeneity(hz, ladder, [phi], tol_rel=tol), battery, jobs
-    )
-    rows = [row for part in partials for row in part.rows]
-    passed = all(part.passed for part in partials)
-    worst = max(row["rel_err"] for row in rows)
+    partials, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
     mult_defect = check_factor_multiplicative(hz, seed=int(cfg.get("seed", 0)))
     null = verify_center_null(hz)
     ok = passed and mult_defect <= 1e-9 and null.passed
@@ -179,12 +185,7 @@ def _run_construct(cfg, header, out, jobs) -> bool:
     ladder = cfg_mod.build_ladder(cfg, group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol = cfg_mod.tolerance(cfg, "rel", 1e-5)
-    partials = _parallel(
-        lambda phi: verify_homogeneity(hz, ladder, [phi], tol_rel=tol), battery, jobs
-    )
-    rows = [row for part in partials for row in part.rows]
-    passed = all(part.passed for part in partials)
-    worst = max(row["rel_err"] for row in rows)
+    _, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
     _status("construct-homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
     reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
     reports.write_json(
@@ -206,8 +207,8 @@ def _run_mean(cfg, header, out, jobs) -> bool:
         block.get("phi", {"kind": "triangle", "center": 0.3, "width": 0.7}), action.dimension
     )
     ladder = cfg_mod.build_ladder(cfg, group)
-    value, est = mean_with_estimate(u)
-    print(f"closed-form mean: {value} (quadrature estimate {est:.1e})")
+    value = mean(u)
+    print(f"closed-form mean: {value}")
     report = empirical_mean(u, hz, phi, ladder, spec)
     tol = cfg_mod.tolerance(cfg, "rel", 1e-2)
     order_floor = cfg_mod.tolerance(cfg, "decay_order", 0.9)

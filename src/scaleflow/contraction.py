@@ -1,8 +1,9 @@
 """Contraction flows: Lipschitz bounds and fixed-point location of the center.
 
-For the built-in linear actions the global Lipschitz constant of H_eps is
-the operator norm of its matrix; generic actions fall back to a sampled
-supremum over point pairs, which only bounds the constant from below.
+The global Lipschitz constant of H_eps is the operator norm of its
+matrix.  An action without a matrix raises ``NotImplementedError``: a
+sampled supremum over point pairs only bounds the constant from below and
+so cannot certify a contraction.
 """
 
 from __future__ import annotations
@@ -23,23 +24,8 @@ class ContractionFlow:
     action: Action
 
     def lipschitz(self, eps: float) -> float:
-        """Lipschitz constant of H_eps (exact for linear variants)."""
-        try:
-            return self.action.operator_norm(eps)
-        except NotImplementedError:
-            return self._sampled_lipschitz(eps)
-
-    def _sampled_lipschitz(self, eps: float, pairs: int = 10**4, seed: int = 0) -> float:
-        # lower bound only: the true constant is a supremum over all pairs
-        rng = np.random.default_rng(seed)
-        dim = self.action.dimension
-        xs = rng.uniform(-5.0, 5.0, size=(pairs, dim))
-        ys = rng.uniform(-5.0, 5.0, size=(pairs, dim))
-        keep = np.linalg.norm(xs - ys, axis=1) > 1e-9
-        xs, ys = xs[keep], ys[keep]
-        num = np.linalg.norm(self.action.apply(eps, xs) - self.action.apply(eps, ys), axis=1)
-        den = np.linalg.norm(xs - ys, axis=1)
-        return float(np.max(num / den))
+        """Lipschitz constant of H_eps: the operator norm of its matrix."""
+        return self.action.operator_norm(eps)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Mean values of bounded functions along a scaling flow.
 
-Three function classes carry a closed-form mean: periodic functions (cell
-integral), functions with a limit at infinity (that limit) and almost
-periodic trigonometric polynomials (zero-frequency coefficient).  The
+Three function classes carry a closed-form mean: trigonometric polynomials
+periodic on a cell and almost periodic ones (the zero-frequency
+coefficient) and functions with a limit at infinity (that limit).  The
 empirical machinery pairs u(H_eps(x)) against fixed test functions along a
 parameter ladder and fits the decay order of the error, which verifies the
 weak-star convergence that defines the mean.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import GridSpec, Homogenizer, TestFunction, integrate
-from .quadrature import Box, QuadratureGrid, integrate_with_refinement
+from .quadrature import Box, integrate_with_refinement
 from .trig import TrigPolynomial
 
 PERIODIC = "periodic"
@@ -36,7 +36,6 @@ class MeanFunction:
     poly: TrigPolynomial | None = None
     limit: complex | None = None
     cell: Box | None = None
-    harmonics: float = 8.0  # oscillation bound for plain periodic evaluators
 
     # -- constructors -------------------------------------------------------
 
@@ -48,13 +47,6 @@ class MeanFunction:
             if any(abs(v - round(v)) > 1e-9 for v in scaled):
                 raise ValueError(f"frequency {f} is not periodic on the cell")
         return cls(kind=PERIODIC, dimension=poly.dim, poly=poly, cell=cell)
-
-    @classmethod
-    def periodic(cls, evaluator, dimension: int, cell: Box | None = None, harmonics: float = 8.0
-                 ) -> "MeanFunction":
-        cell = cell or Box((0.0,) * dimension, (1.0,) * dimension)
-        return cls(kind=PERIODIC, dimension=dimension, evaluator=evaluator, cell=cell,
-                   harmonics=harmonics)
 
     @classmethod
     def vanishing(cls, evaluator, limit: complex, dimension: int) -> "MeanFunction":
@@ -80,8 +72,6 @@ class MeanFunction:
         """Per-axis frequency bound used by grid-resolution rules."""
         if self.poly is not None:
             return self.poly.max_abs_freq()
-        if self.kind == PERIODIC:
-            return np.asarray([self.harmonics / s for s in self.cell.sides])
         return np.ones(self.dimension)
 
     def translate(self, shift) -> "MeanFunction":
@@ -98,47 +88,14 @@ class MeanFunction:
             dimension=self.dimension,
             evaluator=lambda pts: ev(np.atleast_2d(pts) - shift),
             limit=self.limit,
-            cell=self.cell,
-            harmonics=self.harmonics,
         )
-
-    # -- class invariants (sampled) ---------------------------------------------
-
-    def check_class(self, seed: int = 0) -> bool:
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-3.0, 3.0, size=(64, self.dimension))
-        if self.kind == PERIODIC:
-            shifts = rng.integers(-3, 4, size=(8, self.dimension)).astype(float)
-            shifts *= np.asarray(self.cell.sides)
-            base = self(pts)
-            return all(
-                np.max(np.abs(self(pts + s) - base)) <= 1e-12 * (1 + np.max(np.abs(base)))
-                for s in shifts
-            )
-        if self.kind == VANISHING:
-            radii = np.array([1e2, 1e4, 1e6])
-            dirs = pts[:8] / np.linalg.norm(pts[:8], axis=1, keepdims=True)
-            worst = [
-                float(np.max(np.abs(self(r * dirs) - self.limit))) for r in radii
-            ]
-            return worst[-1] <= 1e-6 * (1.0 + abs(self.limit)) and worst[-1] <= worst[0] + 1e-12
-        return True
-
-
-def mean_with_estimate(u: MeanFunction) -> tuple[complex, float]:
-    """Closed-form mean per class; quadrature only for plain periodic maps."""
-    if u.kind == VANISHING:
-        return complex(u.limit), 0.0
-    if u.poly is not None:
-        return u.poly.zero_coefficient(), 0.0
-    nodes = 2048 if u.dimension == 1 else 256
-    grid = QuadratureGrid(box=u.cell, nodes_per_axis=(nodes,) * u.dimension)
-    value, est = integrate_with_refinement(lambda pts: u(pts), grid)
-    return value / u.cell.volume(), est / u.cell.volume()
 
 
 def mean(u: MeanFunction) -> complex:
-    return mean_with_estimate(u)[0]
+    """Closed-form mean: the limit at infinity or the zero-frequency coefficient."""
+    if u.kind == VANISHING:
+        return complex(u.limit)
+    return u.poly.zero_coefficient()
 
 
 # -- empirical verification ------------------------------------------------------
@@ -198,7 +155,7 @@ def empirical_mean(
     base, base_est = integrate(hz, phi)
     if abs(base) == 0.0:
         raise ValueError("test function must have nonzero integral")
-    limit, limit_est = mean_with_estimate(u)
+    limit = mean(u)
     action = hz.action
     bound_u = u.oscillation_bound()
     gridded = hasattr(hz.measure, "clip")
@@ -224,56 +181,11 @@ def empirical_mean(
                 "quad_est": (est + abs(r) * base_est) / abs(base),
             }
         )
-    floor = max(ERROR_FLOOR, 10.0 * limit_est)
     order = fit_decay_order(
         [_ladder_scale(action.group, row["eps"]) for row in rows],
         [row["abs_err"] for row in rows],
-        floor=floor,
     )
-    return ConvergenceReport(rows=rows, limit=limit, fitted_order=order, floor=floor)
-
-
-def window_seminorm(
-    u: MeanFunction,
-    hz: Homogenizer,
-    p: float,
-    window: Box,
-    eps_samples,
-    grid_spec: GridSpec | None = None,
-) -> dict:
-    """Max over sampled eps <= e of the L^p mass of u(H_eps .) on a window.
-
-    A finite sample of parameters only bounds the supremum from below; the
-    report says so explicitly.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    spec = grid_spec or hz.grid_spec
-    action = hz.action
-    group = action.group
-    bound_u = u.oscillation_bound()
-    values = []
-    for eps in eps_samples:
-        eps = group.validate(eps)
-        if group.compare(eps, group.identity) > 0:
-            raise ValueError("seminorm samples must satisfy eps <= identity")
-        grid = None
-        if hasattr(hz.measure, "clip"):
-            comp_bound = np.abs(action.matrix(eps)).T @ bound_u
-            grid = spec.build(hz.measure.clip(window), tuple(comp_bound))
-        integrand = TestFunction(
-            name="abs-power",
-            fn=lambda pts: np.abs(u(action.apply(eps, pts))) ** p,
-            support=window,
-        )
-        value, _ = integrate(hz, integrand, grid=grid)
-        values.append((float(eps), float(abs(value)) ** (1.0 / p)))
-    return {
-        "value": max(v for _, v in values),
-        "samples": values,
-        "lower_bound_only": True,
-        "p": p,
-    }
+    return ConvergenceReport(rows=rows, limit=limit, fitted_order=order, floor=ERROR_FLOOR)
 
 
 @dataclass

@@ -42,7 +42,11 @@ HAAR_BLOCK_WIDTH = 4.0  # width of one orbit-sweep block in the Haar coordinate
 
 
 class SupportEscapeError(RuntimeError):
-    """Integrand mass was detected at the quadrature boundary."""
+    """Integrand mass was detected at the quadrature boundary.
+
+    Also raised when a support box misses the measure domain altogether, so
+    that no pairing silently integrates over an empty box.
+    """
 
 
 # -- test functions ----------------------------------------------------------
@@ -196,11 +200,9 @@ class MeasureDescriptor:
         new_lows = tuple(max(a, b) for a, b in zip(box.lows, lows))
         new_highs = tuple(min(a, b) for a, b in zip(box.highs, highs))
         if any(h <= l for l, h in zip(new_lows, new_highs)):
-            # support lies outside the measure domain: keep a sliver so the
-            # quadrature returns 0 instead of failing
-            side = 1e-6
-            anchor = tuple(min(max(l, a), b - side) for l, a, b in zip(box.lows, lows, highs))
-            return Box(anchor, tuple(a + side for a in anchor))
+            raise SupportEscapeError(
+                f"support {box} misses the measure domain {Box(lows, highs)}"
+            )
         return Box(new_lows, new_highs)
 
 
@@ -322,24 +324,20 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi, grid: QuadratureGrid |
     action = hz.action
     eps = action.group.validate(eps)
     composed = lambda pts: np.asarray(phi(action.apply(eps, pts)), dtype=np.complex128)
-    if isinstance(measure, ConstructedMeasure):
-        if isinstance(phi, TestFunction):
-            composed = TestFunction(
-                name=f"{phi.name}@{eps:g}",
-                fn=composed,
-                support=_image_box(action, eps, phi.support),
-            )
-        return measure.pairing(composed)
-    if measure.kind == DIRAC:
-        point = np.asarray(measure.point)
-        return complex(phi(action.apply(eps, point)[None, :])[0]), 0.0
+    if isinstance(phi, TestFunction):
+        composed = TestFunction(
+            name=f"{phi.name}@{eps:g}",
+            fn=composed,
+            support=_image_box(action, eps, phi.support),
+        )
+    if isinstance(measure, ConstructedMeasure) or measure.kind == DIRAC:
+        return integrate(hz, composed)
     if grid is None:
         if not isinstance(phi, TestFunction):
             raise ValueError("a grid is required for plain-callable integrands")
-        grid = hz.grid_spec.build(measure.clip(_image_box(action, eps, phi.support)))
-    integrand = _weighted_integrand(measure, composed)
-    value, estimate = integrate_with_refinement(integrand, grid)
-    fraction = boundary_mass_fraction(integrand, grid)
+        grid = hz.grid_spec.build(measure.clip(composed.support))
+    value, estimate = integrate(hz, composed, grid)
+    fraction = boundary_mass_fraction(_weighted_integrand(measure, composed), grid)
     if fraction > BOUNDARY_MASS_TOL:
         raise SupportEscapeError(
             f"{fraction:.2e} of the integrand mass sits on the grid boundary"

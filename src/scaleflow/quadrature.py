@@ -45,14 +45,6 @@ class Box:
     def sides(self) -> tuple:
         return tuple(h - l for l, h in zip(self.lows, self.highs))
 
-    def volume(self) -> float:
-        return math.prod(self.sides)
-
-    def intersect(self, other: "Box") -> "Box":
-        lows = tuple(max(a, b) for a, b in zip(self.lows, other.lows))
-        highs = tuple(min(a, b) for a, b in zip(self.highs, other.highs))
-        return Box(lows, highs)
-
     @classmethod
     def from_config(cls, pairs) -> "Box":
         pairs = [tuple(p) for p in pairs]

@@ -20,15 +20,10 @@ import numpy as np
 
 from . import kernels
 from .actions import Action
-from .algebra import AlgebraElement, spectral_pairing, gelfand_mean
-from .measures import GridSpec, TestFunction
+from .algebra import spectral_pairing
+from .measures import GridSpec
 from .meanvalue import ERROR_FLOOR, fit_decay_order, _ladder_scale
-from .quadrature import (
-    Box,
-    QuadratureGrid,
-    UnderResolvedError,
-    integrate_with_refinement,
-)
+from .quadrature import Box, QuadratureGrid, integrate_with_refinement
 
 ENVELOPE_CELL_SAMPLES = 2048
 
@@ -65,18 +60,6 @@ class TwoScaleField:
         for macro, w in self.terms:
             out += np.asarray(macro(pts), dtype=np.complex128) * w.poly(images)
         return out
-
-    def mean_projection(self) -> TestFunction:
-        """x -> spectral mean of u0(x, .): the oscillation-free shadow."""
-        terms = [(macro, gelfand_mean(w)) for macro, w in self.terms]
-
-        def fn(pts):
-            out = np.zeros(np.atleast_2d(pts).shape[0], dtype=np.complex128)
-            for macro, c in terms:
-                out += c * np.asarray(macro(pts), dtype=np.complex128)
-            return out
-
-        return TestFunction(name=f"{self.name}-mean", fn=fn, support=self.domain)
 
     # every ladder entry of a norm-bound check asks for the same few norms
     @functools.lru_cache(maxsize=64)
@@ -126,18 +109,6 @@ def _cell_sample(algebra, count: int) -> np.ndarray:
     axes = [np.linspace(0.0, width, per_axis, endpoint=False)] * dim
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def trace(u: TwoScaleField, action: Action, eps: float, x) -> np.ndarray | complex:
-    """Evaluate the trace u0(x, H_eps(x)) at one or many points."""
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim == 0:
-        return complex(u.trace_values(action, eps, pts.reshape(1, 1))[0])
-    if pts.ndim == 1 and u.domain.dim > 1:
-        return complex(u.trace_values(action, eps, pts[None, :])[0])
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return u.trace_values(action, eps, pts)
 
 
 def trace_norm_bound_check(

@@ -55,11 +55,6 @@ class TrigPolynomial:
         return cls(freq[None, :], [1.0])
 
     @classmethod
-    def cosine(cls, freq) -> "TrigPolynomial":
-        freq = np.atleast_1d(np.asarray(freq, dtype=np.float64))
-        return cls(np.stack([freq, -freq]), [0.5, 0.5])
-
-    @classmethod
     def sine(cls, freq) -> "TrigPolynomial":
         freq = np.atleast_1d(np.asarray(freq, dtype=np.float64))
         return cls(np.stack([freq, -freq]), [-0.5j, 0.5j])
@@ -89,9 +84,6 @@ class TrigPolynomial:
     def max_abs_freq(self) -> np.ndarray:
         """Per-axis maximum |frequency|; used by resolution rules."""
         return np.max(np.abs(self.freqs), axis=0)
-
-    def sup_norm_bound(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
 
     def terms(self):
         return [(tuple(f), complex(c)) for f, c in zip(self.freqs, self.coeffs)]

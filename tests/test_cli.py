@@ -167,6 +167,17 @@ def test_cli_resolution_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_contract_rejects_zero_starts(tmp_path, capsys):
+    # no fixed point is computed with zero starts, so nothing may pass
+    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "contract.yaml")))
+    cfg["contraction"]["starts"] = 0
+    path = tmp_path / "zero.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "contraction.starts" in capsys.readouterr().err
+
+
 def test_cli_mean_runs(tmp_path):
     code = run_cli([
         "mean", "--config", os.path.join(CONFIG_DIR, "mean_periodic.yaml"),

@@ -1,4 +1,4 @@
-"""Mean values: closed forms, weak-star pairings, seminorms, invariances.
+"""Mean values: closed forms, weak-star pairings, invariances.
 
 Oscillatory pairing oracles are one-dimensional Fourier transforms of the
 test functions, evaluated in closed form or by adaptive quadrature.
@@ -23,10 +23,8 @@ from scaleflow import (
     triangle,
     verify_convolution,
     verify_translation_invariance,
-    window_seminorm,
 )
-from scaleflow.meanvalue import fit_decay_order, mean_with_estimate
-from scaleflow.quadrature import Box
+from scaleflow.meanvalue import fit_decay_order
 
 SIN2 = TrigPolynomial.sine([1.0]) * TrigPolynomial.sine([1.0])
 OSC_SPEC = GridSpec(rule="gauss", base_nodes=256, panel_order=16, max_nodes=1 << 21)
@@ -52,15 +50,6 @@ def test_mean_closed_forms():
     assert mean(MeanFunction.vanishing(decays, limit, 1)) == limit
 
 
-def test_mean_periodic_evaluator_quadrature():
-    u = MeanFunction.periodic(
-        lambda pts: np.sin(2 * np.pi * np.atleast_2d(pts)[:, 0]) ** 2, dimension=1
-    )
-    value, estimate = mean_with_estimate(u)
-    assert abs(value - 0.5) <= 1e-10
-    assert estimate <= 1e-10
-
-
 def test_mean_bounded_by_sup_norm():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -81,24 +70,6 @@ def test_mean_linear_and_positive():
     assert left == a * 0.25 + b
     nonneg = MeanFunction.periodic_trig(SIN2)  # sin^2 >= 0
     assert mean(nonneg).real >= 0.0
-
-
-def test_class_invariant_checks():
-    periodic = MeanFunction.periodic_trig(SIN2)
-    assert periodic.check_class()
-    aperiodic = MeanFunction.periodic(
-        lambda pts: np.atleast_2d(pts)[:, 0], dimension=1
-    )
-    assert not aperiodic.check_class()
-    limit = 0.5
-    ok = MeanFunction.vanishing(
-        lambda pts: limit + np.exp(-np.sum(np.atleast_2d(pts) ** 2, axis=1)), limit, 1
-    )
-    assert ok.check_class()
-    bad = MeanFunction.vanishing(
-        lambda pts: np.cos(np.atleast_2d(pts)[:, 0]), 0.0, 1
-    )
-    assert not bad.check_class()
 
 
 def _pairing_oracle_sin2(phi_fn, support, eps):
@@ -176,49 +147,6 @@ def test_fit_decay_order_informative_and_floor():
     errs = [e**2 for e in eps]
     assert fit_decay_order(eps, errs) == pytest.approx(2.0, abs=1e-6)
     assert math.isinf(fit_decay_order(eps, [1e-16] * 6))
-
-
-def test_window_seminorm_constant():
-    hz = lebesgue_line()
-    u = MeanFunction.constant(1.0)
-    window = Box((-0.5,), (0.5,))
-    result = window_seminorm(u, hz, 1.0, window, [1.0, 0.5, 0.25])
-    assert result["value"] == pytest.approx(1.0, rel=1e-10)  # the window volume
-    assert result["lower_bound_only"]
-
-
-def test_window_seminorm_bounded_by_sup():
-    hz = lebesgue_line()
-    poly = TrigPolynomial.from_terms([([0.0], 0.3), ([1.0], 0.7)])
-    u = MeanFunction.almost_periodic(poly)
-    window = Box((-1.0,), (1.0,))
-    result = window_seminorm(u, hz, 2.0, window, [1.0, 0.5, 0.25, 0.125])
-    sup = poly.sup_norm_bound()
-    assert result["value"] <= sup * (2.0 ** (1.0 / 2.0)) + 1e-9
-
-
-def test_window_seminorm_oscillatory_closed_form():
-    hz = lebesgue_line()
-    u = MeanFunction.periodic_trig(SIN2)
-    window = Box((-0.5,), (0.5,))
-    samples = [1.0, 0.5, 0.25]
-    result = window_seminorm(u, hz, 1.0, window, samples)
-    oracles = []
-    for eps in samples:
-        oracle, _ = quad(lambda x: math.sin(2 * math.pi * x / eps) ** 2, -0.5, 0.5,
-                         limit=400)
-        oracles.append(oracle)
-    assert result["value"] == pytest.approx(max(oracles), rel=1e-9)
-    for (eps, value), oracle in zip(result["samples"], oracles):
-        assert value == pytest.approx(oracle, rel=1e-9)
-
-
-def test_window_seminorm_rejects_large_parameters():
-    hz = lebesgue_line()
-    with pytest.raises(ValueError):
-        window_seminorm(MeanFunction.constant(1.0), hz, 1.0, Box((-0.5,), (0.5,)), [2.0])
-    with pytest.raises(ValueError):
-        window_seminorm(MeanFunction.constant(1.0), hz, 0.5, Box((-0.5,), (0.5,)), [0.5])
 
 
 def test_translation_invariance():

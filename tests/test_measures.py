@@ -170,6 +170,16 @@ def test_support_escape_detection():
         pushforward_pairing(hz, 1.0, lying, grid=grid)
 
 
+def test_support_outside_measure_domain_raises():
+    # the power density lives on t >= 0; the bump sits on [-4, -2]
+    hz = Homogenizer.weighted_power(DiagonalScaling((1,)), power=1.0)
+    phi = bump([-3.0], 1.0)
+    with pytest.raises(SupportEscapeError, match="misses the measure domain"):
+        integrate(hz, phi)
+    with pytest.raises(SupportEscapeError, match="misses the measure domain"):
+        pushforward_pairing(hz, 0.5, phi)
+
+
 # -- constructed measures -----------------------------------------------------
 
 

@@ -1,0 +1,54 @@
+"""The package's public surface: its exported names and its module imports."""
+
+import ast
+import pathlib
+
+import scaleflow
+
+PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
+
+PUBLIC_NAMES = [
+    "AlgebraElement", "Ball", "Box", "ConstructedMeasure", "ContractionFlow",
+    "DiagonalScaling", "ExpSemigroup", "GridSpec", "HAlgebra", "Homogenizer",
+    "INTEGER_ADDITIVE", "LinearFamily", "MeanFunction", "MeasureDescriptor",
+    "POSITIVE_MULTIPLICATIVE", "ProductAction", "QuadratureGrid", "REAL_ADDITIVE",
+    "RGroup", "SupportEscapeError", "TestFunction", "TrigPolynomial",
+    "TruncationOverflowError", "TwoScaleField", "UnderResolvedError", "__version__",
+    "bump", "certify_absorption", "certify_escape", "certify_group_law",
+    "certify_submultiplicative", "construct_measure", "default_battery",
+    "empirical_mean", "fixed_point", "gaussian", "gelfand_mean", "integrate",
+    "matrix_exponential", "mean", "mollifier", "parabola", "product",
+    "pushforward_pairing", "sigma_pairing_lhs", "sigma_pairing_rhs",
+    "spectral_pairing", "trace_norm_bound_check", "triangle", "verify_center_null",
+    "verify_convolution", "verify_homogeneity", "verify_sigma_convergence",
+    "verify_translation_invariance",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(PUBLIC_NAMES) == 54
+    assert sorted(scaleflow.__all__) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(scaleflow, name)] == []
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports but never reads, as ``module:line:name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}:{name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_modules_import_only_what_they_use():
+    # __init__ imports names to re-export them, so it is the one exception
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

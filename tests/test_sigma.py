@@ -19,7 +19,6 @@ from scaleflow import (
     gaussian,
     sigma_pairing_lhs,
     sigma_pairing_rhs,
-    trace,
     trace_norm_bound_check,
     verify_sigma_convergence,
 )
@@ -50,14 +49,14 @@ def test_trace_values():
     macro = gaussian([0.5], 0.15, name="G")
     # no oscillation slot dependence: the trace is the macro factor
     u_plain = field([(macro, ONE_EL)], "plain")
-    assert np.max(np.abs(trace(u_plain, SCALING, 0.25, xs) - macro(xs[:, None]))) <= 1e-13
+    assert np.max(np.abs(u_plain.trace_values(SCALING, 0.25, xs[:, None]) - macro(xs[:, None]))) <= 1e-13
     # pure character: u0(x, y) = exp(2 pi i y) traces to exp(2 pi i x / eps)
     u_char = field([(ident(), ALG.element(TrigPolynomial.character([1.0])))], "char")
     eps = 0.125
     expected = np.exp(2j * np.pi * xs / eps)
-    assert np.max(np.abs(trace(u_char, SCALING, eps, xs) - expected)) <= 1e-12
+    assert np.max(np.abs(u_char.trace_values(SCALING, eps, xs[:, None]) - expected)) <= 1e-12
     # identity parameter: the trace is u0(x, x)
-    at_identity = trace(u_char, SCALING, 1.0, xs)
+    at_identity = u_char.trace_values(SCALING, 1.0, xs[:, None])
     assert np.max(np.abs(at_identity - np.exp(2j * np.pi * xs))) <= 1e-12
 
 
@@ -163,9 +162,8 @@ def test_rhs_mean_compatibility():
     phi = parabola(OMEGA)
     psi = field([(phi, ONE_EL)], "psi")
     rhs = sigma_pairing_rhs(u, psi, SPEC)
-    shadow = u.mean_projection()
-    # direct quadrature of the projected integrand
-    oracle, _ = quad(lambda x: (shadow(np.array([[x]])) * phi(np.array([[x]])))[0].real, 0, 1)
+    # direct quadrature against the mean projection x -> 0.25 g(x) of u
+    oracle, _ = quad(lambda x: (0.25 * g(np.array([[x]])) * phi(np.array([[x]])))[0].real, 0, 1)
     assert rhs.real == pytest.approx(oracle, rel=1e-8)
     assert abs(rhs.imag) <= 1e-12
 
