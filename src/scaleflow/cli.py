@@ -147,8 +147,7 @@ def _run_contract(cfg, header, out, jobs) -> bool:
 def _run_homogeneity(cfg, header, out, jobs) -> bool:
     group = cfg_mod.build_group(cfg)
     action = cfg_mod.build_action(cfg, group)
-    spec = cfg_mod.build_grid_spec(cfg)
-    hz = cfg_mod.build_homogenizer(cfg, action, spec)
+    hz = cfg_mod.build_homogenizer(cfg, action)
     ladder = cfg_mod.build_ladder(cfg, group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol = cfg_mod.tolerance(cfg, "rel", 1e-6)
@@ -197,8 +196,7 @@ def _run_construct(cfg, header, out, jobs) -> bool:
 def _run_mean(cfg, header, out, jobs) -> bool:
     group = cfg_mod.build_group(cfg)
     action = cfg_mod.build_action(cfg, group)
-    spec = cfg_mod.build_grid_spec(cfg)
-    hz = cfg_mod.build_homogenizer(cfg, action, spec)
+    hz = cfg_mod.build_homogenizer(cfg, action)
     block = cfg.get("mean") or {}
     if "function" not in block:
         raise ConfigError("mean runs need a mean.function block")
@@ -209,7 +207,7 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     ladder = cfg_mod.build_ladder(cfg, group)
     value = mean(u)
     print(f"closed-form mean: {value}")
-    report = empirical_mean(u, hz, phi, ladder, spec)
+    report = empirical_mean(u, hz, phi, ladder)
     tol = cfg_mod.tolerance(cfg, "rel", 1e-2)
     order_floor = cfg_mod.tolerance(cfg, "decay_order", 0.9)
     ok = report.final_error <= tol and report.fitted_order >= order_floor
@@ -219,13 +217,13 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     )
     results = {"empirical": report, "closed_form": value}
     if block.get("shift") is not None:
-        trans = verify_translation_invariance(u, hz, block["shift"], phi, ladder, spec)
+        trans = verify_translation_invariance(u, report, hz, block["shift"], phi)
         results["translation"] = trans
         _status("translation-invariance", trans.passed, f"diff={trans.difference:.3e}")
         ok = ok and trans.passed
     if block.get("kernel") is not None:
         kernel = cfg_mod.build_test_function(block["kernel"], action.dimension)
-        conv = verify_convolution(kernel, u, hz, phi, ladder, spec)
+        conv = verify_convolution(kernel, u, report, hz, phi)
         results["convolution"] = conv
         _status("convolution", conv.passed, f"diff={conv.difference:.3e}")
         ok = ok and conv.passed
@@ -253,9 +251,7 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
     order_floor = cfg_mod.tolerance(cfg, "decay_order", 0.9)
     p = float(block.get("p", 2.0))
     partials = _parallel(
-        lambda psi: verify_sigma_convergence(
-            u, [psi], action, ladder, spec, tol=tol, p=p, check_norm_bound=False
-        ),
+        lambda psi: verify_sigma_convergence(u, [psi], action, ladder, spec, tol=tol, p=p),
         battery, jobs,
     )
     rows = [row for part in partials for row in part.rows]

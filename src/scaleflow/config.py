@@ -74,7 +74,16 @@ _KNOWN_KEYS = {
     "sigma.algebra": {"kind", "dimension", "generators", "degree"},
     "sigma.u0": {"name", "terms"},
     "sigma.u0.terms[]": {"macro", "element"},
-    "tolerances": {"rel", "group_law", "decay_order"},
+    "tolerances": {"rel", "decay_order"},
+}
+
+# Keys a block must carry whenever it is present.  Keys that only some kinds
+# of a block need are checked by that block's builder.
+_REQUIRED_KEYS = {
+    "absorption": {"source_radius", "target_radius"},
+    "escape": {"point", "radius"},
+    "sigma": {"u0"},
+    "sigma.u0.terms[]": {"macro", "element"},
 }
 
 
@@ -83,6 +92,15 @@ def _check_keys(block: dict, schema_key: str, path: str) -> None:
     for key in block:
         if key not in known:
             raise ConfigError(f"unknown key {path}{key!r} (known: {sorted(known)})")
+    for key in sorted(_REQUIRED_KEYS.get(schema_key, ())):
+        _required(block, key, path)
+
+
+def _required(block: dict, key: str, path: str):
+    """``block[key]``, or a config error naming the missing key's path."""
+    if key not in block:
+        raise ConfigError(f"missing key {path}{key!r}")
+    return block[key]
 
 
 def validate_config(cfg: dict) -> None:
@@ -116,16 +134,14 @@ def validate_config(cfg: dict) -> None:
         _check_keys(sigma, "sigma", "sigma.")
         if isinstance(sigma.get("algebra"), dict):
             _check_keys(sigma["algebra"], "sigma.algebra", "sigma.algebra.")
-        for field_key in ("u0",):
-            block = sigma.get(field_key)
+        fields = [("sigma.u0.", sigma["u0"])] + [
+            (f"sigma.battery[{i}].", psi) for i, psi in enumerate(sigma.get("battery", []) or [])
+        ]
+        for path, block in fields:
             if isinstance(block, dict):
-                _check_keys(block, "sigma.u0", f"sigma.{field_key}.")
+                _check_keys(block, "sigma.u0", path)
                 for i, term in enumerate(block.get("terms", []) or []):
-                    _check_keys(term, "sigma.u0.terms[]", f"sigma.{field_key}.terms[{i}].")
-        for i, psi in enumerate(sigma.get("battery", []) or []):
-            _check_keys(psi, "sigma.u0", f"sigma.battery[{i}].")
-            for j, term in enumerate(psi.get("terms", []) or []):
-                _check_keys(term, "sigma.u0.terms[]", f"sigma.battery[{i}].terms[{j}].")
+                    _check_keys(term, "sigma.u0.terms[]", f"{path}terms[{i}].")
 
 
 # -- builders --------------------------------------------------------------------
@@ -206,7 +222,8 @@ def build_battery(cfg: dict, dim: int) -> list:
     return [build_test_function(b, dim) for b in entries]
 
 
-def build_homogenizer(cfg: dict, action: Action, grid_spec: GridSpec) -> Homogenizer:
+def build_homogenizer(cfg: dict, action: Action) -> Homogenizer:
+    grid_spec = build_grid_spec(cfg)
     block = cfg.get("homogenizer") or {"measure": "lebesgue"}
     measure = block.get("measure", "lebesgue")
     if measure == "lebesgue":
@@ -214,7 +231,7 @@ def build_homogenizer(cfg: dict, action: Action, grid_spec: GridSpec) -> Homogen
     elif measure == "weighted-power":
         hz = Homogenizer.weighted_power(action, float(block.get("power", 1.0)), grid_spec)
     elif measure == "dirac":
-        hz = Homogenizer.point_mass(action, block.get("point"))
+        hz = Homogenizer.point_mass(action, block.get("point"), grid_spec)
     else:
         raise ConfigError(f"unknown homogenizer measure {measure!r}")
     override = block.get("factor_override")
@@ -232,9 +249,9 @@ def build_homogenizer(cfg: dict, action: Action, grid_spec: GridSpec) -> Homogen
 def build_seed_measure(block: dict) -> MeasureDescriptor:
     kind = block.get("kind")
     if kind == "dirac":
-        return MeasureDescriptor.dirac(block["point"])
+        return MeasureDescriptor.dirac(_required(block, "point", "construct.seed_measure."))
     if kind == "uniform":
-        box = [tuple(p) for p in block["box"]]
+        box = [tuple(p) for p in _required(block, "box", "construct.seed_measure.")]
         return MeasureDescriptor(
             kind="weighted-density",
             dimension=len(box),
@@ -256,10 +273,11 @@ def _terms_to_poly(terms, dim: int | None = None) -> TrigPolynomial:
 
 def build_mean_function(block: dict) -> MeanFunction:
     cls = block.get("class")
-    if cls == "periodic":
-        return MeanFunction.periodic_trig(_terms_to_poly(block["terms"]))
-    if cls == "almost-periodic":
-        return MeanFunction.almost_periodic(_terms_to_poly(block["terms"]))
+    if cls in ("periodic", "almost-periodic"):
+        poly = _terms_to_poly(_required(block, "terms", "mean.function."))
+        if cls == "periodic":
+            return MeanFunction.periodic_trig(poly)
+        return MeanFunction.almost_periodic(poly)
     if cls == "vanishing":
         limit = block.get("limit", 0.0)
         limit = complex(limit[0], limit[1]) if isinstance(limit, (list, tuple)) else complex(limit)
@@ -281,7 +299,8 @@ def build_algebra(block: dict) -> HAlgebra:
     if kind == "periodic":
         return HAlgebra.periodic_lattice(int(block.get("dimension", 1)))
     if kind == "ap-subgroup":
-        return HAlgebra.subgroup(block["generators"], int(block.get("degree", 8)))
+        return HAlgebra.subgroup(_required(block, "generators", "sigma.algebra."),
+                                 int(block.get("degree", 8)))
     raise ConfigError(f"unknown algebra kind {kind!r}")
 
 
@@ -299,9 +318,8 @@ def build_field(block: dict, algebra: HAlgebra, domain: Box) -> TwoScaleField:
     return TwoScaleField(domain=domain, terms=tuple(terms), name=block.get("name", "field"))
 
 
-def build_ball(block: dict, key_center: str, key_radius: str, dim: int,
-               default_center=None) -> Ball:
-    center = block.get(key_center, default_center)
+def build_ball(block: dict, key_center: str, key_radius: str, dim: int) -> Ball:
+    center = block.get(key_center)
     if center is None:
         center = [0.0] * dim
     return Ball(center=tuple(center), radius=float(block[key_radius]))
@@ -321,7 +339,10 @@ def apply_overrides(cfg: dict, overrides) -> None:
         if "=" not in item:
             raise ConfigError(f"bad override {item!r}, expected key=value")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in _KNOWN_KEYS["tolerances"]:
+            raise ConfigError(f"unknown tolerance {key!r} in {item!r}")
         try:
-            block[key.strip()] = float(value)
+            block[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad override value in {item!r}") from exc

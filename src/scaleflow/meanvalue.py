@@ -11,7 +11,7 @@ weak-star convergence that defines the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,18 +77,9 @@ class MeanFunction:
     def translate(self, shift) -> "MeanFunction":
         shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
         if self.poly is not None:
-            poly = self.poly.translate(shift)
-            if self.kind == PERIODIC:
-                return MeanFunction(kind=self.kind, dimension=self.dimension, poly=poly,
-                                    cell=self.cell)
-            return MeanFunction(kind=self.kind, dimension=self.dimension, poly=poly)
+            return replace(self, poly=self.poly.translate(shift))
         ev = self.evaluator
-        return MeanFunction(
-            kind=self.kind,
-            dimension=self.dimension,
-            evaluator=lambda pts: ev(np.atleast_2d(pts) - shift),
-            limit=self.limit,
-        )
+        return replace(self, evaluator=lambda pts: ev(np.atleast_2d(pts) - shift))
 
 
 def mean(u: MeanFunction) -> complex:
@@ -106,7 +97,6 @@ class ConvergenceReport:
     rows: list  # dicts: eps, value, abs_err, quad_est
     limit: complex
     fitted_order: float
-    floor: float
 
     @property
     def final_error(self) -> float:
@@ -143,15 +133,13 @@ def empirical_mean(
     hz: Homogenizer,
     phi: TestFunction,
     ladder,
-    grid_spec: GridSpec | None = None,
 ) -> ConvergenceReport:
     """Pair u(H_eps(x)) against phi along the ladder and track the error.
 
     The pairing r(eps) = integral(phi * u(H_eps .)) / integral(phi) must
-    approach the closed-form mean; grids are auto-sized per eps so the
-    composed oscillation stays resolved.
+    approach the closed-form mean; grids are built from ``hz.grid_spec``
+    and auto-sized per eps so the composed oscillation stays resolved.
     """
-    spec = grid_spec or hz.grid_spec
     base, base_est = integrate(hz, phi)
     if abs(base) == 0.0:
         raise ValueError("test function must have nonzero integral")
@@ -165,7 +153,7 @@ def empirical_mean(
         grid = None
         if gridded:
             comp_bound = np.abs(action.matrix(eps)).T @ bound_u
-            grid = spec.build(hz.measure.clip(phi.support), tuple(comp_bound))
+            grid = hz.grid_spec.build(hz.measure.clip(phi.support), tuple(comp_bound))
         integrand = TestFunction(
             name=f"{phi.name}*u",
             fn=lambda pts: np.asarray(phi(pts)) * u(action.apply(eps, pts)),
@@ -185,7 +173,7 @@ def empirical_mean(
         [_ladder_scale(action.group, row["eps"]) for row in rows],
         [row["abs_err"] for row in rows],
     )
-    return ConvergenceReport(rows=rows, limit=limit, fitted_order=order, floor=ERROR_FLOOR)
+    return ConvergenceReport(rows=rows, limit=limit, fitted_order=order)
 
 
 @dataclass
@@ -205,23 +193,24 @@ def _combined_tolerance(a: ConvergenceReport, b: ConvergenceReport) -> float:
 
 def verify_translation_invariance(
     u: MeanFunction,
+    report: ConvergenceReport,
     hz: Homogenizer,
     shift,
     phi: TestFunction,
-    ladder,
-    grid_spec: GridSpec | None = None,
 ) -> ComparisonReport:
-    """Empirical means of u and of its translate must share the same limit."""
-    first = empirical_mean(u, hz, phi, ladder, grid_spec)
-    second = empirical_mean(u.translate(shift), hz, phi, ladder, grid_spec)
-    diff = abs(first.rows[-1]["value"] - second.rows[-1]["value"])
-    tol = _combined_tolerance(first, second)
-    return ComparisonReport(first=first, second=second, difference=diff, tolerance=tol,
+    """Empirical means of u and of its translate must share the same limit.
+
+    ``report`` is :func:`empirical_mean` of u against phi; the translate is
+    swept along the same ladder, on grids built from ``hz.grid_spec``.
+    """
+    second = empirical_mean(u.translate(shift), hz, phi, [row["eps"] for row in report.rows])
+    diff = abs(report.rows[-1]["value"] - second.rows[-1]["value"])
+    tol = _combined_tolerance(report, second)
+    return ComparisonReport(first=report, second=second, difference=diff, tolerance=tol,
                             passed=diff <= tol)
 
 
-def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec | None = None
-             ) -> MeanFunction:
+def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> MeanFunction:
     """Convolution kernel * u for trig-backed u via Fourier coefficients.
 
     Each coefficient is scaled by the kernel transform at its frequency,
@@ -229,11 +218,10 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec | None =
     """
     if u.poly is None:
         raise ValueError("convolution needs a trig-backed function")
-    spec = grid_spec or GridSpec()
     terms = []
     for freq, coeff in u.poly.terms():
         f = np.asarray(freq)
-        grid = spec.build(kernel.support, tuple(np.abs(f)))
+        grid = grid_spec.build(kernel.support, tuple(np.abs(f)))
         transform, _ = integrate_with_refinement(
             lambda pts: np.asarray(kernel(pts)) * np.exp(-2j * np.pi * (pts @ f)), grid
         )
@@ -247,18 +235,21 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec | None =
 def verify_convolution(
     kernel: TestFunction,
     u: MeanFunction,
+    report: ConvergenceReport,
     hz: Homogenizer,
     phi: TestFunction,
-    ladder,
-    grid_spec: GridSpec | None = None,
 ) -> ComparisonReport:
-    """Mean of kernel * u must equal mean(u) times the kernel's total mass."""
-    convolved = convolve(kernel, u, grid_spec)
+    """Mean of kernel * u must equal mean(u) times the kernel's total mass.
+
+    ``report`` is :func:`empirical_mean` of u against phi; kernel * u is
+    swept along the same ladder, and every grid, the kernel transforms'
+    included, is built from ``hz.grid_spec``.
+    """
+    convolved = convolve(kernel, u, hz.grid_spec)
     kernel_mass, _ = integrate(hz, kernel)
-    first = empirical_mean(convolved, hz, phi, ladder, grid_spec)
-    second = empirical_mean(u, hz, phi, ladder, grid_spec)
+    first = empirical_mean(convolved, hz, phi, [row["eps"] for row in report.rows])
     predicted = mean(u) * kernel_mass
     diff = abs(first.rows[-1]["value"] - predicted)
-    tol = _combined_tolerance(first, second)
-    return ComparisonReport(first=first, second=second, difference=diff, tolerance=tol,
+    tol = _combined_tolerance(first, report)
+    return ComparisonReport(first=first, second=report, difference=diff, tolerance=tol,
                             passed=diff <= tol)

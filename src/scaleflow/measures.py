@@ -268,13 +268,15 @@ class Homogenizer:
         )
 
     @classmethod
-    def point_mass(cls, action: Action, point=None) -> "Homogenizer":
+    def point_mass(
+        cls, action: Action, point=None, grid_spec: GridSpec | None = None
+    ) -> "Homogenizer":
         point = action.center() if point is None else point
         return cls(
             action=action,
             measure=MeasureDescriptor.dirac(point),
             factor_map=lambda eps: 1.0,
-            grid_spec=GridSpec(),
+            grid_spec=grid_spec or GridSpec(),
         )
 
     def with_factor_map(self, factor_map) -> "Homogenizer":

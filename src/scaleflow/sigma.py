@@ -115,19 +115,18 @@ def trace_norm_bound_check(
     u: TwoScaleField,
     action: Action,
     eps: float,
-    p: float = 2.0,
-    grid_spec: GridSpec | None = None,
+    p: float,
+    grid_spec: GridSpec,
 ) -> dict:
     """Compare the L^p norm of the trace with the field's envelope norm."""
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    spec = grid_spec or GridSpec(base_nodes=512)
-    grid = _resolved_grid(u, None, action, eps, spec)
+    grid = _resolved_grid(u, None, action, eps, grid_spec)
     value, _ = integrate_with_refinement(
         lambda pts: np.abs(u.trace_values(action, eps, pts)) ** p, grid
     )
     lhs = float(abs(value)) ** (1.0 / p)
-    rhs = u.envelope_norm(p, spec)
+    rhs = u.envelope_norm(p, grid_spec)
     return {"eps": float(eps), "lhs": lhs, "rhs": rhs, "passed": lhs <= rhs * (1.0 + 1e-6)}
 
 
@@ -161,7 +160,7 @@ def sigma_pairing_lhs(
     psi: TwoScaleField,
     action: Action,
     eps: float,
-    grid_spec: GridSpec | None = None,
+    grid_spec: GridSpec,
 ) -> tuple[complex, float, int]:
     """Domain integral of trace(u) * trace(psi); returns (value, estimate, nodes).
 
@@ -170,9 +169,8 @@ def sigma_pairing_lhs(
     """
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
-    spec = grid_spec or GridSpec(base_nodes=512)
     eps = action.group.validate(eps)
-    grid = _resolved_grid(u, psi, action, eps, spec)
+    grid = _resolved_grid(u, psi, action, eps, grid_spec)
     value, estimate = integrate_with_refinement(
         lambda pts: u.trace_values(action, eps, pts) * psi.trace_values(action, eps, pts),
         grid,
@@ -183,13 +181,12 @@ def sigma_pairing_lhs(
 def sigma_pairing_rhs(
     u: TwoScaleField,
     psi: TwoScaleField,
-    grid_spec: GridSpec | None = None,
+    grid_spec: GridSpec,
 ) -> complex:
     """Spectral-side pairing: macro inner products times beta pairings."""
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
-    spec = grid_spec or GridSpec(base_nodes=512)
-    grid = spec.build(u.domain)
+    grid = grid_spec.build(u.domain)
     total = 0j
     for macro_u, w_u in u.terms:
         for macro_psi, w_psi in psi.terms:
@@ -221,8 +218,6 @@ def validate_ladder(group, ladder) -> list:
 class SigmaReport:
     rows: list
     per_test: dict  # psi name -> {"fitted_order", "final_rel_err", "rhs"}
-    norm_bound_rows: list
-    tolerance: float
     passed: bool
 
 
@@ -231,10 +226,9 @@ def verify_sigma_convergence(
     psi_battery,
     action: Action,
     ladder,
-    grid_spec: GridSpec | None = None,
+    grid_spec: GridSpec,
     tol: float = 1e-2,
     p: float = 2.0,
-    check_norm_bound: bool = True,
 ) -> SigmaReport:
     """Pair u against every test field along the ladder and judge the limits.
 
@@ -242,22 +236,22 @@ def verify_sigma_convergence(
     away from zero and against the product of the fields' envelope norms
     otherwise.  The verdict requires the final-ladder relative error of
     every test field to sit below ``tol``; oscillation-free test fields
-    double as the weak-limit check against the mean projection of u.
+    double as the weak-limit check against the mean projection of u.  The
+    trace norm bound is a separate verdict: :func:`trace_norm_bound_rows`.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("the pairing exponent must satisfy 1 < p < inf")
-    spec = grid_spec or GridSpec(base_nodes=512)
     ladder = validate_ladder(action.group, ladder)
-    scale_u = u.envelope_norm(p, spec)
+    scale_u = u.envelope_norm(p, grid_spec)
     rows = []
     per_test = {}
     passed = True
     for psi in psi_battery:
-        rhs = sigma_pairing_rhs(u, psi, spec)
-        scale = max(abs(rhs), scale_u * psi.envelope_norm(p / (p - 1.0) if p > 1 else 1.0, spec))
+        rhs = sigma_pairing_rhs(u, psi, grid_spec)
+        scale = max(abs(rhs), scale_u * psi.envelope_norm(p / (p - 1.0), grid_spec))
         errors = []
         for eps in ladder:
-            lhs, estimate, nodes = sigma_pairing_lhs(u, psi, action, eps, spec)
+            lhs, estimate, nodes = sigma_pairing_lhs(u, psi, action, eps, grid_spec)
             abs_err = abs(lhs - rhs)
             rel_err = abs_err / max(scale, 1e-300)
             errors.append(rel_err)
@@ -280,10 +274,4 @@ def verify_sigma_convergence(
         final = errors[-1]
         per_test[psi.name] = {"fitted_order": order, "final_rel_err": final, "rhs": rhs}
         passed = passed and final <= tol
-    norm_rows = []
-    if check_norm_bound:
-        norm_rows = trace_norm_bound_rows([u, *psi_battery], action, ladder, p, spec)
-        passed = passed and all(r["passed"] for r in norm_rows)
-    return SigmaReport(
-        rows=rows, per_test=per_test, norm_bound_rows=norm_rows, tolerance=tol, passed=passed
-    )
+    return SigmaReport(rows=rows, per_test=per_test, passed=passed)

@@ -51,6 +51,7 @@ from scaleflow.algebra import spectral_pairing
 from scaleflow.cli import main as cli_main
 from scaleflow.kernels import pairwise_sum
 from scaleflow.quadrature import Box
+from scaleflow.sigma import trace_norm_bound_rows
 
 MODULE_START = time.monotonic()
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -198,9 +199,9 @@ def test_criterion_7_translation_convolution():
     )
     results = []
     for u in (periodic, trig):
-        results.append(verify_translation_invariance(u, hz, [0.3], phi, ladder, OSC_SPEC))
-        results.append(verify_convolution(gaussian([0.0], 0.5), u, hz, phi, ladder,
-                                          OSC_SPEC))
+        report = empirical_mean(u, hz, phi, ladder)
+        results.append(verify_translation_invariance(u, report, hz, [0.3], phi))
+        results.append(verify_convolution(gaussian([0.0], 0.5), u, report, hz, phi))
     _check(7, all(r.passed for r in results),
            "translation and convolution limits agree on periodic and trig batteries")
 
@@ -283,7 +284,8 @@ def test_criterion_9_sigma_convergence(periodic):
     )
     orders_ok = all(info["fitted_order"] >= 0.9 for info in report.per_test.values())
     finals_ok = all(info["final_rel_err"] <= 1e-2 for info in report.per_test.values())
-    norm_rows = report.norm_bound_rows
+    norm_rows = trace_norm_bound_rows([u, *battery], DiagonalScaling((1,)), ladder, 2.0,
+                                      OSC_SPEC)
     norm_ok = all(r["passed"] for r in norm_rows) and len(norm_rows) == 4 * len(ladder)
     worst = max(info["final_rel_err"] for info in report.per_test.values())
     _check(9, report.passed and orders_ok and finals_ok and norm_ok,

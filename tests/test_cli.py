@@ -7,8 +7,10 @@ import sys
 import pytest
 import yaml
 
+from scaleflow import cli, meanvalue
 from scaleflow.cli import main
 from scaleflow.config import ConfigError, load_config, validate_config
+from scaleflow.meanvalue import empirical_mean
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -176,6 +178,81 @@ def test_cli_contract_rejects_zero_starts(tmp_path, capsys):
     code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "contraction.starts" in capsys.readouterr().err
+
+
+def test_group_law_tolerance_rejected(tmp_path, capsys):
+    # no verdict reads a group_law tolerance, so a config naming one is an error
+    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "verify_action.yaml")))
+    cfg["tolerances"] = {"group_law": 1.0e-30}
+    path = tmp_path / "group_law.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["verify-action", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "tolerances.'group_law'" in capsys.readouterr().err
+
+
+def test_unknown_tolerance_override_rejected(tmp_path):
+    code = run_cli([
+        "verify-action", "--config", os.path.join(CONFIG_DIR, "verify_action.yaml"),
+        "--out", str(tmp_path / "o"), "--tol-override", "group_law=1e-30",
+    ])
+    assert code == 2
+
+
+_SIGMA_U0 = {"name": "u0", "terms": [
+    {"macro": {"kind": "gaussian", "center": [0.5], "sigma": 0.15},
+     "element": [[[1.0], 1.0, 0.0]]},
+]}
+
+
+# (subcommand, config overlay on BASE, path of the missing key)
+_MISSING_KEYS = [
+    ("construct-measure", {"construct": {"seed_measure": {"kind": "dirac"}}},
+     "construct.seed_measure.'point'"),
+    ("construct-measure", {"construct": {"seed_measure": {"kind": "uniform"}}},
+     "construct.seed_measure.'box'"),
+    ("verify-action", {"absorption": {"source_radius": 10.0}}, "absorption.'target_radius'"),
+    ("verify-action", {"absorption": {"target_radius": 1.0}}, "absorption.'source_radius'"),
+    ("verify-action", {"escape": {"radius": 10.0}}, "escape.'point'"),
+    ("verify-action", {"escape": {"point": [1.0]}}, "escape.'radius'"),
+    ("mean", {"mean": {"function": {"class": "periodic"}}}, "mean.function.'terms'"),
+    ("sigma", {"sigma": {"algebra": {"kind": "ap-subgroup"}, "u0": _SIGMA_U0,
+                         "battery": [_SIGMA_U0]}}, "sigma.algebra.'generators'"),
+    ("sigma", {"sigma": {"battery": [_SIGMA_U0]}}, "sigma.'u0'"),
+    ("sigma", {"sigma": {"u0": {"terms": [{"element": [[[1.0], 1.0, 0.0]]}]},
+                         "battery": [_SIGMA_U0]}}, "sigma.u0.terms[0].'macro'"),
+    ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [
+        {"terms": [{"macro": {"kind": "gaussian", "center": [0.5], "sigma": 0.15}}]}]}},
+     "sigma.battery[0].terms[0].'element'"),
+]
+
+
+@pytest.mark.parametrize("subcommand,overlay,missing", _MISSING_KEYS,
+                         ids=[case[2] for case in _MISSING_KEYS])
+def test_missing_required_key_is_config_error(tmp_path, capsys, subcommand, overlay, missing):
+    path = tmp_path / "missing.yaml"
+    write_yaml(path, {**BASE, **overlay})
+    code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch):
+    # u, its translate and its convolution: one ladder sweep each
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return empirical_mean(*args, **kwargs)
+
+    monkeypatch.setattr(meanvalue, "empirical_mean", counting)
+    monkeypatch.setattr(cli, "empirical_mean", counting)
+    code = run_cli([
+        "mean", "--config", os.path.join(CONFIG_DIR, "mean_periodic.yaml"),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_cli_mean_runs(tmp_path):

@@ -153,11 +153,13 @@ def test_translation_invariance():
     hz = lebesgue_line()
     u = MeanFunction.periodic_trig(SIN2)
     phi = triangle(0.3, 0.7)
-    ladder = [2.0**-n for n in range(1, 9)]
-    trivial = verify_translation_invariance(u, hz, [0.0], phi, ladder)
+    report = empirical_mean(u, hz, phi, [2.0**-n for n in range(1, 9)])
+    trivial = verify_translation_invariance(u, report, hz, [0.0], phi)
     assert trivial.passed and trivial.difference == 0.0
-    shifted = verify_translation_invariance(u, hz, [0.3], phi, ladder)
+    shifted = verify_translation_invariance(u, report, hz, [0.3], phi)
     assert shifted.passed
+    assert shifted.first is report
+    assert [row["eps"] for row in shifted.second.rows] == [row["eps"] for row in report.rows]
     assert shifted.first.limit == shifted.second.limit == 0.5 + 0j
     # translation multiplies coefficients by unit phases: means agree exactly
     assert mean(u.translate([0.3])) == mean(u)
@@ -172,12 +174,14 @@ def test_convolution_constant_and_characters():
     raw = bump([0.0], 0.5)
     unit = type(raw)("unit-kernel", lambda p: raw.fn(p) / kernel_mass, raw.support)
     const = MeanFunction.constant(2.5)
-    report = verify_convolution(unit, const, hz, phi, ladder)
+    report = verify_convolution(unit, const, empirical_mean(const, hz, phi, ladder), hz, phi)
     assert report.passed
     # Fourier multiplier: kernel * e = F(kernel)(1) e keeps the zero mean
     char = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
-    report = verify_convolution(gaussian([0.0], 0.5), char, hz, phi, ladder)
+    char_report = empirical_mean(char, hz, phi, ladder)
+    report = verify_convolution(gaussian([0.0], 0.5), char, char_report, hz, phi)
     assert report.passed
+    assert report.second is char_report
     assert mean(char) == 0j
 
 
@@ -190,7 +194,7 @@ def test_convolution_doubling_kernel():
     mass = 16.0 * 0.5 / 15.0
     doubler = type(raw)("double-kernel", lambda p: 2.0 * raw.fn(p) / mass, raw.support)
     u = MeanFunction.periodic_trig(SIN2)
-    report = verify_convolution(doubler, u, hz, phi, ladder)
+    report = verify_convolution(doubler, u, empirical_mean(u, hz, phi, ladder), hz, phi)
     assert report.passed
     convolved_final = report.first.rows[-1]["value"]
     assert convolved_final == pytest.approx(1.0, abs=1e-6)

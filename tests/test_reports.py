@@ -26,7 +26,7 @@ ESCAPE = {"check", "passed", "threshold", "radius", "norms"}
 SUBMULTIPLICATIVE = {"check", "passed", "worst_excess", "decay", "decay_monotone",
                      "decay_final", "bounded"}
 CENTER_NULL = {"check", "passed", "trivial", "masses"}
-CONVERGENCE = {"limit", "fitted_order", "floor", "rows"}
+CONVERGENCE = {"limit", "fitted_order", "rows"}
 COMPARISON = {"difference", "tolerance", "passed", "first", "second"}
 
 
@@ -124,6 +124,9 @@ def test_mean_schema_with_infinite_order(tmp_path):
         assert set(results[name]) == COMPARISON, name
         assert set(results[name]["first"]) == CONVERGENCE
         assert set(results[name]["second"]) == CONVERGENCE
+    # both comparisons reuse the sweep of u itself
+    assert results["translation"]["first"] == empirical
+    assert results["convolution"]["second"] == empirical
     assert columns(out, "mean.csv") == ["eps", "value", "abs_err", "quad_est"]
     text = (out / "mean.json").read_text()
     assert '"fitted_order": "inf"' in text

@@ -44,6 +44,12 @@ def field(terms, name):
     return TwoScaleField(domain=OMEGA, terms=terms, name=name)
 
 
+def norm_bound_holds(fields, action, ladder, spec):
+    """The trace norm bound at every ladder entry of every field: one row each, all passed."""
+    rows = trace_norm_bound_rows(fields, action, ladder, 2.0, spec)
+    return len(rows) == len(fields) * len(ladder) and all(r["passed"] for r in rows)
+
+
 def test_trace_values():
     xs = np.linspace(0.1, 0.9, 7)
     macro = gaussian([0.5], 0.15, name="G")
@@ -231,7 +237,8 @@ def test_verify_sigma_convergence_periodic():
     for info in report.per_test.values():
         assert info["final_rel_err"] <= 1e-2
         assert info["fitted_order"] >= 0.9
-    assert all(r["passed"] for r in report.norm_bound_rows)
+    rows = trace_norm_bound_rows([u, *battery], SCALING, ladder, 2.0, SPEC)
+    assert all(r["passed"] for r in rows) and len(rows) == 4 * len(ladder)
     # the oscillation-free member doubles as the weak-limit check
     assert any(r["oscillation_free"] for r in report.rows)
 
@@ -253,7 +260,7 @@ def test_verify_sigma_convergence_quasiperiodic():
     ]
     ladder = [2.0**-n for n in range(1, 13)]
     report = verify_sigma_convergence(u, battery, SCALING, ladder, SPEC, tol=1e-2)
-    assert report.passed
+    assert report.passed and norm_bound_holds([u, *battery], SCALING, ladder, SPEC)
     # matched characters keep half the macro inner product
     for name in ("int-freq", "root2-freq"):
         rhs = report.per_test[name]["rhs"]
@@ -269,7 +276,7 @@ def test_verify_sigma_constant_in_oscillation_slot():
     psi = field([(parabola(OMEGA), ONE_EL)], "psi")
     ladder = [2.0**-n for n in range(1, 7)]
     report = verify_sigma_convergence(u, [psi], SCALING, ladder, SPEC, tol=1e-9)
-    assert report.passed
+    assert report.passed and norm_bound_holds([u, psi], SCALING, ladder, SPEC)
     rhs = report.per_test["psi"]["rhs"]
     for row in report.rows:
         assert abs(row["lhs"] - rhs) <= 1e-10 * abs(rhs)
@@ -289,7 +296,7 @@ def test_sigma_two_dimensional_periodic():
     spec = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=1 << 11)
     ladder = [2.0**-n for n in range(1, 6)]
     report = verify_sigma_convergence(u, [psi], action, ladder, spec, tol=1e-2)
-    assert report.passed
+    assert report.passed and norm_bound_holds([u, psi], action, ladder, spec)
     # matched pairing keeps the squared-sine mean (1/2)^2 per axis
     inner, _ = quad(
         lambda x: math.exp(-((x - 0.5) ** 2) / 0.045) * x * (1 - x) / 0.25, 0, 1
