@@ -113,9 +113,21 @@ class Action:
     def matrix(self, eps: float) -> np.ndarray:
         raise NotImplementedError
 
+    def apply_many(self, params, pts) -> np.ndarray:
+        """Images of the points ``pts`` (K, N) under H at every entry of the
+        1-d array ``params`` (E,), as an (E, K, N) array."""
+        params = self.group.validate_many(params)
+        pts, _ = _as_points(pts, self.dimension)
+        return self._apply_many(params, pts)
+
+    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        # validated parameters and (K, N) points: one matmul over the stacked matrices
+        matrices = np.stack([self.matrix(eps) for eps in params])
+        return pts @ matrices.transpose(0, 2, 1)
+
     def apply(self, eps: float, x):
         pts, single = _as_points(x, self.dimension)
-        out = pts @ self.matrix(eps).T
+        out = self._apply_many(np.array([self.group.validate(eps)]), pts)[0]
         return out[0] if single else out
 
     def apply_inverse(self, eps: float, x):
@@ -157,19 +169,25 @@ class DiagonalScaling(Action):
     def dimension(self) -> int:
         return len(self.exponents)
 
-    def matrix(self, eps: float) -> np.ndarray:
-        eps = self.group.validate(eps)
-        return np.diag(eps ** -np.asarray(self.exponents, dtype=np.float64))
+    def _scales(self, params: np.ndarray) -> np.ndarray:
+        """(E, N) coordinate factors eps**-r_i at validated parameters.
 
-    def apply(self, eps: float, x):
-        eps = self.group.validate(eps)
-        pts, single = _as_points(x, self.dimension)
-        out = pts * eps ** -np.asarray(self.exponents, dtype=np.float64)
-        return out[0] if single else out
+        The exponents are copied into every row: with a broadcast exponent
+        np.power takes its scalar-exponent fast path (a reciprocal for
+        r_i = 1), which rounds differently from the elementwise power of a
+        scalar ``eps ** -r``.
+        """
+        exponents = -np.asarray(self.exponents, dtype=np.float64)
+        return np.power(params[:, None], np.tile(exponents, (params.shape[0], 1)))
+
+    def matrix(self, eps: float) -> np.ndarray:
+        return np.diag(self._scales(np.array([self.group.validate(eps)]))[0])
+
+    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return pts * self._scales(params)[:, None, :]
 
     def operator_norm(self, eps: float) -> float:
-        eps = self.group.validate(eps)
-        return float(np.max(eps ** -np.asarray(self.exponents, dtype=np.float64)))
+        return float(np.max(self._scales(np.array([self.group.validate(eps)]))))
 
     def volume_factor(self, eps: float) -> float:
         return float(self.group.validate(eps) ** -sum(self.exponents))
@@ -279,12 +297,11 @@ class ProductAction(Action):
             out[sl, sl] = f.matrix(eps)
         return out
 
-    def apply(self, eps: float, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.empty_like(pts)
+    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        out = np.empty((params.shape[0],) + pts.shape)
         for f, sl in self._slices():
-            out[:, sl] = f.apply(eps, pts[:, sl])
-        return out[0] if single else out
+            out[:, :, sl] = f._apply_many(params, pts[:, sl])
+        return out
 
     def apply_inverse(self, eps: float, x):
         pts, single = _as_points(x, self.dimension)

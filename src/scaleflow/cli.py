@@ -242,8 +242,11 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
         raise ConfigError("sigma runs need a sigma block")
     algebra = cfg_mod.build_algebra(block.get("algebra", {"kind": "periodic", "dimension": 1}))
     domain = Box.from_config(block.get("domain", [[0.0, 1.0]]))
-    u = cfg_mod.build_field(block["u0"], algebra, domain)
-    battery = [cfg_mod.build_field(b, algebra, domain) for b in block.get("battery", [])]
+    u = cfg_mod.build_field(block["u0"], algebra, domain, "sigma.u0.")
+    battery = [
+        cfg_mod.build_field(b, algebra, domain, f"sigma.battery[{i}].")
+        for i, b in enumerate(block.get("battery", []))
+    ]
     if not battery:
         raise ConfigError("sigma runs need a non-empty battery")
     ladder = cfg_mod.build_ladder(cfg, group)

@@ -251,7 +251,8 @@ def build_seed_measure(block: dict) -> MeasureDescriptor:
     if kind == "dirac":
         return MeasureDescriptor.dirac(_required(block, "point", "construct.seed_measure."))
     if kind == "uniform":
-        box = [tuple(p) for p in _required(block, "box", "construct.seed_measure.")]
+        box = _pairs(_required(block, "box", "construct.seed_measure."),
+                     "construct.seed_measure.box")
         return MeasureDescriptor(
             kind="weighted-density",
             dimension=len(box),
@@ -262,19 +263,42 @@ def build_seed_measure(block: dict) -> MeasureDescriptor:
     raise ConfigError(f"unknown seed measure kind {kind!r}")
 
 
-def _terms_to_poly(terms, dim: int | None = None) -> TrigPolynomial:
+def _pairs(entries, path: str) -> list:
+    """``entries`` as (low, high) float pairs; a config error names a bad entry."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path} must be a list of [low, high] pairs")
+    pairs = []
+    for i, pair in enumerate(entries):
+        try:
+            low, high = (float(v) for v in pair)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}[{i}] must be a [low, high] pair, got {pair!r}") from exc
+        pairs.append((low, high))
+    return pairs
+
+
+def _terms(terms, path: str) -> list:
+    """``[frequency, re, im]`` entries as (frequency list, coefficient) pairs."""
+    if not isinstance(terms, list):
+        raise ConfigError(f"{path} must be a list of [frequency, re, im] terms")
     parsed = []
-    for term in terms:
-        freq, re, im = term
-        freq = [freq] if np.isscalar(freq) else list(freq)
-        parsed.append((freq, complex(float(re), float(im))))
-    return TrigPolynomial.from_terms(parsed, dim=dim)
+    for i, term in enumerate(terms):
+        try:
+            freq, re, im = term
+            parsed.append(([freq] if np.isscalar(freq) else list(freq),
+                           complex(float(re), float(im))))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}[{i}] must be [frequency, re, im], got {term!r}"
+            ) from exc
+    return parsed
 
 
 def build_mean_function(block: dict) -> MeanFunction:
     cls = block.get("class")
     if cls in ("periodic", "almost-periodic"):
-        poly = _terms_to_poly(_required(block, "terms", "mean.function."))
+        terms = _terms(_required(block, "terms", "mean.function."), "mean.function.terms")
+        poly = TrigPolynomial.from_terms(terms)
         if cls == "periodic":
             return MeanFunction.periodic_trig(poly)
         return MeanFunction.almost_periodic(poly)
@@ -304,14 +328,12 @@ def build_algebra(block: dict) -> HAlgebra:
     raise ConfigError(f"unknown algebra kind {kind!r}")
 
 
-def build_field(block: dict, algebra: HAlgebra, domain: Box) -> TwoScaleField:
+def build_field(block: dict, algebra: HAlgebra, domain: Box, path: str) -> TwoScaleField:
+    """The field of a ``sigma.u0`` or ``sigma.battery[i]`` block found at ``path``."""
     terms = []
-    for term in block.get("terms", []):
+    for i, term in enumerate(block.get("terms", [])):
         macro = build_test_function(term["macro"], domain.dim)
-        element = algebra.from_terms(
-            [(f if not np.isscalar(f) else [f], complex(float(re), float(im)))
-             for f, re, im in term["element"]]
-        )
+        element = algebra.from_terms(_terms(term["element"], f"{path}terms[{i}].element"))
         terms.append((macro, element))
     if not terms:
         raise ConfigError("field needs at least one term")

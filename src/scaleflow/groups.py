@@ -76,6 +76,30 @@ class RGroup:
             raise ValueError(f"{eps} is not an integer")
         return eps
 
+    def validate_many(self, params) -> np.ndarray:
+        """Check membership of every entry of a 1-d array; return it as float64.
+
+        Rejects exactly what ``validate`` rejects, which stays scalar because
+        scalar loops call it per element; the error names the first entry
+        that is not a group element.
+        """
+        params = np.asarray(params, dtype=np.float64)
+        if params.ndim != 1:
+            raise ValueError(f"expected a 1-d array of group elements, got shape {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("group elements must be finite")
+        if self.kind == POSITIVE_MULTIPLICATIVE:
+            bad = params[params <= 0.0]
+            noun = "a positive real"
+        elif self.kind == INTEGER_ADDITIVE:
+            bad = params[np.abs(params - np.round(params)) > _INTEGER_TOL]
+            noun = "an integer"
+        else:
+            return params
+        if bad.size:
+            raise ValueError(f"{bad[0]} is not {noun}")
+        return params
+
     def compose(self, eps: float, other: float) -> float:
         eps, other = self.validate(eps), self.validate(other)
         if self.kind == POSITIVE_MULTIPLICATIVE:
@@ -97,13 +121,17 @@ class RGroup:
 
     def weight(self, eps: float) -> float:
         """The positive weight homomorphism h at ``eps``."""
-        eps = self.validate(eps)
+        return float(self.weights([eps])[0])
+
+    def weights(self, params) -> np.ndarray:
+        """The weight homomorphism h at every entry of a 1-d array."""
+        params = self.validate_many(params)
         r = self.weight_param
         if self.kind == REAL_ADDITIVE:
-            return math.exp(-r * eps)
+            return np.exp(-r * params)
         if self.kind == POSITIVE_MULTIPLICATIVE:
-            return eps ** (-r)
-        return r ** round(eps)
+            return np.power(params, -r)
+        return np.power(r, np.round(params))
 
     def tail_mass(self, alpha: float) -> float:
         """Closed-form mass of ``{eps >= alpha}`` for the measure h * m.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import GridSpec, Homogenizer, TestFunction, integrate
+from .measures import DIRAC, GridSpec, Homogenizer, MeasureDescriptor, TestFunction, integrate
 from .quadrature import Box, integrate_with_refinement
 from .trig import TrigPolynomial
 
@@ -146,7 +146,8 @@ def empirical_mean(
     limit = mean(u)
     action = hz.action
     bound_u = u.oscillation_bound()
-    gridded = hasattr(hz.measure, "clip")
+    # a point mass and a constructed measure integrate without a grid
+    gridded = isinstance(hz.measure, MeasureDescriptor) and hz.measure.kind != DIRAC
     rows = []
     for eps in ladder:
         eps = action.group.validate(eps)

@@ -458,28 +458,28 @@ class ConstructedMeasure:
         """One-block contribution, the largest |phi| seen, the smallest orbit norm.
 
         phi sees the orbit points of many Haar nodes in one call, at most
-        ``kernels.POINT_BUDGET`` of them (or one node's seed images); the sum
-        still runs node by node, so it rounds exactly as a per-node loop.
+        ``kernels.POINT_BUDGET`` of them (or one node's seed images).  Each
+        node's seed sum lands in one array, so the block total is a single
+        weighted dot whatever the budget.
         """
-        multiplicative = self.group.kind == POSITIVE_MULTIPLICATIVE
-        params = [math.exp(vi) if multiplicative else float(vi) for vi in v]
+        params = np.exp(v) if self.group.kind == POSITIVE_MULTIPLICATIVE else v
         k, dim = self.seed_nodes.shape
         step = max(1, kernels.POINT_BUDGET // k)
-        total = 0j
+        node_sums = np.empty(len(params), dtype=np.complex128)
         peak = 0.0
         min_norm = math.inf
         for start in range(0, len(params), step):
             stop = start + step
             part = params[start:stop]
-            images = np.stack([self.action.apply(eps, self.seed_nodes) for eps in part])
+            images = self.action.apply_many(part, self.seed_nodes)
             min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=2))))
             values = np.asarray(phi(images.reshape(-1, dim)), dtype=np.complex128)
             values = values.reshape(len(part), k)
             if not np.all(np.isfinite(values.view(np.float64))):
                 raise ValueError("integrand returned non-finite values")
             peak = max(peak, float(np.max(np.abs(values))))
-            for eps, wi, row in zip(part, w[start:stop], values):
-                total += wi * self.group.weight(eps) * complex(np.dot(self.seed_weights, row))
+            node_sums[start:stop] = values @ self.seed_weights
+        total = complex(np.dot(w * self.group.weights(params), node_sums))
         return total, peak, min_norm
 
     def _sweep(self, phi, support_radius: float | None) -> tuple[complex, float]:

@@ -38,6 +38,10 @@ def report_header(digest: str, seed: int) -> dict:
 
 
 def _format(value):
+    if isinstance(value, np.generic):
+        # np.float64 and np.complex128 subclass float and complex but repr
+        # with their type name; np.bool_ subclasses nothing
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, complex):

@@ -43,6 +43,61 @@ def test_diagonal_validation():
         DiagonalScaling((1, 2)).apply(0.5, np.zeros(3))
 
 
+def _variants():
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(2, 2))
+    semigroup = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 0.5, p)
+    additive = semigroup.group
+    rotation = LinearFamily(
+        group=additive, dimension=2,
+        matrix_fn=lambda e: np.array([[math.cos(e), -math.sin(e)], [math.sin(e), math.cos(e)]]),
+    )
+    return {
+        "diagonal": DiagonalScaling((1, 2)),
+        "linear-family": rotation,
+        "exp-semigroup": semigroup,
+        "product": product([semigroup, rotation]),
+    }
+
+
+@pytest.mark.parametrize("name", ["diagonal", "linear-family", "exp-semigroup", "product"])
+def test_apply_many_matches_apply(name):
+    action = _variants()[name]
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(7, action.dimension))
+    if action.group.kind == POSITIVE_MULTIPLICATIVE:
+        params = np.exp(rng.uniform(-2.0, 2.0, 5))
+    else:
+        params = rng.uniform(-1.0, 1.0, 5)
+    images = action.apply_many(params, pts)
+    assert images.shape == (5, 7, action.dimension)
+    for eps, image in zip(params, images):
+        np.testing.assert_allclose(image, action.apply(eps, pts), rtol=1e-14, atol=0.0)
+
+
+def test_diagonal_apply_many_rounds_as_scalar_power():
+    # every row must round as eps ** -r with a scalar eps, the formula the
+    # verify-action and contract reports have always been written with
+    rng = np.random.default_rng(2)
+    params = np.exp(rng.uniform(-6.0, 6.0, 400))
+    for exponents in ((1,), (1, 3)):
+        action = DiagonalScaling(exponents)
+        pts = rng.normal(size=(3, action.dimension))
+        powers = -np.asarray(exponents, dtype=np.float64)
+        images = action.apply_many(params, pts)
+        for eps, image in zip(params, images):
+            assert np.array_equal(image, pts * float(eps) ** powers)
+            assert np.array_equal(action.apply(eps, pts), image)
+
+
+def test_apply_many_validates_parameters():
+    action = DiagonalScaling((1,))
+    with pytest.raises(ValueError, match="positive real"):
+        action.apply_many([0.5, -1.0], np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        action.apply_many([0.5], np.ones((2, 2)))
+
+
 def test_matrix_exponential_against_scipy():
     rng = np.random.default_rng(7)
     for _ in range(12):

@@ -237,6 +237,60 @@ def test_missing_required_key_is_config_error(tmp_path, capsys, subcommand, over
     assert missing in capsys.readouterr().err
 
 
+# (subcommand, config overlay on BASE, path of the malformed entry)
+_MALFORMED_ENTRIES = [
+    ("mean", {"mean": {"function": {"class": "periodic", "terms": [[[0.0], 0.5]]}}},
+     "mean.function.terms[0]"),
+    ("construct-measure",
+     {"construct": {"seed_measure": {"kind": "uniform", "box": [[0.5], [1.5]]}}},
+     "construct.seed_measure.box[0]"),
+    ("sigma", {"sigma": {"u0": {"terms": [{**_SIGMA_U0["terms"][0], "element": [[[1.0], 1.0]]}]},
+                         "battery": [_SIGMA_U0]}}, "sigma.u0.terms[0].element[0]"),
+    ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [
+        _SIGMA_U0, {"terms": [{**_SIGMA_U0["terms"][0], "element": [[1.0, 0.0]]}]}]}},
+     "sigma.battery[1].terms[0].element[0]"),
+]
+
+
+@pytest.mark.parametrize("subcommand,overlay,where", _MALFORMED_ENTRIES,
+                         ids=[case[2] for case in _MALFORMED_ENTRIES])
+def test_malformed_entry_is_config_error(tmp_path, capsys, subcommand, overlay, where):
+    path = tmp_path / "malformed.yaml"
+    write_yaml(path, {**BASE, **overlay})
+    code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+def test_cli_mean_point_mass_builds_no_grid(tmp_path):
+    # a point mass integrates by evaluation: a grid cap too small to resolve
+    # u(H_eps x) on phi's support must not matter
+    cfg = dict(BASE)
+    cfg["ladder"] = {"count": 10}
+    cfg["grid"] = {"rule": "gauss", "base_nodes": 256, "panel_order": 16, "max_nodes": 4096}
+    cfg["homogenizer"] = {"measure": "dirac", "point": [0.3]}
+    cfg["mean"] = {
+        "function": {"class": "vanishing", "limit": 0.25},
+        "phi": {"kind": "triangle", "center": 0.3, "width": 0.7},
+        "shift": [0.3],
+    }
+    path = tmp_path / "mean_dirac.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["mean", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 0
+
+
+def test_cli_construct_uniform_seed_passes(tmp_path):
+    # 128 seed nodes per Haar node: the sweep's point budget at work
+    with open(os.path.join(CONFIG_DIR, "construct_measure.yaml"), encoding="utf-8") as handle:
+        cfg = yaml.safe_load(handle)
+    cfg["construct"]["seed_measure"] = {"kind": "uniform", "box": [[0.5, 1.5]]}
+    path = tmp_path / "construct_uniform.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["construct-measure", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 0
+
+
 def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch):
     # u, its translate and its convolution: one ladder sweep each
     calls = []

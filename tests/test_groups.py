@@ -63,6 +63,34 @@ def test_weight_values():
     assert RGroup(INTEGER_ADDITIVE, 0.5).weight(3) == pytest.approx(0.125, abs=0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_weights_match_weight(kind):
+    group = RGroup(kind)
+    elems = sample_elements(group, 64)
+    np.testing.assert_allclose(
+        group.weights(elems), [group.weight(e) for e in elems], rtol=1e-14, atol=0.0
+    )
+
+
+_NON_MEMBERS = [
+    (REAL_ADDITIVE, math.nan), (REAL_ADDITIVE, math.inf),
+    (POSITIVE_MULTIPLICATIVE, math.nan), (POSITIVE_MULTIPLICATIVE, math.inf),
+    (POSITIVE_MULTIPLICATIVE, 0.0), (POSITIVE_MULTIPLICATIVE, -2.0),
+    (INTEGER_ADDITIVE, math.nan), (INTEGER_ADDITIVE, -math.inf), (INTEGER_ADDITIVE, 0.5),
+]
+
+
+@pytest.mark.parametrize("kind,bad", _NON_MEMBERS)
+def test_validate_many_rejects_what_validate_rejects(kind, bad):
+    group = RGroup(kind)
+    elems = list(sample_elements(group, 4))
+    np.testing.assert_array_equal(group.validate_many(elems), elems)
+    with pytest.raises(ValueError):
+        group.validate(bad)
+    with pytest.raises(ValueError):
+        group.validate_many(elems[:2] + [bad] + elems[2:])
+
+
 def test_domain_validation():
     m = RGroup(POSITIVE_MULTIPLICATIVE)
     with pytest.raises(ValueError):

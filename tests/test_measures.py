@@ -320,6 +320,22 @@ def test_constructed_measure_point_budget_slices_blocks(monkeypatch):
     assert max(sizes) <= 1000
 
 
+def test_constructed_measure_pairing_makes_no_apply_call(monkeypatch):
+    # the sweep maps whole parameter blocks through apply_many
+    _, action, measure = _half_line_setup()
+    calls = []
+    apply = type(action).apply
+
+    def counting(self, eps, x):
+        calls.append(eps)
+        return apply(self, eps, x)
+
+    monkeypatch.setattr(type(action), "apply", counting)
+    value, _ = measure.pairing(gaussian([3.0], 0.5))
+    assert value.real > 0.0
+    assert calls == []
+
+
 def test_constructed_measure_rejects_center_support():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)

@@ -8,9 +8,11 @@ downstream readers (and the benchmark's verdict reader) rely on.
 import csv
 import json
 
+import numpy as np
 import yaml
 
 from scaleflow.cli import main
+from scaleflow.reports import _format
 
 BASE = {
     "seed": 0,
@@ -159,3 +161,12 @@ def test_sigma_schema(tmp_path):
     doc = load(out, "sigma.json")
     assert set(doc) == {"header", "passed", "per_test", "norm_bound"}
     assert set(doc["norm_bound"][0]) == {"eps", "lhs", "rhs", "passed", "field"}
+
+
+def test_csv_format_unwraps_numpy_scalars():
+    # verdict rows mix Python and numpy scalars; both must write alike
+    assert _format(np.float64(1.25)) == _format(1.25) == "1.25"
+    assert _format(np.complex128(0.5 + 0j)) == _format(0.5 + 0j) == "(0.5+0j)"
+    assert _format(np.bool_(True)) == _format(True) == "true"
+    assert _format(np.int64(3)) == 3
+    assert _format("g-half") == "g-half"
