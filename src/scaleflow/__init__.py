@@ -27,7 +27,7 @@ from .algebra import (
     spectral_pairing,
     gelfand_mean,
 )
-from .contraction import ContractionFlow, certify_submultiplicative, fixed_point
+from .contraction import certify_submultiplicative, fixed_point
 from .groups import (
     INTEGER_ADDITIVE,
     POSITIVE_MULTIPLICATIVE,
@@ -77,7 +77,6 @@ __all__ = [
     "Box",
     "AlgebraElement",
     "ConstructedMeasure",
-    "ContractionFlow",
     "DiagonalScaling",
     "ExpSemigroup",
     "GridSpec",

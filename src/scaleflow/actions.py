@@ -15,6 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .groups import POSITIVE_MULTIPLICATIVE, REAL_ADDITIVE, RGroup
+from .quadrature import Box
 
 GROUP_LAW_TOL = 1e-9
 CENTER_TOL = 1e-12
@@ -105,7 +106,8 @@ class Ball:
 
 
 class Action:
-    """Base class: a parametrised family of linear maps of R^N."""
+    """Base class: a parametrised family of linear maps of R^N.  Only this
+    module reads the matrix: norms, volumes, image boxes, frequency bounds."""
 
     group: RGroup
     dimension: int
@@ -140,15 +142,28 @@ class Action:
         return float(np.linalg.norm(self.matrix(eps), 2))
 
     def parameter_window(self) -> float:
-        """Half-width of the certificate sampling window (log scale for the
-        multiplicative group).  Variants whose values grow exponentially in
-        the parameter narrow it so rounding stays below the certificate
+        """Half-width of the certificate sampling window in the group's Haar
+        coordinate.  Variants whose values grow exponentially in the
+        parameter narrow it so rounding stays below the certificate
         tolerance."""
-        return 2.0 if self.group.kind == POSITIVE_MULTIPLICATIVE else 3.0
+        return self.group.parameter_window()
 
     def volume_factor(self, eps: float) -> float:
         """|det| of the representing matrix; used by Lebesgue pushforwards."""
         return abs(float(np.linalg.det(self.matrix(eps))))
+
+    def image_box(self, eps: float, box: Box) -> Box:
+        """Bounding box of the image of ``box`` under H_eps."""
+        a = self.matrix(eps)
+        lows, highs = np.asarray(box.lows), np.asarray(box.highs)
+        center = a @ (0.5 * (lows + highs))
+        half = np.abs(a) @ (0.5 * (highs - lows))
+        return Box(tuple(center - half), tuple(center + half))
+
+    def frequency_bound(self, eps: float, bound) -> np.ndarray:
+        """Per-axis frequency bound of f(H_eps(x)) when f's per-axis
+        frequencies are bounded by ``bound``: |B(eps)|^T bound."""
+        return np.abs(self.matrix(eps)).T @ bound
 
 
 @dataclass(frozen=True)
@@ -337,17 +352,14 @@ class GroupLawReport:
     seed: int
 
 
-def _sample_parameters(
-    group: RGroup, rng: np.random.Generator, count: int, window: float | None = None
-) -> np.ndarray:
-    if group.kind == POSITIVE_MULTIPLICATIVE:
-        w = 2.0 if window is None else window
-        return np.exp(rng.uniform(-w, w, size=count))
-    if group.kind == REAL_ADDITIVE:
-        w = 3.0 if window is None else window
-        return rng.uniform(-w, w, size=count)
-    hi = 6 if window is None else max(1, int(window))
-    return rng.integers(-hi, hi + 1, size=count).astype(np.float64)
+def _threshold(ladder, passed):
+    """First ladder entry from which every entry passes, or None."""
+    threshold = None
+    for eps, ok in zip(reversed(ladder), reversed(passed)):
+        if not ok:
+            break
+        threshold = eps
+    return threshold
 
 
 def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> GroupLawReport:
@@ -356,8 +368,8 @@ def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> 
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     window = action.parameter_window()
-    eps1 = _sample_parameters(action.group, rng, sample_count, window)
-    eps2 = _sample_parameters(action.group, rng, sample_count, window)
+    eps1 = action.group.sample(rng, sample_count, window)
+    eps2 = action.group.sample(rng, sample_count, window)
     xs = rng.normal(scale=2.0, size=(sample_count, action.dimension))
     worst = 0.0
     for a, b, x in zip(eps1, eps2, xs):
@@ -423,11 +435,7 @@ def certify_absorption(
         )
         exact.append((eps, bound))
         ok.append(dist <= target.radius)
-    threshold = None
-    for i in range(len(ladder)):
-        if all(ok[i:]):
-            threshold = ladder[i]
-            break
+    threshold = _threshold(ladder, ok)
     return AbsorptionCertificate(
         source=source,
         target=target,
@@ -454,9 +462,5 @@ def certify_escape(action: Action, x, ladder, radius: float) -> EscapeReport:
         raise ValueError("escape is undefined at the center")
     ladder = [action.group.validate(e) for e in ladder]
     norms = [(eps, float(np.linalg.norm(action.apply(eps, x)))) for eps in ladder]
-    threshold = None
-    for i in range(len(norms)):
-        if all(n > radius for _, n in norms[i:]):
-            threshold = ladder[i]
-            break
+    threshold = _threshold(ladder, [n > radius for _, n in norms])
     return EscapeReport(passed=threshold is not None, threshold=threshold, radius=radius, norms=norms)

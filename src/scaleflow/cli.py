@@ -20,7 +20,7 @@ from . import config as cfg_mod
 from . import reports
 from .actions import Ball, certify_absorption, certify_escape, certify_group_law
 from .config import ConfigError
-from .contraction import ContractionFlow, certify_submultiplicative, fixed_point
+from .contraction import certify_submultiplicative, fixed_point
 from .meanvalue import empirical_mean, mean, verify_convolution, verify_translation_invariance
 from .measures import (
     DEFAULT_TAIL_CUT,
@@ -30,7 +30,7 @@ from .measures import (
     verify_center_null,
     verify_homogeneity,
 )
-from .quadrature import Box, UnderResolvedError
+from .quadrature import UnderResolvedError
 from .sigma import trace_norm_bound_rows, verify_sigma_convergence
 
 EXIT_PASS = 0
@@ -102,14 +102,13 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     starts = int(block.get("starts", 10))
     if starts < 1:
         raise ConfigError("contraction.starts must be at least 1")
+    eps = cfg_mod.group_element(group, block.get("eps", group.ladder(1)[0]), "contraction.eps")
     seed = int(cfg.get("seed", 0))
-    flow = ContractionFlow(action)
     sub = certify_submultiplicative(
-        flow, sample_count=int(block.get("pairs", 256)), seed=seed,
+        action, sample_count=int(block.get("pairs", 256)), seed=seed,
         ladder=cfg_mod.build_ladder(cfg, group),
     )
     _status("submultiplicative", sub.passed, f"worst_excess={sub.worst_excess:.3e}")
-    eps = group.validate(block.get("eps", 0.5 if group.theta == 0.0 else -1.0))
     tol = float(block.get("tol", 1e-12))
     rng = np.random.default_rng(seed)
     fp_rows = []
@@ -117,7 +116,7 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     for i in range(starts):
         x0 = rng.uniform(-8.0, 8.0, size=action.dimension)
         try:
-            result = fixed_point(flow, eps, x0, tol=tol,
+            result = fixed_point(action, eps, x0, tol=tol,
                                  max_iter=int(block.get("max_iter", 10**5)))
             fp_rows.append(
                 {
@@ -241,7 +240,7 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
     if not block:
         raise ConfigError("sigma runs need a sigma block")
     algebra = cfg_mod.build_algebra(block.get("algebra", {"kind": "periodic", "dimension": 1}))
-    domain = Box.from_config(block.get("domain", [[0.0, 1.0]]))
+    domain = cfg_mod.build_box(block.get("domain", [[0.0, 1.0]]), "sigma.domain")
     u = cfg_mod.build_field(block["u0"], algebra, domain, "sigma.u0.")
     battery = [
         cfg_mod.build_field(b, algebra, domain, f"sigma.battery[{i}].")

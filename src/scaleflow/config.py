@@ -175,11 +175,24 @@ def _action_from_block(block: dict, group: RGroup) -> Action:
     raise ConfigError(f"unknown action variant {variant!r}")
 
 
+def group_element(group: RGroup, value, path: str) -> float:
+    """``value`` as an element of ``group``; a config error names its path."""
+    try:
+        return group.validate(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def build_ladder(cfg: dict, group: RGroup) -> list:
     block = cfg.get("ladder") or {}
     if "values" in block:
-        return [group.validate(v) for v in block["values"]]
-    return list(group.ladder(int(block.get("count", 12)), block.get("step")))
+        return [group_element(group, v, f"ladder.values[{i}]")
+                for i, v in enumerate(block["values"])]
+    count = int(block.get("count", 12))
+    try:
+        return list(group.ladder(count, block.get("step")))
+    except ValueError as exc:
+        raise ConfigError(f"ladder.{'count' if count < 1 else 'step'}: {exc}") from exc
 
 
 def build_grid_spec(cfg: dict) -> GridSpec:
@@ -208,8 +221,7 @@ def build_test_function(block: dict, dim: int) -> TestFunction:
         if kind == "mollifier":
             return mollifier(block["center"], float(block["width"]), name)
         if kind == "parabola":
-            box = Box.from_config(block["box"])
-            return parabola(box, name)
+            return parabola(build_box(block["box"], "parabola box"), name)
     except KeyError as exc:
         raise ConfigError(f"test function missing key {exc}") from exc
     raise ConfigError(f"unknown test function kind {kind!r}")
@@ -237,12 +249,7 @@ def build_homogenizer(cfg: dict, action: Action) -> Homogenizer:
     override = block.get("factor_override")
     if override is not None:
         # negative-control knob: replace the factor map by a declared rate
-        rate = float(override)
-        group = action.group
-        if group.kind == "positive-multiplicative":
-            hz = hz.with_factor_map(lambda eps: float(eps) ** rate)
-        else:
-            hz = hz.with_factor_map(lambda eps: np.exp(rate * float(eps)))
+        hz = hz.with_factor_map(action.group.character(float(override)))
     return hz
 
 
@@ -251,14 +258,14 @@ def build_seed_measure(block: dict) -> MeasureDescriptor:
     if kind == "dirac":
         return MeasureDescriptor.dirac(_required(block, "point", "construct.seed_measure."))
     if kind == "uniform":
-        box = _pairs(_required(block, "box", "construct.seed_measure."),
-                     "construct.seed_measure.box")
+        box = build_box(_required(block, "box", "construct.seed_measure."),
+                        "construct.seed_measure.box")
         return MeasureDescriptor(
             kind="weighted-density",
-            dimension=len(box),
+            dimension=box.dim,
             density=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-            domain_lows=tuple(p[0] for p in box),
-            domain_highs=tuple(p[1] for p in box),
+            domain_lows=box.lows,
+            domain_highs=box.highs,
         )
     raise ConfigError(f"unknown seed measure kind {kind!r}")
 
@@ -275,6 +282,17 @@ def _pairs(entries, path: str) -> list:
             raise ConfigError(f"{path}[{i}] must be a [low, high] pair, got {pair!r}") from exc
         pairs.append((low, high))
     return pairs
+
+
+def build_box(entries, path: str) -> Box:
+    """A box from ``[low, high]`` pairs; a config error names a bad entry."""
+    pairs = _pairs(entries, path)
+    if not pairs:
+        raise ConfigError(f"{path} needs at least one [low, high] pair")
+    try:
+        return Box(tuple(low for low, _ in pairs), tuple(high for _, high in pairs))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _terms(terms, path: str) -> list:

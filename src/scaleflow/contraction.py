@@ -1,9 +1,9 @@
 """Contraction flows: Lipschitz bounds and fixed-point location of the center.
 
-The global Lipschitz constant of H_eps is the operator norm of its
-matrix.  An action without a matrix raises ``NotImplementedError``: a
-sampled supremum over point pairs only bounds the constant from below and
-so cannot certify a contraction.
+The global Lipschitz constant l(eps) of H_eps is ``action.operator_norm(eps)``,
+the operator norm of its matrix.  An action without a matrix raises
+``NotImplementedError``: a sampled supremum over point pairs only bounds
+the constant from below and so cannot certify a contraction.
 """
 
 from __future__ import annotations
@@ -12,20 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Action, _sample_parameters
+from .actions import Action
 
 SUBMULT_SLACK = 1e-9
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**5
-
-
-@dataclass(frozen=True)
-class ContractionFlow:
-    action: Action
-
-    def lipschitz(self, eps: float) -> float:
-        """Lipschitz constant of H_eps: the operator norm of its matrix."""
-        return self.action.operator_norm(eps)
 
 
 @dataclass
@@ -40,7 +31,7 @@ class SubmultiplicativityReport:
 
 
 def certify_submultiplicative(
-    flow: ContractionFlow,
+    action: Action,
     sample_count: int = 256,
     seed: int = 0,
     ladder=None,
@@ -51,19 +42,19 @@ def certify_submultiplicative(
     l(eps^-1) must stay finite, decrease monotonically and end below their
     starting value by a factor of 10.
     """
-    group = flow.action.group
+    group = action.group
     rng = np.random.default_rng(seed)
-    eps1 = _sample_parameters(group, rng, sample_count)
-    eps2 = _sample_parameters(group, rng, sample_count)
+    eps1 = group.sample(rng, sample_count)
+    eps2 = group.sample(rng, sample_count)
     worst = 0.0
     for a, b in zip(eps1, eps2):
-        lab = flow.lipschitz(group.compose(a, b))
-        la, lb = flow.lipschitz(a), flow.lipschitz(b)
+        lab = action.operator_norm(group.compose(a, b))
+        la, lb = action.operator_norm(a), action.operator_norm(b)
         excess = (lab - la * lb) / max(la * lb, 1e-300)
         worst = max(worst, float(excess))
     if ladder is None:
         ladder = group.ladder(12)
-    decay = [(float(e), flow.lipschitz(group.inverse(e))) for e in ladder]
+    decay = [(float(e), action.operator_norm(group.inverse(e))) for e in ladder]
     values = [v for _, v in decay]
     bounded = all(np.isfinite(values))
     monotone = all(b <= a * (1.0 + SUBMULT_SLACK) for a, b in zip(values, values[1:]))
@@ -89,14 +80,13 @@ class FixedPointResult:
     cross_parameter_distance: float
 
 
-def _iterate(flow: ContractionFlow, eps: float, x0, tol: float, max_iter: int):
-    group = flow.action.group
-    inv = group.inverse(eps)
+def _iterate(action: Action, eps: float, x0, tol: float, max_iter: int):
+    inv = action.group.inverse(eps)
     x = np.asarray(x0, dtype=np.float64)
     ratios = []
     prev_step = None
     for n in range(1, max_iter + 1):
-        x_next = flow.action.apply(inv, x)
+        x_next = action.apply(inv, x)
         step = float(np.linalg.norm(x_next - x))
         if prev_step is not None and prev_step > 1e-280:
             ratios.append(step / prev_step)
@@ -110,7 +100,7 @@ def _iterate(flow: ContractionFlow, eps: float, x0, tol: float, max_iter: int):
 
 
 def fixed_point(
-    flow: ContractionFlow,
+    action: Action,
     eps: float,
     x0,
     tol: float = DEFAULT_TOL,
@@ -124,18 +114,18 @@ def fixed_point(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    group = flow.action.group
+    group = action.group
     eps = group.validate(eps)
-    bound = flow.lipschitz(group.inverse(eps))
+    bound = action.operator_norm(group.inverse(eps))
     if bound >= 1.0:
         raise ValueError(f"l(eps^-1) = {bound} is not below 1: not a contraction")
-    x, iters, ratios = _iterate(flow, eps, x0, tol, max_iter)
-    residual = float(np.linalg.norm(flow.action.apply(group.inverse(eps), x) - x))
-    center_distance = float(np.linalg.norm(x - flow.action.center()))
+    x, iters, ratios = _iterate(action, eps, x0, tol, max_iter)
+    residual = float(np.linalg.norm(action.apply(group.inverse(eps), x) - x))
+    center_distance = float(np.linalg.norm(x - action.center()))
     if center_distance > 10.0 * tol:
         raise RuntimeError("fixed point does not match the action center")
     eps2 = group.compose(eps, eps)
-    y, _, _ = _iterate(flow, eps2, x0, tol, max_iter)
+    y, _, _ = _iterate(action, eps2, x0, tol, max_iter)
     cross = float(np.linalg.norm(x - y))
     if cross > 2.0 * tol:
         raise RuntimeError("fixed point depends on the contraction parameter")

@@ -7,6 +7,8 @@ positive weight homomorphism ``h`` and the closed-form mass of the upper
 tail ``{eps >= alpha}`` under the weighted Haar measure ``h * m``.
 
 Group elements are plain floats; the integer group validates integrality.
+Every decision that depends on the kind of group is made here: samplers,
+ladders, the Haar coordinate of the orbit sweep and the scale of decay fits.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .quadrature import GAUSS, _axis_rule
 
 REAL_ADDITIVE = "real-additive"
 POSITIVE_MULTIPLICATIVE = "positive-multiplicative"
@@ -29,6 +33,8 @@ _DEFAULT_PARAM = {
 }
 
 _INTEGER_TOL = 1e-9
+
+HAAR_BLOCK_WIDTH = 4.0  # width of one orbit-sweep block in the Haar coordinate
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,8 @@ class RGroup:
     def validate_many(self, params) -> np.ndarray:
         """Check membership of every entry of a 1-d array; return it as float64.
 
-        Rejects exactly what ``validate`` rejects, which stays scalar because
-        scalar loops call it per element; the error names the first entry
-        that is not a group element.
-        """
+        Rejects exactly what ``validate`` rejects (kept scalar for per-element
+        loops), naming the first entry that is not a group element."""
         params = np.asarray(params, dtype=np.float64)
         if params.ndim != 1:
             raise ValueError(f"expected a 1-d array of group elements, got shape {params.shape}")
@@ -100,17 +104,30 @@ class RGroup:
             raise ValueError(f"{bad[0]} is not {noun}")
         return params
 
+    def _from_haar(self, v: np.ndarray) -> np.ndarray:
+        """Elements at Haar coordinates ``v``: exp(v) on R+*, v itself otherwise."""
+        return np.exp(v) if self.kind == POSITIVE_MULTIPLICATIVE else v
+
+    def parameter_window(self) -> float:
+        """Default half-width, in the Haar coordinate, of certificate samples."""
+        return 2.0 if self.kind == POSITIVE_MULTIPLICATIVE else 3.0
+
+    def sample(self, rng: np.random.Generator, count: int, window: float | None = None) -> np.ndarray:
+        """``count`` uniform draws within ``window`` of the identity in the Haar
+        coordinate; the integers draw from -hi..hi, hi = max(1, int(window)) or 6."""
+        if self.kind == INTEGER_ADDITIVE:
+            hi = 6 if window is None else max(1, int(window))
+            return rng.integers(-hi, hi + 1, size=count).astype(np.float64)
+        w = self.parameter_window() if window is None else window
+        return self._from_haar(rng.uniform(-w, w, size=count))
+
     def compose(self, eps: float, other: float) -> float:
         eps, other = self.validate(eps), self.validate(other)
-        if self.kind == POSITIVE_MULTIPLICATIVE:
-            return eps * other
-        return eps + other
+        return eps * other if self.kind == POSITIVE_MULTIPLICATIVE else eps + other
 
     def inverse(self, eps: float) -> float:
         eps = self.validate(eps)
-        if self.kind == POSITIVE_MULTIPLICATIVE:
-            return 1.0 / eps
-        return -eps
+        return 1.0 / eps if self.kind == POSITIVE_MULTIPLICATIVE else -eps
 
     def compare(self, eps: float, other: float) -> int:
         """Natural real order: -1, 0 or +1."""
@@ -159,6 +176,42 @@ class RGroup:
         if self.kind == POSITIVE_MULTIPLICATIVE:
             return (mass * r) ** (-1.0 / r)
         return float(math.ceil(math.log(mass * (1.0 - r)) / math.log(r)))
+
+    def haar_blocks(self, mass: float, nodes_per_unit: int, count: int):
+        """Yield ``count`` (elements, Haar quadrature weights) blocks, descending
+        from ``tail_threshold(mass)``.
+
+        Haar measure is Lebesgue in the coordinate v = eps (additive reals) or
+        v = log(eps) (multiplicative reals); a block there is a composite Gauss
+        rule over HAAR_BLOCK_WIDTH of v.  On the integers a block is eight
+        consecutive elements with unit counting weights.
+        """
+        top = self.tail_threshold(mass)
+        if self.kind == INTEGER_ADDITIVE:
+            hi, width = int(top), 8
+            for j in range(count):
+                block = np.arange(hi - (j + 1) * width + 1, hi - j * width + 1, dtype=np.float64)
+                yield block, np.ones_like(block)
+            return
+        v_hi = math.log(top) if self.kind == POSITIVE_MULTIPLICATIVE else top
+        q = 8
+        nodes = q * max(1, int(round(HAAR_BLOCK_WIDTH * nodes_per_unit / q)))
+        for j in range(count):
+            hi = v_hi - j * HAAR_BLOCK_WIDTH
+            v, w = _axis_rule(v_hi - (j + 1) * HAAR_BLOCK_WIDTH, hi, nodes, GAUSS, q)
+            yield self._from_haar(v), w
+
+    def ladder_scale(self, eps: float) -> float:
+        """Positive scale of an element for log-log decay fits: eps on R+*,
+        exp(eps) on the additive groups, so its log is the Haar coordinate."""
+        return float(eps) if self.kind == POSITIVE_MULTIPLICATIVE else math.exp(float(eps))
+
+    def character(self, rate: float):
+        """The homomorphism into R+* with exponent ``rate``: eps -> eps**rate on
+        R+*, eps -> exp(rate * eps) on the additive groups."""
+        if self.kind == POSITIVE_MULTIPLICATIVE:
+            return lambda eps: float(eps) ** rate
+        return lambda eps: np.exp(rate * float(eps))
 
     # -- ladders ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import DIRAC, GridSpec, Homogenizer, MeasureDescriptor, TestFunction, integrate
+from .measures import GridSpec, Homogenizer, TestFunction, integrate
 from .quadrature import Box, integrate_with_refinement
 from .trig import TrigPolynomial
 
@@ -121,13 +121,6 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     return float(slope)
 
 
-def _ladder_scale(group, eps: float) -> float:
-    """Monotone scale of an element for log-log fits (distance toward theta)."""
-    if group.theta == 0.0:
-        return float(eps)
-    return math.exp(float(eps))  # additive groups: theta = -inf
-
-
 def empirical_mean(
     u: MeanFunction,
     hz: Homogenizer,
@@ -146,21 +139,15 @@ def empirical_mean(
     limit = mean(u)
     action = hz.action
     bound_u = u.oscillation_bound()
-    # a point mass and a constructed measure integrate without a grid
-    gridded = isinstance(hz.measure, MeasureDescriptor) and hz.measure.kind != DIRAC
     rows = []
     for eps in ladder:
         eps = action.group.validate(eps)
-        grid = None
-        if gridded:
-            comp_bound = np.abs(action.matrix(eps)).T @ bound_u
-            grid = hz.grid_spec.build(hz.measure.clip(phi.support), tuple(comp_bound))
         integrand = TestFunction(
             name=f"{phi.name}*u",
             fn=lambda pts: np.asarray(phi(pts)) * u(action.apply(eps, pts)),
             support=phi.support,
         )
-        value, est = integrate(hz, integrand, grid=grid)
+        value, est = integrate(hz, integrand, action.frequency_bound(eps, bound_u))
         r = value / base
         rows.append(
             {
@@ -171,7 +158,7 @@ def empirical_mean(
             }
         )
     order = fit_decay_order(
-        [_ladder_scale(action.group, row["eps"]) for row in rows],
+        [action.group.ladder_scale(row["eps"]) for row in rows],
         [row["abs_err"] for row in rows],
     )
     return ConvergenceReport(rows=rows, limit=limit, fitted_order=order)

@@ -17,15 +17,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .actions import Action, DiagonalScaling, _sample_parameters
-from .groups import INTEGER_ADDITIVE, POSITIVE_MULTIPLICATIVE, RGroup
+from .actions import Action, DiagonalScaling
+from .groups import RGroup
 from .quadrature import (
     GAUSS,
     MIDPOINT,
     Box,
     QuadratureGrid,
     UnderResolvedError,
-    _axis_rule,
     boundary_mass_fraction,
     integrate_with_refinement,
     resolved_nodes,
@@ -38,7 +37,6 @@ DIRAC = "dirac"
 BOUNDARY_MASS_TOL = 1e-6
 DEFAULT_TAIL_CUT = 1e-10
 SEED_NODES_PER_AXIS = 128
-HAAR_BLOCK_WIDTH = 4.0  # width of one orbit-sweep block in the Haar coordinate
 
 
 class SupportEscapeError(RuntimeError):
@@ -259,11 +257,10 @@ class Homogenizer:
     ) -> "Homogenizer":
         if action.dimension != 1:
             raise ValueError("power densities are one-dimensional")
-        rate = action.exponents[0] * (power + 1.0)
         return cls(
             action=action,
             measure=MeasureDescriptor.power_density(power),
-            factor_map=lambda eps: float(eps) ** rate,
+            factor_map=action.group.character(action.exponents[0] * (power + 1.0)),
             grid_spec=grid_spec or GridSpec(),
         )
 
@@ -289,61 +286,50 @@ def _weighted_integrand(measure, phi):
     return phi
 
 
-def integrate(hz: Homogenizer, phi, grid: QuadratureGrid | None = None):
-    """Pair the measure with a test function; returns (value, error estimate)."""
+def _integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None):
+    """:func:`integrate` plus the grid it used, None for a point mass or a
+    constructed measure, which integrate without one."""
     measure = hz.measure
     if isinstance(measure, ConstructedMeasure):
-        return measure.pairing(phi)
+        return (*measure.pairing(phi), None)
     if measure.kind == DIRAC:
         point = np.asarray(measure.point)
-        return complex(phi(point[None, :])[0]), 0.0
-    if grid is None:
-        if not isinstance(phi, TestFunction):
-            raise ValueError("a grid is required for plain-callable integrands")
-        grid = hz.grid_spec.build(measure.clip(phi.support))
-    return integrate_with_refinement(_weighted_integrand(measure, phi), grid)
+        return complex(phi(point[None, :])[0]), 0.0, None
+    grid = hz.grid_spec.build(measure.clip(phi.support), max_freqs)
+    return (*integrate_with_refinement(_weighted_integrand(measure, phi), grid), grid)
 
 
-def _image_box(action: Action, eps: float, box: Box) -> Box:
-    """Bounding box of the image of ``box`` under H at the inverse parameter."""
-    inv = action.group.inverse(eps)
-    a = action.matrix(inv)
-    center = 0.5 * (np.asarray(box.lows) + np.asarray(box.highs))
-    half = 0.5 * (np.asarray(box.highs) - np.asarray(box.lows))
-    new_center = a @ center
-    new_half = np.abs(a) @ half
-    return Box(tuple(new_center - new_half), tuple(new_center + new_half))
+def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None):
+    """Pair the measure with a test function; returns (value, error estimate).
+
+    Lebesgue and weighted measures integrate on a ``hz.grid_spec`` grid over
+    phi's clipped support that resolves per-axis frequencies ``max_freqs``.
+    """
+    value, estimate, _ = _integrate(hz, phi, max_freqs)
+    return value, estimate
 
 
-def pushforward_pairing(hz: Homogenizer, eps: float, phi, grid: QuadratureGrid | None = None):
+def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
     """Quadrature of x -> phi(H_eps(x)) against the measure.
 
     The quadrature box follows the composed integrand's support (the image
     of the support of phi under the inverse map); mass detected on the box
     boundary raises :class:`SupportEscapeError`.
     """
-    measure = hz.measure
     action = hz.action
     eps = action.group.validate(eps)
-    composed = lambda pts: np.asarray(phi(action.apply(eps, pts)), dtype=np.complex128)
-    if isinstance(phi, TestFunction):
-        composed = TestFunction(
-            name=f"{phi.name}@{eps:g}",
-            fn=composed,
-            support=_image_box(action, eps, phi.support),
-        )
-    if isinstance(measure, ConstructedMeasure) or measure.kind == DIRAC:
-        return integrate(hz, composed)
-    if grid is None:
-        if not isinstance(phi, TestFunction):
-            raise ValueError("a grid is required for plain-callable integrands")
-        grid = hz.grid_spec.build(measure.clip(composed.support))
-    value, estimate = integrate(hz, composed, grid)
-    fraction = boundary_mass_fraction(_weighted_integrand(measure, composed), grid)
-    if fraction > BOUNDARY_MASS_TOL:
-        raise SupportEscapeError(
-            f"{fraction:.2e} of the integrand mass sits on the grid boundary"
-        )
+    composed = TestFunction(
+        name=f"{phi.name}@{eps:g}",
+        fn=lambda pts: np.asarray(phi(action.apply(eps, pts)), dtype=np.complex128),
+        support=action.image_box(action.group.inverse(eps), phi.support),
+    )
+    value, estimate, grid = _integrate(hz, composed)
+    if grid is not None:
+        fraction = boundary_mass_fraction(_weighted_integrand(hz.measure, composed), grid)
+        if fraction > BOUNDARY_MASS_TOL:
+            raise SupportEscapeError(
+                f"{fraction:.2e} of the integrand mass sits on the grid boundary"
+            )
     return value, estimate
 
 
@@ -404,8 +390,8 @@ def check_factor_multiplicative(hz: Homogenizer, sample_count: int = 128, seed: 
     """Worst relative defect of c(e e') = c(e) c(e') on sampled pairs."""
     rng = np.random.default_rng(seed)
     group = hz.action.group
-    eps1 = _sample_parameters(group, rng, sample_count)
-    eps2 = _sample_parameters(group, rng, sample_count)
+    eps1 = group.sample(rng, sample_count)
+    eps2 = group.sample(rng, sample_count)
     worst = 0.0
     for a, b in zip(eps1, eps2):
         lhs = hz.factor_map(group.compose(a, b))
@@ -435,26 +421,7 @@ class ConstructedMeasure:
     nodes_per_unit: int = 96
     max_blocks: int = 120
 
-    def _haar_windows(self):
-        """Yield (parameter array, quadrature weights) blocks, upper end first."""
-        if self.group.kind == INTEGER_ADDITIVE:
-            hi = int(self.group.tail_threshold(self.tail_cut))
-            width = 8
-            for j in range(self.max_blocks):
-                block = np.arange(hi - (j + 1) * width + 1, hi - j * width + 1, dtype=np.float64)
-                yield block, np.ones_like(block)
-            return
-        v_hi = self.group.tail_threshold(self.tail_cut)
-        if self.group.kind == POSITIVE_MULTIPLICATIVE:
-            v_hi = math.log(v_hi)
-        q = 8
-        nodes = q * max(1, int(round(HAAR_BLOCK_WIDTH * self.nodes_per_unit / q)))
-        for j in range(self.max_blocks):
-            lo = v_hi - (j + 1) * HAAR_BLOCK_WIDTH
-            hi = v_hi - j * HAAR_BLOCK_WIDTH
-            yield _axis_rule(lo, hi, nodes, GAUSS, q)
-
-    def _block_value(self, phi, v: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
+    def _block_value(self, phi, params: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
         """One-block contribution, the largest |phi| seen, the smallest orbit norm.
 
         phi sees the orbit points of many Haar nodes in one call, at most
@@ -462,7 +429,6 @@ class ConstructedMeasure:
         node's seed sum lands in one array, so the block total is a single
         weighted dot whatever the budget.
         """
-        params = np.exp(v) if self.group.kind == POSITIVE_MULTIPLICATIVE else v
         k, dim = self.seed_nodes.shape
         step = max(1, kernels.POINT_BUDGET // k)
         node_sums = np.empty(len(params), dtype=np.complex128)
@@ -490,8 +456,9 @@ class ConstructedMeasure:
         total = 0j
         peak = 0.0
         quiet = 0
-        for v, w in self._haar_windows():
-            block, block_peak, min_norm = self._block_value(phi, v, w)
+        blocks = self.group.haar_blocks(self.tail_cut, self.nodes_per_unit, self.max_blocks)
+        for params, w in blocks:
+            block, block_peak, min_norm = self._block_value(phi, params, w)
             total += block
             peak = max(peak, block_peak)
             support_passed = support_radius is None or min_norm > support_radius

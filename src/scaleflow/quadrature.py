@@ -45,11 +45,6 @@ class Box:
     def sides(self) -> tuple:
         return tuple(h - l for l, h in zip(self.lows, self.highs))
 
-    @classmethod
-    def from_config(cls, pairs) -> "Box":
-        pairs = [tuple(p) for p in pairs]
-        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
 
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(q: int):

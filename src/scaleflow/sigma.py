@@ -22,8 +22,8 @@ from . import kernels
 from .actions import Action
 from .algebra import spectral_pairing
 from .measures import GridSpec
-from .meanvalue import ERROR_FLOOR, fit_decay_order, _ladder_scale
-from .quadrature import Box, QuadratureGrid, integrate_with_refinement
+from .meanvalue import ERROR_FLOOR, fit_decay_order
+from .quadrature import Box, integrate_with_refinement
 
 ENVELOPE_CELL_SAMPLES = 2048
 
@@ -121,7 +121,7 @@ def trace_norm_bound_check(
     """Compare the L^p norm of the trace with the field's envelope norm."""
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    grid = _resolved_grid(u, None, action, eps, grid_spec)
+    grid = grid_spec.build(u.domain, action.frequency_bound(eps, u.max_freq().astype(float)))
     value, _ = integrate_with_refinement(
         lambda pts: np.abs(u.trace_values(action, eps, pts)) ** p, grid
     )
@@ -141,20 +141,6 @@ def trace_norm_bound_rows(fields, action: Action, ladder, p: float, grid_spec: G
     return rows
 
 
-def _resolved_grid(
-    u: TwoScaleField,
-    psi: TwoScaleField | None,
-    action: Action,
-    eps: float,
-    spec: GridSpec,
-) -> QuadratureGrid:
-    bound = u.max_freq().astype(float)
-    if psi is not None:
-        bound = bound + psi.max_freq()
-    composed = np.abs(action.matrix(eps)).T @ bound
-    return spec.build(u.domain, tuple(composed))
-
-
 def sigma_pairing_lhs(
     u: TwoScaleField,
     psi: TwoScaleField,
@@ -170,7 +156,8 @@ def sigma_pairing_lhs(
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
     eps = action.group.validate(eps)
-    grid = _resolved_grid(u, psi, action, eps, grid_spec)
+    bound = u.max_freq().astype(float) + psi.max_freq()
+    grid = grid_spec.build(u.domain, action.frequency_bound(eps, bound))
     value, estimate = integrate_with_refinement(
         lambda pts: u.trace_values(action, eps, pts) * psi.trace_values(action, eps, pts),
         grid,
@@ -269,7 +256,7 @@ def verify_sigma_convergence(
                 }
             )
         order = fit_decay_order(
-            [_ladder_scale(action.group, e) for e in ladder], errors, floor=ERROR_FLOOR / max(scale, 1e-300)
+            [action.group.ladder_scale(e) for e in ladder], errors, floor=ERROR_FLOOR / max(scale, 1e-300)
         )
         final = errors[-1]
         per_test[psi.name] = {"fitted_order": order, "final_rel_err": final, "rhs": rhs}

@@ -16,7 +16,6 @@ from conftest import record_criterion
 from scaleflow import (
     parabola,
     Ball,
-    ContractionFlow,
     DiagonalScaling,
     ExpSemigroup,
     GridSpec,
@@ -106,19 +105,19 @@ def test_criterion_2_absorption():
 def test_criterion_3_contraction():
     rng = np.random.default_rng(1)
     p = rng.normal(size=(3, 3))
-    generic = ContractionFlow(ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p))
+    generic = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p)
     sub = certify_submultiplicative(generic, sample_count=1000)
-    scalar_flows = [
-        (ContractionFlow(DiagonalScaling((1, 1))), 0.5),
-        (ContractionFlow(ExpSemigroup.from_matrix(1.0, np.zeros((2, 2)))), -1.0),
+    scalar_actions = [
+        (DiagonalScaling((1, 1)), 0.5),
+        (ExpSemigroup.from_matrix(1.0, np.zeros((2, 2))), -1.0),
     ]
     residual_ok = True
     ratio_ok = True
-    for flow, eps in scalar_flows:
-        bound = flow.lipschitz(flow.action.group.inverse(eps))
+    for action, eps in scalar_actions:
+        bound = action.operator_norm(action.group.inverse(eps))
         for i in range(10):
-            x0 = rng.uniform(-10.0, 10.0, size=flow.action.dimension)
-            result = fixed_point(flow, eps, x0, tol=1e-12)
+            x0 = rng.uniform(-10.0, 10.0, size=action.dimension)
+            result = fixed_point(action, eps, x0, tol=1e-12)
             residual_ok = residual_ok and result.residual <= 1e-12
             ratio_ok = ratio_ok and all(
                 abs(r - bound) <= 1e-9 for r in result.step_ratios
@@ -127,7 +126,7 @@ def test_criterion_3_contraction():
         x0 = rng.uniform(-10.0, 10.0, size=3)
         result = fixed_point(generic, -1.0, x0, tol=1e-12)
         residual_ok = residual_ok and result.residual <= 1e-12
-        bound = generic.lipschitz(1.0)
+        bound = generic.operator_norm(1.0)
         ratio_ok = ratio_ok and all(r <= bound + 1e-9 for r in result.step_ratios)
     _check(
         3,

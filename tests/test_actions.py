@@ -23,6 +23,7 @@ from scaleflow import (
 )
 from scaleflow.actions import _halton, sphere_directions
 from scaleflow.groups import INTEGER_ADDITIVE
+from scaleflow.quadrature import Box
 
 
 def test_diagonal_apply():
@@ -73,6 +74,28 @@ def test_apply_many_matches_apply(name):
     assert images.shape == (5, 7, action.dimension)
     for eps, image in zip(params, images):
         np.testing.assert_allclose(image, action.apply(eps, pts), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["diagonal", "linear-family", "exp-semigroup", "product"])
+def test_image_box_and_frequency_bound_match_matrix_formulas(name):
+    action = _variants()[name]
+    rng = np.random.default_rng(4)
+    lows = rng.uniform(-2.0, 0.0, action.dimension)
+    box = Box(tuple(lows), tuple(lows + rng.uniform(0.5, 2.0, action.dimension)))
+    bound = rng.uniform(0.0, 3.0, action.dimension)
+    for eps in ((0.5, 2.0) if action.group.kind == POSITIVE_MULTIPLICATIVE else (-0.7, 0.4)):
+        a = action.matrix(eps)
+        # the image of a box is the hull of its mapped corners
+        corners = np.array(np.meshgrid(*zip(box.lows, box.highs), indexing="ij"))
+        mapped = corners.reshape(action.dimension, -1).T @ a.T
+        image = action.image_box(eps, box)
+        np.testing.assert_allclose(image.lows, mapped.min(axis=0), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(image.highs, mapped.max(axis=0), rtol=1e-13, atol=1e-13)
+        # exp(2 pi i k.x) composed with H_eps has frequency a^T k
+        expected = [sum(abs(a[i, j]) * bound[i] for i in range(action.dimension))
+                    for j in range(action.dimension)]
+        np.testing.assert_allclose(action.frequency_bound(eps, bound), expected,
+                                   rtol=1e-14, atol=0.0)
 
 
 def test_diagonal_apply_many_rounds_as_scalar_power():

@@ -249,6 +249,11 @@ _MALFORMED_ENTRIES = [
     ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [
         _SIGMA_U0, {"terms": [{**_SIGMA_U0["terms"][0], "element": [[1.0, 0.0]]}]}]}},
      "sigma.battery[1].terms[0].element[0]"),
+    ("sigma", {"sigma": {"domain": [[0.0], [1.0]], "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}},
+     "sigma.domain[0]"),
+    ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [{"terms": [{
+        "macro": {"kind": "parabola", "box": [[0.0], [1.0]]},
+        "element": [[[1.0], 1.0, 0.0]]}]}]}}, "box[0]"),
 ]
 
 
@@ -258,6 +263,24 @@ def test_malformed_entry_is_config_error(tmp_path, capsys, subcommand, overlay, 
     path = tmp_path / "malformed.yaml"
     write_yaml(path, {**BASE, **overlay})
     code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+# contract.yaml overlays naming a value that is not an element of its group
+_BAD_ELEMENTS = [
+    ({"ladder": {"values": [0.5, 0.0]}}, "ladder.values[1]"),
+    ({"ladder": {"count": 0}}, "ladder.count"),
+    ({"contraction": {"eps": -0.5}}, "contraction.eps"),
+]
+
+
+@pytest.mark.parametrize("overlay,where", _BAD_ELEMENTS, ids=[case[1] for case in _BAD_ELEMENTS])
+def test_bad_group_element_is_config_error(tmp_path, capsys, overlay, where):
+    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "contract.yaml")))
+    path = tmp_path / "bad_element.yaml"
+    write_yaml(path, {**cfg, **overlay})
+    code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert where in capsys.readouterr().err
 

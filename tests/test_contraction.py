@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scaleflow import (
-    ContractionFlow,
     DiagonalScaling,
     ExpSemigroup,
     certify_submultiplicative,
@@ -17,35 +16,35 @@ from scaleflow.groups import POSITIVE_MULTIPLICATIVE, RGroup
 
 
 def test_lipschitz_exact_values():
-    flow = ContractionFlow(DiagonalScaling((1, 2)))
+    action = DiagonalScaling((1, 2))
     # operator norm of diag(1/eps, 1/eps^2) at eps = 1/2
-    assert flow.lipschitz(0.5) == pytest.approx(4.0, rel=1e-14)
-    assert flow.lipschitz(1.0) == pytest.approx(1.0, abs=1e-14)  # identity parameter
-    decay = ContractionFlow(ExpSemigroup.from_matrix(1.0, np.zeros((1, 1))))
-    assert decay.lipschitz(1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
-    assert decay.lipschitz(0.0) == pytest.approx(1.0, abs=1e-13)
+    assert action.operator_norm(0.5) == pytest.approx(4.0, rel=1e-14)
+    assert action.operator_norm(1.0) == pytest.approx(1.0, abs=1e-14)  # identity parameter
+    decay = ExpSemigroup.from_matrix(1.0, np.zeros((1, 1)))
+    assert decay.operator_norm(1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
+    assert decay.operator_norm(0.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_submultiplicative_reports():
-    assert certify_submultiplicative(ContractionFlow(DiagonalScaling((1,)))).passed
+    assert certify_submultiplicative(DiagonalScaling((1,))).passed
     rng = np.random.default_rng(5)
     p = rng.normal(size=(3, 3))
     semigroup = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p)
-    report = certify_submultiplicative(ContractionFlow(semigroup), sample_count=400)
+    report = certify_submultiplicative(semigroup, sample_count=400)
     assert report.passed
     assert report.worst_excess <= 1e-9
     assert report.decay_monotone and report.bounded
     # identity factor reduces the inequality to equality
-    flow = ContractionFlow(DiagonalScaling((1, 3)))
-    group = flow.action.group
+    action = DiagonalScaling((1, 3))
+    group = action.group
     for eps in (0.3, 1.0, 2.5):
-        lab = flow.lipschitz(group.compose(eps, group.identity))
-        assert lab == pytest.approx(flow.lipschitz(eps), rel=1e-14)
+        lab = action.operator_norm(group.compose(eps, group.identity))
+        assert lab == pytest.approx(action.operator_norm(eps), rel=1e-14)
 
 
 def test_fixed_point_diagonal_halving():
-    flow = ContractionFlow(DiagonalScaling((1,)))
-    result = fixed_point(flow, 0.5, np.array([8.0]), tol=1e-12)
+    action = DiagonalScaling((1,))
+    result = fixed_point(action, 0.5, np.array([8.0]), tol=1e-12)
     assert np.linalg.norm(result.point) <= 1e-11
     assert result.residual <= 1e-12
     # the inverse parameter scales by exactly 1/2 per step
@@ -57,19 +56,19 @@ def test_fixed_point_diagonal_halving():
 def test_fixed_point_exp_semigroup_any_start():
     rng = np.random.default_rng(2)
     p = rng.normal(size=(3, 3))
-    flow = ContractionFlow(ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p))
-    bound = flow.lipschitz(1.0)  # parameter -1 has inverse +1
+    action = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p)
+    bound = action.operator_norm(1.0)  # parameter -1 has inverse +1
     for _ in range(5):
         x0 = rng.uniform(-10, 10, size=3)
-        result = fixed_point(flow, -1.0, x0, tol=1e-12)
+        result = fixed_point(action, -1.0, x0, tol=1e-12)
         assert np.linalg.norm(result.point) <= 1e-11
         assert all(r <= bound + 1e-9 for r in result.step_ratios)
 
 
 def test_fixed_point_rejects_expanding_parameter():
-    flow = ContractionFlow(DiagonalScaling((1,)))
+    action = DiagonalScaling((1,))
     with pytest.raises(ValueError):
-        fixed_point(flow, 2.0, np.array([1.0]))  # l(eps^-1) = 2 >= 1
+        fixed_point(action, 2.0, np.array([1.0]))  # l(eps^-1) = 2 >= 1
 
 
 class _OpaqueScaling(Action):
@@ -86,6 +85,6 @@ class _OpaqueScaling(Action):
 
 def test_lipschitz_without_matrix_raises():
     # a sampled ratio would only bound the constant from below
-    flow = ContractionFlow(_OpaqueScaling(lambda e: 1.0 / e))
+    action = _OpaqueScaling(lambda e: 1.0 / e)
     with pytest.raises(NotImplementedError):
-        flow.lipschitz(0.25)
+        action.operator_norm(0.25)

@@ -217,3 +217,62 @@ def test_ladder_shapes(kind):
     assert all(group.compare(x, group.identity) <= 0 for x in ladder)
     if kind == POSITIVE_MULTIPLICATIVE:
         assert ladder[0] == 0.5 and ladder[-1] == 2.0**-10
+
+
+def _reference_sample(group, rng, count, window=None):
+    # the parameter sampler as the certificates first drew their samples
+    if group.kind == POSITIVE_MULTIPLICATIVE:
+        w = 2.0 if window is None else window
+        return np.exp(rng.uniform(-w, w, size=count))
+    if group.kind == REAL_ADDITIVE:
+        w = 3.0 if window is None else window
+        return rng.uniform(-w, w, size=count)
+    hi = 6 if window is None else max(1, int(window))
+    return rng.integers(-hi, hi + 1, size=count).astype(np.float64)
+
+
+@pytest.mark.parametrize("window", [None, 0.7, 2.5])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sample_matches_reference_bit_for_bit(kind, window):
+    group = RGroup(kind)
+    got = group.sample(np.random.default_rng(3), 50, window)
+    want = _reference_sample(group, np.random.default_rng(3), 50, window)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    group.validate_many(got)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_haar_blocks_integrate_the_weight(kind):
+    # the blocks tile the group downward from tail_threshold(mass), so their
+    # weighted sum is the closed-form Haar mass of h between the block ends
+    group = RGroup(kind, 0.5 if kind == INTEGER_ADDITIVE else 1.5)
+    blocks = list(group.haar_blocks(1e-6, nodes_per_unit=48, count=3))
+    assert len(blocks) == 3
+    total = sum(float(np.dot(w, group.weights(params))) for params, w in blocks)
+    top = group.tail_threshold(1e-6)
+    upper = top
+    if kind == INTEGER_ADDITIVE:
+        # counting measure: the top block ends at top itself
+        lowest, upper = float(blocks[-1][0][0]), top + 1.0
+        assert [b[0][-1] for b in blocks] == [top, top - 8, top - 16]
+        assert all(np.all(np.diff(params) == 1.0) and np.all(w == 1.0) for params, w in blocks)
+    else:
+        lowest = top * math.exp(-12.0) if kind == POSITIVE_MULTIPLICATIVE else top - 12.0
+        assert all(np.all(params > lowest * (1 - 1e-12) - 1e-12) for params, _ in blocks)
+    expected = group.tail_mass(lowest) - group.tail_mass(upper)
+    assert total == pytest.approx(expected, rel=1e-12)
+
+
+def test_ladder_scale_and_character():
+    m, g, z = RGroup(POSITIVE_MULTIPLICATIVE), RGroup(REAL_ADDITIVE), RGroup(INTEGER_ADDITIVE)
+    # log of the scale is the Haar coordinate: log(eps) on R+*, eps otherwise
+    assert m.ladder_scale(0.25) == 0.25
+    assert g.ladder_scale(-2.0) == math.exp(-2.0)
+    assert z.ladder_scale(-3.0) == math.exp(-3.0)
+    for group, a, b in ((m, 0.3, 4.0), (g, -1.2, 0.7), (z, -2.0, 5.0)):
+        chi = group.character(1.7)
+        assert chi(group.identity) == 1.0
+        assert chi(group.compose(a, b)) == pytest.approx(chi(a) * chi(b), rel=1e-14)
+    assert m.character(2.0)(0.5) == 0.25
+    assert g.character(2.0)(-1.0) == math.exp(-2.0)
