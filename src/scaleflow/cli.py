@@ -18,19 +18,17 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import reports
-from .actions import Ball, certify_absorption, certify_escape, certify_group_law
+from .actions import certify_absorption, certify_escape, certify_group_law
 from .config import ConfigError
 from .contraction import certify_submultiplicative, fixed_point
 from .meanvalue import empirical_mean, mean, verify_convolution, verify_translation_invariance
 from .measures import (
-    DEFAULT_TAIL_CUT,
     SupportEscapeError,
     check_factor_multiplicative,
-    construct_measure,
     verify_center_null,
     verify_homogeneity,
 )
-from .quadrature import UnderResolvedError
+from .quadrature import Box, UnderResolvedError
 from .sigma import trace_norm_bound_rows, verify_sigma_convergence
 
 EXIT_PASS = 0
@@ -63,29 +61,29 @@ def _status(name: str, passed: bool, detail: str = "") -> None:
 
 
 def _run_verify_action(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
-    ladder = cfg_mod.build_ladder(cfg, group)
-    seed = int(cfg.get("seed", 0))
+    action = cfg_mod.build_action(cfg)
+    ladder = cfg_mod.build_ladder(cfg, action.group)
+    absorption = cfg.get("absorption")
+    if absorption:
+        source, target = cfg_mod.build_absorption(absorption, action)
+    escape = cfg.get("escape")
+    if escape:
+        cfg_mod.check_dimension("escape.point", len(escape["point"]), action.dimension)
     results = {}
-    law = certify_group_law(action, sample_count=256, seed=seed)
+    law = certify_group_law(action, sample_count=256, seed=cfg.get("seed", 0))
     results["group_law"] = law
     _status("group-law", law.passed, f"worst={law.worst_violation:.3e}")
     ok = law.passed
-    block = cfg.get("absorption")
-    if block:
-        source = cfg_mod.build_ball(block, "source_center", "source_radius", action.dimension)
-        target = Ball(center=tuple(action.center()), radius=float(block["target_radius"]))
+    if absorption:
         cert = certify_absorption(
             action, source, target, ladder,
-            directions_per_dim=int(block.get("directions_per_dim", 64)),
+            directions_per_dim=absorption.get("directions_per_dim", 64),
         )
         results["absorption"] = cert
         _status("absorption", cert.passed, f"threshold={cert.threshold}")
         ok = ok and cert.passed
-    block = cfg.get("escape")
-    if block:
-        rep = certify_escape(action, block["point"], ladder, float(block["radius"]))
+    if escape:
+        rep = certify_escape(action, escape["point"], ladder, escape["radius"])
         results["escape"] = rep
         _status("escape", rep.passed, f"threshold={rep.threshold}")
         ok = ok and rep.passed
@@ -96,28 +94,20 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
 
 
 def _run_contract(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
-    block = cfg.get("contraction") or {}
-    starts = int(block.get("starts", 10))
-    if starts < 1:
-        raise ConfigError("contraction.starts must be at least 1")
-    eps = cfg_mod.group_element(group, block.get("eps", group.ladder(1)[0]), "contraction.eps")
-    seed = int(cfg.get("seed", 0))
-    sub = certify_submultiplicative(
-        action, sample_count=int(block.get("pairs", 256)), seed=seed,
-        ladder=cfg_mod.build_ladder(cfg, group),
-    )
+    action = cfg_mod.build_action(cfg)
+    ladder = cfg_mod.build_ladder(cfg, action.group)
+    block = cfg_mod.build_contraction(cfg, action.group)
+    starts, eps = block["starts"], block["eps"]
+    seed = cfg.get("seed", 0)
+    sub = certify_submultiplicative(action, sample_count=block["pairs"], seed=seed, ladder=ladder)
     _status("submultiplicative", sub.passed, f"worst_excess={sub.worst_excess:.3e}")
-    tol = float(block.get("tol", 1e-12))
     rng = np.random.default_rng(seed)
     fp_rows = []
     ok = sub.passed
     for i in range(starts):
         x0 = rng.uniform(-8.0, 8.0, size=action.dimension)
         try:
-            result = fixed_point(action, eps, x0, tol=tol,
-                                 max_iter=int(block.get("max_iter", 10**5)))
+            result = fixed_point(action, eps, x0, tol=block["tol"], max_iter=block["max_iter"])
             fp_rows.append(
                 {
                     "start": i,
@@ -144,14 +134,13 @@ def _run_contract(cfg, header, out, jobs) -> bool:
 
 
 def _run_homogeneity(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
+    action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_homogenizer(cfg, action)
-    ladder = cfg_mod.build_ladder(cfg, group)
+    ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
-    tol = cfg_mod.tolerance(cfg, "rel", 1e-6)
+    tol = cfg.get("tolerances", {}).get("rel", 1e-6)
     partials, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
-    mult_defect = check_factor_multiplicative(hz, seed=int(cfg.get("seed", 0)))
+    mult_defect = check_factor_multiplicative(hz, seed=cfg.get("seed", 0))
     null = verify_center_null(hz)
     ok = passed and mult_defect <= 1e-9 and null.passed
     _status("homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
@@ -173,16 +162,11 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
 
 
 def _run_construct(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
-    block = cfg.get("construct") or {}
-    seed_measure = cfg_mod.build_seed_measure(block.get("seed_measure", {"kind": "dirac", "point": [1.0]}))
-    measure = construct_measure(group, action, seed_measure,
-                                tail_cut=float(block.get("tail_cut", DEFAULT_TAIL_CUT)))
-    hz = measure.as_homogenizer(cfg_mod.build_grid_spec(cfg))
-    ladder = cfg_mod.build_ladder(cfg, group)
+    action = cfg_mod.build_action(cfg)
+    hz = cfg_mod.build_constructed_measure(cfg, action).as_homogenizer(cfg_mod.build_grid_spec(cfg))
+    ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
-    tol = cfg_mod.tolerance(cfg, "rel", 1e-5)
+    tol = cfg.get("tolerances", {}).get("rel", 1e-5)
     _, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
     _status("construct-homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
     reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
@@ -193,35 +177,39 @@ def _run_construct(cfg, header, out, jobs) -> bool:
 
 
 def _run_mean(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
+    action = cfg_mod.build_action(cfg)
+    dim = action.dimension
     hz = cfg_mod.build_homogenizer(cfg, action)
-    block = cfg.get("mean") or {}
-    if "function" not in block:
-        raise ConfigError("mean runs need a mean.function block")
-    u = cfg_mod.build_mean_function(block["function"])
+    if "mean" not in cfg:
+        raise ConfigError("mean runs need a mean block")
+    block = cfg["mean"]
+    u = cfg_mod.build_mean_function(block["function"], dim)
     phi = cfg_mod.build_test_function(
-        block.get("phi", {"kind": "triangle", "center": 0.3, "width": 0.7}), action.dimension
+        block.get("phi", {"kind": "triangle", "center": [0.3], "width": 0.7}), dim, "mean.phi"
     )
-    ladder = cfg_mod.build_ladder(cfg, group)
+    if "shift" in block:
+        cfg_mod.check_dimension("mean.shift", len(block["shift"]), dim)
+    if "kernel" in block:
+        kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
+    ladder = cfg_mod.build_ladder(cfg, action.group)
+    tolerances = cfg.get("tolerances", {})
+    tol = tolerances.get("rel", 1e-2)
+    order_floor = tolerances.get("decay_order", 0.9)
     value = mean(u)
     print(f"closed-form mean: {value}")
     report = empirical_mean(u, hz, phi, ladder)
-    tol = cfg_mod.tolerance(cfg, "rel", 1e-2)
-    order_floor = cfg_mod.tolerance(cfg, "decay_order", 0.9)
     ok = report.final_error <= tol and report.fitted_order >= order_floor
     _status(
         "empirical-mean", ok,
         f"final_err={report.final_error:.3e} order={report.fitted_order:.2f}",
     )
     results = {"empirical": report, "closed_form": value}
-    if block.get("shift") is not None:
+    if "shift" in block:
         trans = verify_translation_invariance(u, report, hz, block["shift"], phi)
         results["translation"] = trans
         _status("translation-invariance", trans.passed, f"diff={trans.difference:.3e}")
         ok = ok and trans.passed
-    if block.get("kernel") is not None:
-        kernel = cfg_mod.build_test_function(block["kernel"], action.dimension)
+    if "kernel" in block:
         conv = verify_convolution(kernel, u, report, hz, phi)
         results["convolution"] = conv
         _status("convolution", conv.passed, f"diff={conv.difference:.3e}")
@@ -233,25 +221,29 @@ def _run_mean(cfg, header, out, jobs) -> bool:
 
 
 def _run_sigma(cfg, header, out, jobs) -> bool:
-    group = cfg_mod.build_group(cfg)
-    action = cfg_mod.build_action(cfg, group)
+    action = cfg_mod.build_action(cfg)
+    dim = action.dimension
     spec = cfg_mod.build_grid_spec(cfg)
-    block = cfg.get("sigma")
-    if not block:
+    if "sigma" not in cfg:
         raise ConfigError("sigma runs need a sigma block")
-    algebra = cfg_mod.build_algebra(block.get("algebra", {"kind": "periodic", "dimension": 1}))
-    domain = cfg_mod.build_box(block.get("domain", [[0.0, 1.0]]), "sigma.domain")
-    u = cfg_mod.build_field(block["u0"], algebra, domain, "sigma.u0.")
+    block = cfg["sigma"]
+    algebra = cfg_mod.build_algebra(block.get("algebra", {"kind": "periodic"}), dim)
+    domain = block.get("domain", Box((0.0,) * dim, (1.0,) * dim))
+    cfg_mod.check_dimension("sigma.domain", domain.dim, dim)
+    u = cfg_mod.build_field(block["u0"], algebra, domain, "sigma.u0")
     battery = [
-        cfg_mod.build_field(b, algebra, domain, f"sigma.battery[{i}].")
+        cfg_mod.build_field(b, algebra, domain, f"sigma.battery[{i}]")
         for i, b in enumerate(block.get("battery", []))
     ]
     if not battery:
         raise ConfigError("sigma runs need a non-empty battery")
-    ladder = cfg_mod.build_ladder(cfg, group)
-    tol = cfg_mod.tolerance(cfg, "rel", 1e-2)
-    order_floor = cfg_mod.tolerance(cfg, "decay_order", 0.9)
-    p = float(block.get("p", 2.0))
+    ladder = cfg_mod.build_ladder(cfg, action.group)
+    tolerances = cfg.get("tolerances", {})
+    tol = tolerances.get("rel", 1e-2)
+    order_floor = tolerances.get("decay_order", 0.9)
+    p = block.get("p", 2.0)
+    if not 1.0 < p < float("inf"):
+        raise ConfigError(f"sigma.p must satisfy 1 < p < inf, got {p}")
     partials = _parallel(
         lambda psi: verify_sigma_convergence(u, [psi], action, ladder, spec, tol=tol, p=p),
         battery, jobs,
@@ -313,12 +305,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        cfg = cfg_mod.load_config(args.config)
-        cfg_mod.validate_config(cfg)
-        cfg_mod.apply_overrides(cfg, args.tol_override)
-        header = reports.report_header(
-            reports.config_digest(args.config), int(cfg.get("seed", 0))
-        )
+        raw = cfg_mod.load_config(args.config)
+        cfg_mod.apply_overrides(raw, args.tol_override)
+        cfg = cfg_mod.validate_config(raw)
+        header = reports.report_header(reports.config_digest(args.config), cfg.get("seed", 0))
         passed = _RUNNERS[args.subcommand](cfg, header, args.out, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,10 +1,15 @@
-"""Experiment configuration: YAML schema validation and object builders.
+"""Experiment configuration: one typed schema, one validating walk, object builders.
 
-Configs are plain nested mappings.  Validation is strict: unknown keys are
-rejected with their full path so typos fail fast (exit code 2 at the CLI).
+:func:`validate_config` walks a YAML mapping against ``_SCHEMA`` once: it
+rejects unknown and missing keys, converts every value and names the path of
+a bad entry in a :class:`ConfigError` (exit code 2 at the CLI).  Builders read
+only converted values and add the checks that relate two fields.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -14,11 +19,14 @@ from .algebra import HAlgebra
 from .groups import RGroup
 from .meanvalue import MeanFunction
 from .measures import (
+    DEFAULT_TAIL_CUT,
+    ConstructedMeasure,
     GridSpec,
     Homogenizer,
     MeasureDescriptor,
     TestFunction,
     bump,
+    construct_measure,
     default_battery,
     gaussian,
     mollifier,
@@ -49,340 +57,341 @@ def load_config(path: str) -> dict:
     return data
 
 
-# -- strict key checking -------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "": {
-        "seed", "group", "action", "ladder", "grid", "tolerances", "battery",
-        "absorption", "escape", "contraction", "homogenizer", "construct",
-        "mean", "sigma",
-    },
-    "group": {"kind", "weight_param"},
-    "action": {"variant", "exponents", "k", "matrix", "factors"},
-    "ladder": {"count", "step", "values"},
-    "grid": {"rule", "base_nodes", "panel_order", "max_nodes", "nodes_per_period"},
-    "battery[]": {"kind", "name", "center", "sigma", "width", "box"},
-    "absorption": {"source_center", "source_radius", "target_radius", "directions_per_dim"},
-    "escape": {"point", "radius"},
-    "contraction": {"eps", "starts", "tol", "max_iter", "pairs"},
-    "homogenizer": {"measure", "power", "point", "factor_override"},
-    "construct": {"seed_measure", "tail_cut"},
-    "construct.seed_measure": {"kind", "point", "power", "box"},
-    "mean": {"function", "phi", "shift", "kernel"},
-    "mean.function": {"class", "terms", "limit", "profile", "dimension"},
-    "sigma": {"algebra", "domain", "u0", "battery", "p"},
-    "sigma.algebra": {"kind", "dimension", "generators", "degree"},
-    "sigma.u0": {"name", "terms"},
-    "sigma.u0.terms[]": {"macro", "element"},
-    "tolerances": {"rel", "decay_order"},
-}
-
-# Keys a block must carry whenever it is present.  Keys that only some kinds
-# of a block need are checked by that block's builder.
-_REQUIRED_KEYS = {
-    "absorption": {"source_radius", "target_radius"},
-    "escape": {"point", "radius"},
-    "sigma": {"u0"},
-    "sigma.u0.terms[]": {"macro", "element"},
-}
-
-
-def _check_keys(block: dict, schema_key: str, path: str) -> None:
-    known = _KNOWN_KEYS[schema_key]
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"unknown key {path}{key!r} (known: {sorted(known)})")
-    for key in sorted(_REQUIRED_KEYS.get(schema_key, ())):
-        _required(block, key, path)
-
-
-def _required(block: dict, key: str, path: str):
-    """``block[key]``, or a config error naming the missing key's path."""
-    if key not in block:
-        raise ConfigError(f"missing key {path}{key!r}")
-    return block[key]
-
-
-def validate_config(cfg: dict) -> None:
-    _check_keys(cfg, "", "")
-    for name in ("group", "action", "ladder", "grid", "absorption", "escape",
-                 "contraction", "homogenizer", "construct", "mean", "tolerances"):
-        block = cfg.get(name)
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            raise ConfigError(f"{name!r} must be a mapping")
-        _check_keys(block, name, f"{name}.")
-    for i, entry in enumerate(cfg.get("battery", []) or []):
-        _check_keys(entry, "battery[]", f"battery[{i}].")
-    mean_block = cfg.get("mean")
-    if mean_block:
-        fn = mean_block.get("function")
-        if isinstance(fn, dict):
-            _check_keys(fn, "mean.function", "mean.function.")
-        for key in ("phi", "kernel"):
-            if isinstance(mean_block.get(key), dict):
-                _check_keys(mean_block[key], "battery[]", f"mean.{key}.")
-    construct = cfg.get("construct")
-    if construct and isinstance(construct.get("seed_measure"), dict):
-        _check_keys(construct["seed_measure"], "construct.seed_measure",
-                    "construct.seed_measure.")
-    sigma = cfg.get("sigma")
-    if sigma:
-        if not isinstance(sigma, dict):
-            raise ConfigError("'sigma' must be a mapping")
-        _check_keys(sigma, "sigma", "sigma.")
-        if isinstance(sigma.get("algebra"), dict):
-            _check_keys(sigma["algebra"], "sigma.algebra", "sigma.algebra.")
-        fields = [("sigma.u0.", sigma["u0"])] + [
-            (f"sigma.battery[{i}].", psi) for i, psi in enumerate(sigma.get("battery", []) or [])
-        ]
-        for path, block in fields:
-            if isinstance(block, dict):
-                _check_keys(block, "sigma.u0", path)
-                for i, term in enumerate(block.get("terms", []) or []):
-                    _check_keys(term, "sigma.u0.terms[]", f"{path}terms[{i}].")
-
-
-# -- builders --------------------------------------------------------------------
-
-
-def build_group(cfg: dict) -> RGroup:
-    block = cfg.get("group") or {"kind": "positive-multiplicative"}
+@contextmanager
+def _at(path: str):
+    """Re-raise a ``TypeError`` or ``ValueError`` as a config error naming ``path``."""
     try:
-        return RGroup(kind=block["kind"], weight_param=block.get("weight_param"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad group block: {exc}") from exc
-
-
-def build_action(cfg: dict, group: RGroup) -> Action:
-    block = cfg.get("action") or {"variant": "diagonal-scaling", "exponents": [1]}
-    return _action_from_block(block, group)
-
-
-def _action_from_block(block: dict, group: RGroup) -> Action:
-    variant = block.get("variant")
-    try:
-        if variant == "diagonal-scaling":
-            return DiagonalScaling(tuple(block["exponents"]), group=group)
-        if variant == "exp-semigroup":
-            return ExpSemigroup.from_matrix(block["k"], block["matrix"], group=group)
-        if variant == "product":
-            factors = [_action_from_block(b, group) for b in block["factors"]]
-            return ProductAction(factors=tuple(factors))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad action block: {exc}") from exc
-    raise ConfigError(f"unknown action variant {variant!r}")
-
-
-def group_element(group: RGroup, value, path: str) -> float:
-    """``value`` as an element of ``group``; a config error names its path."""
-    try:
-        return group.validate(value)
+        yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# -- schema ----------------------------------------------------------------------
+# A node is a mapping from keys to nodes, a _Variants mapping, a one-entry list
+# (a list of that node), a _Then, or a converter of a leaf value.
+
+
+class _Required(NamedTuple):  # a key its mapping must carry
+    node: object
+
+
+class _Variants(NamedTuple):  # a mapping whose ``tag`` key picks its schema
+    tag: str
+    choices: dict
+    default: str | None = None
+
+
+class _Then(NamedTuple):  # ``node`` converted, then passed to ``build``
+    node: object
+    build: object
+
+
+def _floats(value) -> list:
+    """A number or a list of numbers, as a list of floats."""
+    return [float(v) for v in value] if isinstance(value, list) else [float(value)]
+
+
+def _row(shape: str, *converters):
+    """The converter of a list of ``len(converters)`` entries such as ``[low, high]``."""
+    def convert(value) -> tuple:
+        if not isinstance(value, list) or len(value) != len(converters):
+            raise ValueError(f"must be {shape}, got {value!r}")
+        return tuple(c(v) for c, v in zip(converters, value))
+    return convert
+
+
+def _one_of(*names):
+    def choose(value):
+        if value not in names:
+            raise ValueError(f"must be one of {list(names)}, got {value!r}")
+        return value
+    return choose
+
+
+def _label(value):
+    if not isinstance(value, (str, int, float)):
+        raise TypeError(f"a name must be a string or a number, got {value!r}")
+    return value
+
+
+def _box(pairs: list) -> Box:
+    if not pairs:
+        raise ValueError("needs at least one [low, high] pair")
+    return Box(tuple(low for low, _ in pairs), tuple(high for _, high in pairs))
+
+
+_BOX = _Then([_row("a [low, high] pair", float, float)], _box)
+# a [frequency, re, im] term as (frequency list, coefficient)
+_TERMS = _Required([_Then(_row("[frequency, re, im]", _floats, float, float),
+                          lambda t: (t[0], complex(t[1], t[2])))])
+_POINT = _Required(_floats)
+_TEST_FUNCTION = _Variants("kind", {
+    "gaussian": {"center": _POINT, "sigma": _Required(float), "name": _label},
+    "bump": {"center": _POINT, "width": _Required(float), "name": _label},
+    "triangle": {"center": _POINT, "width": _Required(float), "name": _label},
+    "mollifier": {"center": _POINT, "width": _Required(float), "name": _label},
+    "parabola": {"box": _Required(_BOX), "name": _label},
+})
+_ACTION = _Variants("variant", {
+    "diagonal-scaling": {"exponents": _Required([int])},
+    "exp-semigroup": {"k": _Required(float), "matrix": _Required([[float]])},
+    "product": {},
+})
+_ACTION.choices["product"]["factors"] = _Required([_ACTION])
+_FIELD = {"name": _label,
+          "terms": _Required([{"macro": _Required(_TEST_FUNCTION), "element": _TERMS}])}
+_SCHEMA = {
+    "seed": int,
+    "group": {"kind": _Required(str), "weight_param": float},
+    "action": _ACTION,
+    "ladder": {"count": int, "step": float, "values": [float]},
+    "grid": {"rule": _one_of(MIDPOINT, GAUSS), "base_nodes": int, "panel_order": int,
+             "max_nodes": int, "nodes_per_period": int},
+    "tolerances": {"rel": float, "decay_order": float},
+    "battery": [_TEST_FUNCTION],
+    "absorption": {"source_center": _floats, "source_radius": _Required(float),
+                   "target_radius": _Required(float), "directions_per_dim": int},
+    "escape": {"point": _POINT, "radius": _Required(float)},
+    "contraction": {"eps": float, "starts": int, "tol": float, "max_iter": int, "pairs": int},
+    "homogenizer": _Variants("measure", {
+        "lebesgue": {"factor_override": float},
+        "weighted-power": {"factor_override": float, "power": float},
+        "dirac": {"factor_override": float, "point": _floats},
+    }, default="lebesgue"),
+    "construct": {
+        "seed_measure": _Variants("kind", {"dirac": {"point": _POINT},
+                                           "uniform": {"box": _Required(_BOX)}}),
+        "tail_cut": float,
+    },
+    "mean": {
+        "function": _Required(_Variants("class", {
+            "periodic": {"terms": _TERMS},
+            "almost-periodic": {"terms": _TERMS},
+            "vanishing": {"limit": _floats, "profile": _one_of("inverse-square"),
+                          "dimension": int},
+        })),
+        "phi": _TEST_FUNCTION,
+        "shift": _floats,
+        "kernel": _TEST_FUNCTION,
+    },
+    "sigma": {
+        "algebra": _Variants("kind", {
+            "periodic": {"dimension": int},
+            "ap-subgroup": {"dimension": int, "generators": _Required([_floats]), "degree": int},
+        }),
+        "domain": _BOX,
+        "u0": _Required(_FIELD),
+        "battery": [_FIELD],
+        "p": float,
+    },
+}
+
+
+def _walk(value, node, path: str):
+    """``value`` converted against schema ``node``; ``path`` names it in errors."""
+    if isinstance(node, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_walk(entry, node[0], f"{path}[{i}]") for i, entry in enumerate(value)]
+    if isinstance(node, _Then):
+        value, node = _walk(value, node.node, path), node.build
+    if not isinstance(node, (dict, _Variants)):
+        with _at(path):
+            return node(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'} must be a mapping, got {value!r}")
+    prefix = f"{path}." if path else ""
+    if isinstance(node, _Variants):
+        tag = value.get(node.tag, node.default)
+        if not isinstance(tag, str) or tag not in node.choices:
+            raise ConfigError(f"unknown {prefix}{node.tag} {tag!r} (known: {sorted(node.choices)})")
+        value, node = {node.tag: tag, **value}, {node.tag: str, **node.choices[tag]}
+    for key in value:
+        if key not in node:
+            raise ConfigError(f"unknown key {prefix}{key!r} (known: {sorted(node)})")
+    out = {}
+    for key, child in node.items():
+        if isinstance(child, _Required) and key not in value:
+            raise ConfigError(f"missing key {prefix}{key!r}")
+        if key in value:
+            out[key] = _walk(value[key], child.node if isinstance(child, _Required) else child,
+                             prefix + key)
+    return out
+
+
+def validate_config(cfg: dict) -> dict:
+    """``cfg`` with every value converted; an unknown or missing key or a
+    malformed value is a config error naming its path."""
+    return _walk(cfg, _SCHEMA, "")
+
+
+def apply_overrides(cfg: dict, overrides) -> None:
+    """Copy ``--tol-override key=value`` pairs into the raw tolerances block,
+    which :func:`validate_config` then checks like any other."""
+    for item in overrides or ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"bad override {item!r}, expected key=value")
+        if isinstance(cfg.setdefault("tolerances", {}), dict):
+            cfg["tolerances"][key.strip()] = value
+
+
+# -- builders: each reads blocks that validate_config returned --------------------
+
+
+def check_dimension(path: str, got: int, dim: int) -> None:
+    """A config error unless ``got``, the dimension of the entry at ``path``, is ``dim``."""
+    if got != dim:
+        raise ConfigError(f"{path} has dimension {got}, the action's is {dim}")
+
+
+def build_action(cfg: dict) -> Action:
+    with _at("group"):
+        group = RGroup(**cfg.get("group", {"kind": "positive-multiplicative"}))
+    with _at("action"):
+        return _action(cfg.get("action", {"variant": "diagonal-scaling", "exponents": [1]}), group)
+
+
+def _action(block: dict, group: RGroup) -> Action:
+    variant = block["variant"]
+    if variant == "diagonal-scaling":
+        return DiagonalScaling(tuple(block["exponents"]), group=group)
+    if variant == "exp-semigroup":
+        return ExpSemigroup.from_matrix(block["k"], block["matrix"], group=group)
+    return ProductAction(factors=tuple(_action(b, group) for b in block["factors"]))
+
+
 def build_ladder(cfg: dict, group: RGroup) -> list:
-    block = cfg.get("ladder") or {}
-    if "values" in block:
-        return [group_element(group, v, f"ladder.values[{i}]")
-                for i, v in enumerate(block["values"])]
-    count = int(block.get("count", 12))
-    try:
-        return list(group.ladder(count, block.get("step")))
-    except ValueError as exc:
-        raise ConfigError(f"ladder.{'count' if count < 1 else 'step'}: {exc}") from exc
+    block = cfg.get("ladder", {})
+    if "values" not in block:
+        count = block.get("count", 12)
+        with _at("ladder.count" if count < 1 else "ladder.step"):
+            return list(group.ladder(count, block.get("step")))
+    ladder = []
+    for i, value in enumerate(block["values"]):
+        with _at(f"ladder.values[{i}]"):
+            ladder.append(group.validate(value))
+    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("ladder.values must be a non-empty, strictly decreasing list")
+    return ladder
 
 
 def build_grid_spec(cfg: dict) -> GridSpec:
-    block = cfg.get("grid") or {}
-    rule = block.get("rule", MIDPOINT)
-    if rule not in (MIDPOINT, GAUSS):
-        raise ConfigError(f"unknown grid rule {rule!r}")
-    counts = {key: int(value) for key, value in block.items() if key != "rule"}
-    return GridSpec(rule=rule, **counts)
+    return GridSpec(**cfg.get("grid", {}))
 
 
-def build_test_function(block: dict, dim: int) -> TestFunction:
-    kind = block.get("kind")
-    name = block.get("name")
-    try:
+def build_test_function(block: dict, dim: int, path: str) -> TestFunction:
+    kind, name = block["kind"], block.get("name")
+    if kind == "parabola":
+        check_dimension(f"{path}.box", block["box"].dim, dim)
+        return parabola(block["box"], name)
+    center = block["center"]
+    check_dimension(f"{path}.center", len(center), dim)
+    with _at(path):  # a support box of non-positive width
         if kind == "gaussian":
-            return gaussian(block["center"], float(block["sigma"]), name)
-        if kind == "bump":
-            return bump(block["center"], float(block["width"]), name)
+            return gaussian(center, block["sigma"], name)
         if kind == "triangle":
-            if dim != 1:
-                raise ConfigError("triangle functions are one-dimensional")
-            center = block["center"]
-            center = center[0] if isinstance(center, (list, tuple)) else center
-            return triangle(float(center), float(block["width"]), name)
-        if kind == "mollifier":
-            return mollifier(block["center"], float(block["width"]), name)
-        if kind == "parabola":
-            return parabola(build_box(block["box"], "parabola box"), name)
-    except KeyError as exc:
-        raise ConfigError(f"test function missing key {exc}") from exc
-    raise ConfigError(f"unknown test function kind {kind!r}")
+            return triangle(center[0], block["width"], name)
+        return (bump if kind == "bump" else mollifier)(center, block["width"], name)
 
 
 def build_battery(cfg: dict, dim: int) -> list:
     entries = cfg.get("battery")
     if not entries:
         return default_battery(dim)
-    return [build_test_function(b, dim) for b in entries]
+    return [build_test_function(b, dim, f"battery[{i}]") for i, b in enumerate(entries)]
+
+
+def build_absorption(block: dict, action: Action) -> tuple[Ball, Ball]:
+    center = block.get("source_center", [0.0] * action.dimension)
+    check_dimension("absorption.source_center", len(center), action.dimension)
+    with _at("absorption"):
+        return (Ball(center=center, radius=block["source_radius"]),
+                Ball(center=tuple(action.center()), radius=block["target_radius"]))
+
+
+def build_contraction(cfg: dict, group: RGroup) -> dict:
+    """The ``contraction`` block with its defaults, ``eps`` a group element."""
+    block = {"starts": 10, "tol": 1e-12, "max_iter": 10**5, "pairs": 256,
+             **cfg.get("contraction", {})}
+    if block["starts"] < 1:
+        raise ConfigError("contraction.starts must be at least 1")
+    with _at("contraction.eps"):
+        block["eps"] = group.validate(block.get("eps", group.ladder(1)[0]))
+    return block
 
 
 def build_homogenizer(cfg: dict, action: Action) -> Homogenizer:
     grid_spec = build_grid_spec(cfg)
-    block = cfg.get("homogenizer") or {"measure": "lebesgue"}
-    measure = block.get("measure", "lebesgue")
-    if measure == "lebesgue":
-        hz = Homogenizer.lebesgue(action, grid_spec)
-    elif measure == "weighted-power":
-        hz = Homogenizer.weighted_power(action, float(block.get("power", 1.0)), grid_spec)
-    elif measure == "dirac":
+    block = cfg.get("homogenizer", {"measure": "lebesgue"})
+    if block["measure"] == "weighted-power":
+        if not isinstance(action, DiagonalScaling) or action.dimension != 1:
+            raise ConfigError("homogenizer.measure: weighted-power needs a 1-D diagonal scaling")
+        hz = Homogenizer.weighted_power(action, block.get("power", 1.0), grid_spec)
+    elif block["measure"] == "dirac":
+        if "point" in block:
+            check_dimension("homogenizer.point", len(block["point"]), action.dimension)
         hz = Homogenizer.point_mass(action, block.get("point"), grid_spec)
     else:
-        raise ConfigError(f"unknown homogenizer measure {measure!r}")
-    override = block.get("factor_override")
-    if override is not None:
+        hz = Homogenizer.lebesgue(action, grid_spec)
+    if "factor_override" in block:
         # negative-control knob: replace the factor map by a declared rate
-        hz = hz.with_factor_map(action.group.character(float(override)))
+        hz = hz.with_factor_map(action.group.character(block["factor_override"]))
     return hz
 
 
-def build_seed_measure(block: dict) -> MeasureDescriptor:
-    kind = block.get("kind")
-    if kind == "dirac":
-        return MeasureDescriptor.dirac(_required(block, "point", "construct.seed_measure."))
-    if kind == "uniform":
-        box = build_box(_required(block, "box", "construct.seed_measure."),
-                        "construct.seed_measure.box")
-        return MeasureDescriptor(
-            kind="weighted-density",
-            dimension=box.dim,
-            density=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-            domain_lows=box.lows,
-            domain_highs=box.highs,
-        )
-    raise ConfigError(f"unknown seed measure kind {kind!r}")
+def build_seed_measure(block: dict, dim: int) -> MeasureDescriptor:
+    if block["kind"] == "dirac":
+        check_dimension("construct.seed_measure.point", len(block["point"]), dim)
+        return MeasureDescriptor.dirac(block["point"])
+    box = block["box"]
+    check_dimension("construct.seed_measure.box", box.dim, dim)
+    return MeasureDescriptor("lebesgue", box.dim, domain_lows=box.lows, domain_highs=box.highs)
 
 
-def _pairs(entries, path: str) -> list:
-    """``entries`` as (low, high) float pairs; a config error names a bad entry."""
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path} must be a list of [low, high] pairs")
-    pairs = []
-    for i, pair in enumerate(entries):
-        try:
-            low, high = (float(v) for v in pair)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}[{i}] must be a [low, high] pair, got {pair!r}") from exc
-        pairs.append((low, high))
-    return pairs
+def build_constructed_measure(cfg: dict, action: Action) -> ConstructedMeasure:
+    block = cfg.get("construct", {})
+    seed = build_seed_measure(block.get("seed_measure", {"kind": "dirac", "point": [1.0]}),
+                              action.dimension)
+    with _at("construct.seed_measure"):
+        return construct_measure(action.group, action, seed,
+                                 tail_cut=block.get("tail_cut", DEFAULT_TAIL_CUT))
 
 
-def build_box(entries, path: str) -> Box:
-    """A box from ``[low, high]`` pairs; a config error names a bad entry."""
-    pairs = _pairs(entries, path)
-    if not pairs:
-        raise ConfigError(f"{path} needs at least one [low, high] pair")
-    try:
-        return Box(tuple(low for low, _ in pairs), tuple(high for _, high in pairs))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _terms(terms, path: str) -> list:
-    """``[frequency, re, im]`` entries as (frequency list, coefficient) pairs."""
-    if not isinstance(terms, list):
-        raise ConfigError(f"{path} must be a list of [frequency, re, im] terms")
-    parsed = []
-    for i, term in enumerate(terms):
-        try:
-            freq, re, im = term
-            parsed.append(([freq] if np.isscalar(freq) else list(freq),
-                           complex(float(re), float(im))))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{path}[{i}] must be [frequency, re, im], got {term!r}"
-            ) from exc
-    return parsed
-
-
-def build_mean_function(block: dict) -> MeanFunction:
-    cls = block.get("class")
-    if cls in ("periodic", "almost-periodic"):
-        terms = _terms(_required(block, "terms", "mean.function."), "mean.function.terms")
-        poly = TrigPolynomial.from_terms(terms)
-        if cls == "periodic":
-            return MeanFunction.periodic_trig(poly)
-        return MeanFunction.almost_periodic(poly)
+def build_mean_function(block: dict, dim: int) -> MeanFunction:
+    cls = block["class"]
     if cls == "vanishing":
-        limit = block.get("limit", 0.0)
-        limit = complex(limit[0], limit[1]) if isinstance(limit, (list, tuple)) else complex(limit)
-        dim = int(block.get("dimension", 1))
-        profile = block.get("profile", "inverse-square")
-        if profile != "inverse-square":
-            raise ConfigError(f"unknown vanishing profile {profile!r}")
+        with _at("mean.function.limit"):
+            limit = complex(*block.get("limit", [0.0]))
 
         def evaluator(pts):
             pts = np.atleast_2d(pts)
             return limit + 1.0 / (1.0 + np.sum(pts**2, axis=1))
 
-        return MeanFunction.vanishing(evaluator, limit, dim)
-    raise ConfigError(f"unknown mean-function class {cls!r}")
+        u = MeanFunction.vanishing(evaluator, limit, block.get("dimension", dim))
+    else:
+        with _at("mean.function.terms"):
+            poly = TrigPolynomial.from_terms(block["terms"], dim)
+            u = MeanFunction.periodic_trig(poly) if cls == "periodic" else MeanFunction.almost_periodic(poly)
+    check_dimension("mean.function", u.dimension, dim)
+    return u
 
 
-def build_algebra(block: dict) -> HAlgebra:
-    kind = block.get("kind")
-    if kind == "periodic":
-        return HAlgebra.periodic_lattice(int(block.get("dimension", 1)))
-    if kind == "ap-subgroup":
-        return HAlgebra.subgroup(_required(block, "generators", "sigma.algebra."),
-                                 int(block.get("degree", 8)))
-    raise ConfigError(f"unknown algebra kind {kind!r}")
+def build_algebra(block: dict, dim: int) -> HAlgebra:
+    with _at("sigma.algebra"):
+        algebra = HAlgebra(**{"dimension": dim, **block})
+    check_dimension("sigma.algebra", algebra.dimension, dim)
+    return algebra
 
 
 def build_field(block: dict, algebra: HAlgebra, domain: Box, path: str) -> TwoScaleField:
     """The field of a ``sigma.u0`` or ``sigma.battery[i]`` block found at ``path``."""
     terms = []
-    for i, term in enumerate(block.get("terms", [])):
-        macro = build_test_function(term["macro"], domain.dim)
-        element = algebra.from_terms(_terms(term["element"], f"{path}terms[{i}].element"))
-        terms.append((macro, element))
-    if not terms:
-        raise ConfigError("field needs at least one term")
-    return TwoScaleField(domain=domain, terms=tuple(terms), name=block.get("name", "field"))
-
-
-def build_ball(block: dict, key_center: str, key_radius: str, dim: int) -> Ball:
-    center = block.get(key_center)
-    if center is None:
-        center = [0.0] * dim
-    return Ball(center=tuple(center), radius=float(block[key_radius]))
-
-
-def tolerance(cfg: dict, key: str, default: float) -> float:
-    block = cfg.get("tolerances") or {}
-    return float(block.get(key, default))
-
-
-def apply_overrides(cfg: dict, overrides) -> None:
-    """Apply ``--tol-override key=value`` pairs onto the tolerances block."""
-    if not overrides:
-        return
-    block = cfg.setdefault("tolerances", {})
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"bad override {item!r}, expected key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _KNOWN_KEYS["tolerances"]:
-            raise ConfigError(f"unknown tolerance {key!r} in {item!r}")
-        try:
-            block[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad override value in {item!r}") from exc
+    for i, term in enumerate(block["terms"]):
+        macro = build_test_function(term["macro"], domain.dim, f"{path}.terms[{i}].macro")
+        with _at(f"{path}.terms[{i}].element"):
+            terms.append((macro, algebra.from_terms(term["element"])))
+    with _at(path):
+        return TwoScaleField(domain=domain, terms=tuple(terms), name=block.get("name", "field"))

@@ -76,8 +76,9 @@ def test_criterion_1_group_action_axioms():
             ExpSemigroup.from_matrix(2.0, np.zeros((1, 1))),
         ]),
     ]
-    worst = max(certify_group_law(a, sample_count=256).worst_violation for a in actions)
-    passed = all(certify_group_law(a, sample_count=256).passed for a in actions)
+    certificates = [certify_group_law(a, sample_count=256) for a in actions]
+    worst = max(cert.worst_violation for cert in certificates)
+    passed = all(cert.passed for cert in certificates)
     elapsed = time.monotonic() - start
     _check(
         1,

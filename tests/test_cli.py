@@ -224,7 +224,16 @@ _MISSING_KEYS = [
     ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [
         {"terms": [{"macro": {"kind": "gaussian", "center": [0.5], "sigma": 0.15}}]}]}},
      "sigma.battery[0].terms[0].'element'"),
+    ("homogeneity", {"battery": [{"kind": "gaussian", "center": [0.3]}]}, "battery[0].'sigma'"),
 ]
+
+
+def _assert_rejected_before_any_verdict(code, captured, where, out):
+    # exit 2 naming the path, with no verdict printed and no report written
+    assert code == 2
+    assert where in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand,overlay,missing", _MISSING_KEYS,
@@ -233,9 +242,10 @@ def test_missing_required_key_is_config_error(tmp_path, capsys, subcommand, over
     path = tmp_path / "missing.yaml"
     write_yaml(path, {**BASE, **overlay})
     code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert missing in capsys.readouterr().err
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), missing, tmp_path / "o")
 
+
+_PERIODIC = {"class": "periodic", "terms": [[[0.0], 0.5, 0.0], [[2.0], -0.25, 0.0]]}
 
 # (subcommand, config overlay on BASE, path of the malformed entry)
 _MALFORMED_ENTRIES = [
@@ -254,6 +264,48 @@ _MALFORMED_ENTRIES = [
     ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": [{"terms": [{
         "macro": {"kind": "parabola", "box": [[0.0], [1.0]]},
         "element": [[[1.0], 1.0, 0.0]]}]}]}}, "box[0]"),
+    ("verify-action", {"absorption": {"source_radius": 10.0, "target_radius": "x"}},
+     "absorption.target_radius"),
+    ("verify-action", {"absorption": {"source_radius": 10.0, "target_radius": 1.0,
+                                      "directions_per_dim": "x"}}, "absorption.directions_per_dim"),
+    ("verify-action", {"escape": {"point": [1.0], "radius": "x"}}, "escape.radius"),
+    ("verify-action", {"escape": {"point": [1.0, 2.0], "radius": 10.0}}, "escape.point"),
+    ("verify-action", {"action": {"variant": "product", "factors": [
+        {"variant": "diagonal-scaling", "exponents": [1], "typo": 1}]}}, "action.factors[0].'typo'"),
+    ("homogeneity", {"grid": {"rule": "gauss", "base_nodes": "x"}}, "grid.base_nodes"),
+    ("homogeneity", {"group": {"kind": "positive-multiplicative", "weight_param": "x"}},
+     "group.weight_param"),
+    ("homogeneity", {"battery": [{"kind": "gaussian", "center": [0.3], "sigma": "x"}]},
+     "battery[0].sigma"),
+    ("homogeneity", {"battery": [{"kind": "bump", "center": [0.3, 0.3], "width": 1.0}]},
+     "battery[0].center"),
+    ("homogeneity", {"battery": [{"kind": "gaussian", "center": [0.3], "sigma": -0.5}]},
+     "battery[0]: box sides"),
+    ("homogeneity", {"homogenizer": {"measure": "dirac", "point": [0.3, 0.3]}}, "homogenizer.point"),
+    ("homogeneity", {"action": {"variant": "diagonal-scaling", "exponents": [1, 1]},
+                     "homogenizer": {"measure": "weighted-power"}}, "homogenizer.measure"),
+    ("construct-measure", {"construct": {"tail_cut": "x"}}, "construct.tail_cut"),
+    ("construct-measure", {"construct": {"seed_measure": {"kind": "dirac", "point": [0.0]}}},
+     "construct.seed_measure: seed support"),
+    ("construct-measure", {"construct": {"seed_measure": {"kind": "dirac", "point": [1.0],
+                                                          "power": 7}}},
+     "construct.seed_measure.'power'"),
+    ("mean", {"mean": {"function": _PERIODIC,
+                       "phi": {"kind": "gaussian", "center": [0.3], "sigma": "x"}}},
+     "mean.phi.sigma"),
+    ("mean", {"mean": {"function": _PERIODIC,
+                       "kernel": {"kind": "bump", "center": [0.0], "width": "x"}}},
+     "mean.kernel.width"),
+    ("mean", {"mean": {"function": _PERIODIC, "shift": [0.3, 0.1]}}, "mean.shift"),
+    ("sigma", {"sigma": {"p": "x", "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}}, "sigma.p"),
+    ("sigma", {"sigma": {"p": 1.0, "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}}, "sigma.p must satisfy"),
+    ("sigma", {"sigma": {"algebra": {"kind": "periodic", "dimension": "x"}, "u0": _SIGMA_U0,
+                         "battery": [_SIGMA_U0]}}, "sigma.algebra.dimension"),
+    ("sigma", {"sigma": {"domain": [[0.0, 1.0], [0.0, 1.0]], "u0": _SIGMA_U0,
+                         "battery": [_SIGMA_U0]}}, "sigma.domain has dimension 2"),
+    ("sigma", {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[1.0]], "dimension": 3},
+                         "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}},
+     "sigma.algebra: generator dimension mismatch"),
 ]
 
 
@@ -263,15 +315,21 @@ def test_malformed_entry_is_config_error(tmp_path, capsys, subcommand, overlay, 
     path = tmp_path / "malformed.yaml"
     write_yaml(path, {**BASE, **overlay})
     code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert where in capsys.readouterr().err
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
 
 
-# contract.yaml overlays naming a value that is not an element of its group
+# contract.yaml overlays naming a value that is not an element of its group,
+# or not a number at all
 _BAD_ELEMENTS = [
     ({"ladder": {"values": [0.5, 0.0]}}, "ladder.values[1]"),
     ({"ladder": {"count": 0}}, "ladder.count"),
     ({"contraction": {"eps": -0.5}}, "contraction.eps"),
+    ({"ladder": {"count": "abc"}}, "ladder.count: invalid literal"),
+    ({"ladder": {"values": 0.5}}, "ladder.values must be a list"),
+    ({"contraction": {"pairs": "abc"}}, "contraction.pairs"),
+    ({"contraction": {"tol": "x"}}, "contraction.tol"),
+    ({"seed": "x"}, "seed:"),
+    ({"ladder": {"values": [0.5, 0.5]}}, "strictly decreasing"),
 ]
 
 
@@ -281,8 +339,7 @@ def test_bad_group_element_is_config_error(tmp_path, capsys, overlay, where):
     path = tmp_path / "bad_element.yaml"
     write_yaml(path, {**cfg, **overlay})
     code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert where in capsys.readouterr().err
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
 
 
 def test_cli_mean_point_mass_builds_no_grid(tmp_path):

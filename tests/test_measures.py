@@ -267,7 +267,7 @@ def test_constructed_measure_real_additive_oracle(center, sigma):
 def _uniform_seed_measure():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
-    seed = build_seed_measure({"kind": "uniform", "box": [[1.0, 2.0]]})
+    seed = build_seed_measure({"kind": "uniform", "box": Box((1.0,), (2.0,))}, 1)
     return construct_measure(group, action, seed)
 
 
