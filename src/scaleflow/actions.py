@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .groups import POSITIVE_MULTIPLICATIVE, REAL_ADDITIVE, RGroup
-from .quadrature import Box
+from .quadrature import Box, GridPoints
 
 GROUP_LAW_TOL = 1e-9
 CENTER_TOL = 1e-12
@@ -128,9 +128,20 @@ class Action:
         return pts @ matrices.transpose(0, 2, 1)
 
     def apply(self, eps: float, x):
+        """Image of a point, of an (M, N) array of points or of a tensor
+        grid's :class:`GridPoints` under H_eps."""
+        eps = self.group.validate(eps)
+        if isinstance(x, GridPoints):
+            if x.shape[1] != self.dimension:
+                raise ValueError(f"expected points of dimension {self.dimension}, got {x.shape}")
+            return self._apply_grid(eps, x)
         pts, single = _as_points(x, self.dimension)
-        out = self._apply_many(np.array([self.group.validate(eps)]), pts)[0]
+        out = self._apply_many(np.array([eps]), pts)[0]
         return out[0] if single else out
+
+    def _apply_grid(self, eps: float, grid: GridPoints):
+        # a general linear map mixes the axes: image of the built point array
+        return self._apply_many(np.array([eps]), np.asarray(grid))[0]
 
     def apply_inverse(self, eps: float, x):
         return self.apply(self.group.inverse(eps), x)
@@ -200,6 +211,11 @@ class DiagonalScaling(Action):
 
     def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return pts * self._scales(params)[:, None, :]
+
+    def _apply_grid(self, eps: float, grid: GridPoints) -> GridPoints:
+        # scaling each axis maps a tensor grid to a tensor grid
+        scales = self._scales(np.array([eps]))[0]
+        return GridPoints([axis * s for axis, s in zip(grid.axes, scales)])
 
     def operator_norm(self, eps: float) -> float:
         return float(np.max(self._scales(np.array([self.group.validate(eps)]))))

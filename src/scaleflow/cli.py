@@ -68,7 +68,7 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
         source, target = cfg_mod.build_absorption(absorption, action)
     escape = cfg.get("escape")
     if escape:
-        cfg_mod.check_dimension("escape.point", len(escape["point"]), action.dimension)
+        escape_point = cfg_mod.build_escape(escape, action)
     results = {}
     law = certify_group_law(action, sample_count=256, seed=cfg.get("seed", 0))
     results["group_law"] = law
@@ -83,7 +83,7 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
         _status("absorption", cert.passed, f"threshold={cert.threshold}")
         ok = ok and cert.passed
     if escape:
-        rep = certify_escape(action, escape["point"], ladder, escape["radius"])
+        rep = certify_escape(action, escape_point, ladder, escape["radius"])
         results["escape"] = rep
         _status("escape", rep.passed, f"threshold={rep.threshold}")
         ok = ok and rep.passed
@@ -191,7 +191,7 @@ def _run_mean(cfg, header, out, jobs) -> bool:
         cfg_mod.check_dimension("mean.shift", len(block["shift"]), dim)
     if "kernel" in block:
         kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
-    ladder = cfg_mod.build_ladder(cfg, action.group)
+    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
     tolerances = cfg.get("tolerances", {})
     tol = tolerances.get("rel", 1e-2)
     order_floor = tolerances.get("decay_order", 0.9)
@@ -237,7 +237,7 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
     ]
     if not battery:
         raise ConfigError("sigma runs need a non-empty battery")
-    ladder = cfg_mod.build_ladder(cfg, action.group)
+    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
     tolerances = cfg.get("tolerances", {})
     tol = tolerances.get("rel", 1e-2)
     order_floor = tolerances.get("decay_order", 0.9)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .actions import Action, Ball, DiagonalScaling, ExpSemigroup, ProductAction
+from .actions import CENTER_TOL, Action, Ball, DiagonalScaling, ExpSemigroup, ProductAction
 from .algebra import HAlgebra
 from .groups import RGroup
 from .meanvalue import MeanFunction
@@ -102,6 +102,16 @@ def _row(shape: str, *converters):
     return convert
 
 
+def _positive(convert):
+    """The converter ``convert`` that also rejects a value that is not above zero."""
+    def check(value):
+        value = convert(value)
+        if not value > 0:
+            raise ValueError(f"must be positive, got {value!r}")
+        return value
+    return check
+
+
 def _one_of(*names):
     def choose(value):
         if value not in names:
@@ -147,8 +157,9 @@ _SCHEMA = {
     "group": {"kind": _Required(str), "weight_param": float},
     "action": _ACTION,
     "ladder": {"count": int, "step": float, "values": [float]},
-    "grid": {"rule": _one_of(MIDPOINT, GAUSS), "base_nodes": int, "panel_order": int,
-             "max_nodes": int, "nodes_per_period": int},
+    "grid": {"rule": _one_of(MIDPOINT, GAUSS), "base_nodes": _positive(int),
+             "panel_order": _positive(int), "max_nodes": _positive(int),
+             "nodes_per_period": _positive(int)},
     "tolerances": {"rel": float, "decay_order": float},
     "battery": [_TEST_FUNCTION],
     "absorption": {"source_center": _floats, "source_radius": _Required(float),
@@ -163,7 +174,7 @@ _SCHEMA = {
     "construct": {
         "seed_measure": _Variants("kind", {"dirac": {"point": _POINT},
                                            "uniform": {"box": _Required(_BOX)}}),
-        "tail_cut": float,
+        "tail_cut": _positive(float),
     },
     "mean": {
         "function": _Required(_Variants("class", {
@@ -263,18 +274,23 @@ def _action(block: dict, group: RGroup) -> Action:
     return ProductAction(factors=tuple(_action(b, group) for b in block["factors"]))
 
 
-def build_ladder(cfg: dict, group: RGroup) -> list:
+def build_ladder(cfg: dict, group: RGroup, min_rungs: int = 1) -> list:
+    """The ladder of group elements; a verdict that fits a decay order asks
+    for ``min_rungs=2``, since one rung gives no slope."""
     block = cfg.get("ladder", {})
     if "values" not in block:
         count = block.get("count", 12)
         with _at("ladder.count" if count < 1 else "ladder.step"):
-            return list(group.ladder(count, block.get("step")))
-    ladder = []
-    for i, value in enumerate(block["values"]):
-        with _at(f"ladder.values[{i}]"):
-            ladder.append(group.validate(value))
-    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder.values must be a non-empty, strictly decreasing list")
+            ladder = list(group.ladder(count, block.get("step")))
+    else:
+        ladder = []
+        for i, value in enumerate(block["values"]):
+            with _at(f"ladder.values[{i}]"):
+                ladder.append(group.validate(value))
+        if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError("ladder.values must be a non-empty, strictly decreasing list")
+    if len(ladder) < min_rungs:
+        raise ConfigError(f"ladder has {len(ladder)} rung(s); a decay order needs {min_rungs}")
     return ladder
 
 
@@ -310,6 +326,15 @@ def build_absorption(block: dict, action: Action) -> tuple[Ball, Ball]:
     with _at("absorption"):
         return (Ball(center=center, radius=block["source_radius"]),
                 Ball(center=tuple(action.center()), radius=block["target_radius"]))
+
+
+def build_escape(block: dict, action: Action) -> np.ndarray:
+    """The ``escape`` block's point, which must lie off the action's center."""
+    point = np.asarray(block["point"])
+    check_dimension("escape.point", len(point), action.dimension)
+    if np.linalg.norm(point - action.center()) <= CENTER_TOL:
+        raise ConfigError("escape.point: escape is undefined at the action's center")
+    return point
 
 
 def build_contraction(cfg: dict, group: RGroup) -> dict:

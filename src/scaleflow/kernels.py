@@ -2,7 +2,14 @@
 
 Sums reduce in a fixed block-pairwise order, so a given input always
 produces the same output on repeated runs.
+
+Point sets are (M, N) arrays of scattered points or the points of a tensor
+grid (``quadrature.GridPoints``); :func:`coordinates` reads either as N
+per-axis coordinate arrays that broadcast together, so one formula serves
+both and values ravel in C order.
 """
+
+import math
 
 import numpy as np
 
@@ -15,12 +22,36 @@ _BLOCK = 1024
 POINT_BUDGET = 1 << 21
 
 
+def coordinates(pts) -> list:
+    """Per-axis coordinates of a point set, as arrays that broadcast together.
+
+    These are the columns of an (M, N) array, or the node vectors of a
+    tensor grid, each shaped to span its own axis (``GridPoints.coords``).
+    """
+    coords = getattr(pts, "coords", None)
+    if coords is not None:
+        return coords()
+    pts = np.asarray(pts, dtype=np.float64)
+    return [pts[:, axis] for axis in range(pts.shape[1])]
+
+
 def _pairwise(values: np.ndarray) -> complex:
+    # The reduction tree: its leaves are consecutive _BLOCK-sized blocks, the
+    # last one possibly partial, and a span of n values splits after
+    # max(1, n // (2 _BLOCK)) blocks.  One reshaped sum takes every full leaf.
     n = values.shape[0]
-    if n <= _BLOCK:
-        return complex(np.sum(values))
-    half = max(1, n // (2 * _BLOCK)) * _BLOCK
-    return _pairwise(values[:half]) + _pairwise(values[half:])
+    full = (n - 1) // _BLOCK
+    leaves = values[: full * _BLOCK].reshape(full, _BLOCK).sum(axis=1).tolist()
+    leaves.append(complex(np.sum(values[full * _BLOCK :])))
+
+    def tree(first: int, count: int) -> complex:
+        # sum of the ``count`` values from leaf ``first`` on
+        if count <= _BLOCK:
+            return leaves[first]
+        half = max(1, count // (2 * _BLOCK)) * _BLOCK
+        return tree(first, half) + tree(first + half // _BLOCK, count - half)
+
+    return tree(0, n)
 
 
 def pairwise_sum(values) -> complex:
@@ -43,23 +74,47 @@ def pairwise_dot(weights, values) -> complex:
 def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     """Evaluate ``sum_k c_k * exp(2*pi*i * <k, x>)`` at each point.
 
+    Each axis contributes a table exp(2 pi i k_a x_a) over its own
+    coordinates, and the tables multiply across axes.  On a tensor grid a
+    table that does not vary along the leading axis is built once, so the
+    grid costs K * sum(n_a) complex exponentials instead of K * prod(n_a),
+    and the last axis's table joins the others by one matrix product.
+
     Parameters
     ----------
     freqs : (K, N) float array of frequency vectors k.
     coeffs : (K,) complex array of coefficients c_k.
-    pts : (M, N) float array of evaluation points x.
+    pts : (M, N) float array of evaluation points x, or a tensor grid's
+        ``GridPoints``; values come back raveled in C order.
     """
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    m = pts.shape[0]
-    out = np.empty(m, dtype=np.complex128)
-    # chunk the point axis so the (chunk, K) phase temporary stays small
-    chunk = max(1, POINT_BUDGET // max(1, freqs.shape[0]))
+    coords = coordinates(pts)
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    terms = freqs.shape[0]
     tau = 2.0 * np.pi
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        phase = pts[start:stop] @ freqs.T
+
+    def table(x, k):
+        phase = np.multiply.outer(x, k)
         np.multiply(phase, tau, out=phase)
-        out[start:stop] = np.exp(1j * phase) @ coeffs
-    return out
+        return np.exp(1j * phase)
+
+    tables = [(x, k, table(x, k) if x.shape[0] == 1 else None) for x, k in zip(coords, freqs.T)]
+    last = None
+    if len(tables) > 1 and tables[-1][2] is not None:
+        last = tables.pop()[2].reshape(-1, terms).T  # (K, n_d) of a tensor grid
+    out = np.empty(shape, dtype=np.complex128)
+    # chunk the leading axis so the (chunk, ..., K) product temporary stays small
+    span = math.prod(shape[1:] if last is None else shape[1:-1])
+    chunk = max(1, POINT_BUDGET // max(1, terms * span))
+    for start in range(0, shape[0], chunk):
+        stop = min(shape[0], start + chunk)
+        product = None
+        for x, k, fixed in tables:
+            factor = table(x[start:stop], k) if fixed is None else fixed
+            product = factor if product is None else product * factor
+        if last is None:
+            out[start:stop] = product @ coeffs
+        else:
+            out[start:stop] = (product * coeffs)[..., 0, :] @ last
+    return out.ravel()

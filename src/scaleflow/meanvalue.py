@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import GridSpec, Homogenizer, TestFunction, integrate
-from .quadrature import Box, integrate_with_refinement
+from .quadrature import Box, GridPoints, integrate_with_refinement
 from .trig import TrigPolynomial
 
 PERIODIC = "periodic"
@@ -63,7 +63,8 @@ class MeanFunction:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        if not isinstance(pts, GridPoints):
+            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if self.poly is not None:
             return self.poly(pts)
         return np.asarray(self.evaluator(pts), dtype=np.complex128).ravel()
@@ -96,7 +97,7 @@ def mean(u: MeanFunction) -> complex:
 class ConvergenceReport:
     rows: list  # dicts: eps, value, abs_err, quad_est
     limit: complex
-    fitted_order: float
+    fitted_order: float | None  # None for a one-rung ladder, which gives no slope
 
     @property
     def final_error(self) -> float:
@@ -109,9 +110,12 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     Only the informative tail is used: entries whose error already sits at
     the quadrature floor are excluded, and if fewer than two informative
     points remain the decay is reported as infinite (below measurement).
+    Fewer than two rungs give no slope at all: a ValueError.
     """
     eps_values = list(eps_values)[-window:]
     errors = list(errors)[-window:]
+    if len(eps_values) < 2:
+        raise ValueError(f"a decay order needs at least two ladder rungs, got {len(eps_values)}")
     pts = [(e, v) for e, v in zip(eps_values, errors) if v > floor]
     if len(pts) < 2:
         return math.inf
@@ -157,10 +161,12 @@ def empirical_mean(
                 "quad_est": (est + abs(r) * base_est) / abs(base),
             }
         )
-    order = fit_decay_order(
-        [action.group.ladder_scale(row["eps"]) for row in rows],
-        [row["abs_err"] for row in rows],
-    )
+    order = None
+    if len(rows) > 1:
+        order = fit_decay_order(
+            [action.group.ladder_scale(row["eps"]) for row in rows],
+            [row["abs_err"] for row in rows],
+        )
     return ConvergenceReport(rows=rows, limit=limit, fitted_order=order)
 
 
@@ -210,8 +216,9 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> Mean
     for freq, coeff in u.poly.terms():
         f = np.asarray(freq)
         grid = grid_spec.build(kernel.support, tuple(np.abs(f)))
+        wave = TrigPolynomial.character(-f)
         transform, _ = integrate_with_refinement(
-            lambda pts: np.asarray(kernel(pts)) * np.exp(-2j * np.pi * (pts @ f)), grid
+            lambda pts: np.asarray(kernel(pts)) * wave(pts), grid
         )
         terms.append((freq, coeff * transform))
     poly = TrigPolynomial.from_terms(terms, dim=u.dimension)

@@ -4,6 +4,10 @@ Integrals are reported together with a refinement estimate, the difference
 between the value on the grid and on the grid with doubled resolution.
 Reductions go through the deterministic pairwise kernels so results do not
 depend on evaluation order.
+
+A grid hands its points to integrands as :class:`GridPoints`, one node
+vector per axis: formulas that factor by axis read ``coords()`` and never
+build the (n^d, d) point array; any other use of the points builds it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from . import kernels
 
@@ -22,6 +27,14 @@ GAUSS = "gauss"
 
 class UnderResolvedError(RuntimeError):
     """A grid is too coarse for the oscillation it must resolve."""
+
+
+class SupportEscapeError(RuntimeError):
+    """Integrand mass was detected at the quadrature boundary.
+
+    Also raised when a support box misses the measure domain altogether, so
+    that no pairing silently integrates over an empty box.
+    """
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,43 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
+class GridPoints(NDArrayOperatorsMixin):
+    """The points of a tensor grid, held as one node vector per axis.
+
+    It stands for the (n_1 * ... * n_d, d) array of the points in C order,
+    the order of ``meshgrid(indexing="ij")``: ``shape`` is that array's, and
+    ``np.asarray``, indexing or any numpy operation builds it, for
+    integrands that take opaque point arrays.  Formulas that factor by axis
+    read :meth:`coords` instead (see ``kernels.coordinates``).
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+
+    @property
+    def shape(self) -> tuple:
+        return (math.prod(len(a) for a in self.axes), len(self.axes))
+
+    def coords(self) -> list:
+        """The node vectors, axis a's shaped to span axis a of the grid, so
+        a formula broadcast over them has the grid's shape."""
+        dim = len(self.axes)
+        return [a.reshape([-1 if j == i else 1 for j in range(dim)])
+                for i, a in enumerate(self.axes)]
+
+    def __array__(self, dtype=None, copy=None):
+        grids = np.meshgrid(*self.axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        return pts if dtype is None else pts.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, GridPoints) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     box: Box
@@ -107,55 +157,70 @@ class QuadratureGrid:
         ]
 
     def points_and_weights(self):
+        """The nodes as :class:`GridPoints` and their weights raveled in C order."""
         axes = self.axes()
-        node_grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in node_grids], axis=-1)
         w = axes[0][1]
         for _, wi in axes[1:]:
             w = np.multiply.outer(w, wi)
-        return pts, np.asarray(w).ravel()
+        return GridPoints([nodes for nodes, _ in axes]), np.asarray(w).ravel()
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
 
 
-def integrate_on_grid(f, grid: QuadratureGrid) -> complex:
+def _integral_and_values(f, grid: QuadratureGrid) -> tuple[complex, np.ndarray]:
     pts, w = grid.points_and_weights()
     values = np.asarray(f(pts), dtype=np.complex128).ravel()
     if values.shape[0] != pts.shape[0]:
         raise ValueError("integrand returned a wrong-sized array")
     if not np.all(np.isfinite(values.view(np.float64))):
         raise ValueError("integrand returned non-finite values")
-    return kernels.pairwise_dot(w, values)
+    return kernels.pairwise_dot(w, values), values
 
 
-def integrate_with_refinement(f, grid: QuadratureGrid) -> tuple[complex, float]:
-    """Integral on the doubled grid plus the coarse-to-fine difference."""
-    coarse = integrate_on_grid(f, grid)
+def integrate_on_grid(f, grid: QuadratureGrid) -> complex:
+    return _integral_and_values(f, grid)[0]
+
+
+def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
+    """Integral on the doubled grid plus the coarse-to-fine difference.
+
+    With ``edge_tol``, the coarse values also judge the support: more than
+    that fraction of the |f| mass on the grid's outermost node layer raises
+    :class:`SupportEscapeError`.  Each grid is evaluated once.
+    """
+    coarse, values = _integral_and_values(f, grid)
+    if edge_tol is not None:
+        fraction = boundary_mass_fraction(values, grid)
+        if fraction > edge_tol:
+            raise SupportEscapeError(
+                f"{fraction:.2e} of the integrand mass sits on the grid boundary"
+            )
+    del values  # hold one grid's values at a time
     fine = integrate_on_grid(f, grid.refined())
     return fine, abs(fine - coarse)
 
 
-def boundary_mass_fraction(f, grid: QuadratureGrid) -> float:
-    """Fraction of |f| mass carried by the outermost node layer.
+def _weighted_total(mass: np.ndarray, weights) -> float:
+    # contract each axis with its weights, the last axis first
+    for w in reversed(weights):
+        mass = mass @ w
+    return float(mass)
+
+
+def boundary_mass_fraction(values, grid: QuadratureGrid) -> float:
+    """Fraction of the |f| mass carried by the outermost node layer, from
+    the values of f at the grid's nodes in C order.
 
     Used to detect integrands whose support escapes the quadrature box.
     """
-    pts, w = grid.points_and_weights()
-    values = np.abs(np.asarray(f(pts), dtype=np.complex128).ravel())
-    total = float(np.sum(w * values))
+    weights = [w for _, w in grid.axes()]
+    mass = np.abs(values).reshape(grid.nodes_per_axis)
+    total = _weighted_total(mass, weights)
     if total == 0.0:
         return 0.0
-    shape = grid.nodes_per_axis
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        index = [slice(None)] * len(shape)
-        index[axis] = 0
-        mask[tuple(index)] = True
-        index[axis] = shape[axis] - 1
-        mask[tuple(index)] = True
-    edge = float(np.sum((w * values).reshape(shape)[mask]))
-    return edge / total
+    inner = mass[(slice(1, -1),) * mass.ndim]
+    return (total - _weighted_total(inner, [w[1:-1] for w in weights])) / total
 
 
 def resolved_nodes(

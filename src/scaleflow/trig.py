@@ -2,7 +2,7 @@
 
 The frequency list is kept canonical (lexicographically sorted, duplicates
 merged) so coefficient extraction is exact and reproducible.  Evaluation on
-point arrays goes through ``kernels.trig_eval``.
+point arrays and tensor grids goes through ``kernels.trig_eval``.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .quadrature import GridPoints
 
 _FREQ_DECIMALS = 9  # frequencies closer than 1e-9 are treated as equal
 
@@ -91,6 +92,8 @@ class TrigPolynomial:
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x) -> np.ndarray | complex:
+        if isinstance(x, GridPoints):
+            return kernels.trig_eval(self.freqs, self.coeffs, x)
         pts = np.asarray(x, dtype=np.float64)
         single_point = False
         if pts.ndim == 0:

@@ -342,6 +342,36 @@ def test_bad_group_element_is_config_error(tmp_path, capsys, overlay, where):
     _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
 
 
+# (subcommand, committed config, overlay merged into one of its blocks, error path):
+# values of the right type but out of range, each caught before any work
+_OUT_OF_RANGE = [
+    ("mean", "mean_periodic", {"grid": {"panel_order": 0}}, "grid.panel_order: must be positive"),
+    ("homogeneity", "homogeneity_r2", {"grid": {"base_nodes": 0}},
+     "grid.base_nodes: must be positive"),
+    ("homogeneity", "homogeneity_r2", {"grid": {"max_nodes": -4}},
+     "grid.max_nodes: must be positive"),
+    ("construct-measure", "construct_measure", {"construct": {"tail_cut": -1.0}},
+     "construct.tail_cut: must be positive"),
+    ("verify-action", "verify_action", {"escape": {"point": [0.0], "radius": 10.0}},
+     "escape.point: escape is undefined at the action's center"),
+    ("mean", "mean_periodic", {"ladder": {"count": 1}}, "a decay order needs 2"),
+    ("sigma", "sigma_periodic", {"ladder": {"values": [0.5]}}, "a decay order needs 2"),
+]
+
+
+@pytest.mark.parametrize("subcommand,stem,overlay,where", _OUT_OF_RANGE,
+                         ids=[f"{case[1]}:{case[3]}" for case in _OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, subcommand, stem, overlay, where):
+    with open(os.path.join(CONFIG_DIR, f"{stem}.yaml"), encoding="utf-8") as handle:
+        cfg = yaml.safe_load(handle)
+    for key, block in overlay.items():
+        cfg[key] = {**cfg.get(key, {}), **block} if key != "ladder" else block
+    path = tmp_path / "out_of_range.yaml"
+    write_yaml(path, cfg)
+    code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
+
+
 def test_cli_mean_point_mass_builds_no_grid(tmp_path):
     # a point mass integrates by evaluation: a grid cap too small to resolve
     # u(H_eps x) on phi's support must not matter

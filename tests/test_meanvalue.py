@@ -149,6 +149,20 @@ def test_fit_decay_order_informative_and_floor():
     assert math.isinf(fit_decay_order(eps, [1e-16] * 6))
 
 
+def test_fit_decay_order_needs_two_rungs():
+    # two rungs at the floor: decay below measurement; one rung: no slope at all
+    assert math.isinf(fit_decay_order([0.5, 0.25], [1e-16, 1e-16]))
+    for errors in ([1e-3], [1e-16]):
+        with pytest.raises(ValueError, match="at least two ladder rungs"):
+            fit_decay_order([0.5], errors)
+
+
+def test_empirical_mean_one_rung_fits_no_decay_order():
+    u = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
+    report = empirical_mean(u, lebesgue_line(), gaussian([0.3], 1.0), [0.25])
+    assert len(report.rows) == 1 and report.fitted_order is None
+
+
 def test_translation_invariance():
     hz = lebesgue_line()
     u = MeanFunction.periodic_trig(SIN2)

@@ -10,6 +10,7 @@ from scaleflow.quadrature import (
     Box,
     GAUSS,
     QuadratureGrid,
+    SupportEscapeError,
     UnderResolvedError,
     _axis_rule,
     _legendre_rule,
@@ -90,11 +91,56 @@ def test_non_finite_integrand_rejected():
 
 
 def test_boundary_mass_detection():
+    # the fraction is read off the values already computed on the grid
     grid = QuadratureGrid(box=Box((-1.0,), (1.0,)), nodes_per_axis=(64,))
-    centered = boundary_mass_fraction(lambda p: np.exp(-20 * p[:, 0] ** 2), grid)
+    x = np.asarray(grid.points_and_weights()[0])[:, 0]
+    centered = boundary_mass_fraction(np.exp(-20 * x**2), grid)
     assert centered < 1e-6
-    shifted = boundary_mass_fraction(lambda p: np.exp(-20 * (p[:, 0] - 1.0) ** 2), grid)
+    shifted = boundary_mass_fraction(np.exp(-20 * (x - 1.0) ** 2), grid)
     assert shifted > 1e-3
+
+
+def test_refinement_evaluates_each_grid_once_and_judges_the_edge_on_the_coarse():
+    grid = QuadratureGrid(box=Box((-1.0, -1.0), (1.0, 1.0)), nodes_per_axis=(16, 24))
+    sizes = []
+
+    def centered(p):
+        sizes.append(p.shape[0])
+        return np.exp(-20 * np.sum(p**2, axis=1))
+
+    value, _ = integrate_with_refinement(centered, grid, edge_tol=1e-6)
+    assert sizes == [16 * 24, 32 * 48]
+    assert value == integrate_with_refinement(centered, grid)[0]
+    sizes.clear()
+    with pytest.raises(SupportEscapeError, match="grid boundary"):
+        integrate_with_refinement(lambda p: centered(p - 1.0), grid, edge_tol=1e-6)
+    assert sizes == [16 * 24]  # rejected before the fine grid is built
+
+
+def test_boundary_mass_fraction_two_dimensional():
+    # uniform mass on an n x m grid: the outer layer holds 1 - (n-2)(m-2)/(nm)
+    grid = QuadratureGrid(box=Box((0.0, 0.0), (1.0, 2.0)), nodes_per_axis=(8, 5))
+    fraction = boundary_mass_fraction(np.ones(40), grid)
+    assert fraction == pytest.approx(1.0 - 6 * 3 / 40, rel=1e-14)
+    assert boundary_mass_fraction(np.zeros(40), grid) == 0.0
+
+
+def _recursive_pairwise(values):
+    """The pairwise reduction as first written: one np.sum call per leaf."""
+    n = values.shape[0]
+    if n <= 1024:
+        return complex(np.sum(values))
+    half = max(1, n // 2048) * 1024
+    return _recursive_pairwise(values[:half]) + _recursive_pairwise(values[half:])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2048, 3 * 1024 + 7, 1_500_000])
+def test_pairwise_sum_matches_recursive_reference_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    expected = _recursive_pairwise(values) if n else 0j
+    total = kernels.pairwise_sum(values)
+    assert (total.real, total.imag) == (expected.real, expected.imag)
 
 
 def test_resolved_nodes_rule():

@@ -1,0 +1,227 @@
+"""Tensor grids evaluated axis by axis through ``GridPoints``.
+
+Every formula that reads coordinates must give on a grid's ``GridPoints``
+the values it gives on the materialised (n^d, d) point array: bit for bit
+in one dimension, within a few rounding errors beyond.  The independent
+oracles are closed forms and the materialised array itself.
+"""
+
+import math
+import os
+
+import numpy as np
+import pytest
+import yaml
+
+from scaleflow import (
+    DiagonalScaling,
+    LinearFamily,
+    RGroup,
+    TrigPolynomial,
+    bump,
+    gaussian,
+    integrate,
+    mollifier,
+    parabola,
+    triangle,
+)
+from scaleflow import config as cfg_mod
+from scaleflow import kernels
+from scaleflow.cli import main
+from scaleflow.groups import POSITIVE_MULTIPLICATIVE
+from scaleflow.quadrature import GAUSS, Box, GridPoints, QuadratureGrid, integrate_on_grid
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# midpoint and Gauss grids with unequal node counts per axis, d = 1, 2, 3
+GRIDS = {
+    1: QuadratureGrid(Box((-1.3,), (1.7,)), (37,)),
+    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (32, 48), rule=GAUSS, panel_order=16),
+    3: QuadratureGrid(Box((-1.3, -0.9, -1.1), (1.7, 1.2, 0.8)), (9, 11, 13)),
+}
+# the allowed deviation from the materialised evaluation, relative to its largest value
+TOL = {1: 0.0, 2: 1e-14, 3: 1e-14}
+TRIG_TOL = {1: 0.0, 2: 1e-13, 3: 1e-13}
+
+
+def _grid_points(dim):
+    pts, _ = GRIDS[dim].points_and_weights()
+    assert isinstance(pts, GridPoints)
+    return pts
+
+
+def _assert_close(on_grid, on_array, tol):
+    on_grid, on_array = np.asarray(on_grid), np.asarray(on_array)
+    assert on_grid.shape == on_array.shape
+    if tol == 0.0:
+        np.testing.assert_array_equal(on_grid, on_array)
+    else:
+        scale = np.max(np.abs(on_array))
+        assert np.max(np.abs(on_grid - on_array)) <= tol * scale
+
+
+def test_grid_points_stand_for_the_meshgrid_array():
+    pts = _grid_points(3)
+    axes = [nodes for nodes, _ in GRIDS[3].axes()]
+    expected = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert pts.shape == expected.shape == (9 * 11 * 13, 3)
+    np.testing.assert_array_equal(np.asarray(pts), expected)
+    coords = pts.coords()
+    assert [c.shape for c in coords] == [(9, 1, 1), (1, 11, 1), (1, 1, 13)]
+    # opaque integrands read the points like the array they stand for
+    np.testing.assert_array_equal(pts[:, 1], expected[:, 1])
+    np.testing.assert_array_equal(np.sum(pts**2, axis=1), np.sum(expected**2, axis=1))
+
+
+def _test_functions(dim):
+    center = [0.2, -0.1, 0.3][:dim]
+    functions = [
+        gaussian(center, 0.4),
+        bump(center, 0.9),
+        mollifier(center, 0.9),
+        parabola(Box((-1.0, -0.5, -0.8)[:dim], (1.2, 0.9, 0.6)[:dim])),
+    ]
+    if dim == 1:
+        functions.append(triangle(center[0], 0.8))
+    return functions
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_test_functions_on_grid_points_match_materialised(dim):
+    pts = _grid_points(dim)
+    for phi in _test_functions(dim):
+        _assert_close(phi(pts), phi(np.asarray(pts)), TOL[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_test_functions_match_their_formulas_on_the_point_array(dim):
+    # the radial formulas written on the materialised array, row by row
+    pts = _grid_points(dim)
+    array = np.asarray(pts)
+    center = np.array([0.2, -0.1, 0.3][:dim])
+    r2 = np.sum((array - center) ** 2, axis=1)
+    _assert_close(gaussian(center, 0.4)(pts), np.exp(-r2 / (2.0 * 0.4**2)), TOL[dim])
+    u2 = r2 / 0.9**2
+    _assert_close(bump(center, 0.9)(pts), np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0), TOL[dim])
+    inside = u2 < 1.0
+    expected = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u2, 1.0)), 0.0)
+    _assert_close(mollifier(center, 0.9)(pts), expected, TOL[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_diagonal_scaling_maps_grid_points_to_grid_points(dim):
+    pts = _grid_points(dim)
+    action = DiagonalScaling((1, 2, 3)[:dim])
+    image = action.apply(0.37, pts)
+    assert isinstance(image, GridPoints)
+    np.testing.assert_array_equal(np.asarray(image), action.apply(0.37, np.asarray(pts)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linear_family_materialises_grid_points(dim):
+    pts = _grid_points(dim)
+    rng = np.random.default_rng(dim)
+    generator = rng.normal(size=(dim, dim))
+    action = LinearFamily(
+        group=RGroup(POSITIVE_MULTIPLICATIVE), dimension=dim,
+        matrix_fn=lambda eps: np.eye(dim) + math.log(eps) * generator,
+    )
+    image = action.apply(0.37, pts)
+    assert isinstance(image, np.ndarray)
+    np.testing.assert_array_equal(image, action.apply(0.37, np.asarray(pts)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_trig_polynomial_on_grid_points_matches_materialised(dim):
+    pts = _grid_points(dim)
+    rng = np.random.default_rng(10 + dim)
+    poly = TrigPolynomial(rng.integers(-3, 4, size=(6, dim)).astype(float),
+                          rng.normal(size=6) + 1j * rng.normal(size=6))
+    _assert_close(poly(pts), poly(np.asarray(pts)), TRIG_TOL[dim])
+    # composed with a scaling, as the mean-value pairings evaluate it
+    image = DiagonalScaling((1,) * dim).apply(0.125, pts)
+    _assert_close(poly(image), poly(np.asarray(image)), TRIG_TOL[dim])
+
+
+@pytest.mark.parametrize("count", [1, 2, 257])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trig_eval_on_scattered_points_matches_direct_sum(dim, count):
+    rng = np.random.default_rng(count)
+    freqs = rng.uniform(-3, 3, size=(5, dim))
+    coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
+    pts = rng.uniform(-2, 2, size=(count, dim))
+    direct = np.exp(2j * np.pi * (pts @ freqs.T)) @ coeffs
+    values = kernels.trig_eval(freqs, coeffs, pts)
+    assert values.shape == (count,)
+    assert np.max(np.abs(values - direct)) <= 1e-12
+
+
+def test_trig_eval_chunks_grid_rows_without_changing_values(monkeypatch):
+    pts = _grid_points(2)
+    freqs = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.0]])
+    coeffs = np.array([1.0 + 0.5j, -0.25j, 0.75])
+    whole = kernels.trig_eval(freqs, coeffs, pts)
+    monkeypatch.setattr(kernels, "POINT_BUDGET", 100)
+    np.testing.assert_array_equal(kernels.trig_eval(freqs, coeffs, pts), whole)
+
+
+def test_homogeneity_r2_gaussian_base_integrals_match_closed_form():
+    # the integral of exp(-|x - c|^2 / (2 sigma^2)) over R^2 is 2 pi sigma^2
+    with open(os.path.join(CONFIG_DIR, "homogeneity_r2.yaml"), encoding="utf-8") as handle:
+        cfg = cfg_mod.validate_config(yaml.safe_load(handle))
+    action = cfg_mod.build_action(cfg)
+    hz = cfg_mod.build_homogenizer(cfg, action)
+    gaussians = [phi for phi in cfg_mod.build_battery(cfg, action.dimension)
+                 if phi.name.startswith("gauss-")]
+    assert len(gaussians) == 3
+    for phi, sigma in zip(gaussians, (0.5, 1.0, 2.0)):
+        value, _ = integrate(hz, phi)
+        exact = 2.0 * math.pi * sigma**2
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+def _refuse_materialising(monkeypatch):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError(f"a {self.shape} tensor grid was materialised")
+
+    monkeypatch.setattr(GridPoints, "__array__", refuse)
+
+
+# a smaller instance of the benchmark's 2-D mean-value run
+MEAN_2D = {
+    "seed": 0,
+    "group": {"kind": "positive-multiplicative", "weight_param": 1.0},
+    "action": {"variant": "diagonal-scaling", "exponents": [1, 1]},
+    "ladder": {"count": 3},
+    "grid": {"rule": "gauss", "base_nodes": 64, "panel_order": 16, "max_nodes": 4096},
+    "tolerances": {"rel": 1.0e-2, "decay_order": 0.9},
+    "homogenizer": {"measure": "lebesgue"},
+    "mean": {
+        "function": {"class": "periodic", "terms": [
+            [[0.0, 0.0], 0.5, 0.0], [[1.0, 2.0], -0.25, 0.0], [[-1.0, -2.0], -0.25, 0.0]]},
+        "phi": {"kind": "mollifier", "center": [0.3, 0.2], "width": 0.5},
+        "shift": [0.3, 0.1],
+        "kernel": {"kind": "gaussian", "center": [0.0, 0.0], "sigma": 0.5},
+    },
+}
+
+
+def test_homogeneity_r2_never_materialises_a_grid(tmp_path, monkeypatch):
+    _refuse_materialising(monkeypatch)
+    config = os.path.join(CONFIG_DIR, "homogeneity_r2.yaml")
+    assert main(["homogeneity", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_two_dimensional_mean_never_materialises_a_grid(tmp_path, monkeypatch):
+    _refuse_materialising(monkeypatch)
+    path = tmp_path / "mean_2d.yaml"
+    with open(path, "w", encoding="utf-8") as handle:
+        yaml.safe_dump(MEAN_2D, handle)
+    assert main(["mean", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_refusal_catches_an_opaque_integrand(monkeypatch):
+    # the two runs above would fail on an integrand that reads the point array
+    _refuse_materialising(monkeypatch)
+    with pytest.raises(AssertionError, match="materialised"):
+        integrate_on_grid(lambda p: np.exp(-np.sum(p**2, axis=1)), GRIDS[2])
