@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .groups import POSITIVE_MULTIPLICATIVE, REAL_ADDITIVE, RGroup
+from .groups import POSITIVE_MULTIPLICATIVE, REAL_ADDITIVE, RGroup, as_scalar_or_array
 from .quadrature import Box, GridPoints
 
 GROUP_LAW_TOL = 1e-9
@@ -40,17 +40,6 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim == 1:
-        if pts.shape[0] != dim:
-            raise ValueError(f"expected a point in R^{dim}, got shape {pts.shape}")
-        return pts[None, :], True
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got shape {pts.shape}")
-    return pts, False
 
 
 def _halton(dim: int, count: int) -> np.ndarray:
@@ -107,50 +96,63 @@ class Ball:
 
 class Action:
     """Base class: a parametrised family of linear maps of R^N.  Only this
-    module reads the matrix: norms, volumes, image boxes, frequency bounds."""
+    module reads the matrix: norms, volumes, image boxes, frequency bounds.
+
+    ``apply``, ``matrix`` and ``operator_norm`` take one group element or an
+    array of them.  ``apply(eps, x)`` broadcasts ``eps`` against the leading
+    axes of the points ``x`` (..., N): an (E, 1) column of parameters maps
+    (K, N) points to (E, K, N), and an (L,) ladder maps one point to (L, N).
+    """
 
     group: RGroup
     dimension: int
 
-    def matrix(self, eps: float) -> np.ndarray:
+    def matrix(self, params) -> np.ndarray:
+        """The representing matrices, of shape ``np.shape(params) + (N, N)``."""
+        params = self.group.validate(params)
+        blocks = [self._matrix(eps) for eps in np.ravel(params).tolist()]
+        n = self.dimension
+        return np.reshape(np.array(blocks, dtype=np.float64), np.shape(params) + (n, n))
+
+    def _matrix(self, eps: float) -> np.ndarray:
+        # the matrix at one validated element
         raise NotImplementedError
 
-    def apply_many(self, params, pts) -> np.ndarray:
-        """Images of the points ``pts`` (K, N) under H at every entry of the
-        1-d array ``params`` (E,), as an (E, K, N) array."""
-        params = self.group.validate_many(params)
-        pts, _ = _as_points(pts, self.dimension)
-        return self._apply_many(params, pts)
-
-    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        # validated parameters and (K, N) points: one matmul over the stacked matrices
-        matrices = np.stack([self.matrix(eps) for eps in params])
-        return pts @ matrices.transpose(0, 2, 1)
-
-    def apply(self, eps: float, x):
-        """Image of a point, of an (M, N) array of points or of a tensor
-        grid's :class:`GridPoints` under H_eps."""
+    def apply(self, eps, x):
+        """Images of the points ``x`` (..., N) under H at ``eps``, broadcast
+        as the class docstring says.  A tensor grid's :class:`GridPoints`
+        takes one element."""
         eps = self.group.validate(eps)
         if isinstance(x, GridPoints):
-            if x.shape[1] != self.dimension:
-                raise ValueError(f"expected points of dimension {self.dimension}, got {x.shape}")
+            if np.ndim(eps) or x.shape[1] != self.dimension:
+                raise ValueError(f"a grid in R^{self.dimension} maps under one element, got {x.shape}")
             return self._apply_grid(eps, x)
-        pts, single = _as_points(x, self.dimension)
-        out = self._apply_many(np.array([eps]), pts)[0]
-        return out[0] if single else out
+        return self._apply(eps, self._points(x))
+
+    def _points(self, x) -> np.ndarray:
+        pts = np.asarray(x, dtype=np.float64)
+        if pts.ndim == 0 or pts.shape[-1] != self.dimension:
+            raise ValueError(f"expected points of dimension {self.dimension}, got shape {pts.shape}")
+        return pts
+
+    def _apply(self, eps, pts: np.ndarray) -> np.ndarray:
+        # validated parameters and (..., N) points: broadcast matrix-vector products
+        return np.einsum("...ij,...j->...i", self.matrix(eps), pts)
 
     def _apply_grid(self, eps: float, grid: GridPoints):
         # a general linear map mixes the axes: image of the built point array
-        return self._apply_many(np.array([eps]), np.asarray(grid))[0]
+        return self._apply(eps, np.asarray(grid))
 
-    def apply_inverse(self, eps: float, x):
+    def apply_inverse(self, eps, x):
         return self.apply(self.group.inverse(eps), x)
 
     def center(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def operator_norm(self, eps: float) -> float:
-        return float(np.linalg.norm(self.matrix(eps), 2))
+    def operator_norm(self, params):
+        """Spectral norm l(eps) of H_eps: a float for one element, an array
+        for an array of them."""
+        return as_scalar_or_array(np.linalg.norm(self.matrix(params), 2, axis=(-2, -1)))
 
     def parameter_window(self) -> float:
         """Half-width of the certificate sampling window in the group's Haar
@@ -195,30 +197,34 @@ class DiagonalScaling(Action):
     def dimension(self) -> int:
         return len(self.exponents)
 
-    def _scales(self, params: np.ndarray) -> np.ndarray:
-        """(E, N) coordinate factors eps**-r_i at validated parameters.
+    def _scales(self, params) -> np.ndarray:
+        """Coordinate factors eps**-r_i at validated parameters, of shape
+        ``np.shape(params) + (N,)``.
 
         The exponents are copied into every row: with a broadcast exponent
         np.power takes its scalar-exponent fast path (a reciprocal for
         r_i = 1), which rounds differently from the elementwise power of a
         scalar ``eps ** -r``.
         """
+        params = np.asarray(params)
         exponents = -np.asarray(self.exponents, dtype=np.float64)
-        return np.power(params[:, None], np.tile(exponents, (params.shape[0], 1)))
+        return np.power(params[..., None], np.tile(exponents, params.shape + (1,)))
 
-    def matrix(self, eps: float) -> np.ndarray:
-        return np.diag(self._scales(np.array([self.group.validate(eps)]))[0])
+    def matrix(self, params) -> np.ndarray:
+        scales = self._scales(self.group.validate(params))
+        out = np.zeros(scales.shape + (self.dimension,))
+        out[..., range(self.dimension), range(self.dimension)] = scales
+        return out
 
-    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return pts * self._scales(params)[:, None, :]
+    def _apply(self, eps, pts: np.ndarray) -> np.ndarray:
+        return pts * self._scales(eps)
 
     def _apply_grid(self, eps: float, grid: GridPoints) -> GridPoints:
         # scaling each axis maps a tensor grid to a tensor grid
-        scales = self._scales(np.array([eps]))[0]
-        return GridPoints([axis * s for axis, s in zip(grid.axes, scales)])
+        return GridPoints([axis * s for axis, s in zip(grid.axes, self._scales(eps))])
 
-    def operator_norm(self, eps: float) -> float:
-        return float(np.max(self._scales(np.array([self.group.validate(eps)]))))
+    def operator_norm(self, params):
+        return as_scalar_or_array(np.max(self._scales(self.group.validate(params)), axis=-1))
 
     def volume_factor(self, eps: float) -> float:
         return float(self.group.validate(eps) ** -sum(self.exponents))
@@ -236,22 +242,23 @@ class LinearFamily(Action):
     dimension: int
     matrix_fn: ...  # callable (eps) -> (N, N) array
 
-    def matrix(self, eps: float) -> np.ndarray:
-        eps = self.group.validate(eps)
+    def _matrix(self, eps: float) -> np.ndarray:
         b = np.asarray(self.matrix_fn(eps), dtype=np.float64)
         if b.shape != (self.dimension, self.dimension):
             raise ValueError(f"matrix map returned shape {b.shape}")
         return b
 
-    def apply_inverse(self, eps: float, x):
+    def apply_inverse(self, eps, x):
         # inverse map of H_eps; equals H at the inverse parameter whenever
         # the family satisfies the composition law
-        pts, single = _as_points(x, self.dimension)
+        a, pts, n = self.matrix(eps), self._points(x), self.dimension
+        batch = np.broadcast_shapes(a.shape[:-2], pts.shape[:-1])
+        # full batch shapes on both sides, so solve reads x as column vectors
+        columns = np.broadcast_to(pts[..., None], batch + (n, 1))
         try:
-            out = np.linalg.solve(self.matrix(eps), pts.T).T
+            return np.linalg.solve(np.broadcast_to(a, batch + (n, n)), columns)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular matrix: invalid action definition") from exc
-        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -283,8 +290,7 @@ class ExpSemigroup(Action):
             self.dimension, self.dimension
         )
 
-    def matrix(self, eps: float) -> np.ndarray:
-        eps = self.group.validate(eps)
+    def _matrix(self, eps: float) -> np.ndarray:
         return math.exp(-self.k * eps) * matrix_exponential(-eps * self.generator_matrix())
 
     def parameter_window(self) -> float:
@@ -322,27 +328,24 @@ class ProductAction(Action):
             yield f, slice(start, start + f.dimension)
             start += f.dimension
 
-    def matrix(self, eps: float) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension))
+    def matrix(self, params) -> np.ndarray:
+        params = self.group.validate(params)
+        out = np.zeros(np.shape(params) + (self.dimension, self.dimension))
         for f, sl in self._slices():
-            out[sl, sl] = f.matrix(eps)
+            out[..., sl, sl] = f.matrix(params)
         return out
 
-    def _apply_many(self, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        out = np.empty((params.shape[0],) + pts.shape)
-        for f, sl in self._slices():
-            out[:, :, sl] = f._apply_many(params, pts[:, sl])
-        return out
+    def _apply(self, eps, pts: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._apply(eps, pts[..., sl]) for f, sl in self._slices()], axis=-1)
 
-    def apply_inverse(self, eps: float, x):
-        pts, single = _as_points(x, self.dimension)
-        out = np.empty_like(pts)
-        for f, sl in self._slices():
-            out[:, sl] = f.apply_inverse(eps, pts[:, sl])
-        return out[0] if single else out
+    def apply_inverse(self, eps, x):
+        pts = self._points(x)
+        return np.concatenate(
+            [f.apply_inverse(eps, pts[..., sl]) for f, sl in self._slices()], axis=-1
+        )
 
-    def operator_norm(self, eps: float) -> float:
-        return max(f.operator_norm(eps) for f in self.factors)
+    def operator_norm(self, params):
+        return as_scalar_or_array(np.max([f.operator_norm(params) for f in self.factors], axis=0))
 
     def volume_factor(self, eps: float) -> float:
         return math.prod(f.volume_factor(eps) for f in self.factors)
@@ -368,14 +371,18 @@ class GroupLawReport:
     seed: int
 
 
-def _threshold(ladder, passed):
+def _threshold(ladder: np.ndarray, passed: np.ndarray):
     """First ladder entry from which every entry passes, or None."""
-    threshold = None
-    for eps, ok in zip(reversed(ladder), reversed(passed)):
-        if not ok:
-            break
-        threshold = eps
-    return threshold
+    failed = np.flatnonzero(~passed)
+    start = failed[-1] + 1 if failed.size else 0
+    return float(ladder[start]) if start < ladder.size else None
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis.  Each is the square root of one
+    vector's dot product with itself, as ``np.linalg.norm`` takes a single
+    vector, so a batched certificate reports the bits of a per-vector loop."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> GroupLawReport:
@@ -387,11 +394,9 @@ def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> 
     eps1 = action.group.sample(rng, sample_count, window)
     eps2 = action.group.sample(rng, sample_count, window)
     xs = rng.normal(scale=2.0, size=(sample_count, action.dimension))
-    worst = 0.0
-    for a, b, x in zip(eps1, eps2, xs):
-        lhs = action.apply(a, action.apply(b, x))
-        rhs = action.apply(action.group.compose(a, b), x)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(x))))
+    lhs = action.apply(eps1, action.apply(eps2, xs))
+    rhs = action.apply(action.group.compose(eps1, eps2), xs)
+    worst = float(np.max(_norms(lhs - rhs) / (1.0 + _norms(xs))))
     return GroupLawReport(
         passed=worst <= GROUP_LAW_TOL,
         worst_violation=worst,
@@ -430,34 +435,26 @@ def certify_absorption(
     center = action.center()
     if np.linalg.norm(np.asarray(target.center) - center) > CENTER_TOL:
         raise ValueError("target ball must be centred at the action center")
-    ladder = [action.group.validate(e) for e in ladder]
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+    ladder = action.group.validate(ladder)
+    if np.any(ladder[1:] >= ladder[:-1]):
         raise ValueError("ladder must decrease strictly")
     if source.radius == 0.0 and np.allclose(source.center, center):
         pts = center[None, :]
     else:
         pts = source.boundary_points(directions_per_dim * action.dimension)
-    evidence = []
-    exact = []
-    ok = []
-    for eps in ladder:
-        images = action.apply_inverse(eps, pts)
-        dist = float(np.max(np.linalg.norm(images - center, axis=1)))
-        evidence.append((eps, dist))
-        inv = action.group.inverse(eps)
-        opnorm = action.operator_norm(inv)
-        bound = opnorm * source.radius + float(
-            np.linalg.norm(action.apply(inv, np.asarray(source.center)) - center)
-        )
-        exact.append((eps, bound))
-        ok.append(dist <= target.radius)
-    threshold = _threshold(ladder, ok)
+    images = action.apply_inverse(ladder[:, None], pts)  # (ladder, points, N)
+    dist = np.max(np.linalg.norm(images - center, axis=2), axis=1)
+    inv = action.group.inverse(ladder)
+    offset = _norms(action.apply(inv, np.asarray(source.center)) - center)
+    bound = action.operator_norm(inv) * source.radius + offset
+    threshold = _threshold(ladder, dist <= target.radius)
+    eps = ladder.tolist()
     return AbsorptionCertificate(
         source=source,
         target=target,
         threshold=threshold,
-        sample_evidence=evidence,
-        exact_bounds=exact,
+        sample_evidence=list(zip(eps, dist.tolist())),
+        exact_bounds=list(zip(eps, bound.tolist())),
         passed=threshold is not None,
     )
 
@@ -476,7 +473,8 @@ def certify_escape(action: Action, x, ladder, radius: float) -> EscapeReport:
     x = np.asarray(x, dtype=np.float64)
     if np.linalg.norm(x - action.center()) <= CENTER_TOL:
         raise ValueError("escape is undefined at the center")
-    ladder = [action.group.validate(e) for e in ladder]
-    norms = [(eps, float(np.linalg.norm(action.apply(eps, x)))) for eps in ladder]
-    threshold = _threshold(ladder, [n > radius for _, n in norms])
-    return EscapeReport(passed=threshold is not None, threshold=threshold, radius=radius, norms=norms)
+    ladder = action.group.validate(ladder)
+    norms = _norms(action.apply(ladder, x))
+    threshold = _threshold(ladder, norms > radius)
+    return EscapeReport(passed=threshold is not None, threshold=threshold, radius=radius,
+                        norms=list(zip(ladder.tolist(), norms.tolist())))

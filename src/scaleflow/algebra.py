@@ -23,6 +23,7 @@ PERIODIC = "periodic"
 AP_SUBGROUP = "ap-subgroup"
 
 SPECTRUM_TOL = 1e-14
+GENERATOR_TOL = 1e-12  # generator entries at most this large count as zero
 
 
 class TruncationOverflowError(RuntimeError):
@@ -46,6 +47,8 @@ class HAlgebra:
                 raise ValueError("subgroup algebras need at least one generator")
             if any(len(g) != self.dimension for g in gens):
                 raise ValueError("generator dimension mismatch")
+            if any(max(map(abs, g)) <= GENERATOR_TOL for g in gens):
+                raise ValueError("a generator must have a nonzero entry")
             if self.degree < 1:
                 raise ValueError("truncation degree must be >= 1")
 

@@ -165,7 +165,8 @@ _SCHEMA = {
     "absorption": {"source_center": _floats, "source_radius": _Required(float),
                    "target_radius": _Required(float), "directions_per_dim": int},
     "escape": {"point": _POINT, "radius": _Required(float)},
-    "contraction": {"eps": float, "starts": int, "tol": float, "max_iter": int, "pairs": int},
+    "contraction": {"eps": float, "starts": int, "tol": float, "max_iter": int,
+                    "pairs": _positive(int)},
     "homogenizer": _Variants("measure", {
         "lebesgue": {"factor_override": float},
         "weighted-power": {"factor_override": float, "power": float},
@@ -180,8 +181,7 @@ _SCHEMA = {
         "function": _Required(_Variants("class", {
             "periodic": {"terms": _TERMS},
             "almost-periodic": {"terms": _TERMS},
-            "vanishing": {"limit": _floats, "profile": _one_of("inverse-square"),
-                          "dimension": int},
+            "vanishing": {"limit": _floats},
         })),
         "phi": _TEST_FUNCTION,
         "shift": _floats,
@@ -395,7 +395,7 @@ def build_mean_function(block: dict, dim: int) -> MeanFunction:
             pts = np.atleast_2d(pts)
             return limit + 1.0 / (1.0 + np.sum(pts**2, axis=1))
 
-        u = MeanFunction.vanishing(evaluator, limit, block.get("dimension", dim))
+        u = MeanFunction.vanishing(evaluator, limit, dim)
     else:
         with _at("mean.function.terms"):
             poly = TrigPolynomial.from_terms(block["terms"], dim)

@@ -6,7 +6,9 @@ identity ``e``, a greatest lower bound ``theta`` (possibly ``-inf``), a
 positive weight homomorphism ``h`` and the closed-form mass of the upper
 tail ``{eps >= alpha}`` under the weighted Haar measure ``h * m``.
 
-Group elements are plain floats; the integer group validates integrality.
+Group elements are floats.  ``validate``, ``weight``, ``compose`` and
+``inverse`` take one element or an array of them and act elementwise; the
+integer group validates integrality.
 Every decision that depends on the kind of group is made here: samplers,
 ladders, the Haar coordinate of the orbit sweep and the scale of decay fits.
 """
@@ -35,6 +37,11 @@ _DEFAULT_PARAM = {
 _INTEGER_TOL = 1e-9
 
 HAAR_BLOCK_WIDTH = 4.0  # width of one orbit-sweep block in the Haar coordinate
+
+
+def as_scalar_or_array(values):
+    """A 0-d result as a Python float; an array result unchanged."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -71,38 +78,23 @@ class RGroup:
         """Greatest lower bound of the group inside the extended reals."""
         return 0.0 if self.kind == POSITIVE_MULTIPLICATIVE else -math.inf
 
-    def validate(self, eps: float) -> float:
-        """Check membership and return ``eps`` as a float."""
-        eps = float(eps)
-        if not math.isfinite(eps):
-            raise ValueError("group elements must be finite")
-        if self.kind == POSITIVE_MULTIPLICATIVE and eps <= 0.0:
-            raise ValueError(f"{eps} is not a positive real")
-        if self.kind == INTEGER_ADDITIVE and abs(eps - round(eps)) > _INTEGER_TOL:
-            raise ValueError(f"{eps} is not an integer")
-        return eps
+    def validate(self, params):
+        """Check membership of one element or of every entry of an array.
 
-    def validate_many(self, params) -> np.ndarray:
-        """Check membership of every entry of a 1-d array; return it as float64.
-
-        Rejects exactly what ``validate`` rejects (kept scalar for per-element
-        loops), naming the first entry that is not a group element."""
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim != 1:
-            raise ValueError(f"expected a 1-d array of group elements, got shape {params.shape}")
-        if not np.isfinite(params).all():
+        A scalar comes back as a Python float, an array as float64; the
+        error names the first entry that is not a group element."""
+        values = np.asarray(params, dtype=np.float64)
+        if not np.isfinite(values).all():
             raise ValueError("group elements must be finite")
+        if self.kind == REAL_ADDITIVE:
+            return as_scalar_or_array(values)
         if self.kind == POSITIVE_MULTIPLICATIVE:
-            bad = params[params <= 0.0]
-            noun = "a positive real"
-        elif self.kind == INTEGER_ADDITIVE:
-            bad = params[np.abs(params - np.round(params)) > _INTEGER_TOL]
-            noun = "an integer"
+            bad, noun = values[values <= 0.0], "a positive real"
         else:
-            return params
+            bad, noun = values[np.abs(values - np.round(values)) > _INTEGER_TOL], "an integer"
         if bad.size:
             raise ValueError(f"{bad[0]} is not {noun}")
-        return params
+        return as_scalar_or_array(values)
 
     def _from_haar(self, v: np.ndarray) -> np.ndarray:
         """Elements at Haar coordinates ``v``: exp(v) on R+*, v itself otherwise."""
@@ -136,19 +128,18 @@ class RGroup:
 
     # -- weight and tails --------------------------------------------------
 
-    def weight(self, eps: float) -> float:
-        """The positive weight homomorphism h at ``eps``."""
-        return float(self.weights([eps])[0])
-
-    def weights(self, params) -> np.ndarray:
-        """The weight homomorphism h at every entry of a 1-d array."""
-        params = self.validate_many(params)
+    def weight(self, params):
+        """The positive weight homomorphism h at one element or at every
+        entry of an array (a float or an array, as ``validate`` returns)."""
+        params = self.validate(params)
         r = self.weight_param
         if self.kind == REAL_ADDITIVE:
-            return np.exp(-r * params)
-        if self.kind == POSITIVE_MULTIPLICATIVE:
-            return np.power(params, -r)
-        return np.power(r, np.round(params))
+            values = np.exp(-r * params)
+        elif self.kind == POSITIVE_MULTIPLICATIVE:
+            values = np.power(params, -r)
+        else:
+            values = np.power(r, np.round(params))
+        return as_scalar_or_array(values)
 
     def tail_mass(self, alpha: float) -> float:
         """Closed-form mass of ``{eps >= alpha}`` for the measure h * m.

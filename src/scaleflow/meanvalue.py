@@ -148,7 +148,7 @@ def empirical_mean(
         eps = action.group.validate(eps)
         integrand = TestFunction(
             name=f"{phi.name}*u",
-            fn=lambda pts: np.asarray(phi(pts)) * u(action.apply(eps, pts)),
+            fn=lambda pts: phi(pts) * u(action.apply(eps, pts)),
             support=phi.support,
         )
         value, est = integrate(hz, integrand, action.frequency_bound(eps, bound_u))
@@ -218,7 +218,7 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> Mean
         grid = grid_spec.build(kernel.support, tuple(np.abs(f)))
         wave = TrigPolynomial.character(-f)
         transform, _ = integrate_with_refinement(
-            lambda pts: np.asarray(kernel(pts)) * wave(pts), grid
+            lambda pts: kernel(pts) * wave(pts), grid
         )
         terms.append((freq, coeff * transform))
     poly = TrigPolynomial.from_terms(terms, dim=u.dimension)

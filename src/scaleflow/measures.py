@@ -290,7 +290,7 @@ class Homogenizer:
 
 def _weighted_integrand(measure, phi):
     if measure.kind == WEIGHTED:
-        return lambda pts: measure.density(pts) * np.asarray(phi(pts))
+        return lambda pts: measure.density(pts) * phi(pts)
     return phi
 
 
@@ -324,7 +324,7 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
     eps = action.group.validate(eps)
     composed = TestFunction(
         name=f"{phi.name}@{eps:g}",
-        fn=lambda pts: np.asarray(phi(action.apply(eps, pts)), dtype=np.complex128),
+        fn=lambda pts: phi(action.apply(eps, pts)),
         support=action.image_box(action.group.inverse(eps), phi.support),
     )
     return integrate(hz, composed, edge_tol=BOUNDARY_MASS_TOL)
@@ -434,7 +434,7 @@ class ConstructedMeasure:
         for start in range(0, len(params), step):
             stop = start + step
             part = params[start:stop]
-            images = self.action.apply_many(part, self.seed_nodes)
+            images = self.action.apply(part[:, None], self.seed_nodes)
             min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=2))))
             values = np.asarray(phi(images.reshape(-1, dim)), dtype=np.complex128)
             values = values.reshape(len(part), k)
@@ -442,7 +442,7 @@ class ConstructedMeasure:
                 raise ValueError("integrand returned non-finite values")
             peak = max(peak, float(np.max(np.abs(values))))
             node_sums[start:stop] = values @ self.seed_weights
-        total = complex(np.dot(w * self.group.weights(params), node_sums))
+        total = complex(np.dot(w * self.group.weight(params), node_sums))
         return total, peak, min_norm
 
     def _sweep(self, phi, support_radius: float | None) -> tuple[complex, float]:

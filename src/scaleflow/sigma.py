@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .actions import Action
-from .algebra import spectral_pairing
+from .algebra import GENERATOR_TOL, spectral_pairing
 from .measures import GridSpec
 from .meanvalue import ERROR_FLOOR, fit_decay_order
 from .quadrature import Box, integrate_with_refinement
@@ -58,7 +58,7 @@ class TwoScaleField:
         images = action.apply(eps, pts)
         out = np.zeros(pts.shape[0], dtype=np.complex128)
         for macro, w in self.terms:
-            out += np.asarray(macro(pts), dtype=np.complex128) * w.poly(images)
+            out += macro(pts) * w.poly(images)
         return out
 
     # every ladder entry of a norm-bound check asks for the same few norms
@@ -76,9 +76,7 @@ class TwoScaleField:
 
         def fn(pts):
             pts = np.atleast_2d(pts)
-            macro = np.stack(
-                [np.asarray(m(pts), dtype=np.complex128) for m, _ in self.terms]
-            )  # (J, Mx)
+            macro = np.stack([m(pts) for m, _ in self.terms])  # (J, Mx)
             out = np.empty(pts.shape[0])
             step = max(1, kernels.POINT_BUDGET // values.shape[1])
             for start in range(0, pts.shape[0], step):
@@ -101,7 +99,7 @@ def _cell_sample(algebra, count: int) -> np.ndarray:
         # irrational generators have no exact period; a window of several
         # slowest oscillations sampled densely approaches the true sup
         gens = np.asarray(algebra.generators, dtype=np.float64)
-        slowest = np.min(np.abs(gens[np.abs(gens) > 1e-12])) if gens.size else 1.0
+        slowest = np.min(np.abs(gens[np.abs(gens) > GENERATOR_TOL]))
         width = 8.0 / slowest
     if dim == 1:
         return np.linspace(0.0, width, count, endpoint=False)[:, None]
@@ -181,8 +179,7 @@ def sigma_pairing_rhs(
             if spectral == 0j:
                 continue
             inner, _ = integrate_with_refinement(
-                lambda pts: np.asarray(macro_u(pts), dtype=np.complex128)
-                * np.asarray(macro_psi(pts), dtype=np.complex128),
+                lambda pts: macro_u(pts) * macro_psi(pts),
                 grid,
             )
             total += inner * spectral

@@ -23,7 +23,7 @@ from scaleflow import (
 )
 from scaleflow.actions import _halton, sphere_directions
 from scaleflow.groups import INTEGER_ADDITIVE
-from scaleflow.quadrature import Box
+from scaleflow.quadrature import Box, GridPoints
 
 
 def test_diagonal_apply():
@@ -63,17 +63,41 @@ def _variants():
 
 @pytest.mark.parametrize("name", ["diagonal", "linear-family", "exp-semigroup", "product"])
 def test_apply_many_matches_apply(name):
+    # apply over a parameter column (the batched map that was apply_many)
+    # equals apply at each element: bit for bit for diagonal scaling
     action = _variants()[name]
+    rtol = 0.0 if name == "diagonal" else 1e-14
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(7, action.dimension))
     if action.group.kind == POSITIVE_MULTIPLICATIVE:
         params = np.exp(rng.uniform(-2.0, 2.0, 5))
     else:
         params = rng.uniform(-1.0, 1.0, 5)
-    images = action.apply_many(params, pts)
+    images = action.apply(params[:, None], pts)
     assert images.shape == (5, 7, action.dimension)
     for eps, image in zip(params, images):
-        np.testing.assert_allclose(image, action.apply(eps, pts), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(image, action.apply(eps, pts), rtol=rtol, atol=0.0)
+    # an (L,) ladder maps one point to (L, N); paired (K,) parameters map (K, N) rowwise
+    ladder_images = action.apply(params, pts[0])
+    assert ladder_images.shape == (5, action.dimension)
+    paired = action.apply(params, pts[:5])
+    for eps, x, image, paired_image in zip(params, pts, ladder_images, paired):
+        np.testing.assert_allclose(image, action.apply(eps, pts[0]), rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(paired_image, action.apply(eps, x), rtol=rtol, atol=0.0)
+    # matrices and norms follow the parameter shape
+    grid = params.reshape(5, 1)
+    matrices = action.matrix(grid)
+    assert matrices.shape == (5, 1, action.dimension, action.dimension)
+    norms = action.operator_norm(grid)
+    assert norms.shape == (5, 1)
+    for eps, m, norm in zip(params, matrices[:, 0], norms[:, 0]):
+        np.testing.assert_allclose(m, action.matrix(eps), rtol=rtol, atol=0.0)
+        single = action.operator_norm(eps)
+        assert type(single) is float
+        assert norm == pytest.approx(single, rel=rtol, abs=0.0)
+    # the inverse map broadcasts the same way
+    back = action.apply_inverse(params[:, None], images)
+    np.testing.assert_allclose(back, np.broadcast_to(pts, back.shape), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["diagonal", "linear-family", "exp-semigroup", "product"])
@@ -107,18 +131,26 @@ def test_diagonal_apply_many_rounds_as_scalar_power():
         action = DiagonalScaling(exponents)
         pts = rng.normal(size=(3, action.dimension))
         powers = -np.asarray(exponents, dtype=np.float64)
-        images = action.apply_many(params, pts)
+        images = action.apply(params[:, None], pts)
         for eps, image in zip(params, images):
             assert np.array_equal(image, pts * float(eps) ** powers)
             assert np.array_equal(action.apply(eps, pts), image)
 
 
 def test_apply_many_validates_parameters():
+    # a parameter array is validated entry by entry, points by their last
+    # axis, and a tensor grid takes one element
     action = DiagonalScaling((1,))
-    with pytest.raises(ValueError, match="positive real"):
-        action.apply_many([0.5, -1.0], np.ones((2, 1)))
+    with pytest.raises(ValueError, match="-1.0 is not a positive real"):
+        action.apply(np.array([[0.5], [-1.0]]), np.ones((2, 1)))
     with pytest.raises(ValueError):
-        action.apply_many([0.5], np.ones((2, 2)))
+        action.apply(np.array([[0.5]]), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        action.apply(0.5, 1.0)
+    grid = GridPoints([np.linspace(0.0, 1.0, 4)])
+    assert isinstance(action.apply(0.5, grid), GridPoints)
+    with pytest.raises(ValueError, match="one element"):
+        action.apply(np.array([0.5, 0.25]), grid)
 
 
 def test_matrix_exponential_against_scipy():
@@ -282,6 +314,74 @@ def test_escape_product_any_nonzero_coordinate():
     assert certify_escape(pair, [1.0, 0.0], ladder, 100.0).passed
     with pytest.raises(ValueError):
         certify_escape(pair, [0.0, 0.0], ladder, 100.0)
+
+
+# -- per-sample reference loops ----------------------------------------------------
+# The certificates evaluate every sample and ladder entry in one array
+# expression.  These loops evaluate them one at a time through the scalar
+# calls, and the reports must agree bit for bit.
+
+
+def _reference_threshold(ladder, passed):
+    threshold = None
+    for eps, ok in zip(reversed(ladder), reversed(passed)):
+        if not ok:
+            break
+        threshold = eps
+    return threshold
+
+
+def _reference_group_law(action, sample_count, seed):
+    rng = np.random.default_rng(seed)
+    window = action.parameter_window()
+    eps1 = action.group.sample(rng, sample_count, window)
+    eps2 = action.group.sample(rng, sample_count, window)
+    xs = rng.normal(scale=2.0, size=(sample_count, action.dimension))
+    worst = 0.0
+    for a, b, x in zip(eps1, eps2, xs):
+        lhs = action.apply(a, action.apply(b, x))
+        rhs = action.apply(action.group.compose(a, b), x)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(x))))
+    return worst
+
+
+def _reference_absorption(action, source, target, ladder):
+    center = action.center()
+    pts = source.boundary_points(64 * action.dimension)
+    evidence, exact, ok = [], [], []
+    for eps in ladder:
+        dist = float(np.max(np.linalg.norm(action.apply_inverse(eps, pts) - center, axis=1)))
+        inv = action.group.inverse(eps)
+        offset = float(np.linalg.norm(action.apply(inv, np.asarray(source.center)) - center))
+        evidence.append((eps, dist))
+        exact.append((eps, action.operator_norm(inv) * source.radius + offset))
+        ok.append(dist <= target.radius)
+    return evidence, exact, _reference_threshold(ladder, ok)
+
+
+def _reference_escape(action, x, ladder, radius):
+    norms = [(eps, float(np.linalg.norm(action.apply(eps, x)))) for eps in ladder]
+    return norms, _reference_threshold(ladder, [n > radius for _, n in norms])
+
+
+@pytest.mark.parametrize("exponents", [(1,), (1, 2), (2, 1, 3)], ids=["N=1", "N=2", "N=3"])
+def test_batched_certificates_match_per_sample_loops(exponents):
+    action = DiagonalScaling(exponents)
+    dim = action.dimension
+    law = certify_group_law(action, sample_count=256, seed=4)
+    assert law.worst_violation == _reference_group_law(action, 256, 4)
+    ladder = [2.0**-n for n in range(1, 21)]
+    source = Ball(tuple(np.linspace(0.7, -1.3, dim)), 10.0)
+    target = Ball((0.0,) * dim, 1.0)
+    cert = certify_absorption(action, source, target, ladder)
+    evidence, exact, threshold = _reference_absorption(action, source, target, ladder)
+    assert (cert.sample_evidence, cert.exact_bounds, cert.threshold) == (evidence, exact, threshold)
+    assert threshold is not None and threshold != ladder[0]  # both verdicts occur
+    x = np.linspace(0.4, -0.9, dim)
+    report = certify_escape(action, x, ladder, 1000.0)
+    norms, threshold = _reference_escape(action, x, ladder, 1000.0)
+    assert (report.norms, report.threshold) == (norms, threshold)
+    assert threshold is not None and threshold != ladder[0]
 
 
 def test_volume_factor_matches_determinant():

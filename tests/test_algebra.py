@@ -94,6 +94,15 @@ def test_subgroup_admissibility():
     assert alg.coordinates([2.0 + 3.0 * ROOT2]) == (2, 3)
 
 
+def test_subgroup_rejects_zero_generator():
+    # a zero generator spans nothing and leaves no oscillation to sample
+    with pytest.raises(ValueError, match="nonzero entry"):
+        HAlgebra.subgroup([[0.0]])
+    with pytest.raises(ValueError, match="nonzero entry"):
+        HAlgebra.subgroup([[1.0, 0.0], [0.0, 1e-13]])
+    assert HAlgebra.subgroup([[1.0, 0.0], [0.0, ROOT2]]).admissible([1.0, ROOT2])
+
+
 def test_constants_and_conjugation_closed():
     for alg in (HAlgebra.periodic_lattice(2), HAlgebra.subgroup([[1.0], [ROOT2]])):
         assert alg.admissible([0.0] * alg.dimension)  # constants always present

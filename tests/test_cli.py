@@ -306,6 +306,10 @@ _MALFORMED_ENTRIES = [
     ("sigma", {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[1.0]], "dimension": 3},
                          "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}},
      "sigma.algebra: generator dimension mismatch"),
+    ("mean", {"mean": {"function": {"class": "vanishing", "profile": "inverse-square"}}},
+     "mean.function.'profile'"),
+    ("mean", {"mean": {"function": {"class": "vanishing", "dimension": 1}}},
+     "mean.function.'dimension'"),
 ]
 
 
@@ -356,6 +360,10 @@ _OUT_OF_RANGE = [
      "escape.point: escape is undefined at the action's center"),
     ("mean", "mean_periodic", {"ladder": {"count": 1}}, "a decay order needs 2"),
     ("sigma", "sigma_periodic", {"ladder": {"values": [0.5]}}, "a decay order needs 2"),
+    ("contract", "contract", {"contraction": {"pairs": 0}}, "contraction.pairs: must be positive"),
+    ("sigma", "sigma_quasiperiodic",
+     {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[0.0]], "degree": 8}}},
+     "sigma.algebra: a generator must have a nonzero entry"),
 ]
 
 

@@ -42,6 +42,37 @@ def test_submultiplicative_reports():
         assert lab == pytest.approx(action.operator_norm(eps), rel=1e-14)
 
 
+def _reference_submultiplicative(action, sample_count, seed, ladder):
+    # the per-pair loop the batched certificate must agree with bit for bit
+    group = action.group
+    rng = np.random.default_rng(seed)
+    eps1 = group.sample(rng, sample_count)
+    eps2 = group.sample(rng, sample_count)
+    worst = 0.0
+    for a, b in zip(eps1, eps2):
+        lab = action.operator_norm(group.compose(a, b))
+        la, lb = action.operator_norm(a), action.operator_norm(b)
+        worst = max(worst, float((lab - la * lb) / max(la * lb, 1e-300)))
+    decay = [(float(e), action.operator_norm(group.inverse(e))) for e in ladder]
+    return worst, decay
+
+
+@pytest.mark.parametrize("exponents", [(1,), (1, 2), (2, 1, 3)], ids=["N=1", "N=2", "N=3"])
+def test_submultiplicative_matches_per_pair_loop(exponents):
+    action = DiagonalScaling(exponents)
+    ladder = action.group.ladder(12)
+    report = certify_submultiplicative(action, sample_count=500, seed=7, ladder=ladder)
+    worst, decay = _reference_submultiplicative(action, 500, 7, ladder)
+    assert (report.worst_excess, report.decay) == (worst, decay)
+    assert report.decay_final == decay[-1][1]
+    assert type(report.worst_excess) is float and type(report.decay_final) is float
+
+
+def test_submultiplicative_rejects_no_samples():
+    with pytest.raises(ValueError, match="sample_count"):
+        certify_submultiplicative(DiagonalScaling((1,)), sample_count=0)
+
+
 def test_fixed_point_diagonal_halving():
     action = DiagonalScaling((1,))
     result = fixed_point(action, 0.5, np.array([8.0]), tol=1e-12)

@@ -65,11 +65,16 @@ def test_weight_values():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_weights_match_weight(kind):
+    # weight of an array is the weight of each entry, bit for bit; one
+    # element gives a Python float
     group = RGroup(kind)
     elems = sample_elements(group, 64)
-    np.testing.assert_allclose(
-        group.weights(elems), [group.weight(e) for e in elems], rtol=1e-14, atol=0.0
-    )
+    singles = [group.weight(e) for e in elems]
+    assert all(type(w) is float for w in singles)
+    batched = group.weight(elems)
+    assert batched.dtype == np.float64 and batched.shape == (64,)
+    np.testing.assert_array_equal(batched, singles)
+    np.testing.assert_array_equal(group.weight(elems.reshape(8, 8)), batched.reshape(8, 8))
 
 
 _NON_MEMBERS = [
@@ -82,13 +87,25 @@ _NON_MEMBERS = [
 
 @pytest.mark.parametrize("kind,bad", _NON_MEMBERS)
 def test_validate_many_rejects_what_validate_rejects(kind, bad):
+    # an array is validated as its entries are: it rejects exactly the
+    # non-members, naming the first bad entry
     group = RGroup(kind)
     elems = list(sample_elements(group, 4))
-    np.testing.assert_array_equal(group.validate_many(elems), elems)
+    checked = group.validate(elems)
+    assert checked.dtype == np.float64
+    np.testing.assert_array_equal(checked, elems)
+    assert type(group.validate(elems[0])) is float
+    assert type(group.validate(np.float64(elems[0]))) is float
     with pytest.raises(ValueError):
         group.validate(bad)
-    with pytest.raises(ValueError):
-        group.validate_many(elems[:2] + [bad] + elems[2:])
+    with pytest.raises(ValueError) as list_error:
+        group.validate(elems[:2] + [bad] + elems[2:])
+    later = {REAL_ADDITIVE: math.nan, POSITIVE_MULTIPLICATIVE: -7.0, INTEGER_ADDITIVE: 2.5}[kind]
+    with pytest.raises(ValueError) as column_error:
+        group.validate(np.array(elems[:2] + [bad, later] + elems[2:])[:, None])
+    if math.isfinite(bad):
+        assert str(list_error.value).startswith(f"{bad} is not")
+        assert str(column_error.value).startswith(f"{bad} is not")
 
 
 def test_domain_validation():
@@ -239,7 +256,7 @@ def test_sample_matches_reference_bit_for_bit(kind, window):
     want = _reference_sample(group, np.random.default_rng(3), 50, window)
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
-    group.validate_many(got)
+    group.validate(got)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -249,7 +266,7 @@ def test_haar_blocks_integrate_the_weight(kind):
     group = RGroup(kind, 0.5 if kind == INTEGER_ADDITIVE else 1.5)
     blocks = list(group.haar_blocks(1e-6, nodes_per_unit=48, count=3))
     assert len(blocks) == 3
-    total = sum(float(np.dot(w, group.weights(params))) for params, w in blocks)
+    total = sum(float(np.dot(w, group.weight(params))) for params, w in blocks)
     top = group.tail_threshold(1e-6)
     upper = top
     if kind == INTEGER_ADDITIVE:

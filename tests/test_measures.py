@@ -319,20 +319,35 @@ def test_constructed_measure_point_budget_slices_blocks(monkeypatch):
     assert max(sizes) <= 1000
 
 
-def test_constructed_measure_pairing_makes_no_apply_call(monkeypatch):
-    # the sweep maps whole parameter blocks through apply_many
-    _, action, measure = _half_line_setup()
+def test_constructed_measure_pairing_applies_parameter_columns(monkeypatch):
+    # the sweep maps the seed nodes under a column of Haar nodes at a time:
+    # every apply call carries an (E, 1) parameter column, and there is at
+    # most one call per point-budget chunk (one phi call each)
+    measure = _uniform_seed_measure()
+    k = measure.seed_nodes.shape[0]
     calls = []
-    apply = type(action).apply
+    apply = type(measure.action).apply
 
     def counting(self, eps, x):
-        calls.append(eps)
+        calls.append((np.shape(eps), np.shape(x)))
         return apply(self, eps, x)
 
-    monkeypatch.setattr(type(action), "apply", counting)
-    value, _ = measure.pairing(gaussian([3.0], 0.5))
+    phi = gaussian([3.0], 0.5)
+    chunks = []
+
+    def recording(pts):
+        chunks.append(len(pts))
+        return phi.fn(pts)
+
+    monkeypatch.setattr(kernels, "POINT_BUDGET", 1000, raising=False)
+    monkeypatch.setattr(type(measure.action), "apply", counting)
+    value, _ = measure.pairing(TestFunction("recording", recording, phi.support))
     assert value.real > 0.0
-    assert calls == []
+    assert 0 < len(calls) <= len(chunks)
+    for eps_shape, x_shape in calls:
+        assert x_shape == measure.seed_nodes.shape
+        assert len(eps_shape) == 2 and eps_shape[1] == 1
+        assert 1 <= eps_shape[0] <= 1000 // k
 
 
 def test_constructed_measure_rejects_center_support():
