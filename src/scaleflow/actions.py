@@ -143,9 +143,6 @@ class Action:
         # a general linear map mixes the axes: image of the built point array
         return self._apply(eps, np.asarray(grid))
 
-    def apply_inverse(self, eps, x):
-        return self.apply(self.group.inverse(eps), x)
-
     def center(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
@@ -248,18 +245,6 @@ class LinearFamily(Action):
             raise ValueError(f"matrix map returned shape {b.shape}")
         return b
 
-    def apply_inverse(self, eps, x):
-        # inverse map of H_eps; equals H at the inverse parameter whenever
-        # the family satisfies the composition law
-        a, pts, n = self.matrix(eps), self._points(x), self.dimension
-        batch = np.broadcast_shapes(a.shape[:-2], pts.shape[:-1])
-        # full batch shapes on both sides, so solve reads x as column vectors
-        columns = np.broadcast_to(pts[..., None], batch + (n, 1))
-        try:
-            return np.linalg.solve(np.broadcast_to(a, batch + (n, n)), columns)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular matrix: invalid action definition") from exc
-
 
 @dataclass(frozen=True)
 class ExpSemigroup(Action):
@@ -334,21 +319,6 @@ class ProductAction(Action):
         for f, sl in self._slices():
             out[..., sl, sl] = f.matrix(params)
         return out
-
-    def _apply(self, eps, pts: np.ndarray) -> np.ndarray:
-        return np.concatenate([f._apply(eps, pts[..., sl]) for f, sl in self._slices()], axis=-1)
-
-    def apply_inverse(self, eps, x):
-        pts = self._points(x)
-        return np.concatenate(
-            [f.apply_inverse(eps, pts[..., sl]) for f, sl in self._slices()], axis=-1
-        )
-
-    def operator_norm(self, params):
-        return as_scalar_or_array(np.max([f.operator_norm(params) for f in self.factors], axis=0))
-
-    def volume_factor(self, eps: float) -> float:
-        return math.prod(f.volume_factor(eps) for f in self.factors)
 
     def parameter_window(self) -> float:
         return min(f.parameter_window() for f in self.factors)
@@ -438,13 +408,10 @@ def certify_absorption(
     ladder = action.group.validate(ladder)
     if np.any(ladder[1:] >= ladder[:-1]):
         raise ValueError("ladder must decrease strictly")
-    if source.radius == 0.0 and np.allclose(source.center, center):
-        pts = center[None, :]
-    else:
-        pts = source.boundary_points(directions_per_dim * action.dimension)
-    images = action.apply_inverse(ladder[:, None], pts)  # (ladder, points, N)
-    dist = np.max(np.linalg.norm(images - center, axis=2), axis=1)
     inv = action.group.inverse(ladder)
+    pts = source.boundary_points(directions_per_dim * action.dimension)
+    images = action.apply(inv[:, None], pts)  # (ladder, points, N)
+    dist = np.max(np.linalg.norm(images - center, axis=2), axis=1)
     offset = _norms(action.apply(inv, np.asarray(source.center)) - center)
     bound = action.operator_norm(inv) * source.radius + offset
     threshold = _threshold(ladder, dist <= target.radius)

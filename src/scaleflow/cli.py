@@ -29,7 +29,7 @@ from .measures import (
     verify_homogeneity,
 )
 from .quadrature import Box, UnderResolvedError
-from .sigma import trace_norm_bound_rows, verify_sigma_convergence
+from .sigma import trace_norm_bound_rows, validate_ladder, verify_sigma_convergence
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -238,6 +238,10 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
     if not battery:
         raise ConfigError("sigma runs need a non-empty battery")
     ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
+    try:  # a sigma ladder must also stay at or below the identity
+        validate_ladder(action.group, ladder)
+    except ValueError as exc:
+        raise ConfigError(f"ladder: {exc}") from exc
     tolerances = cfg.get("tolerances", {})
     tol = tolerances.get("rel", 1e-2)
     order_floor = tolerances.get("decay_order", 0.9)

@@ -381,7 +381,7 @@ def build_constructed_measure(cfg: dict, action: Action) -> ConstructedMeasure:
     seed = build_seed_measure(block.get("seed_measure", {"kind": "dirac", "point": [1.0]}),
                               action.dimension)
     with _at("construct.seed_measure"):
-        return construct_measure(action.group, action, seed,
+        return construct_measure(action, seed,
                                  tail_cut=block.get("tail_cut", DEFAULT_TAIL_CUT))
 
 

@@ -63,9 +63,14 @@ def pairwise_sum(values) -> complex:
 
 
 def pairwise_dot(weights, values) -> complex:
-    """Weighted sum ``sum(weights * values)`` with pairwise reduction."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
+    """Weighted sum ``sum(weights * values)`` with pairwise reduction.
+
+    Real values stay real through the product, and :func:`pairwise_sum`
+    promotes it to complex once; for positive weights that has the bits of
+    the complex product, whose imaginary parts are all +0.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    values = np.asarray(values)
     if weights.shape != values.shape:
         raise ValueError("weights and values must have matching shapes")
     return pairwise_sum(weights * values)

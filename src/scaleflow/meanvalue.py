@@ -67,7 +67,7 @@ class MeanFunction:
             pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if self.poly is not None:
             return self.poly(pts)
-        return np.asarray(self.evaluator(pts), dtype=np.complex128).ravel()
+        return np.ravel(self.evaluator(pts))
 
     def oscillation_bound(self) -> np.ndarray:
         """Per-axis frequency bound used by grid-resolution rules."""

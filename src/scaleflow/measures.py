@@ -18,7 +18,6 @@ import numpy as np
 
 from . import kernels
 from .actions import Action, DiagonalScaling
-from .groups import RGroup
 from .quadrature import (
     GAUSS,
     MIDPOINT,
@@ -51,7 +50,7 @@ class TestFunction:
     """A named vectorised integrand with a known numerical support box.
 
     ``fn`` gets an (M, N) array or a tensor grid's :class:`GridPoints`; its
-    values come back raveled in C order.
+    values come back raveled in C order, in the dtype the formula gives.
     """
 
     __test__ = False  # plain data, despite the pytest-like name
@@ -63,7 +62,7 @@ class TestFunction:
     def __call__(self, pts) -> np.ndarray:
         if not isinstance(pts, GridPoints):
             pts = np.atleast_2d(pts)
-        return np.asarray(self.fn(pts), dtype=np.complex128).ravel()
+        return np.ravel(self.fn(pts))
 
 
 def _r2(pts, center) -> np.ndarray:
@@ -336,7 +335,6 @@ class HomogeneityReport:
     factor_decay: list  # (eps, c(eps)) ordered toward the group infimum
     decay_ok: bool
     passed: bool
-    tol_rel: float
 
 
 def verify_homogeneity(
@@ -379,7 +377,7 @@ def verify_homogeneity(
     values = [c for _, c in factors]
     decay_ok = all(b < a for a, b in zip(values, values[1:])) and values[-1] <= 0.5 * values[0]
     return HomogeneityReport(
-        rows=rows, factor_decay=factors, decay_ok=decay_ok, passed=ok and decay_ok, tol_rel=tol_rel
+        rows=rows, factor_decay=factors, decay_ok=decay_ok, passed=ok and decay_ok
     )
 
 
@@ -410,7 +408,6 @@ class ConstructedMeasure:
     other side until successive blocks stop contributing.
     """
 
-    group: RGroup
     action: Action
     seed_nodes: np.ndarray  # (K, N)
     seed_weights: np.ndarray  # (K,)
@@ -442,26 +439,24 @@ class ConstructedMeasure:
                 raise ValueError("integrand returned non-finite values")
             peak = max(peak, float(np.max(np.abs(values))))
             node_sums[start:stop] = values @ self.seed_weights
-        total = complex(np.dot(w * self.group.weight(params), node_sums))
+        total = complex(np.dot(w * self.action.group.weight(params), node_sums))
         return total, peak, min_norm
 
-    def _sweep(self, phi, support_radius: float | None) -> tuple[complex, float]:
+    def _sweep(self, phi, support_radius: float) -> tuple[complex, float]:
         # Blocks descend from the tail cutoff; orbits run from the center
         # outward, so the sweep may stop only after they have crossed the
-        # integrand's bounding radius (with patience when that is unknown).
-        patience = 2 if support_radius is not None else 8
+        # integrand's bounding radius.
         total = 0j
         peak = 0.0
         quiet = 0
-        blocks = self.group.haar_blocks(self.tail_cut, self.nodes_per_unit, self.max_blocks)
+        blocks = self.action.group.haar_blocks(self.tail_cut, self.nodes_per_unit, self.max_blocks)
         for params, w in blocks:
             block, block_peak, min_norm = self._block_value(phi, params, w)
             total += block
             peak = max(peak, block_peak)
-            support_passed = support_radius is None or min_norm > support_radius
-            if support_passed and abs(block) <= 1e-14 * (1.0 + abs(total)):
+            if min_norm > support_radius and abs(block) <= 1e-14 * (1.0 + abs(total)):
                 quiet += 1
-                if quiet >= patience:
+                if quiet >= 2:
                     break
             else:
                 quiet = 0
@@ -471,13 +466,9 @@ class ConstructedMeasure:
             )
         return total, peak
 
-    def pairing(self, phi) -> tuple[complex, float]:
-        radius = None
-        if isinstance(phi, TestFunction):
-            corners = np.abs(
-                np.stack([np.asarray(phi.support.lows), np.asarray(phi.support.highs)])
-            )
-            radius = float(np.linalg.norm(np.max(corners, axis=0)))
+    def pairing(self, phi: TestFunction) -> tuple[complex, float]:
+        corners = np.abs(np.stack([np.asarray(phi.support.lows), np.asarray(phi.support.highs)]))
+        radius = float(np.linalg.norm(np.max(corners, axis=0)))
         value, peak = self._sweep(phi, radius)
         fine = replace(self, nodes_per_unit=self.nodes_per_unit * 2)
         refined, _ = fine._sweep(phi, radius)
@@ -485,7 +476,7 @@ class ConstructedMeasure:
         return refined, estimate
 
     def as_homogenizer(self, grid_spec: GridSpec | None = None) -> Homogenizer:
-        group = self.group
+        group = self.action.group
         return Homogenizer(
             action=self.action,
             measure=self,
@@ -495,7 +486,6 @@ class ConstructedMeasure:
 
 
 def construct_measure(
-    group: RGroup,
     action: Action,
     seed: MeasureDescriptor,
     tail_cut: float = DEFAULT_TAIL_CUT,
@@ -505,8 +495,6 @@ def construct_measure(
     The seed must carry positive mass and keep a positive distance from the
     action's center.
     """
-    if action.group != group:
-        raise ValueError("action and group disagree")
     if seed.kind == DIRAC:
         nodes = np.asarray(seed.point, dtype=np.float64)[None, :]
         weights = np.ones(1)
@@ -527,7 +515,6 @@ def construct_measure(
     if float(np.min(distances)) <= 1e-9:
         raise ValueError("seed support must stay away from the center")
     return ConstructedMeasure(
-        group=group,
         action=action,
         seed_nodes=nodes,
         seed_weights=np.asarray(weights, dtype=np.float64),

@@ -7,7 +7,7 @@ depend on evaluation order.
 
 A grid hands its points to integrands as :class:`GridPoints`, one node
 vector per axis: formulas that factor by axis read ``coords()`` and never
-build the (n^d, d) point array; any other use of the points builds it.
+build the (n^d, d) point array; ``np.asarray`` builds it for any other use.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from . import kernels
 
@@ -90,14 +89,14 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-class GridPoints(NDArrayOperatorsMixin):
+class GridPoints:
     """The points of a tensor grid, held as one node vector per axis.
 
     It stands for the (n_1 * ... * n_d, d) array of the points in C order,
     the order of ``meshgrid(indexing="ij")``: ``shape`` is that array's, and
-    ``np.asarray``, indexing or any numpy operation builds it, for
-    integrands that take opaque point arrays.  Formulas that factor by axis
-    read :meth:`coords` instead (see ``kernels.coordinates``).
+    ``np.asarray`` builds it, anew on each call, for integrands that take
+    opaque point arrays.  Formulas that factor by axis read :meth:`coords`
+    instead (see ``kernels.coordinates``).
     """
 
     def __init__(self, axes):
@@ -118,13 +117,6 @@ class GridPoints(NDArrayOperatorsMixin):
         grids = np.meshgrid(*self.axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         return pts if dtype is None else pts.astype(dtype, copy=False)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [np.asarray(x) if isinstance(x, GridPoints) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
 
 
 @dataclass(frozen=True)
@@ -170,10 +162,10 @@ class QuadratureGrid:
 
 def _integral_and_values(f, grid: QuadratureGrid) -> tuple[complex, np.ndarray]:
     pts, w = grid.points_and_weights()
-    values = np.asarray(f(pts), dtype=np.complex128).ravel()
+    values = np.ravel(f(pts))
     if values.shape[0] != pts.shape[0]:
         raise ValueError("integrand returned a wrong-sized array")
-    if not np.all(np.isfinite(values.view(np.float64))):
+    if not np.isfinite(values).all():
         raise ValueError("integrand returned non-finite values")
     return kernels.pairwise_dot(w, values), values
 

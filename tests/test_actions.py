@@ -31,8 +31,9 @@ def test_diagonal_apply():
     assert np.allclose(a.apply(0.5, np.array([1.0, 2.0])), [2.0, 4.0])
     x = np.array([0.3, -1.2])
     assert np.allclose(a.apply(1.0, x), x)  # identity parameter acts trivially
-    assert np.allclose(a.apply_inverse(2.0, np.array([3.0, 3.0])), [6.0, 6.0])
-    assert np.allclose(a.apply_inverse(0.5, a.apply(0.5, x)), x)
+    # the inverse map is H at the inverse parameter
+    assert np.allclose(a.apply(a.group.inverse(2.0), np.array([3.0, 3.0])), [6.0, 6.0])
+    assert np.allclose(a.apply(a.group.inverse(0.5), a.apply(0.5, x)), x)
 
 
 def test_diagonal_validation():
@@ -95,8 +96,8 @@ def test_apply_many_matches_apply(name):
         single = action.operator_norm(eps)
         assert type(single) is float
         assert norm == pytest.approx(single, rel=rtol, abs=0.0)
-    # the inverse map broadcasts the same way
-    back = action.apply_inverse(params[:, None], images)
+    # H at the inverse parameters maps the images back
+    back = action.apply(action.group.inverse(params[:, None]), images)
     np.testing.assert_allclose(back, np.broadcast_to(pts, back.shape), rtol=1e-12, atol=1e-12)
 
 
@@ -167,7 +168,7 @@ def test_exp_semigroup_closed_form():
     a = ExpSemigroup.from_matrix(1.0, np.zeros((1, 1)))
     out = a.apply(math.log(2.0), np.array([4.0]))
     assert out[0] == pytest.approx(2.0, rel=1e-14)  # exp(-k eps) x with k=1
-    back = a.apply_inverse(math.log(2.0), np.array([2.0]))
+    back = a.apply(a.group.inverse(math.log(2.0)), np.array([2.0]))
     assert back[0] == pytest.approx(4.0, rel=1e-14)
 
 
@@ -188,10 +189,47 @@ def test_centers():
         assert np.linalg.norm(both.apply(eps, both.center()) - both.center()) <= 1e-12
 
 
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+# (product, parameters, closed forms per element: image of x, norm, |det|)
+_PRODUCTS = {
+    # x -> (x_1 / eps, x_2 / eps^2)
+    "diagonal": (
+        product([DiagonalScaling((1,)), DiagonalScaling((2,))]),
+        [0.3, 0.5, 1.0, 2.0, 7.5],
+        lambda e, x: np.array([x[0] / e, x[1] / e**2]),
+        lambda e: max(1.0 / e, e**-2.0),
+        lambda e: e**-3.0,
+    ),
+    # exp(-eps) on R, and exp(-3 eps) times a rotation by eps on R^2
+    "exp-semigroup": (
+        product([ExpSemigroup.from_matrix(1.0, np.zeros((1, 1))),
+                 ExpSemigroup.from_matrix(3.0, [[0.0, 1.0], [-1.0, 0.0]])]),
+        [-0.8, -0.1, 0.0, 0.4, 1.1],
+        lambda e, x: np.concatenate([[math.exp(-e) * x[0]],
+                                     math.exp(-3.0 * e) * _rotation(e) @ x[1:]]),
+        lambda e: max(math.exp(-e), math.exp(-3.0 * e)),
+        lambda e: math.exp(-7.0 * e),
+    ),
+}
+
+
 def test_product_action():
-    both = product([DiagonalScaling((1,)), DiagonalScaling((2,))])
-    out = both.apply(0.5, np.array([1.0, 1.0]))
-    assert np.allclose(out, [2.0, 4.0])  # componentwise scaling formula
+    # the block matrix gives the per-factor closed forms, at one element and
+    # at an array of them (volume_factor takes one element)
+    for action, params, image, norm, volume in _PRODUCTS.values():
+        x = np.linspace(1.3, -0.7, action.dimension)
+        images = action.apply(np.asarray(params), x)
+        norms = action.operator_norm(np.asarray(params))
+        for eps, batched_image, batched_norm in zip(params, images, norms):
+            expected = image(eps, x)
+            for got in (action.apply(eps, x), batched_image):
+                np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+            for got in (action.operator_norm(eps), batched_norm):
+                assert got == pytest.approx(norm(eps), rel=1e-14, abs=0.0)
+            assert action.volume_factor(eps) == pytest.approx(volume(eps), rel=1e-14, abs=0.0)
     single = product([DiagonalScaling((3,))])
     x = np.array([1.7])
     assert np.allclose(single.apply(0.3, x), DiagonalScaling((3,)).apply(0.3, x))
@@ -214,14 +252,6 @@ def test_group_law_negative_control():
     group = RGroup(POSITIVE_MULTIPLICATIVE)
     bad = LinearFamily(group=group, dimension=1, matrix_fn=lambda e: np.array([[1.0 + e]]))
     assert not certify_group_law(bad).passed
-
-
-def test_linear_family_singular_inverse():
-    group = RGroup(POSITIVE_MULTIPLICATIVE)
-    singular = LinearFamily(group=group, dimension=2,
-                            matrix_fn=lambda e: np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        singular.apply_inverse(1.0, np.ones(2))
 
 
 def test_integer_group_linear_family():
@@ -350,8 +380,8 @@ def _reference_absorption(action, source, target, ladder):
     pts = source.boundary_points(64 * action.dimension)
     evidence, exact, ok = [], [], []
     for eps in ladder:
-        dist = float(np.max(np.linalg.norm(action.apply_inverse(eps, pts) - center, axis=1)))
         inv = action.group.inverse(eps)
+        dist = float(np.max(np.linalg.norm(action.apply(inv, pts) - center, axis=1)))
         offset = float(np.linalg.norm(action.apply(inv, np.asarray(source.center)) - center))
         evidence.append((eps, dist))
         exact.append((eps, action.operator_norm(inv) * source.radius + offset))

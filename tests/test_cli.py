@@ -360,6 +360,8 @@ _OUT_OF_RANGE = [
      "escape.point: escape is undefined at the action's center"),
     ("mean", "mean_periodic", {"ladder": {"count": 1}}, "a decay order needs 2"),
     ("sigma", "sigma_periodic", {"ladder": {"values": [0.5]}}, "a decay order needs 2"),
+    ("sigma", "sigma_periodic", {"ladder": {"values": [4.0, 2.0, 1.0, 0.5]}},
+     "ladder: ladder entries must not exceed the identity"),
     ("contract", "contract", {"contraction": {"pairs": 0}}, "contraction.pairs: must be positive"),
     ("sigma", "sigma_quasiperiodic",
      {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[0.0]], "degree": 8}}},

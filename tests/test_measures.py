@@ -28,14 +28,17 @@ from scaleflow import (
     default_battery,
     gaussian,
     integrate,
+    mollifier,
+    parabola,
     pushforward_pairing,
     verify_center_null,
+    triangle,
     verify_homogeneity,
 )
 from scaleflow import kernels
 from scaleflow.config import build_seed_measure
 from scaleflow.measures import check_factor_multiplicative
-from scaleflow.quadrature import Box, UnderResolvedError
+from scaleflow.quadrature import Box, QuadratureGrid, UnderResolvedError
 
 
 def test_integrate_unit_mass_bump():
@@ -50,6 +53,18 @@ def test_integrate_unit_mass_bump():
     value, estimate = integrate(hz, unit)
     assert abs(value - 1.0) <= 1e-8
     assert estimate <= 1e-8
+
+
+def test_real_test_functions_keep_float64():
+    # values keep the dtype their formula gives, on arrays and on tensor grids
+    pts = np.array([[0.1, 0.2], [1.0, -0.5], [2.5, 0.3]])
+    grid, _ = QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), (4, 5)).points_and_weights()
+    battery = default_battery(2) + [mollifier([0.0, 0.5], 1.0),
+                                     parabola(Box((0.0, 0.0), (1.0, 2.0)))]
+    for phi in battery:
+        assert phi(pts).dtype == np.float64
+        assert phi(grid).dtype == np.float64 and phi(grid).shape == (20,)
+    assert triangle(0.3, 0.7)(np.array([[0.1], [0.5]])).dtype == np.float64
 
 
 def test_integrate_dirac():
@@ -185,7 +200,7 @@ def test_support_outside_measure_domain_raises():
 def _half_line_setup():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
-    measure = construct_measure(group, action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
     return group, action, measure
 
 
@@ -254,7 +269,7 @@ def test_constructed_measure_real_additive_oracle(center, sigma):
     # H_eps x = exp(-2.5 eps) x with weight exp(-eps): substituting
     # t = exp(-2.5 eps) turns the orbit integral into 0.4 * phi(t) t^-0.6 dt
     action = ExpSemigroup.from_matrix(2.0, [[0.5]])
-    measure = construct_measure(action.group, action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
     value, _ = measure.pairing(gaussian([center], sigma))
     profile = _gauss_profile(center, sigma)
     integral, _ = quad(
@@ -268,7 +283,7 @@ def _uniform_seed_measure():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
     seed = build_seed_measure({"kind": "uniform", "box": Box((1.0,), (2.0,))}, 1)
-    return construct_measure(group, action, seed)
+    return construct_measure(action, seed)
 
 
 def test_constructed_measure_uniform_seed_oracle():
@@ -291,7 +306,7 @@ def test_constructed_measure_rejects_non_finite_orbit_value():
     group = RGroup(INTEGER_ADDITIVE, 0.5)
     action = LinearFamily(group=group, dimension=1,
                           matrix_fn=lambda n: np.array([[2.0**-n]]))
-    measure = construct_measure(group, action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
     phi = gaussian([2.0], 0.5)
     spiked = TestFunction(
         "spiked", lambda p: np.where(p[:, 0] == 4.0, np.inf, phi.fn(p)), Box((0.0,), (8.0,))
@@ -354,14 +369,7 @@ def test_constructed_measure_rejects_center_support():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
     with pytest.raises(ValueError):
-        construct_measure(group, action, MeasureDescriptor.dirac([0.0]))
-
-
-def test_constructed_measure_group_mismatch():
-    group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
-    action = DiagonalScaling((1,))  # default weight 1.0 group
-    with pytest.raises(ValueError):
-        construct_measure(group, action, MeasureDescriptor.dirac([1.0]))
+        construct_measure(action, MeasureDescriptor.dirac([0.0]))
 
 
 # -- vanishing mass at the center ------------------------------------------------
@@ -401,7 +409,7 @@ def test_constructed_measure_integer_group():
     group = RGroup(INTEGER_ADDITIVE, 0.5)
     action = LinearFamily(group=group, dimension=1,
                           matrix_fn=lambda n: np.array([[2.0**-n]]))
-    measure = construct_measure(group, action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
     phi = gaussian([2.0], 0.5)
     value, _ = measure.pairing(phi)
     oracle = sum(

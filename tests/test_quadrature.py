@@ -32,7 +32,7 @@ def test_box_basics():
 def test_gauss_exact_for_polynomials():
     # a 16-point panel integrates degree <= 31 exactly
     grid = QuadratureGrid(box=Box((0.0,), (1.0,)), nodes_per_axis=(16,), rule=GAUSS)
-    value = integrate_on_grid(lambda p: p[:, 0] ** 5, grid)
+    value = integrate_on_grid(lambda p: np.asarray(p)[:, 0] ** 5, grid)
     assert value.real == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
@@ -68,7 +68,7 @@ def test_gaussian_integral_2d():
     # closed form: integral of exp(-|x|^2 / 2) over R^2 equals 2*pi
     grid = QuadratureGrid(box=Box((-10.0, -10.0), (10.0, 10.0)), nodes_per_axis=(256, 256))
     value, estimate = integrate_with_refinement(
-        lambda p: np.exp(-0.5 * np.sum(p**2, axis=1)), grid
+        lambda p: np.exp(-0.5 * np.sum(np.asarray(p) ** 2, axis=1)), grid
     )
     assert abs(value.real - 2.0 * math.pi) <= 1e-8
     assert estimate <= 1e-8
@@ -78,7 +78,7 @@ def test_refinement_estimate_tracks_error():
     # a kinked integrand converges slowly; the doubling estimate must
     # bound the distance between successive refinements
     grid = QuadratureGrid(box=Box((-1.0,), (1.0,)), nodes_per_axis=(37,))
-    f = lambda p: np.abs(p[:, 0])
+    f = lambda p: np.abs(np.asarray(p)[:, 0])
     value, estimate = integrate_with_refinement(f, grid)
     finer = integrate_on_grid(f, grid.refined(4))
     assert abs(value - finer) <= 2.0 * estimate + 1e-12
@@ -87,7 +87,7 @@ def test_refinement_estimate_tracks_error():
 def test_non_finite_integrand_rejected():
     grid = QuadratureGrid(box=Box((0.0,), (1.0,)), nodes_per_axis=(8,))
     with pytest.raises(ValueError):
-        integrate_on_grid(lambda p: np.where(p[:, 0] > 0.5, np.inf, 1.0), grid)
+        integrate_on_grid(lambda p: np.where(np.asarray(p)[:, 0] > 0.5, np.inf, 1.0), grid)
 
 
 def test_boundary_mass_detection():
@@ -106,14 +106,14 @@ def test_refinement_evaluates_each_grid_once_and_judges_the_edge_on_the_coarse()
 
     def centered(p):
         sizes.append(p.shape[0])
-        return np.exp(-20 * np.sum(p**2, axis=1))
+        return np.exp(-20 * np.sum(np.asarray(p) ** 2, axis=1))
 
     value, _ = integrate_with_refinement(centered, grid, edge_tol=1e-6)
     assert sizes == [16 * 24, 32 * 48]
     assert value == integrate_with_refinement(centered, grid)[0]
     sizes.clear()
     with pytest.raises(SupportEscapeError, match="grid boundary"):
-        integrate_with_refinement(lambda p: centered(p - 1.0), grid, edge_tol=1e-6)
+        integrate_with_refinement(lambda p: centered(np.asarray(p) - 1.0), grid, edge_tol=1e-6)
     assert sizes == [16 * 24]  # rejected before the fine grid is built
 
 
@@ -164,6 +164,21 @@ def test_pairwise_backends_agree(n):
     assert total == kernels.pairwise_sum(values)  # deterministic
     ref = complex(np.sum(weights * values))
     assert abs(dot - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 7, 1025, 4097])
+def test_pairwise_dot_of_real_values_has_the_bits_of_the_complex_product(n):
+    # real values stay real through the weighted product and are promoted
+    # once; with positive weights the sum equals the complex product's
+    rng = np.random.default_rng(70 + n)
+    weights = rng.uniform(1e-3, 2.0, size=n)
+    values = rng.normal(size=n)
+    values[::5] = -0.0
+    values[1::5] = 0.0
+    real = kernels.pairwise_dot(weights, values)
+    promoted = kernels.pairwise_dot(weights, values.astype(complex))
+    assert repr(real) == repr(promoted)
+    assert (real.real, real.imag) == (promoted.real, promoted.imag)
 
 
 def test_trig_eval_backends_agree():
