@@ -98,10 +98,11 @@ class Action:
     """Base class: a parametrised family of linear maps of R^N.  Only this
     module reads the matrix: norms, volumes, image boxes, frequency bounds.
 
-    ``apply``, ``matrix`` and ``operator_norm`` take one group element or an
-    array of them.  ``apply(eps, x)`` broadcasts ``eps`` against the leading
-    axes of the points ``x`` (..., N): an (E, 1) column of parameters maps
-    (K, N) points to (E, K, N), and an (L,) ladder maps one point to (L, N).
+    ``apply``, ``matrix``, ``operator_norm`` and ``volume_factor`` take one
+    group element or an array of them.  ``apply(eps, x)`` broadcasts ``eps``
+    against the leading axes of the points ``x`` (..., N): an (E, 1) column
+    of parameters maps (K, N) points to (E, K, N), and an (L,) ladder maps
+    one point to (L, N).
     """
 
     group: RGroup
@@ -158,9 +159,10 @@ class Action:
         tolerance."""
         return self.group.parameter_window()
 
-    def volume_factor(self, eps: float) -> float:
-        """|det| of the representing matrix; used by Lebesgue pushforwards."""
-        return abs(float(np.linalg.det(self.matrix(eps))))
+    def volume_factor(self, params):
+        """|det| of the representing matrix, used by Lebesgue pushforwards:
+        a float for one element, an array for an array of them."""
+        return as_scalar_or_array(np.abs(np.linalg.det(self.matrix(params))))
 
     def image_box(self, eps: float, box: Box) -> Box:
         """Bounding box of the image of ``box`` under H_eps."""
@@ -217,14 +219,23 @@ class DiagonalScaling(Action):
         return pts * self._scales(eps)
 
     def _apply_grid(self, eps: float, grid: GridPoints) -> GridPoints:
-        # scaling each axis maps a tensor grid to a tensor grid
-        return GridPoints([axis * s for axis, s in zip(grid.axes, self._scales(eps))])
+        # scaling each axis maps a tensor grid to a tensor grid, and both
+        # halves of a panel split to the split of the scaled axis
+        scales = self._scales(eps)
+        splits = [None if split is None else tuple(part * s for part in split)
+                  for split, s in zip(grid.splits, scales)]
+        return GridPoints([axis * s for axis, s in zip(grid.axes, scales)], splits)
 
     def operator_norm(self, params):
         return as_scalar_or_array(np.max(self._scales(self.group.validate(params)), axis=-1))
 
-    def volume_factor(self, eps: float) -> float:
-        return float(self.group.validate(eps) ** -sum(self.exponents))
+    def volume_factor(self, params):
+        # eps ** -sum(r) in Python's float power, element by element, so an
+        # array of parameters gets the bits of one-element calls
+        params = self.group.validate(params)
+        power = -sum(self.exponents)
+        values = [eps**power for eps in np.ravel(params).tolist()]
+        return as_scalar_or_array(np.reshape(values, np.shape(params)))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,15 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     grid costs K * sum(n_a) complex exponentials instead of K * prod(n_a),
     and the last axis's table joins the others by one matrix product.
 
+    The leading axis's table is the one built anew for each chunk, and in
+    one dimension it is the whole grid.  When that axis is a composite Gauss
+    axis of P panels of q nodes (``GridPoints.factors``), it counts as two
+    axes, panel offsets and local nodes, by exp(2 pi i k (o_p + t_j)) =
+    exp(2 pi i k o_p) exp(2 pi i k t_j), so it costs K * (P + q)
+    exponentials instead of K * P * q.  The two phases round differently
+    from the one phase of the node o_p + t_j, so values move by a few ulps
+    of the largest phase |2 pi k x| (about 1e-11 at |2 pi k x| ~ 3e4).
+
     Parameters
     ----------
     freqs : (K, N) float array of frequency vectors k.
@@ -94,7 +103,12 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     """
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    coords = coordinates(pts)
+    factors = getattr(pts, "factors", None)
+    if factors is None:
+        coords = coordinates(pts)
+    else:  # both halves of a split axis take its frequency column
+        coords, owners = factors()
+        freqs = freqs[:, owners]
     shape = np.broadcast_shapes(*(x.shape for x in coords))
     terms = freqs.shape[0]
     tau = 2.0 * np.pi
@@ -120,6 +134,7 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
             product = factor if product is None else product * factor
         if last is None:
             out[start:stop] = product @ coeffs
-        else:
-            out[start:stop] = (product * coeffs)[..., 0, :] @ last
+        else:  # one matrix product over all rows of the chunk
+            rows = (product * coeffs)[..., 0, :].reshape(-1, terms)
+            out[start:stop] = (rows @ last).reshape(out[start:stop].shape)
     return out.ravel()

@@ -71,11 +71,21 @@ def _legendre_rule(q: int):
 
 
 def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
+    """Nodes and weights of one axis, and the axis's panel split or None.
+
+    A composite Gauss axis of P > 1 panels has nodes x_(p,j) = mid_p +
+    half * t_j at ravel index p * q + j, so it is a P x q tensor grid in
+    disguise.  Its split is the pair (mid, half * t) of the P panel
+    midpoints and the q local offsets, with half = (hi - lo) / (2 P); the
+    nodes themselves keep their per-panel half-widths, so mid_p + (half *
+    t)_j matches x_(p,j) to about one ulp, not bit for bit.  Midpoint and
+    one-panel axes have no split.
+    """
     if rule == MIDPOINT:
         h = (hi - lo) / n
         nodes = lo + (np.arange(n) + 0.5) * h
         weights = np.full(n, h)
-        return nodes, weights
+        return nodes, weights, None
     if rule == GAUSS:
         q = panel_order
         panels = max(1, -(-n // q))
@@ -85,7 +95,8 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
         mid = 0.5 * (edges[1:] + edges[:-1])
         nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
         weights = (half[:, None] * ref_weights[None, :]).ravel()
-        return nodes, weights
+        split = None if panels == 1 else (mid, (0.5 * (hi - lo) / panels) * ref_nodes)
+        return nodes, weights, split
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -97,10 +108,19 @@ class GridPoints:
     ``np.asarray`` builds it, anew on each call, for integrands that take
     opaque point arrays.  Formulas that factor by axis read :meth:`coords`
     instead (see ``kernels.coordinates``).
+
+    ``splits`` holds, per axis, None or the panel split ``(offsets, local)``
+    of a composite Gauss axis (see ``_axis_rule``): node p * q + j is
+    offsets[p] + local[j] to about one ulp.  Only :meth:`factors` reads it,
+    for ``kernels.trig_eval``; ``axes``, ``coords`` and ``np.asarray`` give
+    the node vectors' bits.
     """
 
-    def __init__(self, axes):
+    def __init__(self, axes, splits=None):
         self.axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+        self.splits = (None,) * len(self.axes) if splits is None else tuple(splits)
+        if len(self.splits) != len(self.axes):
+            raise ValueError("one split or None per axis required")
 
     @property
     def shape(self) -> tuple:
@@ -109,14 +129,32 @@ class GridPoints:
     def coords(self) -> list:
         """The node vectors, axis a's shaped to span axis a of the grid, so
         a formula broadcast over them has the grid's shape."""
-        dim = len(self.axes)
-        return [a.reshape([-1 if j == i else 1 for j in range(dim)])
-                for i, a in enumerate(self.axes)]
+        return _spanning(self.axes)
+
+    def factors(self) -> tuple[list, list]:
+        """Coordinates with the leading axis read as its panel split, if any.
+
+        Returns vectors, each shaped to span its own virtual axis, and for
+        each the index of the grid axis it lies along.  A split leading axis
+        gives its offsets and then its local nodes, so values broadcast over
+        the vectors ravel in the grid's C order.  Only the leading axis is
+        split: it is the one ``kernels.trig_eval`` does not tabulate once.
+        """
+        split = self.splits[0]
+        if split is None:
+            return self.coords(), list(range(len(self.axes)))
+        return _spanning([*split, *self.axes[1:]]), [0, *range(len(self.axes))]
 
     def __array__(self, dtype=None, copy=None):
         grids = np.meshgrid(*self.axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         return pts if dtype is None else pts.astype(dtype, copy=False)
+
+
+def _spanning(vectors) -> list:
+    # vector i reshaped to span axis i of a len(vectors)-dimensional grid
+    dim = len(vectors)
+    return [np.reshape(v, [-1 if j == i else 1 for j in range(dim)]) for i, v in enumerate(vectors)]
 
 
 @dataclass(frozen=True)
@@ -143,6 +181,7 @@ class QuadratureGrid:
         return math.prod(self.nodes_per_axis)
 
     def axes(self):
+        """Per axis: its nodes, weights and panel split (see ``_axis_rule``)."""
         return [
             _axis_rule(lo, hi, n, self.rule, self.panel_order)
             for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis)
@@ -150,11 +189,11 @@ class QuadratureGrid:
 
     def points_and_weights(self):
         """The nodes as :class:`GridPoints` and their weights raveled in C order."""
-        axes = self.axes()
-        w = axes[0][1]
-        for _, wi in axes[1:]:
+        nodes, weights, splits = zip(*self.axes())
+        w = weights[0]
+        for wi in weights[1:]:
             w = np.multiply.outer(w, wi)
-        return GridPoints([nodes for nodes, _ in axes]), np.asarray(w).ravel()
+        return GridPoints(nodes, splits), np.asarray(w).ravel()
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
@@ -206,7 +245,7 @@ def boundary_mass_fraction(values, grid: QuadratureGrid) -> float:
 
     Used to detect integrands whose support escapes the quadrature box.
     """
-    weights = [w for _, w in grid.axes()]
+    weights = [w for _, w, _ in grid.axes()]
     mass = np.abs(values).reshape(grid.nodes_per_axis)
     total = _weighted_total(mass, weights)
     if total == 0.0:

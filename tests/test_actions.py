@@ -218,18 +218,20 @@ _PRODUCTS = {
 
 def test_product_action():
     # the block matrix gives the per-factor closed forms, at one element and
-    # at an array of them (volume_factor takes one element)
+    # at an array of them
     for action, params, image, norm, volume in _PRODUCTS.values():
         x = np.linspace(1.3, -0.7, action.dimension)
         images = action.apply(np.asarray(params), x)
         norms = action.operator_norm(np.asarray(params))
-        for eps, batched_image, batched_norm in zip(params, images, norms):
+        volumes = action.volume_factor(np.asarray(params))
+        for eps, batched_image, batched_norm, batched_volume in zip(params, images, norms, volumes):
             expected = image(eps, x)
             for got in (action.apply(eps, x), batched_image):
                 np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
             for got in (action.operator_norm(eps), batched_norm):
                 assert got == pytest.approx(norm(eps), rel=1e-14, abs=0.0)
-            assert action.volume_factor(eps) == pytest.approx(volume(eps), rel=1e-14, abs=0.0)
+            for got in (action.volume_factor(eps), batched_volume):
+                assert got == pytest.approx(volume(eps), rel=1e-14, abs=0.0)
     single = product([DiagonalScaling((3,))])
     x = np.array([1.7])
     assert np.allclose(single.apply(0.3, x), DiagonalScaling((3,)).apply(0.3, x))
@@ -421,6 +423,23 @@ def test_volume_factor_matches_determinant():
     for eps in (-1.0, 0.3, 2.0):
         det = abs(np.linalg.det(action.matrix(eps)))
         assert action.volume_factor(eps) == pytest.approx(det, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["diagonal", "product", "exp-semigroup"])
+def test_volume_factor_takes_one_element_or_an_array(name):
+    # an array of parameters gives, in its shape, the bits of one-element calls
+    action, params = {
+        "diagonal": (DiagonalScaling((1, 2)), np.exp(np.linspace(-3.0, 3.0, 12))),
+        "product": (product([DiagonalScaling((1,)), DiagonalScaling((2,))]),
+                    np.exp(np.linspace(-3.0, 3.0, 12))),
+        "exp-semigroup": (_PRODUCTS["exp-semigroup"][0], np.linspace(-0.8, 1.1, 12)),
+    }[name]
+    single = np.array([action.volume_factor(eps) for eps in params.tolist()])
+    assert all(isinstance(action.volume_factor(eps), float) for eps in params[:2].tolist())
+    np.testing.assert_array_equal(action.volume_factor(params), single)
+    np.testing.assert_array_equal(action.volume_factor(params.reshape(3, 4)), single.reshape(3, 4))
+    determinants = np.abs(np.linalg.det(action.matrix(params)))
+    np.testing.assert_allclose(single, determinants, rtol=1e-14, atol=0.0)
 
 
 def test_halton_matches_scipy():

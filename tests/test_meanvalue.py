@@ -5,6 +5,7 @@ test functions, evaluated in closed form or by adaptive quadrature.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from scaleflow import (
     verify_convolution,
     verify_translation_invariance,
 )
+from scaleflow import config as cfg_mod
 from scaleflow.meanvalue import fit_decay_order
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SIN2 = TrigPolynomial.sine([1.0]) * TrigPolynomial.sine([1.0])
 OSC_SPEC = GridSpec(rule="gauss", base_nodes=256, panel_order=16, max_nodes=1 << 21)
@@ -92,6 +96,27 @@ def test_empirical_mean_matches_oscillatory_oracle():
         oracle = _pairing_oracle_sin2(fn, (-0.4, 1.0), row["eps"])
         assert row["value"].real == pytest.approx(oracle, abs=1e-9)
         assert abs(row["value"].imag) <= 1e-12
+
+
+def test_mean_periodic_rows_match_the_triangle_closed_form():
+    # the triangle phi of half-width w about c has integral(phi e(k x)) /
+    # integral(phi) = sinc^2(w k) e(k c), so the pairing of u(x / eps) =
+    # sum_k c_k e(k x / eps) is that transform summed over u's terms at k / eps
+    cfg = cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+    action = cfg_mod.build_action(cfg)
+    block = cfg["mean"]
+    assert block["phi"]["kind"] == "triangle"
+    (c,), w = block["phi"]["center"], block["phi"]["width"]
+    u = cfg_mod.build_mean_function(block["function"], 1)
+    phi = cfg_mod.build_test_function(block["phi"], 1, "mean.phi")
+    ladder = cfg_mod.build_ladder(cfg, action.group)
+    report = empirical_mean(u, cfg_mod.build_homogenizer(cfg, action), phi, ladder)
+    assert len(report.rows) == len(ladder) == 10
+    for row in report.rows:
+        eps = row["eps"]
+        closed = sum(coeff * np.sinc(w * k / eps) ** 2 * np.exp(2j * np.pi * k * c / eps)
+                     for (k,), coeff in u.poly.terms())
+        assert abs(row["value"] - closed) <= 1e-13
 
 
 def test_empirical_mean_periodic_converges_with_order():

@@ -45,12 +45,18 @@ def test_gauss_axis_rule_shares_one_legendre_rule():
     expected_nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
     expected_weights = (half[:, None] * ref_weights[None, :]).ravel()
     for _ in range(3):
-        nodes, weights = _axis_rule(-1.0, 3.0, 32, GAUSS, 8)
+        nodes, weights, (offsets, local) = _axis_rule(-1.0, 3.0, 32, GAUSS, 8)
         np.testing.assert_array_equal(nodes, expected_nodes)
         np.testing.assert_array_equal(weights, expected_weights)
+        # the panel split: midpoints plus one shared set of local offsets
+        np.testing.assert_array_equal(offsets, mid)
+        np.testing.assert_array_equal(local, 0.5 * ref_nodes)
+        split_nodes = (offsets[:, None] + local[None, :]).ravel()
+        assert np.max(np.abs(split_nodes - expected_nodes)) <= 4.0 * np.spacing(3.0)
         # callers own what they get back; scribbling on it must not leak
         nodes *= 2.0
         weights[:] = 0.0
+        local *= 2.0
     shared = _legendre_rule(8)
     assert _legendre_rule(8) is shared
     assert not any(array.flags.writeable for array in shared)

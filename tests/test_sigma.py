@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from scaleflow import (
     trace_norm_bound_check,
     verify_sigma_convergence,
 )
+from scaleflow import config as cfg_mod
 from scaleflow import sigma as sigma_module
 from scaleflow.quadrature import Box
 from scaleflow.sigma import trace_norm_bound_rows, validate_ladder
@@ -141,6 +143,35 @@ def test_lhs_pure_character_oscillatory_oracle():
         w = 2.0 * math.pi / eps
         oracle = (cmath.exp(1j * w) - 1.0) / (1j * w)
         assert value == pytest.approx(oracle, abs=1e-12)
+
+
+def test_lhs_matches_qawo_on_the_sigma_periodic_battery():
+    # u0 = G(x) sin(2 pi y) against matched-sin, P(x) sin(2 pi y), and
+    # conj-character, P(x) exp(-2 pi i y), with the edge-zero parabola
+    # P(x) = 4 x (1 - x).  With t = 2 pi x / eps, sin^2 t = (1 - cos 2t) / 2 and
+    # sin t exp(-i t) = sin(2t) / 2 - i (1 - cos 2t) / 2, so both pairings are
+    # G P integrals with cos and sin weights at 4 pi / eps: QUADPACK's QAWO
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "sigma_periodic.yaml")
+    cfg = cfg_mod.validate_config(cfg_mod.load_config(config))
+    action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
+    algebra = cfg_mod.build_algebra(block["algebra"], 1)
+    u = cfg_mod.build_field(block["u0"], algebra, block["domain"], "sigma.u0")
+    battery = {b["name"]: cfg_mod.build_field(b, algebra, block["domain"], "sigma.battery")
+               for b in block["battery"]}
+    eps = 2.0**-12
+
+    def gp(x):
+        return math.exp(-((x - 0.5) ** 2) / (2.0 * 0.15**2)) * 4.0 * x * (1.0 - x)
+
+    opts = {"epsabs": 1e-17, "epsrel": 1e-13, "limit": 200}
+    plain, _ = quad(gp, 0.0, 1.0, **opts)
+    cos2, _ = quad(gp, 0.0, 1.0, weight="cos", wvar=4.0 * math.pi / eps, **opts)
+    sin2, _ = quad(gp, 0.0, 1.0, weight="sin", wvar=4.0 * math.pi / eps, **opts)
+    oracles = {"matched-sin": 0.5 * (plain - cos2),
+               "conj-character": 0.5 * sin2 - 0.5j * (plain - cos2)}
+    for name, oracle in oracles.items():
+        value, _, _ = sigma_pairing_lhs(u, battery[name], action, eps, spec)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_rhs_spectral_pairings():

@@ -23,6 +23,7 @@ from scaleflow import (
     integrate,
     mollifier,
     parabola,
+    sigma_pairing_lhs,
     triangle,
 )
 from scaleflow import config as cfg_mod
@@ -62,7 +63,7 @@ def _assert_close(on_grid, on_array, tol):
 
 def test_grid_points_stand_for_the_meshgrid_array():
     pts = _grid_points(3)
-    axes = [nodes for nodes, _ in GRIDS[3].axes()]
+    axes = [nodes for nodes, _, _ in GRIDS[3].axes()]
     expected = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     assert pts.shape == expected.shape == (9 * 11 * 13, 3)
     np.testing.assert_array_equal(np.asarray(pts), expected)
@@ -162,6 +163,67 @@ def test_trig_eval_chunks_grid_rows_without_changing_values(monkeypatch):
     np.testing.assert_array_equal(kernels.trig_eval(freqs, coeffs, pts), whole)
 
 
+# composite Gauss grids of several panels per axis, so every axis has a split
+SPLIT_GRIDS = {
+    1: QuadratureGrid(Box((-0.4,), (1.0,)), (2048,), rule=GAUSS, panel_order=16),
+    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 48), rule=GAUSS, panel_order=16),
+}
+
+
+def _spy_factors(monkeypatch) -> list:
+    # the grid axis of each virtual axis, per call of GridPoints.factors
+    seen = []
+    original = GridPoints.factors
+
+    def spy(self):
+        coords, owners = original(self)
+        seen.append(owners)
+        return coords, owners
+
+    monkeypatch.setattr(GridPoints, "factors", spy)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trig_eval_on_split_gauss_axes_matches_the_point_array(dim, monkeypatch):
+    # the split leading axis is two virtual axes; the values move only with
+    # the rounding of the phase, a few ulps of the largest |2 pi k x|
+    seen = _spy_factors(monkeypatch)
+    pts, _ = SPLIT_GRIDS[dim].points_and_weights()
+    assert all(split is not None for split in pts.splits)
+    rng = np.random.default_rng(20 + dim)
+    freqs = rng.integers(-3, 4, size=(6, dim)).astype(float)
+    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+    coeffs /= np.sum(np.abs(coeffs))
+    image = DiagonalScaling((1, 2)[:dim]).apply(2.0**-9, pts)
+    assert all(split is not None for split in image.splits)
+    for points in (pts, image):
+        array = np.asarray(points)
+        bound = 64 * np.finfo(float).eps * 2.0 * math.pi * np.max(np.abs(array @ freqs.T))
+        on_grid = kernels.trig_eval(freqs, coeffs, points)
+        assert np.max(np.abs(on_grid - kernels.trig_eval(freqs, coeffs, array))) <= bound
+        assert seen.pop() == [0, *range(dim)]  # the leading axis is split
+
+
+def test_unsplit_grids_and_linear_images_take_the_plain_path(monkeypatch):
+    # midpoint grids and one-panel Gauss axes give one virtual axis per grid
+    # axis, and a LinearFamily image is a point array read column by column
+    seen = _spy_factors(monkeypatch)
+    freqs, coeffs = np.array([[1.0, -2.0, 0.5]]), np.array([1.0 + 0.5j])
+    one_panel = QuadratureGrid(Box((0.0,), (1.0,)), (16,), rule=GAUSS, panel_order=16)
+    for pts, dim in ((_grid_points(3), 3), (one_panel.points_and_weights()[0], 1)):
+        assert pts.splits == (None,) * dim
+        for points in (pts, DiagonalScaling((1,) * dim).apply(0.37, pts)):
+            kernels.trig_eval(freqs[:, :dim], coeffs, points)
+            assert seen.pop() == list(range(dim))
+    action = LinearFamily(group=RGroup(POSITIVE_MULTIPLICATIVE), dimension=2,
+                          matrix_fn=lambda eps: np.array([[1.0, eps], [0.0, 1.0]]))
+    image = action.apply(0.37, _grid_points(2))
+    assert isinstance(image, np.ndarray)
+    kernels.trig_eval(freqs[:, :2], coeffs, image)
+    assert seen == []
+
+
 def test_homogeneity_r2_gaussian_base_integrals_match_closed_form():
     # the integral of exp(-|x - c|^2 / (2 sigma^2)) over R^2 is 2 pi sigma^2
     with open(os.path.join(CONFIG_DIR, "homogeneity_r2.yaml"), encoding="utf-8") as handle:
@@ -217,8 +279,25 @@ def test_two_dimensional_mean_never_materialises_a_grid(tmp_path, monkeypatch):
     assert main(["mean", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_one_dimensional_gauss_sigma_trace_never_materialises_a_grid(monkeypatch):
+    # the sigma_periodic pairings at a rung whose Gauss grids have several
+    # panels: every trig sum reads the split axis, and no point array is built
+    cfg = cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "sigma_periodic.yaml")))
+    action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
+    algebra = cfg_mod.build_algebra(block["algebra"], 1)
+    u, *battery = [cfg_mod.build_field(b, algebra, block["domain"], "sigma")
+                   for b in (block["u0"], *block["battery"])]
+    assert spec.rule == GAUSS
+    seen = _spy_factors(monkeypatch)
+    _refuse_materialising(monkeypatch)
+    for psi in battery:
+        value, _, nodes = sigma_pairing_lhs(u, psi, action, 2.0**-8, spec)
+        assert np.isfinite(value) and nodes > spec.panel_order
+    assert seen and all(owners == [0, 0] for owners in seen)
+
+
 def test_refusal_catches_an_opaque_integrand(monkeypatch):
-    # the two runs above would fail on an integrand that reads the point array
+    # the runs above would fail on an integrand that reads the point array
     _refuse_materialising(monkeypatch)
     with pytest.raises(AssertionError, match="materialised"):
         integrate_on_grid(lambda p: np.exp(-np.sum(np.asarray(p) ** 2, axis=1)), GRIDS[2])
