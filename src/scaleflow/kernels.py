@@ -76,7 +76,7 @@ def pairwise_dot(weights, values) -> complex:
     return pairwise_sum(weights * values)
 
 
-def trig_eval(freqs, coeffs, pts) -> np.ndarray:
+def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:
     """Evaluate ``sum_k c_k * exp(2*pi*i * <k, x>)`` at each point.
 
     Each axis contributes a table exp(2 pi i k_a x_a) over its own
@@ -94,12 +94,19 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     from the one phase of the node o_p + t_j, so values move by a few ulps
     of the largest phase |2 pi k x| (about 1e-11 at |2 pi k x| ~ 3e4).
 
+    With ``real`` the result is the real part of the sum, as float64: the
+    last step, ``product @ coeffs`` or the join, is the real product
+    Re(a) Re(b) - Im(a) Im(b) of interleaved real and imaginary parts, so
+    no imaginary part is summed.  ``TrigPolynomial`` evaluates a real
+    polynomial c_0 + 2 Re sum_(k>0) c_k e(k x) this way.
+
     Parameters
     ----------
     freqs : (K, N) float array of frequency vectors k.
     coeffs : (K,) complex array of coefficients c_k.
     pts : (M, N) float array of evaluation points x, or a tensor grid's
         ``GridPoints``; values come back raveled in C order.
+    real : return the real part of the sum only.
     """
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
@@ -122,7 +129,13 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
     last = None
     if len(tables) > 1 and tables[-1][2] is not None:
         last = tables.pop()[2].reshape(-1, terms).T  # (K, n_d) of a tensor grid
-    out = np.empty(shape, dtype=np.complex128)
+    # the last step multiplies the product by the coefficients, or joins it
+    # to the last axis's table; for the real part its rows Re z_k, -Im z_k
+    # meet the interleaved (Re, Im) columns of the left side's float64 view
+    right = coeffs if last is None else last
+    if real:
+        right = np.stack([right.real, -right.imag], axis=1).reshape(2 * terms, *right.shape[1:])
+    out = np.empty(shape, dtype=np.float64 if real else np.complex128)
     # chunk the leading axis so the (chunk, ..., K) product temporary stays small
     span = math.prod(shape[1:] if last is None else shape[1:-1])
     chunk = max(1, POINT_BUDGET // max(1, terms * span))
@@ -132,9 +145,9 @@ def trig_eval(freqs, coeffs, pts) -> np.ndarray:
         for x, k, fixed in tables:
             factor = table(x[start:stop], k) if fixed is None else fixed
             product = factor if product is None else product * factor
-        if last is None:
-            out[start:stop] = product @ coeffs
-        else:  # one matrix product over all rows of the chunk
-            rows = (product * coeffs)[..., 0, :].reshape(-1, terms)
-            out[start:stop] = (rows @ last).reshape(out[start:stop].shape)
+        if last is not None:  # one matrix product over all rows of the chunk
+            product = (product * coeffs)[..., 0, :].reshape(-1, terms)
+        if real:
+            product = product.view(np.float64)
+        out[start:stop] = (product @ right).reshape(out[start:stop].shape)
     return out.ravel()

@@ -1,7 +1,10 @@
 """Report emission: CSV tables, JSON certificates, plot-ready curves.
 
-Outputs are byte-stable for a fixed config: float fields use shortest
-round-trip formatting, JSON keys are sorted, and no timestamps appear.
+Outputs are byte-stable for a fixed config on a fixed platform (numpy
+version, enabled SIMD dispatch targets and BLAS core type): float fields
+use shortest round-trip formatting, JSON keys are sorted, and no
+timestamps appear.  Across platforms the verdicts are the same and the
+numbers agree within a stated bound (README, "What is inside").
 Every file starts from a header carrying the tool version, the sampling
 seed and the SHA-256 digest of the config file.  A report dataclass is
 written as its fields, so its field names are the JSON keys; CSV columns

@@ -56,10 +56,7 @@ class TwoScaleField:
 
     def trace_values(self, action: Action, eps: float, pts: np.ndarray) -> np.ndarray:
         images = action.apply(eps, pts)
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
-        for macro, w in self.terms:
-            out += macro(pts) * w.poly(images)
-        return out
+        return sum(macro(pts) * w.poly(images) for macro, w in self.terms)
 
     # every ladder entry of a norm-bound check asks for the same few norms
     @functools.lru_cache(maxsize=64)
@@ -78,10 +75,11 @@ class TwoScaleField:
             pts = np.atleast_2d(pts)
             macro = np.stack([m(pts) for m, _ in self.terms])  # (J, Mx)
             out = np.empty(pts.shape[0])
-            step = max(1, kernels.POINT_BUDGET // values.shape[1])
+            # blocks of about POINT_BUDGET / 8 samples bound the field temporaries
+            step = max(1, kernels.POINT_BUDGET // (8 * values.shape[1]))
             for start in range(0, pts.shape[0], step):
                 stop = min(pts.shape[0], start + step)
-                field = macro[:, start:stop].T @ values  # (chunk, My)
+                field = sum(a[start:stop, None] * w for a, w in zip(macro, values))  # (block, My)
                 out[start:stop] = np.max(np.abs(field), axis=1)
             return out**p
 

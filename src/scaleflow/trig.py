@@ -2,7 +2,8 @@
 
 The frequency list is kept canonical (lexicographically sorted, duplicates
 merged) so coefficient extraction is exact and reproducible.  Evaluation on
-point arrays and tensor grids goes through ``kernels.trig_eval``.
+point arrays and tensor grids goes through ``kernels.trig_eval``; a real
+(conjugate-symmetric) polynomial is evaluated in its real form.
 """
 
 from __future__ import annotations
@@ -20,9 +21,20 @@ def _freq_key(freq) -> tuple:
 
 
 class TrigPolynomial:
-    """Immutable frequency/coefficient representation of an almost-periodic map."""
+    """Immutable frequency/coefficient representation of an almost-periodic map.
 
-    __slots__ = ("freqs", "coeffs", "_index")
+    A polynomial whose coefficients are exactly conjugate-symmetric, c_(-k)
+    equal to conj(c_k) for every k (so c_0 is real), is real.  Construction
+    detects this once and keeps its real form: c_0 and 2 c_k over the
+    frequencies k > 0 (first nonzero entry positive), which
+    ``kernels.trig_eval`` sums as c_0 + 2 Re sum_(k>0) c_k e(k x).  Such a
+    polynomial evaluates to float64 from half the terms; its values are
+    within a few ulps of the largest phase |2 pi k x| of the full complex
+    sum, whose real parts they are.  Any other polynomial evaluates to
+    complex128 through all its terms.
+    """
+
+    __slots__ = ("freqs", "coeffs", "_index", "_real")
 
     def __init__(self, freqs, coeffs):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
@@ -43,6 +55,21 @@ class TrigPolynomial:
         self.freqs = np.array([rep[k] for k in keys], dtype=np.float64)
         self.coeffs = np.array([merged[k] for k in keys], dtype=np.complex128)
         self._index = {k: i for i, k in enumerate(keys)}
+        self._real = self._real_form(keys)
+
+    def _real_form(self, keys):
+        # (freqs, coeffs) of c_0 and 2 c_k over k > 0, or None unless every
+        # c_(-k) equals conj(c_k); the keys negate exactly, as rounding does
+        zero = (0.0,) * len(keys[0])
+        half = []
+        for i, key in enumerate(keys):
+            partner = self._index.get(tuple(-f for f in key))
+            if partner is None or self.coeffs[partner] != self.coeffs[i].conjugate():
+                return None
+            if key >= zero:
+                half.append(i)
+        scale = np.where([keys[i] == zero for i in half], 1.0, 2.0)
+        return self.freqs[half], self.coeffs[half] * scale
 
     # -- constructors --------------------------------------------------------
 
@@ -91,9 +118,9 @@ class TrigPolynomial:
 
     # -- evaluation ------------------------------------------------------------
 
-    def __call__(self, x) -> np.ndarray | complex:
+    def __call__(self, x) -> np.ndarray | complex | float:
         if isinstance(x, GridPoints):
-            return kernels.trig_eval(self.freqs, self.coeffs, x)
+            return self._eval(x)
         pts = np.asarray(x, dtype=np.float64)
         single_point = False
         if pts.ndim == 0:
@@ -105,8 +132,14 @@ class TrigPolynomial:
             else:
                 pts = pts[None, :]
                 single_point = True
-        out = kernels.trig_eval(self.freqs, self.coeffs, pts)
-        return complex(out[0]) if single_point else out
+        out = self._eval(pts)
+        return out[0].item() if single_point else out
+
+    def _eval(self, pts) -> np.ndarray:
+        if self._real is None:
+            return kernels.trig_eval(self.freqs, self.coeffs, pts)
+        freqs, coeffs = self._real
+        return kernels.trig_eval(freqs, coeffs, pts, real=True)
 
     # -- algebra -----------------------------------------------------------------
 

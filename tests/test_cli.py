@@ -1,5 +1,7 @@
 """Config validation, CLI exit codes, report determinism."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -439,6 +441,32 @@ def test_cli_mean_runs(tmp_path):
         assert (tmp_path / "out" / name).exists()
 
 
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as handle:
+        return list(csv.DictReader(line for line in handle if not line.startswith("#")))
+
+
+def _mean_sweeps(path) -> list:
+    # the empirical sweep and the translation and convolution sweeps of mean.json
+    with open(path, encoding="utf-8") as handle:
+        results = json.load(handle)["results"]
+    return [results["empirical"], results["translation"]["second"], results["convolution"]["first"]]
+
+
+def test_cli_mean_periodic_values_are_exactly_real(tmp_path):
+    # u0 = 1/2 - cos(4 pi x)/2 is a real trig polynomial, and so are its
+    # translate and its convolution: every mean the sweeps report is real
+    code = run_cli([
+        "mean", "--config", os.path.join(CONFIG_DIR, "mean_periodic.yaml"),
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    values = [row["value"] for sweep in _mean_sweeps(tmp_path / "mean.json") for row in sweep["rows"]]
+    assert len(values) == 30
+    assert all(value["im"] == 0.0 for value in values)
+    assert all(complex(row["value"]).imag == 0.0 for row in _csv_rows(tmp_path / "mean.csv"))
+
+
 def test_cli_tol_override_forces_failure(tmp_path):
     code = run_cli([
         "mean", "--config", os.path.join(CONFIG_DIR, "mean_periodic.yaml"),
@@ -489,3 +517,75 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "PASS" in result.stdout
+
+
+# Runs the CLI after printing the core type of the OpenBLAS numpy loaded.
+_ON_BLAS_CORE = """
+import ctypes
+import sys
+
+import numpy  # loads the OpenBLAS whose mapping core_name reads
+from scaleflow.cli import main
+
+
+def core_name():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:  # no /proc: not Linux
+        return "unknown"
+    for path in paths:
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_char_p
+            return getter().decode()
+    return "unknown"
+
+
+print("blas core:", core_name())
+sys.exit(main(sys.argv[1:]))
+"""
+
+# sigma_periodic rows whose lhs is itself rounding (rhs 0, |lhs| ~ 1e-17), so
+# only their abs_err, not their bits, is compared across BLAS kernels
+_ROUNDING_ROWS = {"oscillation-free"}
+_ACROSS_BLAS = 1e-12
+
+
+def test_reports_agree_across_blas_core_types(tmp_path):
+    # reports are byte-identical only for a fixed BLAS core type; on another
+    # one the verdicts hold and the numbers agree within 1e-12 of their scale
+    runs = {}
+    for variant, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        for subcommand, stem in (("mean", "mean_periodic"), ("sigma", "sigma_periodic")):
+            out = tmp_path / variant / stem
+            result = subprocess.run(
+                [sys.executable, "-c", _ON_BLAS_CORE, subcommand, "--config",
+                 os.path.join(CONFIG_DIR, f"{stem}.yaml"), "--out", str(out)],
+                capture_output=True, text=True, env={**_src_env(), **extra}, timeout=300,
+            )
+            core, *verdicts = result.stdout.splitlines()
+            assert core.startswith("blas core: "), result.stderr
+            runs[variant, stem] = (result.returncode, verdicts, out, core)
+    for stem in ("mean_periodic", "sigma_periodic"):
+        (code_a, verdicts_a, _, core_a), (code_b, verdicts_b, _, core_b) = (
+            runs["default", stem], runs["prescott", stem])
+        assert code_a == code_b == 0
+        assert verdicts_a == verdicts_b, (core_a, core_b)
+    means = [
+        [row["value"] for sweep in _mean_sweeps(runs[variant, "mean_periodic"][2] / "mean.json")
+         for row in sweep["rows"]]
+        for variant in ("default", "prescott")
+    ]
+    for a, b in zip(*means, strict=True):
+        a, b = complex(a["re"], a["im"]), complex(b["re"], b["im"])
+        assert abs(a - b) <= _ACROSS_BLAS * abs(a)
+    rows = [_csv_rows(runs[variant, "sigma_periodic"][2] / "sigma.csv") for variant in ("default", "prescott")]
+    for a, b in zip(*rows, strict=True):
+        assert (a["psi"], a["eps"]) == (b["psi"], b["eps"])
+        scale = float(a["abs_err"]) / float(a["rel_err"])
+        if a["psi"] in _ROUNDING_ROWS:
+            assert max(float(a["abs_err"]), float(b["abs_err"])) <= _ACROSS_BLAS * scale
+        else:
+            assert abs(complex(a["lhs"]) - complex(b["lhs"])) <= _ACROSS_BLAS * scale

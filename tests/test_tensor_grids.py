@@ -12,6 +12,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleflow import (
     DiagonalScaling,
@@ -222,6 +224,92 @@ def test_unsplit_grids_and_linear_images_take_the_plain_path(monkeypatch):
     assert isinstance(image, np.ndarray)
     kernels.trig_eval(freqs[:, :2], coeffs, image)
     assert seen == []
+
+
+def _real_polynomial(rng, dim, pairs) -> TrigPolynomial:
+    # c_0 real and c_(-k) = conj(c_k) over distinct k > 0: a real polynomial
+    # whose terms merge nowhere, as every committed u0 is
+    lattice = np.stack(np.meshgrid(*[np.arange(-8.0, 9.0)] * dim, indexing="ij"), -1).reshape(-1, dim)
+    positive = lattice[[tuple(k) > (0.0,) * dim for k in lattice]]
+    half = positive[rng.choice(len(positive), size=pairs, replace=False)]
+    coeffs = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
+    freqs = np.concatenate([half, -half, np.zeros((1, dim))])
+    return TrigPolynomial(freqs, np.concatenate([coeffs, coeffs.conj(), [rng.normal()]]))
+
+
+def _assert_real_form(poly, points):
+    # float64 within a few ulps of the largest phase |2 pi k x| of the direct
+    # complex sum over every term, scaled by the coefficients' total size
+    array = np.asarray(points)
+    phases = 2.0 * math.pi * (array @ poly.freqs.T)
+    direct = np.exp(1j * phases) @ poly.coeffs
+    values = poly(points)
+    assert values.dtype == np.float64 and values.shape == (array.shape[0],)
+    bound = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(phases))) * np.sum(np.abs(poly.coeffs))
+    assert np.max(np.abs(values - direct)) <= bound
+
+
+_REAL_FORM_POINTS = {
+    "scattered-2d": lambda: np.random.default_rng(5).uniform(-2, 2, size=(257, 2)),
+    "split-1d": lambda: SPLIT_GRIDS[1].points_and_weights()[0],
+    "split-1d-image": lambda: DiagonalScaling((1,)).apply(2.0**-9, SPLIT_GRIDS[1].points_and_weights()[0]),
+    "grid-2d": lambda: SPLIT_GRIDS[2].points_and_weights()[0],
+    "grid-3d": lambda: _grid_points(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_FORM_POINTS))
+def test_real_polynomials_evaluate_in_real_arithmetic(name):
+    points = _REAL_FORM_POINTS[name]()
+    poly = _real_polynomial(np.random.default_rng(len(name)), points.shape[1], 4)
+    _assert_real_form(poly, points)
+
+
+def test_other_polynomials_keep_the_complex_path():
+    # no conjugate symmetry, or c_(-k) one ulp off conj(c_k): all terms, complex
+    rng = np.random.default_rng(7)
+    real = _real_polynomial(rng, 1, 3)
+    nudged = real.coeffs.copy()
+    nudged[0] = complex(np.nextafter(nudged[0].real, np.inf), nudged[0].imag)
+    polys = [
+        TrigPolynomial(rng.integers(-3, 4, size=(6, 1)).astype(float),
+                       rng.normal(size=6) + 1j * rng.normal(size=6)),
+        TrigPolynomial(real.freqs, nudged),
+        TrigPolynomial([[0.0], [1.0], [-1.0]], [0.5 + 1e-300j, 1.0, 1.0]),  # Im c_0 != 0
+    ]
+    points = SPLIT_GRIDS[1].points_and_weights()[0]
+    for poly in polys:
+        values = poly(points)
+        assert values.dtype == np.complex128
+        np.testing.assert_array_equal(values, kernels.trig_eval(poly.freqs, poly.coeffs, points))
+
+
+def test_translates_and_linear_compositions_stay_real():
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-2, 2, size=(65, 2))
+    poly = _real_polynomial(rng, 2, 5)
+    for image in (poly.translate([0.3, -0.7]), poly.compose_linear(rng.normal(size=(2, 2)))):
+        _assert_real_form(image, points)
+    one_d = _real_polynomial(rng, 1, 3)
+    _assert_real_form(one_d.translate([0.3]), rng.uniform(-2, 2, size=(65, 1)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    panels=st.integers(2, 24),
+    lower=st.floats(-3.0, 3.0),
+    width=st.floats(0.25, 4.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_form_on_random_gauss_grids(seed, dim, panels, lower, width):
+    # split 1-D axes and 2-D Gauss grids of random size and placement
+    rng = np.random.default_rng(seed)
+    nodes = (16 * panels, 16 * int(rng.integers(1, 5)))[:dim]
+    grid = QuadratureGrid(Box((lower,) * dim, (lower + width,) * dim), nodes, rule=GAUSS,
+                          panel_order=16)
+    points, _ = grid.points_and_weights()
+    _assert_real_form(_real_polynomial(rng, dim, int(rng.integers(1, 6))), points)
 
 
 def test_homogeneity_r2_gaussian_base_integrals_match_closed_form():
