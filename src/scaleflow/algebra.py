@@ -16,7 +16,6 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from . import kernels
 from .trig import TrigPolynomial, _freq_key
 
 PERIODIC = "periodic"
@@ -175,4 +174,4 @@ def spectral_pairing(u: AlgebraElement, v: AlgebraElement) -> complex:
     for freq, coeff in u.poly.terms():
         partner = v.poly.coefficient([-f for f in freq])
         contributions.append(coeff * partner)
-    return kernels.pairwise_sum(np.asarray(contributions, dtype=np.complex128))
+    return complex(np.sum(contributions))

@@ -1,7 +1,9 @@
 """NumPy implementations of the hot quadrature kernels.
 
-Sums reduce in a fixed block-pairwise order, so a given input always
-produces the same output on repeated runs.
+Sums reduce by numpy's ``np.sum`` in the dtype of the values: a pairwise
+sum in a fixed order for a given length, so a given input always produces
+the same output on repeated runs, with error O(u log2 n) sum |x_i| (Higham,
+"The accuracy of floating point summation", SIAM J. Sci. Comput. 14, 1993).
 
 Point sets are (M, N) arrays of scattered points or the points of a tensor
 grid (``quadrature.GridPoints``); :func:`coordinates` reads either as N
@@ -12,10 +14,6 @@ both and values ravel in C order.
 import math
 
 import numpy as np
-
-# Leaf size of the pairwise reduction tree.  Small enough to keep rounding
-# error O(log n), large enough that the pure path stays vectorised.
-_BLOCK = 1024
 
 # Most points (or point-term pairs) one vectorised evaluation takes at once;
 # callers slice larger inputs so their temporaries stay a few tens of MB.
@@ -35,45 +33,17 @@ def coordinates(pts) -> list:
     return [pts[:, axis] for axis in range(pts.shape[1])]
 
 
-def _pairwise(values: np.ndarray) -> complex:
-    # The reduction tree: its leaves are consecutive _BLOCK-sized blocks, the
-    # last one possibly partial, and a span of n values splits after
-    # max(1, n // (2 _BLOCK)) blocks.  One reshaped sum takes every full leaf.
-    n = values.shape[0]
-    full = (n - 1) // _BLOCK
-    leaves = values[: full * _BLOCK].reshape(full, _BLOCK).sum(axis=1).tolist()
-    leaves.append(complex(np.sum(values[full * _BLOCK :])))
-
-    def tree(first: int, count: int) -> complex:
-        # sum of the ``count`` values from leaf ``first`` on
-        if count <= _BLOCK:
-            return leaves[first]
-        half = max(1, count // (2 * _BLOCK)) * _BLOCK
-        return tree(first, half) + tree(first + half // _BLOCK, count - half)
-
-    return tree(0, n)
-
-
-def pairwise_sum(values) -> complex:
-    """Sum a 1-d array with a fixed pairwise reduction order."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    if values.shape[0] == 0:
-        return 0j
-    return _pairwise(values)
-
-
 def pairwise_dot(weights, values) -> complex:
-    """Weighted sum ``sum(weights * values)`` with pairwise reduction.
+    """Weighted sum ``sum(weights * values)``, by ``np.sum`` in the dtype of the product.
 
-    Real values stay real through the product, and :func:`pairwise_sum`
-    promotes it to complex once; for positive weights that has the bits of
-    the complex product, whose imaginary parts are all +0.
+    Real values stay real through the sum, which becomes a Python complex
+    once at the end, with imaginary part +0.
     """
     weights = np.asarray(weights, dtype=np.float64)
     values = np.asarray(values)
     if weights.shape != values.shape:
         raise ValueError("weights and values must have matching shapes")
-    return pairwise_sum(weights * values)
+    return complex(np.sum(weights * values))
 
 
 def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:

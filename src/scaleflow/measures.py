@@ -420,26 +420,26 @@ class ConstructedMeasure:
 
         phi sees the orbit points of many Haar nodes in one call, at most
         ``kernels.POINT_BUDGET`` of them (or one node's seed images).  Each
-        node's seed sum lands in one array, so the block total is a single
-        weighted dot whatever the budget.
+        node's seed sum is a row sum, the same whatever the budget, and the
+        block total is one ``kernels.pairwise_dot`` over the node sums; all
+        stay in the dtype phi returns.
         """
         k, dim = self.seed_nodes.shape
         step = max(1, kernels.POINT_BUDGET // k)
-        node_sums = np.empty(len(params), dtype=np.complex128)
+        node_sums = []
         peak = 0.0
         min_norm = math.inf
         for start in range(0, len(params), step):
-            stop = start + step
-            part = params[start:stop]
+            part = params[start : start + step]
             images = self.action.apply(part[:, None], self.seed_nodes)
             min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=2))))
-            values = np.asarray(phi(images.reshape(-1, dim)), dtype=np.complex128)
-            values = values.reshape(len(part), k)
-            if not np.all(np.isfinite(values.view(np.float64))):
+            values = np.asarray(phi(images.reshape(-1, dim))).reshape(len(part), k)
+            if not np.all(np.isfinite(values)):
                 raise ValueError("integrand returned non-finite values")
             peak = max(peak, float(np.max(np.abs(values))))
-            node_sums[start:stop] = values @ self.seed_weights
-        total = complex(np.dot(w * self.action.group.weight(params), node_sums))
+            node_sums.append(np.sum(values * self.seed_weights, axis=1))
+        weights = w * self.action.group.weight(params)
+        total = kernels.pairwise_dot(weights, np.concatenate(node_sums))
         return total, peak, min_norm
 
     def _sweep(self, phi, support_radius: float) -> tuple[complex, float]:

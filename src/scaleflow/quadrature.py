@@ -2,8 +2,9 @@
 
 Integrals are reported together with a refinement estimate, the difference
 between the value on the grid and on the grid with doubled resolution.
-Reductions go through the deterministic pairwise kernels so results do not
-depend on evaluation order.
+Each integral is one ``kernels.pairwise_dot``: numpy's pairwise ``np.sum``
+of the weighted values in their own dtype, so a real integrand sums in
+float64 and a rerun gives the same bits.
 
 A grid hands its points to integrands as :class:`GridPoints`, one node
 vector per axis: formulas that factor by axis read ``coords()`` and never

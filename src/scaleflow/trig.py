@@ -1,12 +1,17 @@
 """Finite trigonometric polynomials sum_k c_k exp(2 pi i <k, x>) on R^N.
 
 The frequency list is kept canonical (lexicographically sorted, duplicates
-merged) so coefficient extraction is exact and reproducible.  Evaluation on
+merged) so coefficient extraction is exact and reproducible.  Duplicates
+merge by a correctly rounded sum (``math.fsum``), which does not depend on
+their order, so the coefficients at k and -k of a product of real
+polynomials stay exact conjugates.  Evaluation on
 point arrays and tensor grids goes through ``kernels.trig_eval``; a real
 (conjugate-symmetric) polynomial is evaluated in its real form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +23,12 @@ _FREQ_DECIMALS = 9  # frequencies closer than 1e-9 are treated as equal
 
 def _freq_key(freq) -> tuple:
     return tuple(round(float(f), _FREQ_DECIMALS) for f in freq)
+
+
+def _rounded_sum(parts) -> complex:
+    # correctly rounded by real and imaginary part, so independent of the
+    # order of the parts: a product of real polynomials stays real
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
 class TrigPolynomial:
@@ -41,19 +52,19 @@ class TrigPolynomial:
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         if freqs.shape[0] != coeffs.shape[0]:
             raise ValueError("one coefficient per frequency required")
-        merged: dict[tuple, complex] = {}
+        merged: dict[tuple, list] = {}
         rep: dict[tuple, np.ndarray] = {}
         for f, c in zip(freqs, coeffs):
             key = _freq_key(f)
-            merged[key] = merged.get(key, 0j) + complex(c)
+            merged.setdefault(key, []).append(complex(c))
             rep.setdefault(key, f)
         keys = sorted(merged)
         if not keys:
             keys = [(0.0,) * freqs.shape[1]]
-            merged = {keys[0]: 0j}
+            merged = {keys[0]: []}
             rep = {keys[0]: np.zeros(freqs.shape[1])}
         self.freqs = np.array([rep[k] for k in keys], dtype=np.float64)
-        self.coeffs = np.array([merged[k] for k in keys], dtype=np.complex128)
+        self.coeffs = np.array([_rounded_sum(merged[k]) for k in keys], dtype=np.complex128)
         self._index = {k: i for i, k in enumerate(keys)}
         self._real = self._real_form(keys)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -589,3 +590,72 @@ def test_reports_agree_across_blas_core_types(tmp_path):
             assert max(float(a["abs_err"]), float(b["abs_err"])) <= _ACROSS_BLAS * scale
         else:
             assert abs(complex(a["lhs"]) - complex(b["lhs"])) <= _ACROSS_BLAS * scale
+
+
+# configs whose reports do not depend on the BLAS core type: their integrals
+# reduce by np.sum, and trig_eval's BLAS join is not on their path
+_BLAS_FREE = (
+    ("verify-action", "verify_action"),
+    ("contract", "contract"),
+    ("homogeneity", "homogeneity_r2"),
+    ("construct-measure", "construct_measure"),
+)
+
+
+def test_blas_free_reports_are_byte_identical_across_blas_core_types(tmp_path):
+    outs = []
+    for variant, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        cores = set()
+        for subcommand, stem in _BLAS_FREE:
+            out = tmp_path / variant / stem
+            result = subprocess.run(
+                [sys.executable, "-c", _ON_BLAS_CORE, subcommand, "--config",
+                 os.path.join(CONFIG_DIR, f"{stem}.yaml"), "--out", str(out)],
+                capture_output=True, text=True, env={**_src_env(), **extra}, timeout=300,
+            )
+            core, *lines = result.stdout.splitlines()
+            assert result.returncode == 0 and core.startswith("blas core: "), result.stderr
+            cores.add(core)
+            (out / "stdout.txt").write_text("\n".join(lines))
+        outs.append((tmp_path / variant, cores))
+    (default, cores_a), (prescott, cores_b) = outs
+    for _, stem in _BLAS_FREE:
+        names = sorted(os.listdir(default / stem))
+        assert names == sorted(os.listdir(prescott / stem))
+        for name in names:
+            same = (default / stem / name).read_bytes() == (prescott / stem / name).read_bytes()
+            assert same, (stem, name, cores_a, cores_b)
+
+
+# Prints the enabled dispatch targets, then the bits of pairwise_dot on a
+# real and a complex input.
+_SUM_BITS = """
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from scaleflow import kernels
+
+print("targets:", [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
+rng = np.random.default_rng(3)
+n = 300_007
+weights = rng.uniform(0.5, 1.5, size=n)
+real = rng.normal(size=n)
+for values in (real, real + 1j * rng.normal(size=n)):
+    total = kernels.pairwise_dot(weights, values)
+    print(total.real.hex(), total.imag.hex())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 dispatch targets")
+def test_pairwise_dot_bits_do_not_depend_on_simd_dispatch():
+    # an AVX2 machine takes the sums down the same path as an AVX-512 one;
+    # on a machine without AVX-512 both runs are the default, still a valid run
+    outputs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+        result = subprocess.run([sys.executable, "-c", _SUM_BITS], capture_output=True, text=True,
+                                env={**_src_env(), **extra}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        targets, *bits = result.stdout.splitlines()
+        assert targets.startswith("targets: ") and len(bits) == 2
+        outputs.append((targets, bits))
+    (targets_a, bits_a), (targets_b, bits_b) = outputs
+    assert bits_a == bits_b, (targets_a, targets_b)

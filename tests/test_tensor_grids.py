@@ -294,6 +294,38 @@ def test_translates_and_linear_compositions_stay_real():
     _assert_real_form(one_d.translate([0.3]), rng.uniform(-2, 2, size=(65, 1)))
 
 
+def _assert_conjugate_symmetric(poly):
+    for freq, coeff in poly.terms():
+        assert poly.coefficient([-f for f in freq]) == coeff.conjugate()
+
+
+def test_product_of_real_polynomials_takes_the_real_path():
+    # the sums for c_1 and c_(-1) merge three contributions each, in
+    # different orders; merged correctly rounded, they stay exact conjugates
+    def real(c0, terms):
+        freqs = [[0.0]] + [[s * k] for k, _ in terms for s in (1.0, -1.0)]
+        coeffs = [c0] + [v for _, c in terms for v in (c, c.conjugate())]
+        return TrigPolynomial(freqs, coeffs)
+
+    a = real(0.3, [(1.0, 0.1 + 0.2j), (2.0, 0.7 - 0.1j)])
+    b = real(0.1, [(1.0, 0.3 + 0.25j), (3.0, 0.15 - 0.1j)])
+    product = a * b
+    _assert_conjugate_symmetric(product)
+    points = SPLIT_GRIDS[1].points_and_weights()[0]
+    _assert_real_form(product, points)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       pairs=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+@settings(max_examples=100, deadline=None)
+def test_random_products_of_real_polynomials_stay_real(seed, dim, pairs):
+    rng = np.random.default_rng(seed)
+    a, b = (_real_polynomial(rng, dim, n) for n in pairs)
+    product = a * b
+    _assert_conjugate_symmetric(product)
+    _assert_real_form(product, rng.uniform(-2, 2, size=(17, dim)))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.sampled_from([1, 2]),
