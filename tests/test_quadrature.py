@@ -175,6 +175,27 @@ def test_pairwise_backends_agree(n):
     assert _bits(kernels.pairwise_dot(weights, real))[1] == "0x0.0p+0"
 
 
+@pytest.mark.parametrize("n", [1, 7, 1025, 4097])
+def test_pairwise_dot_of_real_values_has_the_bits_of_the_complex_product(n):
+    # real values stay real through the weighted product and its sum, and the
+    # sum is promoted once: the result has the bits of complex(np.sum(w * v))
+    # with imaginary part +0.0, and lies within the pairwise bound of the sum
+    # of the product promoted to complex128 before the sum
+    rng = np.random.default_rng(70 + n)
+    weights = rng.uniform(1e-3, 2.0, size=n)
+    values = rng.normal(size=n)
+    values[::5] = -0.0
+    values[1::5] = 0.0
+    real = kernels.pairwise_dot(weights, values)
+    product = complex(np.sum(weights * values))
+    assert repr(real) == repr(product)
+    assert _bits(real) == _bits(product)
+    assert _bits(real)[1] == "0x0.0p+0"
+    promoted = kernels.pairwise_dot(weights, values.astype(complex))
+    assert _bits(promoted)[1] == "0x0.0p+0"
+    assert abs(real - promoted) <= 1e-15 * np.sum(np.abs(weights * values))
+
+
 def test_trig_eval_backends_agree():
     """``trig_eval`` agrees with a direct ``exp`` evaluation."""
     rng = np.random.default_rng(0)
