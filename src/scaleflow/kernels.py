@@ -17,6 +17,9 @@ import numpy as np
 
 # Most points (or point-term pairs) one vectorised evaluation takes at once;
 # callers slice larger inputs so their temporaries stay a few tens of MB.
+# Grid integrals stream in row blocks of at most POINT_BUDGET // 32 nodes
+# (``quadrature._row_blocks``), whose sums combine by a fixed pairwise tree:
+# their bits depend only on the grid's shape and this budget, not on --jobs.
 POINT_BUDGET = 1 << 21
 
 

@@ -2,9 +2,15 @@
 
 Integrals are reported together with a refinement estimate, the difference
 between the value on the grid and on the grid with doubled resolution.
-Each integral is one ``kernels.pairwise_dot``: numpy's pairwise ``np.sum``
-of the weighted values in their own dtype, so a real integrand sums in
-float64 and a rerun gives the same bits.
+An integral streams over the grid in leading-axis row blocks of at most
+``kernels.POINT_BUDGET // 32`` nodes, so no grid-sized weights or
+temporaries are built.  Each block is evaluated once and reduced by one
+``kernels.pairwise_dot`` (numpy's pairwise ``np.sum`` of the weighted
+values in their own dtype, so a real integrand sums in float64), and the
+block sums combine by a fixed balanced pairwise tree.  The bits depend only
+on the grid's shape and the block size, not on ``--jobs``; when every block
+has the same power-of-two size of at least 128 nodes and their count is a
+power of two, they are the bits of ``np.sum`` over the whole grid.
 
 A grid hands its points to integrands as :class:`GridPoints`, one node
 vector per axis: formulas that factor by axis read ``coords()`` and never
@@ -182,32 +188,93 @@ class QuadratureGrid:
         return math.prod(self.nodes_per_axis)
 
     def axes(self):
-        """Per axis: its nodes, weights and panel split (see ``_axis_rule``)."""
-        return [
+        """Per axis: its nodes, weights and panel split (see ``_axis_rule``).
+
+        They are built once per grid, for all the blocks an integral streams
+        over, so the arrays are shared and read-only.
+        """
+        return self._axes
+
+    @functools.cached_property
+    def _axes(self) -> tuple:
+        axes = tuple(
             _axis_rule(lo, hi, n, self.rule, self.panel_order)
             for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis)
-        ]
+        )
+        for nodes, weights, split in axes:
+            for array in (nodes, weights, *(split or ())):
+                array.flags.writeable = False
+        return axes
 
-    def points_and_weights(self):
-        """The nodes as :class:`GridPoints` and their weights raveled in C order."""
+    def points_and_weights(self, start: int = 0, stop: int | None = None):
+        """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
+        and their weights raveled in C order; by default the whole grid.
+
+        The weights are the rows' slice of the whole grid's, bit for bit.  A
+        split leading axis (see ``_axis_rule``) is cut on panel edges only,
+        and the block carries the split of its own panels.
+        """
         nodes, weights, splits = zip(*self.axes())
-        w = weights[0]
+        rows = len(nodes[0])
+        stop = rows if stop is None else stop
+        if not 0 <= start < stop <= rows:
+            raise ValueError(f"rows [{start}, {stop}) are not a block of {rows} rows")
+        lead = splits[0]
+        if lead is not None:
+            panel = len(lead[1])
+            if start % panel or stop % panel:
+                raise ValueError(f"rows [{start}, {stop}) cut a panel of {panel} nodes")
+            lead = (lead[0][start // panel : stop // panel], lead[1])
+        w = weights[0][start:stop]
         for wi in weights[1:]:
             w = np.multiply.outer(w, wi)
-        return GridPoints(nodes, splits), np.asarray(w).ravel()
+        pts = GridPoints((nodes[0][start:stop], *nodes[1:]), (lead, *splits[1:]))
+        return pts, np.asarray(w).ravel()
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
 
 
-def _integral_and_values(f, grid: QuadratureGrid) -> tuple[complex, np.ndarray]:
-    pts, w = grid.points_and_weights()
-    values = np.ravel(f(pts))
-    if values.shape[0] != pts.shape[0]:
-        raise ValueError("integrand returned a wrong-sized array")
-    if not np.isfinite(values).all():
-        raise ValueError("integrand returned non-finite values")
-    return kernels.pairwise_dot(w, values), values
+def _row_blocks(grid: QuadratureGrid) -> list:
+    """The [start, stop) leading-axis row ranges an integral streams over.
+
+    A block is the most whole rows, or on a split leading axis the most
+    whole panels, of at most ``kernels.POINT_BUDGET // 32`` nodes, and never
+    less than one row or one panel.
+    """
+    axes = grid.axes()
+    rows = len(axes[0][0])
+    row = math.prod(len(nodes) for nodes, _, _ in axes[1:])
+    split = axes[0][2]
+    panel = 1 if split is None else len(split[1])
+    step = panel * max(1, kernels.POINT_BUDGET // 32 // (row * panel))
+    return [(start, min(rows, start + step)) for start in range(0, rows, step)]
+
+
+def _tree_sum(sums: list) -> complex:
+    # balanced pairwise tree, left half first: np.sum's own split when the
+    # blocks are equal and their count is a power of two
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _tree_sum(sums[:half]) + _tree_sum(sums[half:])
+
+
+def _integral_and_values(f, grid: QuadratureGrid, keep: bool = False):
+    """The integral of f on the grid, one row block at a time, and with
+    ``keep`` the values of f at every node in C order (else None)."""
+    sums, kept = [], []
+    for start, stop in _row_blocks(grid):
+        pts, w = grid.points_and_weights(start, stop)
+        values = np.ravel(f(pts))
+        if values.shape[0] != pts.shape[0]:
+            raise ValueError("integrand returned a wrong-sized array")
+        if not np.isfinite(values).all():
+            raise ValueError("integrand returned non-finite values")
+        sums.append(kernels.pairwise_dot(w, values))
+        if keep:
+            kept.append(values)
+    return _tree_sum(sums), np.concatenate(kept) if keep else None
 
 
 def integrate_on_grid(f, grid: QuadratureGrid) -> complex:
@@ -219,9 +286,11 @@ def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[c
 
     With ``edge_tol``, the coarse values also judge the support: more than
     that fraction of the |f| mass on the grid's outermost node layer raises
-    :class:`SupportEscapeError`.  Each grid is evaluated once.
+    :class:`SupportEscapeError` before the fine grid is evaluated.  Each
+    grid is evaluated once, block by block; only an edge-checked coarse grid
+    keeps its values.
     """
-    coarse, values = _integral_and_values(f, grid)
+    coarse, values = _integral_and_values(f, grid, keep=edge_tol is not None)
     if edge_tol is not None:
         fraction = boundary_mass_fraction(values, grid)
         if fraction > edge_tol:

@@ -499,6 +499,12 @@ def test_cli_construct_jobs_deterministic(tmp_path):
     _assert_jobs_deterministic(tmp_path, "construct-measure", "construct_measure.yaml")
 
 
+def test_cli_homogeneity_jobs_deterministic(tmp_path):
+    # the battery runs in pool threads at --jobs 2; every integral streams in
+    # the same row blocks whatever thread runs it
+    _assert_jobs_deterministic(tmp_path, "homogeneity", "homogeneity_r2.yaml")
+
+
 def test_reports_embed_header(tmp_path):
     out = tmp_path / "out"
     run_cli([
@@ -549,17 +555,36 @@ sys.exit(main(sys.argv[1:]))
 """
 
 # sigma_periodic rows whose lhs is itself rounding (rhs 0, |lhs| ~ 1e-17), so
-# only their abs_err, not their bits, is compared across BLAS kernels
-_ROUNDING_ROWS = {"oscillation-free"}
+# their abs_err, not only their bits, is compared across BLAS kernels
+_ROUNDING_ROWS = {"sigma_periodic": {"oscillation-free"}, "sigma_quasiperiodic": set()}
+# verdict lines whose final_rel is rounding: sigma_quasiperiodic's
+# oscillation-free lhs converges to 0 from 0.076 and ends near 3e-16, so its
+# rows compare like any other, but the last figure of its verdict moves with
+# the kernel; it is compared only as below 1e-12 on both kernels
+_ROUNDING_VERDICTS = {"sigma_quasiperiodic": {"oscillation-free"}}
 _ACROSS_BLAS = 1e-12
+
+
+def _assert_verdicts_agree(lines_a, lines_b, rounding):
+    # equal lines, but for the final_rel of the sigma fields in ``rounding``
+    assert len(lines_a) == len(lines_b)
+    for a, b in zip(lines_a, lines_b):
+        if not any(f"sigma[{name}] final_rel=" in a for name in rounding):
+            assert a == b
+            continue
+        (head_a, rest_a), (head_b, rest_b) = (line.split("final_rel=") for line in (a, b))
+        (rel_a, *tail_a), (rel_b, *tail_b) = rest_a.split(), rest_b.split()
+        assert (head_a, tail_a) == (head_b, tail_b)
+        assert max(float(rel_a), float(rel_b)) <= _ACROSS_BLAS
 
 
 def test_reports_agree_across_blas_core_types(tmp_path):
     # reports are byte-identical only for a fixed BLAS core type; on another
     # one the verdicts hold and the numbers agree within 1e-12 of their scale
     runs = {}
+    configs = (("mean", "mean_periodic"), *(("sigma", stem) for stem in _ROUNDING_ROWS))
     for variant, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
-        for subcommand, stem in (("mean", "mean_periodic"), ("sigma", "sigma_periodic")):
+        for subcommand, stem in configs:
             out = tmp_path / variant / stem
             result = subprocess.run(
                 [sys.executable, "-c", _ON_BLAS_CORE, subcommand, "--config",
@@ -569,11 +594,12 @@ def test_reports_agree_across_blas_core_types(tmp_path):
             core, *verdicts = result.stdout.splitlines()
             assert core.startswith("blas core: "), result.stderr
             runs[variant, stem] = (result.returncode, verdicts, out, core)
-    for stem in ("mean_periodic", "sigma_periodic"):
+    for _, stem in configs:
         (code_a, verdicts_a, _, core_a), (code_b, verdicts_b, _, core_b) = (
             runs["default", stem], runs["prescott", stem])
         assert code_a == code_b == 0
-        assert verdicts_a == verdicts_b, (core_a, core_b)
+        assert verdicts_a[-1] == verdicts_b[-1] == "PASS", (core_a, core_b)
+        _assert_verdicts_agree(verdicts_a, verdicts_b, _ROUNDING_VERDICTS.get(stem, ()))
     means = [
         [row["value"] for sweep in _mean_sweeps(runs[variant, "mean_periodic"][2] / "mean.json")
          for row in sweep["rows"]]
@@ -582,14 +608,14 @@ def test_reports_agree_across_blas_core_types(tmp_path):
     for a, b in zip(*means, strict=True):
         a, b = complex(a["re"], a["im"]), complex(b["re"], b["im"])
         assert abs(a - b) <= _ACROSS_BLAS * abs(a)
-    rows = [_csv_rows(runs[variant, "sigma_periodic"][2] / "sigma.csv") for variant in ("default", "prescott")]
-    for a, b in zip(*rows, strict=True):
-        assert (a["psi"], a["eps"]) == (b["psi"], b["eps"])
-        scale = float(a["abs_err"]) / float(a["rel_err"])
-        if a["psi"] in _ROUNDING_ROWS:
-            assert max(float(a["abs_err"]), float(b["abs_err"])) <= _ACROSS_BLAS * scale
-        else:
+    for stem, rounding in _ROUNDING_ROWS.items():
+        rows = [_csv_rows(runs[variant, stem][2] / "sigma.csv") for variant in ("default", "prescott")]
+        for a, b in zip(*rows, strict=True):
+            assert (a["psi"], a["eps"]) == (b["psi"], b["eps"])
+            scale = float(a["abs_err"]) / float(a["rel_err"])
             assert abs(complex(a["lhs"]) - complex(b["lhs"])) <= _ACROSS_BLAS * scale
+            if a["psi"] in rounding:
+                assert max(float(a["abs_err"]), float(b["abs_err"])) <= _ACROSS_BLAS * scale
 
 
 # configs whose reports do not depend on the BLAS core type: their integrals

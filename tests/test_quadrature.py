@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scaleflow import kernels
+from scaleflow import kernels, quadrature
 from scaleflow.quadrature import (
     Box,
     GAUSS,
@@ -14,6 +14,7 @@ from scaleflow.quadrature import (
     UnderResolvedError,
     _axis_rule,
     _legendre_rule,
+    _row_blocks,
     boundary_mass_fraction,
     integrate_on_grid,
     integrate_with_refinement,
@@ -106,21 +107,69 @@ def test_boundary_mass_detection():
     assert shifted > 1e-3
 
 
-def test_refinement_evaluates_each_grid_once_and_judges_the_edge_on_the_coarse():
+def _spy_nodes(f, calls: list):
+    # f, recording the point array of every block it is called on
+    def spy(p):
+        calls.append(np.asarray(p))
+        return f(p)
+
+    return spy
+
+
+def _spy_edge_checks(monkeypatch) -> list:
+    # the (values, grid) of every boundary_mass_fraction call
+    checks = []
+    original = quadrature.boundary_mass_fraction
+
+    def spy(values, grid):
+        checks.append((np.array(values), grid))
+        return original(values, grid)
+
+    monkeypatch.setattr(quadrature, "boundary_mass_fraction", spy)
+    return checks
+
+
+def test_refinement_evaluates_each_grid_once_and_judges_the_edge_on_the_coarse(monkeypatch):
+    # each node of the coarse and then of the fine grid is evaluated exactly
+    # once, block by block: the default budget takes the 16 x 24 grid and its
+    # 32 x 48 refinement in one block each, a budget of 96 nodes in 4 and 16
+    checks = _spy_edge_checks(monkeypatch)
     grid = QuadratureGrid(box=Box((-1.0, -1.0), (1.0, 1.0)), nodes_per_axis=(16, 24))
-    sizes = []
+    coarse_pts = np.asarray(grid.points_and_weights()[0])
+    fine_pts = np.asarray(grid.refined().points_and_weights()[0])
+    centered = lambda p: np.exp(-20 * np.sum(np.asarray(p) ** 2, axis=1))
 
-    def centered(p):
-        sizes.append(p.shape[0])
-        return np.exp(-20 * np.sum(np.asarray(p) ** 2, axis=1))
+    def corner(p):
+        # mass at the high end of the leading axis only, rows x_0 > 0.75
+        x = np.asarray(p)
+        return np.where(x[:, 0] > 0.75, centered(x - [1.0, 0.0]), 0.0)
 
-    value, _ = integrate_with_refinement(centered, grid, edge_tol=1e-6)
-    assert sizes == [16 * 24, 32 * 48]
-    assert value == integrate_with_refinement(centered, grid)[0]
-    sizes.clear()
-    with pytest.raises(SupportEscapeError, match="grid boundary"):
-        integrate_with_refinement(lambda p: centered(np.asarray(p) - 1.0), grid, edge_tol=1e-6)
-    assert sizes == [16 * 24]  # rejected before the fine grid is built
+    escaping = (lambda p: centered(np.asarray(p) - 1.0), corner)
+    for budget, blocks in ((kernels.POINT_BUDGET, (1, 1)), (96 * 32, (4, 16))):
+        monkeypatch.setattr(kernels, "POINT_BUDGET", budget)
+        assert (len(_row_blocks(grid)), len(_row_blocks(grid.refined()))) == blocks
+        calls = []
+        checks.clear()
+        value, _ = integrate_with_refinement(_spy_nodes(centered, calls), grid, edge_tol=1e-6)
+        assert len(calls) == sum(blocks)
+        np.testing.assert_array_equal(np.concatenate(calls), np.concatenate([coarse_pts, fine_pts]))
+        # the edge is judged once, on all the coarse values
+        [(values, judged)] = checks
+        assert judged is grid
+        np.testing.assert_array_equal(values, centered(coarse_pts))
+        assert value == integrate_with_refinement(centered, grid)[0]
+        assert len(checks) == 1  # no edge check without edge_tol
+        for f in escaping:
+            calls.clear()
+            with pytest.raises(SupportEscapeError, match="grid boundary"):
+                integrate_with_refinement(_spy_nodes(f, calls), grid, edge_tol=1e-6)
+            # every coarse block, and not the fine grid
+            assert len(calls) == blocks[0]
+            np.testing.assert_array_equal(np.concatenate(calls), coarse_pts)
+            np.testing.assert_array_equal(checks[-1][0], f(coarse_pts))
+    # under 4 blocks, the corner's mass sits in the last block alone
+    last = _row_blocks(grid)[-1][0] * 24
+    assert not np.any(corner(coarse_pts[:last])) and np.any(corner(coarse_pts[last:]))
 
 
 def test_boundary_mass_fraction_two_dimensional():
@@ -205,3 +254,138 @@ def test_trig_eval_backends_agree():
     values = kernels.trig_eval(freqs, coeffs, pts)
     direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ coeffs)
     assert np.max(np.abs(values - direct)) <= 1e-12
+
+
+# POINT_BUDGET whose blocks take at most 256 nodes: a block of at least 128
+# values is a subtree of np.sum's pairwise tree, which leaves 128 values to
+# an unrolled loop
+BLOCK_BUDGET = 256 * 32
+
+# grids whose row counts, row sizes and panel counts are all powers of two
+POWER_OF_TWO_GRIDS = {
+    "midpoint-1d": QuadratureGrid(Box((-1.0,), (2.0,)), (1024,)),
+    "midpoint-2d": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), (32, 64)),
+    "midpoint-3d": QuadratureGrid(Box((-1.0, 0.0, -0.5), (1.0, 1.0, 0.5)), (16, 8, 8)),
+    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (512,), rule=GAUSS, panel_order=16),
+    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 32), rule=GAUSS, panel_order=8),
+    "gauss-3d": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (16, 8, 4), rule=GAUSS, panel_order=4),
+}
+
+# grids whose blocks differ in size or count: 48 x 40 rows, 3 panels, rows
+# larger than the budget
+UNEVEN_GRIDS = {
+    "midpoint-1d": QuadratureGrid(Box((-1.0,), (2.0,)), (1000,)),
+    "midpoint-2d": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), (48, 40)),
+    "midpoint-3d": QuadratureGrid(Box((-1.0, 0.0, -0.5), (1.0, 1.0, 0.5)), (20, 5, 7)),
+    "midpoint-wide-rows": QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (5, 300)),
+    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (640,), rule=GAUSS, panel_order=16),
+    "gauss-2d-3-panels": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 24), rule=GAUSS, panel_order=8),
+    "gauss-3d-3-panels": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (12, 4, 8), rule=GAUSS, panel_order=4),
+    "gauss-wide-panels": QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (32, 48), rule=GAUSS, panel_order=8),
+}
+
+BLOCK_GRIDS = {**{f"pow2-{k}": g for k, g in POWER_OF_TWO_GRIDS.items()},
+               **{f"uneven-{k}": g for k, g in UNEVEN_GRIDS.items()}}
+
+
+def _panel(grid) -> int:
+    # the rows of one panel of a split leading axis, else 1
+    split = grid.axes()[0][2]
+    return 1 if split is None else len(split[1])
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+def test_row_blocks_cover_the_grid_once_within_the_budget(name, monkeypatch):
+    monkeypatch.setattr(kernels, "POINT_BUDGET", BLOCK_BUDGET)
+    grid = BLOCK_GRIDS[name]
+    whole_pts, whole_w = grid.points_and_weights()
+    rows = len(whole_pts.axes[0])
+    row = whole_pts.shape[0] // rows
+    panel = _panel(grid)
+    blocks = _row_blocks(grid)
+    assert len(blocks) > 1
+    assert blocks[0][0] == 0 and blocks[-1][1] == rows
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for start, stop in blocks:
+        assert start % panel == 0 and stop % panel == 0  # whole panels
+        # the most whole panels within the budget, and at least one
+        units = (stop - start) // panel
+        assert units == 1 or units * panel * row <= BLOCK_BUDGET // 32
+        if stop < rows:
+            assert (units + 1) * panel * row > BLOCK_BUDGET // 32
+    # every node is evaluated once, in C order
+    calls = []
+    f = lambda p: np.cos(np.asarray(p) @ np.arange(1.0, grid.box.dim + 1.0))
+    integrate_on_grid(_spy_nodes(f, calls), grid)
+    assert [len(c) for c in calls] == [(b - a) * row for a, b in blocks]
+    np.testing.assert_array_equal(np.concatenate(calls), np.asarray(whole_pts))
+    # the blocks' weights and splits are the whole grid's, bit for bit
+    parts = [grid.points_and_weights(a, b) for a, b in blocks]
+    np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), whole_w)
+    if panel > 1:
+        offsets = np.concatenate([pts.splits[0][0] for pts, _ in parts])
+        np.testing.assert_array_equal(offsets, whole_pts.splits[0][0])
+        for pts, _ in parts:
+            np.testing.assert_array_equal(pts.splits[0][1], whole_pts.splits[0][1])
+
+
+def _integrands(dim: int):
+    # a real and a complex integrand, pointwise on the point array, so a
+    # block's values are the bits of the same rows of the whole grid's
+    k = np.arange(1.0, dim + 1.0)
+    real = lambda p: np.cos(np.asarray(p) @ k) * np.exp(-np.sum(np.asarray(p) ** 2, axis=1))
+    return real, lambda p: real(p) * np.exp(1j * (np.asarray(p) @ k[::-1]))
+
+
+@pytest.mark.parametrize("name", sorted(POWER_OF_TWO_GRIDS))
+def test_blocked_integral_has_the_bits_of_the_whole_grid_sum(name, monkeypatch):
+    grid = POWER_OF_TWO_GRIDS[name]
+    pts, w = grid.points_and_weights()
+    monkeypatch.setattr(kernels, "POINT_BUDGET", BLOCK_BUDGET)
+    assert len(_row_blocks(grid)) & (len(_row_blocks(grid)) - 1) == 0
+    for f in _integrands(grid.box.dim):
+        whole = complex(np.sum(w * f(pts)))
+        total = integrate_on_grid(f, grid)
+        assert (total.real.hex(), total.imag.hex()) == (whole.real.hex(), whole.imag.hex())
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+def test_blocked_integral_is_within_the_pairwise_bound_of_fsum(name, monkeypatch):
+    # pairwise error 2u ceil(log2 n) sum |w_i v_i| (Higham 1993)
+    grid = BLOCK_GRIDS[name]
+    pts, w = grid.points_and_weights()
+    n = w.shape[0]
+    monkeypatch.setattr(kernels, "POINT_BUDGET", BLOCK_BUDGET)
+    for f in _integrands(grid.box.dim):
+        products = w * f(pts)
+        exact = complex(math.fsum(products.real), math.fsum(np.imag(products)))
+        total = integrate_on_grid(f, grid)
+        bound = 2.0 * 2.0**-53 * math.ceil(math.log2(n)) * float(np.sum(np.abs(products)))
+        assert abs(total.real - exact.real) <= bound and abs(total.imag - exact.imag) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+def test_points_and_weights_slices_concatenate_to_the_whole_grid(name):
+    grid = BLOCK_GRIDS[name]
+    whole_pts, whole_w = grid.points_and_weights()
+    rows, panel = len(whole_pts.axes[0]), _panel(grid)
+    cuts = [0, panel, rows - panel if rows > 2 * panel else rows, rows]
+    cuts = sorted(set(cuts))
+    parts = [grid.points_and_weights(a, b) for a, b in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(np.concatenate([np.asarray(p) for p, _ in parts]), np.asarray(whole_pts))
+    np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), whole_w)
+    for pts, _ in parts:  # the other axes and their splits are the whole grid's
+        for a, b in zip(pts.axes[1:], whole_pts.axes[1:]):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(pts.splits[1:], whole_pts.splits[1:]):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
+    if panel > 1:
+        with pytest.raises(ValueError, match="cut a panel"):
+            grid.points_and_weights(0, panel + 1)
+        with pytest.raises(ValueError, match="cut a panel"):
+            grid.points_and_weights(1, rows)
+    for start, stop in ((0, 0), (-1, rows), (0, rows + panel), (panel, 0)):
+        with pytest.raises(ValueError, match="not a block"):
+            grid.points_and_weights(start, stop)
