@@ -96,7 +96,8 @@ class Ball:
 
 class Action:
     """Base class: a parametrised family of linear maps of R^N.  Only this
-    module reads the matrix: norms, volumes, image boxes, frequency bounds.
+    module reads the matrix: norms, volumes, image boxes, frequency bounds
+    and pulled-back trig polynomials.
 
     ``apply``, ``matrix``, ``operator_norm`` and ``volume_factor`` take one
     group element or an array of them.  ``apply(eps, x)`` broadcasts ``eps``
@@ -171,6 +172,11 @@ class Action:
         center = a @ (0.5 * (lows + highs))
         half = np.abs(a) @ (0.5 * (highs - lows))
         return Box(tuple(center - half), tuple(center + half))
+
+    def pullback(self, eps: float, poly):
+        """The trig polynomial y -> poly(y) pulled back to x -> poly(H_eps x):
+        ``poly.compose_linear`` of the matrix at ``eps``."""
+        return poly.compose_linear(self.matrix(eps))
 
     def frequency_bound(self, eps: float, bound) -> np.ndarray:
         """Per-axis frequency bound of f(H_eps(x)) when f's per-axis

@@ -77,6 +77,23 @@ def _legendre_rule(q: int):
     return rule
 
 
+def _axis_panels(lo: float, hi: float, n: int, rule: str, panel_order: int):
+    """Panel midpoints, panel half-widths and the reference rule of one axis.
+
+    A composite Gauss axis has n / q panels of the q-point Gauss-Legendre
+    rule (n is a multiple of q); a midpoint axis has n panels of the
+    one-point rule, the node t = 0 of weight 2.  Node j of panel p is
+    mid_p + half_p * t_j, of weight half_p * w_j.
+    """
+    if rule == MIDPOINT:
+        h = (hi - lo) / n
+        return lo + (np.arange(n) + 0.5) * h, np.full(n, 0.5 * h), _legendre_rule(1)
+    if rule == GAUSS:
+        edges = np.linspace(lo, hi, n // panel_order + 1)
+        return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]), _legendre_rule(panel_order)
+    raise ValueError(f"unknown quadrature rule {rule!r}")
+
+
 def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
     """Nodes and weights of one axis, and the axis's panel split or None.
 
@@ -88,23 +105,114 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
     t)_j matches x_(p,j) to about one ulp, not bit for bit.  Midpoint and
     one-panel axes have no split.
     """
-    if rule == MIDPOINT:
-        h = (hi - lo) / n
-        nodes = lo + (np.arange(n) + 0.5) * h
-        weights = np.full(n, h)
-        return nodes, weights, None
-    if rule == GAUSS:
-        q = panel_order
-        panels = max(1, -(-n // q))
-        ref_nodes, ref_weights = _legendre_rule(q)
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-        weights = (half[:, None] * ref_weights[None, :]).ravel()
-        split = None if panels == 1 else (mid, (0.5 * (hi - lo) / panels) * ref_nodes)
-        return nodes, weights, split
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    mid, half, (ref_nodes, ref_weights) = _axis_panels(lo, hi, n, rule, panel_order)
+    nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
+    weights = (half[:, None] * ref_weights[None, :]).ravel()
+    panels = len(mid)
+    split = None if rule == MIDPOINT or panels == 1 else (mid, (0.5 * (hi - lo) / panels) * ref_nodes)
+    return nodes, weights, split
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_projection(q: int) -> np.ndarray:
+    """The (q, q) matrix L[n, j] = (2n + 1) / 2 * w_j * P_n(t_j) of the
+    q-point rule (t, w) on [-1, 1], computed once and read-only.
+
+    Applied to a function's values at the nodes it gives the Legendre
+    coefficients of their interpolating polynomial of degree < q: the
+    Gauss sum of P_n f is exact for such polynomials.
+    """
+    t, w = _legendre_rule(q)
+    legendre = [np.ones_like(t), t]
+    for n in range(1, q - 1):  # Bonnet: (n + 1) P_(n+1) = (2n + 1) t P_n - n P_(n-1)
+        legendre.append(((2 * n + 1) * t * legendre[n] - n * legendre[n - 1]) / (n + 1))
+    scale = (2.0 * np.arange(q) + 1.0) / 2.0
+    projection = scale[:, None] * w[None, :] * np.stack(legendre[:q])
+    projection.flags.writeable = False
+    return projection
+
+
+def _spherical_bessel(q: int, kappa: float) -> list:
+    """[j_0(kappa), ..., j_(q-1)(kappa)] at one kappa >= 0, in float arithmetic.
+
+    - kappa < 1: the power series, summed until its terms stop counting.
+    - n < kappa: forward recurrence from j_0 = sin(k) / k and j_1, stable
+      there.
+    - n >= kappa >= 1: Miller's backward recurrence (Gautschi, SIAM Review
+      9, 1967) from n = q + 32, normalised by sum (2n + 1) j_n^2 = 1, never
+      by j_0, which vanishes at kappa = m pi.
+    """
+    if kappa < 1.0:
+        # j_n(k) = k^n / (2n + 1)!! * sum_m (-k^2 / 2)^m / (m! (2n + 3) ... (2n + 2m + 1))
+        out, lead, x = [], 1.0, -0.5 * kappa * kappa
+        for n in range(q):
+            lead = lead * kappa / (2 * n + 1) if n else 1.0
+            term, total, m = 1.0, 1.0, 0
+            while abs(term) > 1e-17 * abs(total):
+                m += 1
+                term *= x / (m * (2 * n + 2 * m + 1))
+                total += term
+            out.append(lead * total)
+        return out
+    out = [math.sin(kappa) / kappa]
+    out.append((out[0] - math.cos(kappa)) / kappa)
+    for n in range(1, min(q - 1, math.ceil(kappa) - 1)):  # up to the last n < kappa
+        out.append((2 * n + 1) / kappa * out[n] - out[n - 1])
+    forward = out[: min(q, math.ceil(kappa))]
+    if len(forward) == q:
+        return forward
+    miller = _miller(q, kappa)
+    # Miller's values carry the arbitrary sign of its start: take the sign
+    # that agrees with the forward values, which include j_0 and j_1 and
+    # never vanish both
+    if sum(a * b for a, b in zip(forward, miller)) < 0.0:
+        miller = [-v for v in miller]
+    return forward + miller[len(forward) :]
+
+
+def _miller(q: int, kappa: float) -> list:
+    # j_n(kappa) up to a common sign, n < q, for kappa >= 1, by backward
+    # recurrence from n = q + 32; the values are rescaled before they grow past 1e150
+    top = q + 32
+    values = [0.0, 1.0]  # n = top + 1, top
+    for n in range(top, 0, -1):
+        values.append((2 * n + 1) / kappa * values[-1] - values[-2])
+        if abs(values[-1]) > 1e150:
+            values = [v * 1e-150 for v in values]
+    values.reverse()  # n = 0 .. top + 1
+    big = max(abs(v) for v in values)
+    values = [v / big for v in values]
+    norm = math.sqrt(math.fsum((2 * n + 1) * v * v for n, v in enumerate(values)))
+    return [v / norm for v in values[:q]]
+
+
+# i^n for n mod 4
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _filon_axis(mid, half, rule, h: float, omegas) -> np.ndarray:
+    """The (K, n) Filon weights at the K frequencies ``omegas`` of an axis of
+    panels (mid, half, rule), as ``_axis_panels`` gives, of nominal
+    half-width h.
+
+    Node j of panel p gets half_p e(omega mid_p) sum_(n<q) L[n, j] 2 i^n
+    j_n(kappa), kappa = 2 pi |omega| h, with L the Legendre projection of
+    the panel rule, conjugated for omega < 0: the exact integral of
+    e(omega x) against the interpolating polynomial of the panel's values,
+    because int_(-1)^1 P_n(t) e^(i kappa t) dt = 2 i^n j_n(kappa).  kappa
+    takes the nominal h = (hi - lo) / (2 P), which the panels' own half_p
+    match to an ulp or so; the phase is reduced modulo 1 before it is
+    scaled by 2 pi.
+    """
+    q = len(rule[0])
+    omega = np.abs(np.asarray(omegas, dtype=np.float64))
+    kappa = 2.0 * np.pi * omega * h
+    bessel = np.array([_spherical_bessel(q, k) for k in kappa.tolist()]).reshape(-1, q)
+    moments = 2.0 * bessel * _I_POWERS[np.arange(q) % 4]  # (K, n)
+    local = np.sum(moments[:, :, None] * _legendre_projection(q), axis=1)  # (K, j)
+    phase = np.exp(2j * np.pi * np.remainder(omega[:, None] * mid, 1.0))  # (K, P)
+    weights = (half[:, None] * (phase[:, :, None] * local[:, None, :])).reshape(len(omega), -1)
+    return np.where(np.asarray(omegas)[:, None] < 0, weights.conj(), weights)
 
 
 class GridPoints:
@@ -182,6 +290,11 @@ class QuadratureGrid:
             raise ValueError("node counts must be positive")
         if self.rule not in (MIDPOINT, GAUSS):
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
+        if self.rule == GAUSS:
+            for axis, n in enumerate(self.nodes_per_axis):
+                if n % self.panel_order:
+                    raise ValueError(f"axis {axis} has {n} Gauss nodes, not a multiple "
+                                     f"of panel_order {self.panel_order}")
 
     @property
     def total_points(self) -> int:
@@ -205,6 +318,27 @@ class QuadratureGrid:
             for array in (nodes, weights, *(split or ())):
                 array.flags.writeable = False
         return axes
+
+    def filon_weights(self, freqs) -> list:
+        """Per axis a, the (K, n_a) oscillation-aware weights of its nodes at
+        the frequencies ``freqs[:, a]`` of the K rows of ``freqs`` (K, d).
+
+        Weighting f at the nodes integrates e(omega x_a) against the
+        panelwise interpolating polynomial of f (see ``_filon_axis``), so
+        the work does not grow with |omega|; a midpoint axis is the
+        one-node case.  At omega = 0 they are the axis's weights, bit for bit.
+        """
+        freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
+        return [_filon_axis(*panels, freqs[:, axis]) for axis, panels in enumerate(self._panels)]
+
+    @functools.cached_property
+    def _panels(self) -> tuple:
+        # per axis: the panels of _axis_panels and their nominal half-width
+        panels = []
+        for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis):
+            mid, half, rule = _axis_panels(lo, hi, n, self.rule, self.panel_order)
+            panels.append((mid, half, rule, 0.5 * (hi - lo) / len(mid)))
+        return tuple(panels)
 
     def points_and_weights(self, start: int = 0, stop: int | None = None):
         """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
@@ -275,6 +409,34 @@ def _integral_and_values(f, grid: QuadratureGrid, keep: bool = False):
         if keep:
             kept.append(values)
     return _tree_sum(sums), np.concatenate(kept) if keep else None
+
+
+def integrate_oscillatory(values, grid: QuadratureGrid, freqs) -> np.ndarray:
+    """The integrals of f(x) e(<k, x>) over the grid's box, one for each row
+    k of ``freqs`` (K, d), from the values of f at the nodes in C order.
+
+    This is Filon's method (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
+    461, 2005): f is replaced on each panel by its interpolating polynomial,
+    which is integrated against the oscillation exactly, by the weights of
+    :meth:`QuadratureGrid.filon_weights`, multiplied across axes.  The
+    result is exact for f polynomial of degree < q on each panel, whatever
+    |k|, and at k = 0 it is the grid's own rule.  Each integral is one
+    product and ``np.sum``, with no BLAS call.
+    """
+    values = np.asarray(values)
+    if values.size != grid.total_points:
+        raise ValueError(f"{values.size} values for a grid of {grid.total_points} nodes")
+    if not np.isfinite(values).all():
+        raise ValueError("integrand values must be finite")
+    values = values.reshape(grid.nodes_per_axis)
+    per_axis = grid.filon_weights(freqs)
+    out = np.empty(len(per_axis[0]), dtype=np.complex128)
+    for k in range(len(out)):
+        weights = per_axis[0][k]
+        for axis in per_axis[1:]:
+            weights = np.multiply.outer(weights, axis[k])
+        out[k] = np.sum(weights * values)
+    return out
 
 
 def integrate_on_grid(f, grid: QuadratureGrid) -> complex:

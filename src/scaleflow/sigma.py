@@ -4,7 +4,10 @@ A two-scale field u0(x, y) = sum_j a_j(x) w_j(y) couples smooth macroscopic
 factors on a box with algebra elements in the oscillation slot.  Its trace
 at parameter eps is x -> u0(x, H_eps(x)); pairing traces of u0 against
 traces of a test field must converge, as eps heads to the group infimum,
-to the spectral pairing of the two fields.  Quadrature grids are gated by
+to the spectral pairing of the two fields.  The pairing of traces
+integrates each oscillation exactly against the panelwise interpolant of
+the smooth macro factors (Filon weights), on the same grid at every eps.
+Only the trace norm bound still resolves the oscillation, on grids gated by
 an explicit nodes-per-oscillation-period rule.
 
 All pairings integrate against Lebesgue measure on the domain box.
@@ -23,7 +26,7 @@ from .actions import Action
 from .algebra import GENERATOR_TOL, spectral_pairing
 from .measures import GridSpec
 from .meanvalue import ERROR_FLOOR, fit_decay_order
-from .quadrature import Box, integrate_with_refinement
+from .quadrature import Box, integrate_oscillatory, integrate_with_refinement
 
 ENVELOPE_CELL_SAMPLES = 2048
 
@@ -72,7 +75,6 @@ class TwoScaleField:
         values = np.stack([w.poly(y) for _, w in self.terms])  # (J, My)
 
         def fn(pts):
-            pts = np.atleast_2d(pts)
             macro = np.stack([m(pts) for m, _ in self.terms])  # (J, Mx)
             out = np.empty(pts.shape[0])
             # blocks of about POINT_BUDGET / 8 samples bound the field temporaries
@@ -146,19 +148,58 @@ def sigma_pairing_lhs(
 ) -> tuple[complex, float, int]:
     """Domain integral of trace(u) * trace(psi); returns (value, estimate, nodes).
 
-    Raises :class:`UnderResolvedError` when the oscillation at this eps
-    cannot be resolved within the grid cap.
+    The integrand is sum_(j,l) a_j(x) b_l(x) (w_j w'_l)(H_eps x): each
+    product of macro factors, which does not depend on eps, times a trig
+    polynomial in x, the product of the two oscillation factors pulled back
+    through H_eps.  Filon weights integrate each of its terms exactly
+    against the panelwise interpolant of the macro product
+    (``quadrature.integrate_oscillatory``), so every eps uses the base grid
+    ``grid_spec.build(domain)`` and its doubling, and no eps is too fine.
+    The estimate is the difference between the two; ``nodes`` counts the
+    base grid.
     """
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
     eps = action.group.validate(eps)
-    bound = u.max_freq().astype(float) + psi.max_freq()
-    grid = grid_spec.build(u.domain, action.frequency_bound(eps, bound))
-    value, estimate = integrate_with_refinement(
-        lambda pts: u.trace_values(action, eps, pts) * psi.trace_values(action, eps, pts),
-        grid,
+    polys, grids = _lhs_factors(u, psi, grid_spec)
+    pulled = [action.pullback(eps, poly) for poly in polys]
+    coarse, fine = (
+        sum(_oscillatory_integral(values, grid, poly) for values, poly in zip(products, pulled))
+        for grid, products in grids
     )
-    return value, estimate, grid.total_points
+    return fine, abs(fine - coarse), grids[0][0].total_points
+
+
+# every ladder entry of a pairing reads the same eps-independent factors
+@functools.lru_cache(maxsize=8)
+def _lhs_factors(u: TwoScaleField, psi: TwoScaleField, grid_spec: GridSpec) -> tuple:
+    """The factors of trace(u) * trace(psi) that do not depend on eps.
+
+    Per term pair (j, l), in the same order: the products w_j w'_l of the
+    oscillation factors, and for the base grid and its doubling, the grid
+    with the macro products a_j b_l at its nodes (read-only).  Each (u, psi,
+    grid spec) is computed once; the cache keeps its fields alive.
+    """
+    polys = tuple(w_u.poly * w_psi.poly for _, w_u in u.terms for _, w_psi in psi.terms)
+    base, grids = grid_spec.build(u.domain), []
+    for grid in (base, base.refined()):
+        pts, _ = grid.points_and_weights()
+        u_macros, psi_macros = ([macro(pts) for macro, _ in f.terms] for f in (u, psi))
+        products = tuple(a * b for a in u_macros for b in psi_macros)
+        for values in products:
+            values.flags.writeable = False
+        grids.append((grid, products))
+    return polys, tuple(grids)
+
+
+def _oscillatory_integral(values, grid, poly) -> complex:
+    # a real integrand, a real macro product times a real polynomial, sums
+    # the real form's terms and their real parts only, so its value is real
+    real = None if np.iscomplexobj(values) else poly.real_form()
+    if real is None:
+        return complex(np.sum(poly.coeffs * integrate_oscillatory(values, grid, poly.freqs)))
+    freqs, coeffs = real
+    return complex(np.sum((coeffs * integrate_oscillatory(values, grid, freqs)).real))
 
 
 def sigma_pairing_rhs(

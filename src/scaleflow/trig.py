@@ -80,7 +80,10 @@ class TrigPolynomial:
             if key >= zero:
                 half.append(i)
         scale = np.where([keys[i] == zero for i in half], 1.0, 2.0)
-        return self.freqs[half], self.coeffs[half] * scale
+        form = (self.freqs[half], self.coeffs[half] * scale)
+        for array in form:  # handed out by real_form
+            array.flags.writeable = False
+        return form
 
     # -- constructors --------------------------------------------------------
 
@@ -145,6 +148,11 @@ class TrigPolynomial:
                 single_point = True
         out = self._eval(pts)
         return out[0].item() if single_point else out
+
+    def real_form(self):
+        """``(freqs, coeffs)`` of c_0 and 2 c_k over k > 0 for a real
+        polynomial, whose values are c_0 + 2 Re sum_(k>0) c_k e(k x), else None."""
+        return self._real
 
     def _eval(self, pts) -> np.ndarray:
         if self._real is None:

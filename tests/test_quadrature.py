@@ -2,8 +2,11 @@
 
 import math
 
+import cmath
+
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from scaleflow import kernels, quadrature
 from scaleflow.quadrature import (
@@ -13,10 +16,13 @@ from scaleflow.quadrature import (
     SupportEscapeError,
     UnderResolvedError,
     _axis_rule,
+    _legendre_projection,
     _legendre_rule,
     _row_blocks,
+    _spherical_bessel,
     boundary_mass_fraction,
     integrate_on_grid,
+    integrate_oscillatory,
     integrate_with_refinement,
     resolved_nodes,
 )
@@ -63,6 +69,96 @@ def test_gauss_axis_rule_shares_one_legendre_rule():
     assert not any(array.flags.writeable for array in shared)
     with pytest.raises(ValueError):
         shared[0][0] = 0.0
+
+
+def test_gauss_node_counts_fill_whole_panels():
+    # 24 nodes would be read as two 16-node panels, 32 nodes in all
+    with pytest.raises(ValueError, match="axis 0 has 24 Gauss nodes"):
+        QuadratureGrid(Box((0.0,), (1.0,)), (24,), rule=GAUSS)
+    with pytest.raises(ValueError, match="axis 1 has 40 Gauss nodes"):
+        QuadratureGrid(Box((0.0, 0.0), (1.0, 1.0)), (32, 40), rule=GAUSS)
+    grid = QuadratureGrid(Box((0.0,), (1.0,)), (48,), rule=GAUSS)
+    assert len(grid.axes()[0][0]) == grid.total_points == 48
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-8, math.pi, 2 * math.pi, 5 * math.pi, 15.5, 16.0, 804.0, 1e5])
+def test_spherical_bessel_matches_scipy(kappa):
+    # j_0 vanishes at m pi, where Miller's recurrence must not be normalised by it
+    expected = spherical_jn(np.arange(16), kappa)
+    np.testing.assert_allclose(_spherical_bessel(16, kappa), expected, rtol=1e-13, atol=1e-15)
+
+
+def test_legendre_projection_is_shared_and_read_only():
+    projection = _legendre_projection(16)
+    assert _legendre_projection(16) is projection and not projection.flags.writeable
+    # it recovers the Legendre coefficients of a polynomial of degree < q
+    t, _ = _legendre_rule(16)
+    coeffs = np.arange(1.0, 17.0) / 16.0
+    values = np.polynomial.legendre.legval(t, coeffs)
+    np.testing.assert_allclose(np.sum(projection * values, axis=1), coeffs, atol=1e-14)
+
+
+FILON_GRIDS = {
+    "gauss-4-panels": QuadratureGrid(Box((-0.4,), (1.0,)), (64,), rule=GAUSS, panel_order=16),
+    "gauss-1-panel": QuadratureGrid(Box((0.0,), (1.0,)), (16,), rule=GAUSS, panel_order=16),
+    "midpoint": QuadratureGrid(Box((-1.0,), (2.0,)), (37,)),
+    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 16), rule=GAUSS, panel_order=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILON_GRIDS))
+def test_filon_weights_at_zero_frequency_are_the_grid_weights(name):
+    grid = FILON_GRIDS[name]
+    filon = grid.filon_weights(np.zeros((1, grid.box.dim)))
+    for (_, weights, _), axis in zip(grid.axes(), filon, strict=True):
+        assert axis.shape == (1, len(weights))
+        assert axis[0].real.tobytes() == weights.tobytes()
+        assert not axis[0].imag.any()
+
+
+def _monomial_oscillatory(m: int, omega: float, lo: float, hi: float) -> complex:
+    # integral of x^m e(omega x) over [lo, hi], by parts m times
+    if omega == 0.0:
+        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+    a = 2j * math.pi * omega
+
+    def antiderivative(x):
+        return cmath.exp(a * x) * sum(
+            (-1) ** r * math.perm(m, r) * x ** (m - r) / a ** (r + 1) for r in range(m + 1))
+
+    return antiderivative(hi) - antiderivative(lo)
+
+
+@pytest.mark.parametrize("omega", [0.0, math.sqrt(2.0), -7.5 * math.sqrt(3.0), 100.0 * math.pi, -1e4 * math.e])
+def test_filon_integrates_low_degree_polynomials_exactly(omega):
+    # exact for degree < q on each panel, whatever the frequency
+    for name, degrees in (("gauss-4-panels", range(16)), ("gauss-1-panel", range(16)), ("midpoint", [0])):
+        grid = FILON_GRIDS[name]
+        (x,) = grid.points_and_weights()[0].axes
+        lo, hi = grid.box.lows[0], grid.box.highs[0]
+        for m in degrees:
+            (value,) = integrate_oscillatory(x**m, grid, [[omega]])
+            assert abs(value - _monomial_oscillatory(m, omega, lo, hi)) <= 1e-14, (name, m)
+
+
+def test_filon_tensor_weights_factor_by_axis():
+    # a product f(x) g(y) e(k . (x, y)) integrates to the product of 1-D integrals
+    grid = FILON_GRIDS["gauss-2d"]
+    (lo_x, lo_y), (hi_x, hi_y) = grid.box.lows, grid.box.highs
+    x, y = grid.points_and_weights()[0].coords()
+    freqs = np.array([[3.0 * math.sqrt(2.0), -40.0], [0.0, math.pi]])
+    values = integrate_oscillatory(x**3 * y**2, grid, freqs)
+    for value, (kx, ky) in zip(values, freqs):
+        expected = _monomial_oscillatory(3, kx, lo_x, hi_x) * _monomial_oscillatory(2, ky, lo_y, hi_y)
+        assert abs(value - expected) <= 1e-14
+
+
+def test_filon_rejects_values_that_do_not_fill_the_grid():
+    grid = FILON_GRIDS["gauss-2d"]
+    with pytest.raises(ValueError, match="383 values for a grid of 384 nodes"):
+        integrate_oscillatory(np.ones(383), grid, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        integrate_oscillatory(np.full(384, np.nan), grid, [[1.0, 2.0]])
 
 
 def test_midpoint_weights_sum_to_volume():

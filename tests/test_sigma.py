@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,12 +146,7 @@ def test_lhs_pure_character_oscillatory_oracle():
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
-def test_lhs_matches_qawo_on_the_sigma_periodic_battery():
-    # u0 = G(x) sin(2 pi y) against matched-sin, P(x) sin(2 pi y), and
-    # conj-character, P(x) exp(-2 pi i y), with the edge-zero parabola
-    # P(x) = 4 x (1 - x).  With t = 2 pi x / eps, sin^2 t = (1 - cos 2t) / 2 and
-    # sin t exp(-i t) = sin(2t) / 2 - i (1 - cos 2t) / 2, so both pairings are
-    # G P integrals with cos and sin weights at 4 pi / eps: QUADPACK's QAWO
+def _periodic_battery():
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "sigma_periodic.yaml")
     cfg = cfg_mod.validate_config(cfg_mod.load_config(config))
     action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
@@ -158,20 +154,48 @@ def test_lhs_matches_qawo_on_the_sigma_periodic_battery():
     u = cfg_mod.build_field(block["u0"], algebra, block["domain"], "sigma.u0")
     battery = {b["name"]: cfg_mod.build_field(b, algebra, block["domain"], "sigma.battery")
                for b in block["battery"]}
-    eps = 2.0**-12
+    return action, spec, u, battery
 
-    def gp(x):
-        return math.exp(-((x - 0.5) ** 2) / (2.0 * 0.15**2)) * 4.0 * x * (1.0 - x)
 
+def _gp(x):
+    # G(x) P(x): the macro factors of u0 and of the matched test fields
+    return math.exp(-((x - 0.5) ** 2) / (2.0 * 0.15**2)) * 4.0 * x * (1.0 - x)
+
+
+def _qawo_sin_squared(eps):
+    # integral of G P sin^2(2 pi x / eps) and of G P sin(2 pi x / eps) exp(-2 pi i x / eps)
     opts = {"epsabs": 1e-17, "epsrel": 1e-13, "limit": 200}
-    plain, _ = quad(gp, 0.0, 1.0, **opts)
-    cos2, _ = quad(gp, 0.0, 1.0, weight="cos", wvar=4.0 * math.pi / eps, **opts)
-    sin2, _ = quad(gp, 0.0, 1.0, weight="sin", wvar=4.0 * math.pi / eps, **opts)
-    oracles = {"matched-sin": 0.5 * (plain - cos2),
-               "conj-character": 0.5 * sin2 - 0.5j * (plain - cos2)}
-    for name, oracle in oracles.items():
+    plain, _ = quad(_gp, 0.0, 1.0, **opts)
+    cos2, _ = quad(_gp, 0.0, 1.0, weight="cos", wvar=4.0 * math.pi / eps, **opts)
+    sin2, _ = quad(_gp, 0.0, 1.0, weight="sin", wvar=4.0 * math.pi / eps, **opts)
+    return {"matched-sin": 0.5 * (plain - cos2), "conj-character": 0.5 * sin2 - 0.5j * (plain - cos2)}
+
+
+def test_lhs_matches_qawo_on_the_sigma_periodic_battery():
+    # u0 = G(x) sin(2 pi y) against matched-sin, P(x) sin(2 pi y), and
+    # conj-character, P(x) exp(-2 pi i y), with the edge-zero parabola
+    # P(x) = 4 x (1 - x).  With t = 2 pi x / eps, sin^2 t = (1 - cos 2t) / 2 and
+    # sin t exp(-i t) = sin(2t) / 2 - i (1 - cos 2t) / 2, so both pairings are
+    # G P integrals with cos and sin weights at 4 pi / eps: QUADPACK's QAWO
+    action, spec, u, battery = _periodic_battery()
+    eps = 2.0**-12
+    for name, oracle in _qawo_sin_squared(eps).items():
         value, _, _ = sigma_pairing_lhs(u, battery[name], action, eps, spec)
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("eps", [2.0**-16, 2.0**-20])
+def test_lhs_matches_qawo_below_any_resolvable_eps(eps):
+    # a grid spec capped at its base grid: any resolved grid would raise, so
+    # the pairing runs on the 256 base nodes however fine the oscillation
+    action, spec, u, battery = _periodic_battery()
+    capped = replace(spec, max_nodes=spec.base_nodes)
+    for name, oracle in _qawo_sin_squared(eps).items():
+        value, estimate, nodes = sigma_pairing_lhs(u, battery[name], action, eps, capped)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+        assert nodes == spec.base_nodes and estimate <= 1e-12 * abs(oracle)
+    with pytest.raises(UnderResolvedError):
+        trace_norm_bound_check(u, action, eps, 2.0, capped)
 
 
 def test_rhs_spectral_pairings():
@@ -225,11 +249,11 @@ def test_pairings_bilinear():
 
 
 def test_under_resolution_raises():
+    # the pairing needs no resolved grid; the trace norm bound still does
     u = field([(ident(), ALG.element(TrigPolynomial.character([1.0])))], "u")
-    psi = field([(ident(), ONE_EL)], "psi")
     tiny = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=256)
     with pytest.raises(UnderResolvedError):
-        sigma_pairing_lhs(u, psi, SCALING, 2.0**-10, tiny)
+        trace_norm_bound_check(u, SCALING, 2.0**-10, 2.0, tiny)
 
 
 def test_refinement_stability():
@@ -335,3 +359,19 @@ def test_sigma_two_dimensional_periodic():
     # both macros are tensor products, so the plane integral is the square
     expected = inner**2 * 0.25
     assert report.per_test["matched2"]["rhs"] == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [2.0**-3, 2.0**-7, 2.0**-14])
+def test_two_dimensional_lhs_matches_qawo(eps):
+    # the case of test_sigma_two_dimensional_periodic: the tensor Filon weights
+    # give the square of the one-dimensional matched-sin pairing
+    alg2 = HAlgebra.periodic_lattice(2)
+    omega2 = Box((0.0, 0.0), (1.0, 1.0))
+    tensor = alg2.element(TrigPolynomial.sine([1.0, 0.0]) * TrigPolynomial.sine([0.0, 1.0]))
+    u = TwoScaleField(domain=omega2, terms=[(gaussian([0.5, 0.5], 0.15, name="G2"), tensor)], name="u2")
+    psi = TwoScaleField(domain=omega2, terms=[(parabola(omega2), tensor)], name="matched2")
+    spec = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=1 << 11)
+    value, estimate, nodes = sigma_pairing_lhs(u, psi, DiagonalScaling((1, 1)), eps, spec)
+    oracle = _qawo_sin_squared(eps)["matched-sin"] ** 2
+    assert nodes == 64**2 and value.imag == 0.0
+    assert abs(value - oracle) <= 1e-13 * oracle and estimate <= 1e-12 * oracle

@@ -25,7 +25,7 @@ from scaleflow import (
     integrate,
     mollifier,
     parabola,
-    sigma_pairing_lhs,
+    trace_norm_bound_check,
     triangle,
 )
 from scaleflow import config as cfg_mod
@@ -400,8 +400,9 @@ def test_two_dimensional_mean_never_materialises_a_grid(tmp_path, monkeypatch):
 
 
 def test_one_dimensional_gauss_sigma_trace_never_materialises_a_grid(monkeypatch):
-    # the sigma_periodic pairings at a rung whose Gauss grids have several
-    # panels: every trig sum reads the split axis, and no point array is built
+    # the sigma_periodic trace norm bounds at a rung whose resolved Gauss
+    # grids have several panels: every trig sum reads the split axis, and no
+    # point array is built, for the traces or for the envelope norms
     cfg = cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "sigma_periodic.yaml")))
     action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
     algebra = cfg_mod.build_algebra(block["algebra"], 1)
@@ -410,9 +411,9 @@ def test_one_dimensional_gauss_sigma_trace_never_materialises_a_grid(monkeypatch
     assert spec.rule == GAUSS
     seen = _spy_factors(monkeypatch)
     _refuse_materialising(monkeypatch)
-    for psi in battery:
-        value, _, nodes = sigma_pairing_lhs(u, psi, action, 2.0**-8, spec)
-        assert np.isfinite(value) and nodes > spec.panel_order
+    for f in (u, *battery):
+        assert spec.build(f.domain, action.frequency_bound(2.0**-8, f.max_freq())).total_points > spec.panel_order
+        assert trace_norm_bound_check(f, action, 2.0**-8, 2.0, spec)["passed"]
     assert seen and all(owners == [0, 0] for owners in seen)
 
 
