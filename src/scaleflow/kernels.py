@@ -39,10 +39,12 @@ def coordinates(pts) -> list:
 def pairwise_dot(weights, values) -> complex:
     """Weighted sum ``sum(weights * values)``, by ``np.sum`` in the dtype of the product.
 
-    Real values stay real through the sum, which becomes a Python complex
-    once at the end, with imaginary part +0.
+    Real weights and values stay real through the sum, which becomes a
+    Python complex once at the end, with imaginary part +0.  Complex weights
+    (Filon weights) stay complex.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights)
+    weights = weights.astype(np.result_type(weights.dtype, np.float64), copy=False)
     values = np.asarray(values)
     if weights.shape != values.shape:
         raise ValueError("weights and values must have matching shapes")

@@ -78,7 +78,8 @@ def _legendre_rule(q: int):
 
 
 def _axis_panels(lo: float, hi: float, n: int, rule: str, panel_order: int):
-    """Panel midpoints, panel half-widths and the reference rule of one axis.
+    """Panel midpoints, panel half-widths, the reference rule and the nominal
+    half-width (hi - lo) / (2 P) of one axis of P panels.
 
     A composite Gauss axis has n / q panels of the q-point Gauss-Legendre
     rule (n is a multiple of q); a midpoint axis has n panels of the
@@ -87,29 +88,36 @@ def _axis_panels(lo: float, hi: float, n: int, rule: str, panel_order: int):
     """
     if rule == MIDPOINT:
         h = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * h, np.full(n, 0.5 * h), _legendre_rule(1)
+        return lo + (np.arange(n) + 0.5) * h, np.full(n, 0.5 * h), _legendre_rule(1), 0.5 * h
     if rule == GAUSS:
-        edges = np.linspace(lo, hi, n // panel_order + 1)
-        return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]), _legendre_rule(panel_order)
+        panels = n // panel_order
+        edges = np.linspace(lo, hi, panels + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        return mid, half, _legendre_rule(panel_order), 0.5 * (hi - lo) / panels
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
 def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
-    """Nodes and weights of one axis, and the axis's panel split or None.
+    """Nodes and weights of one axis, and the axis's panel split or None."""
+    return _panel_rule(_axis_panels(lo, hi, n, rule, panel_order), rule)
+
+
+def _panel_rule(panels, rule: str):
+    """Nodes and weights of an axis of panels, as ``_axis_panels`` gives, and
+    its panel split or None.
 
     A composite Gauss axis of P > 1 panels has nodes x_(p,j) = mid_p +
     half * t_j at ravel index p * q + j, so it is a P x q tensor grid in
     disguise.  Its split is the pair (mid, half * t) of the P panel
-    midpoints and the q local offsets, with half = (hi - lo) / (2 P); the
-    nodes themselves keep their per-panel half-widths, so mid_p + (half *
-    t)_j matches x_(p,j) to about one ulp, not bit for bit.  Midpoint and
-    one-panel axes have no split.
+    midpoints and the q local offsets, with the nominal half = (hi - lo) /
+    (2 P); the nodes themselves keep their per-panel half-widths, so mid_p +
+    (half * t)_j matches x_(p,j) to about one ulp, not bit for bit.
+    Midpoint and one-panel axes have no split.
     """
-    mid, half, (ref_nodes, ref_weights) = _axis_panels(lo, hi, n, rule, panel_order)
+    mid, half, (ref_nodes, ref_weights), nominal = panels
     nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
     weights = (half[:, None] * ref_weights[None, :]).ravel()
-    panels = len(mid)
-    split = None if rule == MIDPOINT or panels == 1 else (mid, (0.5 * (hi - lo) / panels) * ref_nodes)
+    split = None if rule == MIDPOINT or len(mid) == 1 else (mid, nominal * ref_nodes)
     return nodes, weights, split
 
 
@@ -309,11 +317,17 @@ class QuadratureGrid:
         return self._axes
 
     @functools.cached_property
-    def _axes(self) -> tuple:
-        axes = tuple(
-            _axis_rule(lo, hi, n, self.rule, self.panel_order)
+    def _panels(self) -> tuple:
+        # per axis: the panels of _axis_panels, which axes() and
+        # filon_weights both read
+        return tuple(
+            _axis_panels(lo, hi, n, self.rule, self.panel_order)
             for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis)
         )
+
+    @functools.cached_property
+    def _axes(self) -> tuple:
+        axes = tuple(_panel_rule(panels, self.rule) for panels in self._panels)
         for nodes, weights, split in axes:
             for array in (nodes, weights, *(split or ())):
                 array.flags.writeable = False
@@ -330,15 +344,6 @@ class QuadratureGrid:
         """
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
         return [_filon_axis(*panels, freqs[:, axis]) for axis, panels in enumerate(self._panels)]
-
-    @functools.cached_property
-    def _panels(self) -> tuple:
-        # per axis: the panels of _axis_panels and their nominal half-width
-        panels = []
-        for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis):
-            mid, half, rule = _axis_panels(lo, hi, n, self.rule, self.panel_order)
-            panels.append((mid, half, rule, 0.5 * (hi - lo) / len(mid)))
-        return tuple(panels)
 
     def points_and_weights(self, start: int = 0, stop: int | None = None):
         """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
@@ -394,49 +399,67 @@ def _tree_sum(sums: list) -> complex:
     return _tree_sum(sums[:half]) + _tree_sum(sums[half:])
 
 
+def _block_values(f, pts: GridPoints) -> np.ndarray:
+    # f at one block's nodes, raveled, after the checks every integral makes
+    values = np.ravel(f(pts))
+    if values.shape[0] != pts.shape[0]:
+        raise ValueError("integrand returned a wrong-sized array")
+    if not np.isfinite(values).all():
+        raise ValueError("integrand returned non-finite values")
+    return values
+
+
 def _integral_and_values(f, grid: QuadratureGrid, keep: bool = False):
     """The integral of f on the grid, one row block at a time, and with
     ``keep`` the values of f at every node in C order (else None)."""
     sums, kept = [], []
     for start, stop in _row_blocks(grid):
         pts, w = grid.points_and_weights(start, stop)
-        values = np.ravel(f(pts))
-        if values.shape[0] != pts.shape[0]:
-            raise ValueError("integrand returned a wrong-sized array")
-        if not np.isfinite(values).all():
-            raise ValueError("integrand returned non-finite values")
+        values = _block_values(f, pts)
         sums.append(kernels.pairwise_dot(w, values))
         if keep:
             kept.append(values)
     return _tree_sum(sums), np.concatenate(kept) if keep else None
 
 
-def integrate_oscillatory(values, grid: QuadratureGrid, freqs) -> np.ndarray:
-    """The integrals of f(x) e(<k, x>) over the grid's box, one for each row
-    k of ``freqs`` (K, d), from the values of f at the nodes in C order.
+def integrate_oscillatory(f, grid: QuadratureGrid, polys) -> np.ndarray:
+    """The integrals of f(x) p(x) over the grid's box, one for each trig
+    polynomial p (``trig.TrigPolynomial``) of ``polys``, f smooth and
+    evaluated once at every node for all of them.
 
     This is Filon's method (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
     461, 2005): f is replaced on each panel by its interpolating polynomial,
-    which is integrated against the oscillation exactly, by the weights of
-    :meth:`QuadratureGrid.filon_weights`, multiplied across axes.  The
-    result is exact for f polynomial of degree < q on each panel, whatever
-    |k|, and at k = 0 it is the grid's own rule.  Each integral is one
-    product and ``np.sum``, with no BLAS call.
+    which is integrated against each term c_k e(<k, x>) of p exactly, by the
+    weights of :meth:`QuadratureGrid.filon_weights` multiplied across axes.
+    The result is exact for f polynomial of degree < q on each panel,
+    whatever |k|, and for p = 1 it is the grid's own rule.
+
+    It streams over the row blocks of :func:`integrate_on_grid`: per block,
+    polynomial and frequency one ``kernels.pairwise_dot``, so no BLAS call
+    and no grid-sized temporary.  A real block against a real polynomial
+    sums the real form c_0 + 2 Re sum_(k>0) c_k e(k x) from half the terms,
+    and its share of the integral is real.
     """
-    values = np.asarray(values)
-    if values.size != grid.total_points:
-        raise ValueError(f"{values.size} values for a grid of {grid.total_points} nodes")
-    if not np.isfinite(values).all():
-        raise ValueError("integrand values must be finite")
-    values = values.reshape(grid.nodes_per_axis)
-    per_axis = grid.filon_weights(freqs)
-    out = np.empty(len(per_axis[0]), dtype=np.complex128)
-    for k in range(len(out)):
-        weights = per_axis[0][k]
-        for axis in per_axis[1:]:
-            weights = np.multiply.outer(weights, axis[k])
-        out[k] = np.sum(weights * values)
-    return out
+    forms = {}  # per (polynomial, real block): its coefficients and Filon weights
+    sums = [[] for _ in polys]
+    for start, stop in _row_blocks(grid):
+        pts, _ = grid.points_and_weights(start, stop)
+        values = _block_values(f, pts)
+        for i, poly in enumerate(polys):
+            real = not np.iscomplexobj(values) and poly.real_form() is not None
+            if (i, real) not in forms:
+                freqs, coeffs = poly.real_form() if real else (poly.freqs, poly.coeffs)
+                forms[i, real] = coeffs, grid.filon_weights(freqs)
+            coeffs, (lead, *rest) = forms[i, real]
+            integrals = np.empty(len(coeffs), dtype=np.complex128)
+            for k in range(len(coeffs)):
+                weights = lead[k, start:stop]
+                for axis in rest:
+                    weights = np.multiply.outer(weights, axis[k])
+                integrals[k] = kernels.pairwise_dot(np.ravel(weights), values)
+            terms = coeffs * integrals
+            sums[i].append(complex(np.sum(terms.real if real else terms)))
+    return np.array([_tree_sum(blocks) for blocks in sums], dtype=np.complex128)
 
 
 def integrate_on_grid(f, grid: QuadratureGrid) -> complex:

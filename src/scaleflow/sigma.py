@@ -143,10 +143,14 @@ def sigma_pairing_lhs(
     u: TwoScaleField,
     psi: TwoScaleField,
     action: Action,
-    eps: float,
+    eps,
     grid_spec: GridSpec,
-) -> tuple[complex, float, int]:
+) -> tuple:
     """Domain integral of trace(u) * trace(psi); returns (value, estimate, nodes).
+
+    ``eps`` is one group element or an array of them, as ``Action.apply``
+    takes; for an array, value and estimate are arrays over it, and every
+    entry shares one evaluation of the macro products.
 
     The integrand is sum_(j,l) a_j(x) b_l(x) (w_j w'_l)(H_eps x): each
     product of macro factors, which does not depend on eps, times a trig
@@ -161,45 +165,26 @@ def sigma_pairing_lhs(
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
     eps = action.group.validate(eps)
-    polys, grids = _lhs_factors(u, psi, grid_spec)
-    pulled = [action.pullback(eps, poly) for poly in polys]
+    ladder = np.atleast_1d(eps).tolist()
+    integrands = []
+    for a, w_u in u.terms:
+        for b, w_psi in psi.terms:
+            product = w_u.poly * w_psi.poly
+            integrands.append((_product(a, b), [action.pullback(e, product) for e in ladder]))
+    base = grid_spec.build(u.domain)
     coarse, fine = (
-        sum(_oscillatory_integral(values, grid, poly) for values, poly in zip(products, pulled))
-        for grid, products in grids
+        sum(integrate_oscillatory(macro, grid, polys) for macro, polys in integrands).tolist()
+        for grid in (base, base.refined())
     )
-    return fine, abs(fine - coarse), grids[0][0].total_points
+    estimates = [abs(f - c) for f, c in zip(fine, coarse)]
+    if np.ndim(eps) == 0:
+        return fine[0], estimates[0], base.total_points
+    return np.array(fine), np.array(estimates), base.total_points
 
 
-# every ladder entry of a pairing reads the same eps-independent factors
-@functools.lru_cache(maxsize=8)
-def _lhs_factors(u: TwoScaleField, psi: TwoScaleField, grid_spec: GridSpec) -> tuple:
-    """The factors of trace(u) * trace(psi) that do not depend on eps.
-
-    Per term pair (j, l), in the same order: the products w_j w'_l of the
-    oscillation factors, and for the base grid and its doubling, the grid
-    with the macro products a_j b_l at its nodes (read-only).  Each (u, psi,
-    grid spec) is computed once; the cache keeps its fields alive.
-    """
-    polys = tuple(w_u.poly * w_psi.poly for _, w_u in u.terms for _, w_psi in psi.terms)
-    base, grids = grid_spec.build(u.domain), []
-    for grid in (base, base.refined()):
-        pts, _ = grid.points_and_weights()
-        u_macros, psi_macros = ([macro(pts) for macro, _ in f.terms] for f in (u, psi))
-        products = tuple(a * b for a in u_macros for b in psi_macros)
-        for values in products:
-            values.flags.writeable = False
-        grids.append((grid, products))
-    return polys, tuple(grids)
-
-
-def _oscillatory_integral(values, grid, poly) -> complex:
-    # a real integrand, a real macro product times a real polynomial, sums
-    # the real form's terms and their real parts only, so its value is real
-    real = None if np.iscomplexobj(values) else poly.real_form()
-    if real is None:
-        return complex(np.sum(poly.coeffs * integrate_oscillatory(values, grid, poly.freqs)))
-    freqs, coeffs = real
-    return complex(np.sum((coeffs * integrate_oscillatory(values, grid, freqs)).real))
+def _product(a, b):
+    # the macro product a(x) b(x), one of the smooth factors of a pairing
+    return lambda pts: a(pts) * b(pts)
 
 
 def sigma_pairing_rhs(
@@ -273,8 +258,8 @@ def verify_sigma_convergence(
         rhs = sigma_pairing_rhs(u, psi, grid_spec)
         scale = max(abs(rhs), scale_u * psi.envelope_norm(p / (p - 1.0), grid_spec))
         errors = []
-        for eps in ladder:
-            lhs, estimate, nodes = sigma_pairing_lhs(u, psi, action, eps, grid_spec)
+        values, estimates, nodes = sigma_pairing_lhs(u, psi, action, np.array(ladder), grid_spec)
+        for eps, lhs, estimate in zip(ladder, values.tolist(), estimates.tolist()):
             abs_err = abs(lhs - rhs)
             rel_err = abs_err / max(scale, 1e-300)
             errors.append(rel_err)

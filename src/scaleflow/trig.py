@@ -192,9 +192,13 @@ class TrigPolynomial:
         return TrigPolynomial(self.freqs, self.coeffs * phases)
 
     def compose_linear(self, matrix) -> "TrigPolynomial":
-        """The map x -> p(A x); frequencies transform by the transpose."""
+        """The map x -> p(A x); frequencies transform by the transpose.
+
+        The new frequencies are products and ``np.sum``, not ``@``, so
+        their bits do not depend on the BLAS kernel.
+        """
         a = np.asarray(matrix, dtype=np.float64)
-        return TrigPolynomial(self.freqs @ a, self.coeffs)
+        return TrigPolynomial(np.sum(self.freqs[:, :, None] * a[None], axis=1), self.coeffs)
 
     def _coerce(self, other) -> "TrigPolynomial":
         if isinstance(other, TrigPolynomial):

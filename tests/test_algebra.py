@@ -71,6 +71,17 @@ def test_trig_conjugate_and_compose():
     assert np.max(np.abs(composed(pts) - p(pts @ a.T))) <= 1e-12
 
 
+def test_compose_linear_sums_frequencies_in_order():
+    # the pulled-back frequencies are sum_i k_i a_ij added left to right, the
+    # same bits on every BLAS kernel, not those of a matrix product
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(3, 3))
+    freqs = rng.integers(-5, 6, size=(6, 3)).astype(float)
+    composed = TrigPolynomial(freqs, np.ones(6)).compose_linear(a)
+    expected = [[sum(k[i] * a[i, j] for i in range(3)) for j in range(3)] for k in freqs]
+    assert sorted(map(tuple, composed.freqs.tolist())) == sorted(map(tuple, expected))
+
+
 # -- algebras ----------------------------------------------------------------
 
 

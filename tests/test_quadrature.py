@@ -26,6 +26,7 @@ from scaleflow.quadrature import (
     integrate_with_refinement,
     resolved_nodes,
 )
+from scaleflow.trig import TrigPolynomial
 
 
 def test_box_basics():
@@ -129,36 +130,75 @@ def _monomial_oscillatory(m: int, omega: float, lo: float, hi: float) -> complex
     return antiderivative(hi) - antiderivative(lo)
 
 
+def _character(freq) -> TrigPolynomial:
+    return TrigPolynomial([freq], [1.0])
+
+
 @pytest.mark.parametrize("omega", [0.0, math.sqrt(2.0), -7.5 * math.sqrt(3.0), 100.0 * math.pi, -1e4 * math.e])
 def test_filon_integrates_low_degree_polynomials_exactly(omega):
     # exact for degree < q on each panel, whatever the frequency
     for name, degrees in (("gauss-4-panels", range(16)), ("gauss-1-panel", range(16)), ("midpoint", [0])):
         grid = FILON_GRIDS[name]
-        (x,) = grid.points_and_weights()[0].axes
         lo, hi = grid.box.lows[0], grid.box.highs[0]
         for m in degrees:
-            (value,) = integrate_oscillatory(x**m, grid, [[omega]])
+            (value,) = integrate_oscillatory(lambda pts: pts.coords()[0] ** m, grid, [_character([omega])])
             assert abs(value - _monomial_oscillatory(m, omega, lo, hi)) <= 1e-14, (name, m)
+
+
+def _x3_y2(pts):
+    x, y = pts.coords()
+    return x**3 * y**2
 
 
 def test_filon_tensor_weights_factor_by_axis():
     # a product f(x) g(y) e(k . (x, y)) integrates to the product of 1-D integrals
     grid = FILON_GRIDS["gauss-2d"]
     (lo_x, lo_y), (hi_x, hi_y) = grid.box.lows, grid.box.highs
-    x, y = grid.points_and_weights()[0].coords()
-    freqs = np.array([[3.0 * math.sqrt(2.0), -40.0], [0.0, math.pi]])
-    values = integrate_oscillatory(x**3 * y**2, grid, freqs)
-    for value, (kx, ky) in zip(values, freqs):
+    for kx, ky in ((3.0 * math.sqrt(2.0), -40.0), (0.0, math.pi)):
+        (value,) = integrate_oscillatory(_x3_y2, grid, [_character([kx, ky])])
         expected = _monomial_oscillatory(3, kx, lo_x, hi_x) * _monomial_oscillatory(2, ky, lo_y, hi_y)
         assert abs(value - expected) <= 1e-14
 
 
+def test_filon_streams_in_row_blocks(monkeypatch):
+    # the same integrals in many row blocks, each reduced on its own, f
+    # evaluated once per block for every polynomial, and a real integrand
+    # against a real polynomial has a real value
+    grid = QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 24), rule=GAUSS, panel_order=8)
+    real = TrigPolynomial([[3.0, -1.5], [-3.0, 1.5], [0.0, 0.0]], [0.5 - 0.25j, 0.5 + 0.25j, 2.0])
+    polys = [real, _character([2.0, math.sqrt(2.0)])]
+    whole = integrate_oscillatory(_x3_y2, grid, polys)
+    sizes, calls = [], []
+
+    def recording_dot(weights, values):
+        sizes.append(len(values))
+        return pairwise_dot(weights, values)
+
+    def f(pts):
+        calls.append(pts.shape[0])
+        return _x3_y2(pts)
+
+    pairwise_dot = kernels.pairwise_dot
+    monkeypatch.setattr(kernels, "pairwise_dot", recording_dot)
+    monkeypatch.setattr(kernels, "POINT_BUDGET", 8 * 24 * 32)
+    blocked = integrate_oscillatory(f, grid, polys)
+    assert calls == [8 * 24] * 8  # 8 blocks of one panel, each evaluated once
+    assert sizes == [8 * 24] * 8 * 3  # 2 terms of the real form and 1 character
+    assert whole[0].imag == 0.0 and blocked[0].imag == 0.0
+    np.testing.assert_allclose(blocked, whole, rtol=1e-15)
+    # a complex integrand sums every term of the real polynomial
+    sizes.clear()
+    (value,) = integrate_oscillatory(lambda pts: (1.0 + 1.0j) * _x3_y2(pts), grid, [real])
+    assert sizes == [8 * 24] * 8 * 3
+    assert abs(value - (1.0 + 1.0j) * whole[0]) <= 1e-15 * abs(whole[0])
+
+
 def test_filon_rejects_values_that_do_not_fill_the_grid():
     grid = FILON_GRIDS["gauss-2d"]
-    with pytest.raises(ValueError, match="383 values for a grid of 384 nodes"):
-        integrate_oscillatory(np.ones(383), grid, [[1.0, 2.0]])
-    with pytest.raises(ValueError, match="finite"):
-        integrate_oscillatory(np.full(384, np.nan), grid, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="wrong-sized"):
+        integrate_oscillatory(lambda pts: np.ones(383), grid, [_character([1.0, 2.0])])
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_oscillatory(lambda pts: np.full(384, np.nan), grid, [_character([1.0, 2.0])])
 
 
 def test_midpoint_weights_sum_to_volume():

@@ -146,6 +146,27 @@ def test_lhs_pure_character_oscillatory_oracle():
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
+def test_lhs_over_a_ladder_is_the_lhs_at_each_entry():
+    # one call over an array of eps evaluates each macro factor once per grid
+    # and gives every entry's value and estimate bit for bit
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return parabola(OMEGA)(pts)
+
+    u = field([(gaussian([0.5], 0.15, name="G"), SIN_EL), (ident(), ONE_EL)], "u")
+    psi = field([(TestFunction("counted", counted, OMEGA), ALG.element(TrigPolynomial.character([-1.0])))], "psi")
+    ladder = [0.5, 0.3, 2.0**-9]
+    values, estimates, nodes = sigma_pairing_lhs(u, psi, SCALING, np.array(ladder), SPEC)
+    assert calls == [256, 256, 512, 512]  # two term pairs on each grid
+    assert values.shape == estimates.shape == (3,) and nodes == 256
+    for eps, value, estimate in zip(ladder, values, estimates):
+        single = sigma_pairing_lhs(u, psi, SCALING, eps, SPEC)
+        assert single == (value, estimate, 256)
+        assert type(single[0]) is complex and type(single[1]) is float
+
+
 def _periodic_battery():
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "sigma_periodic.yaml")
     cfg = cfg_mod.validate_config(cfg_mod.load_config(config))
