@@ -33,7 +33,7 @@ from .measures import (
     parabola,
     triangle,
 )
-from .quadrature import GAUSS, MIDPOINT, Box
+from .quadrature import Box
 from .sigma import TwoScaleField
 from .trig import TrigPolynomial
 
@@ -157,9 +157,8 @@ _SCHEMA = {
     "group": {"kind": _Required(str), "weight_param": float},
     "action": _ACTION,
     "ladder": {"count": int, "step": float, "values": [float]},
-    "grid": {"rule": _one_of(MIDPOINT, GAUSS), "base_nodes": _positive(int),
-             "panel_order": _positive(int), "max_nodes": _positive(int),
-             "nodes_per_period": _positive(int)},
+    "grid": {"rule": _one_of("midpoint", "gauss"), "base_nodes": _positive(int),
+             "panel_order": _positive(int), "max_nodes": _positive(int)},
     "tolerances": {"rel": float, "decay_order": float},
     "battery": [_TEST_FUNCTION],
     "absorption": {"source_center": _floats, "source_radius": _Required(float),
@@ -295,7 +294,15 @@ def build_ladder(cfg: dict, group: RGroup, min_rungs: int = 1) -> list:
 
 
 def build_grid_spec(cfg: dict) -> GridSpec:
-    return GridSpec(**cfg.get("grid", {}))
+    """The ``grid`` block's spec.  ``rule: gauss`` means Gauss-Legendre panels
+    of ``panel_order`` nodes (default 16); ``rule: midpoint``, the default,
+    means one-node panels and takes no ``panel_order``."""
+    block = dict(cfg.get("grid", {}))
+    if block.pop("rule", "midpoint") == "gauss":
+        return GridSpec(**{"panel_order": 16, **block})
+    if "panel_order" in block:
+        raise ConfigError("grid.panel_order: the midpoint rule has no panels; set grid.rule: gauss")
+    return GridSpec(**block)
 
 
 def build_test_function(block: dict, dim: int, path: str) -> TestFunction:

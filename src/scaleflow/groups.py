@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import GAUSS, _axis_rule
+from .quadrature import _axis_rule
 
 REAL_ADDITIVE = "real-additive"
 POSITIVE_MULTIPLICATIVE = "positive-multiplicative"
@@ -189,7 +189,7 @@ class RGroup:
         nodes = q * max(1, int(round(HAAR_BLOCK_WIDTH * nodes_per_unit / q)))
         for j in range(count):
             hi = v_hi - j * HAAR_BLOCK_WIDTH
-            v, w, _ = _axis_rule(v_hi - (j + 1) * HAAR_BLOCK_WIDTH, hi, nodes, GAUSS, q)
+            v, w, _ = _axis_rule(v_hi - (j + 1) * HAAR_BLOCK_WIDTH, hi, nodes, q)
             yield self._from_haar(v), w
 
     def ladder_scale(self, eps: float) -> float:

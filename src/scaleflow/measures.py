@@ -19,8 +19,6 @@ import numpy as np
 from . import kernels
 from .actions import Action, DiagonalScaling
 from .quadrature import (
-    GAUSS,
-    MIDPOINT,
     Box,
     GridPoints,
     QuadratureGrid,
@@ -213,30 +211,23 @@ class MeasureDescriptor:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """How to build quadrature grids: rule, base resolution, caps."""
+    """How to build quadrature grids: the base resolution, the q of the
+    q-point Gauss-Legendre panels (1, the default, is the midpoint rule) and
+    the node cap per axis.  ``build`` rounds each axis up to whole panels."""
 
-    rule: str = MIDPOINT
     base_nodes: int = 1024
-    panel_order: int = 16
+    panel_order: int = 1
     max_nodes: int = 1 << 21
-    nodes_per_period: int = 8
 
     def build(self, box: Box, max_freqs=None) -> QuadratureGrid:
         if max_freqs is None:
             max_freqs = (0.0,) * box.dim
-        multiple = self.panel_order if self.rule == GAUSS else 1
         nodes = tuple(
-            resolved_nodes(
-                side,
-                f,
-                base=self.base_nodes,
-                nodes_per_period=self.nodes_per_period,
-                cap=self.max_nodes,
-                multiple_of=multiple,
-            )
+            resolved_nodes(side, f, base=self.base_nodes, cap=self.max_nodes,
+                           multiple_of=self.panel_order)
             for side, f in zip(box.sides, max_freqs)
         )
-        return QuadratureGrid(box=box, nodes_per_axis=nodes, rule=self.rule, panel_order=self.panel_order)
+        return QuadratureGrid(box=box, nodes_per_axis=nodes, panel_order=self.panel_order)
 
 
 @dataclass(frozen=True)

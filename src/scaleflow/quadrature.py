@@ -1,4 +1,7 @@
-"""Tensor-product quadrature on boxes: midpoint and composite Gauss-Legendre.
+"""Tensor-product quadrature on boxes: composite Gauss-Legendre panels.
+
+Every grid axis is P = n / q panels of the q-point Gauss-Legendre rule,
+all of one width; the midpoint rule is q = 1.
 
 Integrals are reported together with a refinement estimate, the difference
 between the value on the grid and on the grid with doubled resolution.
@@ -26,9 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-
-MIDPOINT = "midpoint"
-GAUSS = "gauss"
 
 
 class UnderResolvedError(RuntimeError):
@@ -77,48 +77,33 @@ def _legendre_rule(q: int):
     return rule
 
 
-def _axis_panels(lo: float, hi: float, n: int, rule: str, panel_order: int):
-    """Panel midpoints, panel half-widths, the reference rule and the nominal
-    half-width (hi - lo) / (2 P) of one axis of P panels.
+def _axis_panels(lo: float, hi: float, n: int, q: int):
+    """Panel midpoints, the panel half-width h and the reference rule of an
+    axis of P = n / q panels of the q-point Gauss-Legendre rule.
 
-    A composite Gauss axis has n / q panels of the q-point Gauss-Legendre
-    rule (n is a multiple of q); a midpoint axis has n panels of the
-    one-point rule, the node t = 0 of weight 2.  Node j of panel p is
-    mid_p + half_p * t_j, of weight half_p * w_j.
+    Every panel has width 2 h = (hi - lo) / P, and panel p has midpoint
+    lo + (p + 1/2) 2 h.  Node j of panel p is mid_p + h t_j, of weight
+    h w_j.  The midpoint rule is q = 1: the node t = 0 of weight 2.
     """
-    if rule == MIDPOINT:
-        h = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * h, np.full(n, 0.5 * h), _legendre_rule(1), 0.5 * h
-    if rule == GAUSS:
-        panels = n // panel_order
-        edges = np.linspace(lo, hi, panels + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        return mid, half, _legendre_rule(panel_order), 0.5 * (hi - lo) / panels
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    width = (hi - lo) / (n // q)
+    return lo + (np.arange(n // q) + 0.5) * width, 0.5 * width, _legendre_rule(q)
 
 
-def _axis_rule(lo: float, hi: float, n: int, rule: str, panel_order: int):
-    """Nodes and weights of one axis, and the axis's panel split or None."""
-    return _panel_rule(_axis_panels(lo, hi, n, rule, panel_order), rule)
+def _axis_rule(lo: float, hi: float, n: int, q: int):
+    """Nodes and weights of an axis of ``_axis_panels``, and its panel split
+    or None.
 
-
-def _panel_rule(panels, rule: str):
-    """Nodes and weights of an axis of panels, as ``_axis_panels`` gives, and
-    its panel split or None.
-
-    A composite Gauss axis of P > 1 panels has nodes x_(p,j) = mid_p +
-    half * t_j at ravel index p * q + j, so it is a P x q tensor grid in
-    disguise.  Its split is the pair (mid, half * t) of the P panel
-    midpoints and the q local offsets, with the nominal half = (hi - lo) /
-    (2 P); the nodes themselves keep their per-panel half-widths, so mid_p +
-    (half * t)_j matches x_(p,j) to about one ulp, not bit for bit.
-    Midpoint and one-panel axes have no split.
+    Node x_(p,j) = mid_p + h t_j sits at ravel index p * q + j, so an axis
+    of P > 1 panels of q > 1 nodes is a P x q tensor grid in disguise.  Its
+    split is the pair (mid, h t) of the panel midpoints and the local
+    offsets, and mid_p + (h t)_j is x_(p,j) bit for bit.  Midpoint and
+    one-panel axes have no split.
     """
-    mid, half, (ref_nodes, ref_weights), nominal = panels
-    nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-    weights = (half[:, None] * ref_weights[None, :]).ravel()
-    split = None if rule == MIDPOINT or len(mid) == 1 else (mid, nominal * ref_nodes)
-    return nodes, weights, split
+    mid, h, (t, w) = _axis_panels(lo, hi, n, q)
+    local = h * t
+    nodes = (mid[:, None] + local[None, :]).ravel()
+    weights = np.tile(h * w, len(mid))
+    return nodes, weights, None if len(t) == 1 or len(mid) == 1 else (mid, local)
 
 
 @functools.lru_cache(maxsize=16)
@@ -198,18 +183,16 @@ def _miller(q: int, kappa: float) -> list:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _filon_axis(mid, half, rule, h: float, omegas) -> np.ndarray:
+def _filon_axis(mid, h: float, rule, omegas) -> np.ndarray:
     """The (K, n) Filon weights at the K frequencies ``omegas`` of an axis of
-    panels (mid, half, rule), as ``_axis_panels`` gives, of nominal
-    half-width h.
+    panels (mid, h, rule), as ``_axis_panels`` gives.
 
-    Node j of panel p gets half_p e(omega mid_p) sum_(n<q) L[n, j] 2 i^n
+    Node j of panel p gets h e(omega mid_p) sum_(n<q) L[n, j] 2 i^n
     j_n(kappa), kappa = 2 pi |omega| h, with L the Legendre projection of
     the panel rule, conjugated for omega < 0: the exact integral of
     e(omega x) against the interpolating polynomial of the panel's values,
-    because int_(-1)^1 P_n(t) e^(i kappa t) dt = 2 i^n j_n(kappa).  kappa
-    takes the nominal h = (hi - lo) / (2 P), which the panels' own half_p
-    match to an ulp or so; the phase is reduced modulo 1 before it is
+    because int_(-1)^1 P_n(t) e^(i kappa t) dt = 2 i^n j_n(kappa).  Every
+    panel has the half-width h; the phase is reduced modulo 1 before it is
     scaled by 2 pi.
     """
     q = len(rule[0])
@@ -219,7 +202,7 @@ def _filon_axis(mid, half, rule, h: float, omegas) -> np.ndarray:
     moments = 2.0 * bessel * _I_POWERS[np.arange(q) % 4]  # (K, n)
     local = np.sum(moments[:, :, None] * _legendre_projection(q), axis=1)  # (K, j)
     phase = np.exp(2j * np.pi * np.remainder(omega[:, None] * mid, 1.0))  # (K, P)
-    weights = (half[:, None] * (phase[:, :, None] * local[:, None, :])).reshape(len(omega), -1)
+    weights = (h * (phase[:, :, None] * local[:, None, :])).reshape(len(omega), -1)
     return np.where(np.asarray(omegas)[:, None] < 0, weights.conj(), weights)
 
 
@@ -234,7 +217,7 @@ class GridPoints:
 
     ``splits`` holds, per axis, None or the panel split ``(offsets, local)``
     of a composite Gauss axis (see ``_axis_rule``): node p * q + j is
-    offsets[p] + local[j] to about one ulp.  Only :meth:`factors` reads it,
+    offsets[p] + local[j] bit for bit.  Only :meth:`factors` reads it,
     for ``kernels.trig_eval``; ``axes``, ``coords`` and ``np.asarray`` give
     the node vectors' bits.
     """
@@ -282,10 +265,12 @@ def _spanning(vectors) -> list:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
+    """A tensor grid on a box: per axis, n / q panels of the q-point
+    Gauss-Legendre rule, q = ``panel_order``; q = 1 is the midpoint rule."""
+
     box: Box
     nodes_per_axis: tuple
-    rule: str = MIDPOINT
-    panel_order: int = 16
+    panel_order: int = 1
 
     def __post_init__(self):
         n = self.nodes_per_axis
@@ -296,13 +281,12 @@ class QuadratureGrid:
             raise ValueError("one node count per axis required")
         if any(v < 1 for v in self.nodes_per_axis):
             raise ValueError("node counts must be positive")
-        if self.rule not in (MIDPOINT, GAUSS):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if self.rule == GAUSS:
-            for axis, n in enumerate(self.nodes_per_axis):
-                if n % self.panel_order:
-                    raise ValueError(f"axis {axis} has {n} Gauss nodes, not a multiple "
-                                     f"of panel_order {self.panel_order}")
+        if self.panel_order < 1:
+            raise ValueError(f"panel_order must be positive, got {self.panel_order}")
+        for axis, n in enumerate(self.nodes_per_axis):
+            if n % self.panel_order:
+                raise ValueError(f"axis {axis} has {n} nodes, not a multiple "
+                                 f"of panel_order {self.panel_order}")
 
     @property
     def total_points(self) -> int:
@@ -317,17 +301,9 @@ class QuadratureGrid:
         return self._axes
 
     @functools.cached_property
-    def _panels(self) -> tuple:
-        # per axis: the panels of _axis_panels, which axes() and
-        # filon_weights both read
-        return tuple(
-            _axis_panels(lo, hi, n, self.rule, self.panel_order)
-            for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis)
-        )
-
-    @functools.cached_property
     def _axes(self) -> tuple:
-        axes = tuple(_panel_rule(panels, self.rule) for panels in self._panels)
+        axes = tuple(_axis_rule(lo, hi, n, self.panel_order)
+                     for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis))
         for nodes, weights, split in axes:
             for array in (nodes, weights, *(split or ())):
                 array.flags.writeable = False
@@ -339,11 +315,13 @@ class QuadratureGrid:
 
         Weighting f at the nodes integrates e(omega x_a) against the
         panelwise interpolating polynomial of f (see ``_filon_axis``), so
-        the work does not grow with |omega|; a midpoint axis is the
+        the work does not grow with |omega|; a midpoint axis (q = 1) is the
         one-node case.  At omega = 0 they are the axis's weights, bit for bit.
         """
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-        return [_filon_axis(*panels, freqs[:, axis]) for axis, panels in enumerate(self._panels)]
+        sides = zip(self.box.lows, self.box.highs, self.nodes_per_axis)
+        return [_filon_axis(*_axis_panels(lo, hi, n, self.panel_order), freqs[:, axis])
+                for axis, (lo, hi, n) in enumerate(sides)]
 
     def points_and_weights(self, start: int = 0, stop: int | None = None):
         """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
@@ -509,20 +487,24 @@ def boundary_mass_fraction(values, grid: QuadratureGrid) -> float:
     return (total - _weighted_total(inner, [w[1:-1] for w in weights])) / total
 
 
+# nodes per oscillation period of a resolved grid
+NODES_PER_PERIOD = 8
+
+
 def resolved_nodes(
     side: float,
     max_freq: float,
     base: int,
-    nodes_per_period: int = 8,
     cap: int | None = None,
     multiple_of: int = 1,
 ) -> int:
-    """Node count resolving oscillation ``exp(2 pi i f x)`` on a side.
+    """Node count resolving oscillation ``exp(2 pi i f x)`` on a side with
+    ``NODES_PER_PERIOD`` nodes per period.
 
     Raises :class:`UnderResolvedError` when more than ``cap`` nodes would be
     needed.
     """
-    need = max(base, int(math.ceil(side * abs(max_freq) * nodes_per_period)))
+    need = max(base, int(math.ceil(side * abs(max_freq) * NODES_PER_PERIOD)))
     if multiple_of > 1:
         need = ((need + multiple_of - 1) // multiple_of) * multiple_of
     if cap is not None and need > cap:

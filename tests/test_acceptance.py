@@ -54,7 +54,7 @@ from scaleflow.sigma import trace_norm_bound_rows
 MODULE_START = time.monotonic()
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 ROOT2 = math.sqrt(2.0)
-OSC_SPEC = GridSpec(rule="gauss", base_nodes=256, panel_order=16, max_nodes=1 << 21)
+OSC_SPEC = GridSpec(base_nodes=256, panel_order=16, max_nodes=1 << 21)
 
 
 def _check(number, ok, detail):

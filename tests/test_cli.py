@@ -313,6 +313,8 @@ _MALFORMED_ENTRIES = [
      "mean.function.'profile'"),
     ("mean", {"mean": {"function": {"class": "vanishing", "dimension": 1}}},
      "mean.function.'dimension'"),
+    ("homogeneity", {"grid": {"rule": "midpoint", "panel_order": 7}},
+     "grid.panel_order: the midpoint rule has no panels"),
 ]
 
 

@@ -31,7 +31,7 @@ from scaleflow.meanvalue import fit_decay_order
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SIN2 = TrigPolynomial.sine([1.0]) * TrigPolynomial.sine([1.0])
-OSC_SPEC = GridSpec(rule="gauss", base_nodes=256, panel_order=16, max_nodes=1 << 21)
+OSC_SPEC = GridSpec(base_nodes=256, panel_order=16, max_nodes=1 << 21)
 
 
 def lebesgue_line(spec=OSC_SPEC):
@@ -241,7 +241,7 @@ def test_convolution_doubling_kernel():
 
 def test_empirical_mean_two_dimensional():
     # tensor product of two mean-1/2 oscillations has mean 1/4
-    spec = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=1 << 12)
+    spec = GridSpec(base_nodes=64, panel_order=16, max_nodes=1 << 12)
     hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), spec)
     tensor = (TrigPolynomial.sine([1.0, 0.0]) * TrigPolynomial.sine([1.0, 0.0])) * (
         TrigPolynomial.sine([0.0, 1.0]) * TrigPolynomial.sine([0.0, 1.0])

@@ -1,9 +1,11 @@
 """The package's public surface: its exported names and its module imports."""
 
 import ast
+import dataclasses
 import pathlib
 
 import scaleflow
+from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
 
@@ -29,6 +31,17 @@ def test_public_names_are_pinned_and_resolve():
     assert len(PUBLIC_NAMES) == 53
     assert sorted(scaleflow.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(scaleflow, name)] == []
+
+
+def test_grid_knobs_are_pinned():
+    # a grid axis is q-point Gauss-Legendre panels of one width, and the
+    # midpoint rule is q = 1: a knob added back fails here
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(scaleflow.GridSpec) == ("base_nodes", "panel_order", "max_nodes")
+    assert names(scaleflow.QuadratureGrid) == ("box", "nodes_per_axis", "panel_order")
+    assert set(_SCHEMA["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
 
 
 def _unused_imports(path: pathlib.Path) -> list:

@@ -11,7 +11,6 @@ from scipy.special import spherical_jn
 from scaleflow import kernels, quadrature
 from scaleflow.quadrature import (
     Box,
-    GAUSS,
     QuadratureGrid,
     SupportEscapeError,
     UnderResolvedError,
@@ -39,32 +38,39 @@ def test_box_basics():
 
 def test_gauss_exact_for_polynomials():
     # a 16-point panel integrates degree <= 31 exactly
-    grid = QuadratureGrid(box=Box((0.0,), (1.0,)), nodes_per_axis=(16,), rule=GAUSS)
+    grid = QuadratureGrid(box=Box((0.0,), (1.0,)), nodes_per_axis=(16,), panel_order=16)
     value = integrate_on_grid(lambda p: np.asarray(p)[:, 0] ** 5, grid)
     assert value.real == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_gauss_axis_rule_shares_one_legendre_rule():
-    # composite 8-point rule on four panels of [-1, 3], built from scratch
+    # composite 8-point rule on four panels of one width 2h, built from
+    # scratch, on [-1, 3] and on a box whose edges are not binary-exact
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(-1.0, 3.0, 5)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    expected_nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-    expected_weights = (half[:, None] * ref_weights[None, :]).ravel()
-    for _ in range(3):
-        nodes, weights, (offsets, local) = _axis_rule(-1.0, 3.0, 32, GAUSS, 8)
-        np.testing.assert_array_equal(nodes, expected_nodes)
-        np.testing.assert_array_equal(weights, expected_weights)
-        # the panel split: midpoints plus one shared set of local offsets
-        np.testing.assert_array_equal(offsets, mid)
-        np.testing.assert_array_equal(local, 0.5 * ref_nodes)
-        split_nodes = (offsets[:, None] + local[None, :]).ravel()
-        assert np.max(np.abs(split_nodes - expected_nodes)) <= 4.0 * np.spacing(3.0)
-        # callers own what they get back; scribbling on it must not leak
-        nodes *= 2.0
-        weights[:] = 0.0
-        local *= 2.0
+    for lo, hi in ((-1.0, 3.0), (-0.4, 1.0)):
+        width = (hi - lo) / 4
+        mid = lo + (np.arange(4) + 0.5) * width
+        h = 0.5 * width
+        expected_nodes = (mid[:, None] + h * ref_nodes[None, :]).ravel()
+        expected_weights = np.tile(h * ref_weights, 4)
+        # the layout agrees with panels cut at linspace edges to rounding
+        edges = np.linspace(lo, hi, 5)
+        linspace_nodes = (0.5 * (edges[1:] + edges[:-1])[:, None]
+                          + 0.5 * (edges[1:] - edges[:-1])[:, None] * ref_nodes[None, :]).ravel()
+        assert np.max(np.abs(expected_nodes - linspace_nodes)) <= 4.0 * np.spacing(hi - lo)
+        for _ in range(3):
+            nodes, weights, (offsets, local) = _axis_rule(lo, hi, 32, 8)
+            np.testing.assert_array_equal(nodes, expected_nodes)
+            np.testing.assert_array_equal(weights, expected_weights)
+            # the panel split: midpoints plus one shared set of local
+            # offsets, which add up to the nodes bit for bit
+            np.testing.assert_array_equal(offsets, mid)
+            np.testing.assert_array_equal(local, h * ref_nodes)
+            np.testing.assert_array_equal((offsets[:, None] + local[None, :]).ravel(), nodes)
+            # callers own what they get back; scribbling on it must not leak
+            nodes *= 2.0
+            weights[:] = 0.0
+            local *= 2.0
     shared = _legendre_rule(8)
     assert _legendre_rule(8) is shared
     assert not any(array.flags.writeable for array in shared)
@@ -74,12 +80,26 @@ def test_gauss_axis_rule_shares_one_legendre_rule():
 
 def test_gauss_node_counts_fill_whole_panels():
     # 24 nodes would be read as two 16-node panels, 32 nodes in all
-    with pytest.raises(ValueError, match="axis 0 has 24 Gauss nodes"):
-        QuadratureGrid(Box((0.0,), (1.0,)), (24,), rule=GAUSS)
-    with pytest.raises(ValueError, match="axis 1 has 40 Gauss nodes"):
-        QuadratureGrid(Box((0.0, 0.0), (1.0, 1.0)), (32, 40), rule=GAUSS)
-    grid = QuadratureGrid(Box((0.0,), (1.0,)), (48,), rule=GAUSS)
+    with pytest.raises(ValueError, match="axis 0 has 24 nodes, not a multiple of panel_order 16"):
+        QuadratureGrid(Box((0.0,), (1.0,)), (24,), panel_order=16)
+    with pytest.raises(ValueError, match="axis 1 has 40 nodes"):
+        QuadratureGrid(Box((0.0, 0.0), (1.0, 1.0)), (32, 40), panel_order=16)
+    grid = QuadratureGrid(Box((0.0,), (1.0,)), (48,), panel_order=16)
     assert len(grid.axes()[0][0]) == grid.total_points == 48
+    for order in (0, -16):
+        with pytest.raises(ValueError, match="panel_order must be positive"):
+            QuadratureGrid(Box((0.0,), (1.0,)), (48,), panel_order=order)
+
+
+def test_midpoint_grid_is_one_node_panels_with_the_midpoint_bits():
+    # q = 1 on a box whose edges are not binary-exact: the nodes and weights
+    # are those of lo + (i + 1/2) h and h, bit for bit, and there is no split
+    lo, hi, n = -0.4, 1.0, 37
+    (nodes, weights, split), = QuadratureGrid(Box((lo,), (hi,)), (n,)).axes()
+    h = (hi - lo) / n
+    assert nodes.tobytes() == (lo + (np.arange(n) + 0.5) * h).tobytes()
+    assert weights.tobytes() == np.full(n, h).tobytes()
+    assert split is None
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-8, math.pi, 2 * math.pi, 5 * math.pi, 15.5, 16.0, 804.0, 1e5])
@@ -100,10 +120,10 @@ def test_legendre_projection_is_shared_and_read_only():
 
 
 FILON_GRIDS = {
-    "gauss-4-panels": QuadratureGrid(Box((-0.4,), (1.0,)), (64,), rule=GAUSS, panel_order=16),
-    "gauss-1-panel": QuadratureGrid(Box((0.0,), (1.0,)), (16,), rule=GAUSS, panel_order=16),
+    "gauss-4-panels": QuadratureGrid(Box((-0.4,), (1.0,)), (64,), panel_order=16),
+    "gauss-1-panel": QuadratureGrid(Box((0.0,), (1.0,)), (16,), panel_order=16),
     "midpoint": QuadratureGrid(Box((-1.0,), (2.0,)), (37,)),
-    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 16), rule=GAUSS, panel_order=8),
+    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 16), panel_order=8),
 }
 
 
@@ -164,7 +184,7 @@ def test_filon_streams_in_row_blocks(monkeypatch):
     # the same integrals in many row blocks, each reduced on its own, f
     # evaluated once per block for every polynomial, and a real integrand
     # against a real polynomial has a real value
-    grid = QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 24), rule=GAUSS, panel_order=8)
+    grid = QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 24), panel_order=8)
     real = TrigPolynomial([[3.0, -1.5], [-3.0, 1.5], [0.0, 0.0]], [0.5 - 0.25j, 0.5 + 0.25j, 2.0])
     polys = [real, _character([2.0, math.sqrt(2.0)])]
     whole = integrate_oscillatory(_x3_y2, grid, polys)
@@ -402,9 +422,9 @@ POWER_OF_TWO_GRIDS = {
     "midpoint-1d": QuadratureGrid(Box((-1.0,), (2.0,)), (1024,)),
     "midpoint-2d": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), (32, 64)),
     "midpoint-3d": QuadratureGrid(Box((-1.0, 0.0, -0.5), (1.0, 1.0, 0.5)), (16, 8, 8)),
-    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (512,), rule=GAUSS, panel_order=16),
-    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 32), rule=GAUSS, panel_order=8),
-    "gauss-3d": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (16, 8, 4), rule=GAUSS, panel_order=4),
+    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (512,), panel_order=16),
+    "gauss-2d": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 32), panel_order=8),
+    "gauss-3d": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (16, 8, 4), panel_order=4),
 }
 
 # grids whose blocks differ in size or count: 48 x 40 rows, 3 panels, rows
@@ -414,10 +434,10 @@ UNEVEN_GRIDS = {
     "midpoint-2d": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), (48, 40)),
     "midpoint-3d": QuadratureGrid(Box((-1.0, 0.0, -0.5), (1.0, 1.0, 0.5)), (20, 5, 7)),
     "midpoint-wide-rows": QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (5, 300)),
-    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (640,), rule=GAUSS, panel_order=16),
-    "gauss-2d-3-panels": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 24), rule=GAUSS, panel_order=8),
-    "gauss-3d-3-panels": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (12, 4, 8), rule=GAUSS, panel_order=4),
-    "gauss-wide-panels": QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (32, 48), rule=GAUSS, panel_order=8),
+    "gauss-1d": QuadratureGrid(Box((-0.4,), (1.0,)), (640,), panel_order=16),
+    "gauss-2d-3-panels": QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (24, 24), panel_order=8),
+    "gauss-3d-3-panels": QuadratureGrid(Box((-1.0, -1.0, 0.0), (1.0, 1.0, 2.0)), (12, 4, 8), panel_order=4),
+    "gauss-wide-panels": QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (32, 48), panel_order=8),
 }
 
 BLOCK_GRIDS = {**{f"pow2-{k}": g for k, g in POWER_OF_TWO_GRIDS.items()},

@@ -33,7 +33,7 @@ ROOT2 = math.sqrt(2.0)
 OMEGA = Box((0.0,), (1.0,))
 ALG = HAlgebra.periodic_lattice(1)
 SCALING = DiagonalScaling((1,))
-SPEC = GridSpec(rule="gauss", base_nodes=256, panel_order=16, max_nodes=1 << 20)
+SPEC = GridSpec(base_nodes=256, panel_order=16, max_nodes=1 << 20)
 
 SIN_EL = ALG.element(TrigPolynomial.sine([1.0]))
 ONE_EL = ALG.constant(1.0)
@@ -272,7 +272,7 @@ def test_pairings_bilinear():
 def test_under_resolution_raises():
     # the pairing needs no resolved grid; the trace norm bound still does
     u = field([(ident(), ALG.element(TrigPolynomial.character([1.0])))], "u")
-    tiny = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=256)
+    tiny = GridSpec(base_nodes=64, panel_order=16, max_nodes=256)
     with pytest.raises(UnderResolvedError):
         trace_norm_bound_check(u, SCALING, 2.0**-10, 2.0, tiny)
 
@@ -283,7 +283,7 @@ def test_refinement_stability():
     psi = field([(parabola(OMEGA), SIN_EL)], "psi")
     eps = 2.0**-4
     coarse_value, estimate, _ = sigma_pairing_lhs(u, psi, SCALING, eps, SPEC)
-    finer = GridSpec(rule="gauss", base_nodes=1024, panel_order=16, max_nodes=1 << 20)
+    finer = GridSpec(base_nodes=1024, panel_order=16, max_nodes=1 << 20)
     fine_value, _, _ = sigma_pairing_lhs(u, psi, SCALING, eps, finer)
     assert abs(fine_value - coarse_value) <= max(estimate, 1e-14)
 
@@ -369,7 +369,7 @@ def test_sigma_two_dimensional_periodic():
     psi = TwoScaleField(domain=omega2,
                         terms=[(parabola(omega2), alg2.element(tensor))],
                         name="matched2")
-    spec = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=1 << 11)
+    spec = GridSpec(base_nodes=64, panel_order=16, max_nodes=1 << 11)
     ladder = [2.0**-n for n in range(1, 6)]
     report = verify_sigma_convergence(u, [psi], action, ladder, spec, tol=1e-2)
     assert report.passed and norm_bound_holds([u, psi], action, ladder, spec)
@@ -391,7 +391,7 @@ def test_two_dimensional_lhs_matches_qawo(eps):
     tensor = alg2.element(TrigPolynomial.sine([1.0, 0.0]) * TrigPolynomial.sine([0.0, 1.0]))
     u = TwoScaleField(domain=omega2, terms=[(gaussian([0.5, 0.5], 0.15, name="G2"), tensor)], name="u2")
     psi = TwoScaleField(domain=omega2, terms=[(parabola(omega2), tensor)], name="matched2")
-    spec = GridSpec(rule="gauss", base_nodes=64, panel_order=16, max_nodes=1 << 11)
+    spec = GridSpec(base_nodes=64, panel_order=16, max_nodes=1 << 11)
     value, estimate, nodes = sigma_pairing_lhs(u, psi, DiagonalScaling((1, 1)), eps, spec)
     oracle = _qawo_sin_squared(eps)["matched-sin"] ** 2
     assert nodes == 64**2 and value.imag == 0.0

@@ -32,14 +32,14 @@ from scaleflow import config as cfg_mod
 from scaleflow import kernels
 from scaleflow.cli import main
 from scaleflow.groups import POSITIVE_MULTIPLICATIVE
-from scaleflow.quadrature import GAUSS, Box, GridPoints, QuadratureGrid, integrate_on_grid
+from scaleflow.quadrature import Box, GridPoints, QuadratureGrid, integrate_on_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 # midpoint and Gauss grids with unequal node counts per axis, d = 1, 2, 3
 GRIDS = {
     1: QuadratureGrid(Box((-1.3,), (1.7,)), (37,)),
-    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (32, 48), rule=GAUSS, panel_order=16),
+    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (32, 48), panel_order=16),
     3: QuadratureGrid(Box((-1.3, -0.9, -1.1), (1.7, 1.2, 0.8)), (9, 11, 13)),
 }
 # the allowed deviation from the materialised evaluation, relative to its largest value
@@ -167,8 +167,8 @@ def test_trig_eval_chunks_grid_rows_without_changing_values(monkeypatch):
 
 # composite Gauss grids of several panels per axis, so every axis has a split
 SPLIT_GRIDS = {
-    1: QuadratureGrid(Box((-0.4,), (1.0,)), (2048,), rule=GAUSS, panel_order=16),
-    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 48), rule=GAUSS, panel_order=16),
+    1: QuadratureGrid(Box((-0.4,), (1.0,)), (2048,), panel_order=16),
+    2: QuadratureGrid(Box((-1.3, -0.9), (1.7, 1.2)), (64, 48), panel_order=16),
 }
 
 
@@ -207,12 +207,25 @@ def test_trig_eval_on_split_gauss_axes_matches_the_point_array(dim, monkeypatch)
         assert seen.pop() == [0, *range(dim)]  # the leading axis is split
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_split_factors_rebuild_the_coordinates_exactly(dim):
+    # the leading axis's offsets plus its local nodes are its nodes bit for
+    # bit, and every other axis is its coordinate vector
+    pts, _ = SPLIT_GRIDS[dim].points_and_weights()
+    (offsets, local, *rest), owners = pts.factors()
+    assert owners == [0, *range(dim)]
+    lead, *others = pts.coords()
+    assert (offsets + local).reshape(lead.shape).tobytes() == lead.tobytes()
+    for vector, coord in zip(rest, others, strict=True):
+        assert vector.reshape(coord.shape).tobytes() == coord.tobytes()
+
+
 def test_unsplit_grids_and_linear_images_take_the_plain_path(monkeypatch):
     # midpoint grids and one-panel Gauss axes give one virtual axis per grid
     # axis, and a LinearFamily image is a point array read column by column
     seen = _spy_factors(monkeypatch)
     freqs, coeffs = np.array([[1.0, -2.0, 0.5]]), np.array([1.0 + 0.5j])
-    one_panel = QuadratureGrid(Box((0.0,), (1.0,)), (16,), rule=GAUSS, panel_order=16)
+    one_panel = QuadratureGrid(Box((0.0,), (1.0,)), (16,), panel_order=16)
     for pts, dim in ((_grid_points(3), 3), (one_panel.points_and_weights()[0], 1)):
         assert pts.splits == (None,) * dim
         for points in (pts, DiagonalScaling((1,) * dim).apply(0.37, pts)):
@@ -338,8 +351,7 @@ def test_real_form_on_random_gauss_grids(seed, dim, panels, lower, width):
     # split 1-D axes and 2-D Gauss grids of random size and placement
     rng = np.random.default_rng(seed)
     nodes = (16 * panels, 16 * int(rng.integers(1, 5)))[:dim]
-    grid = QuadratureGrid(Box((lower,) * dim, (lower + width,) * dim), nodes, rule=GAUSS,
-                          panel_order=16)
+    grid = QuadratureGrid(Box((lower,) * dim, (lower + width,) * dim), nodes, panel_order=16)
     points, _ = grid.points_and_weights()
     _assert_real_form(_real_polynomial(rng, dim, int(rng.integers(1, 6))), points)
 
@@ -408,7 +420,7 @@ def test_one_dimensional_gauss_sigma_trace_never_materialises_a_grid(monkeypatch
     algebra = cfg_mod.build_algebra(block["algebra"], 1)
     u, *battery = [cfg_mod.build_field(b, algebra, block["domain"], "sigma")
                    for b in (block["u0"], *block["battery"])]
-    assert spec.rule == GAUSS
+    assert spec.panel_order == 16
     seen = _spy_factors(monkeypatch)
     _refuse_materialising(monkeypatch)
     for f in (u, *battery):
