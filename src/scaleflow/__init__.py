@@ -43,7 +43,6 @@ from .meanvalue import (
 )
 from .measures import (
     ConstructedMeasure,
-    GridSpec,
     Homogenizer,
     MeasureDescriptor,
     SupportEscapeError,
@@ -60,7 +59,7 @@ from .measures import (
     verify_center_null,
     verify_homogeneity,
 )
-from .quadrature import Box, QuadratureGrid, UnderResolvedError
+from .quadrature import Box, GridSpec, QuadratureGrid, UnderResolvedError
 from .sigma import (
     TwoScaleField,
     sigma_pairing_lhs,

@@ -21,7 +21,6 @@ from .meanvalue import MeanFunction
 from .measures import (
     DEFAULT_TAIL_CUT,
     ConstructedMeasure,
-    GridSpec,
     Homogenizer,
     MeasureDescriptor,
     TestFunction,
@@ -33,7 +32,7 @@ from .measures import (
     parabola,
     triangle,
 )
-from .quadrature import Box
+from .quadrature import Box, GridSpec
 from .sigma import TwoScaleField
 from .trig import TrigPolynomial
 

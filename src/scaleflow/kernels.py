@@ -11,8 +11,6 @@ per-axis coordinate arrays that broadcast together, so one formula serves
 both and values ravel in C order.
 """
 
-import math
-
 import numpy as np
 
 # Most points (or point-term pairs) one vectorised evaluation takes at once;
@@ -60,10 +58,12 @@ def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:
     grid costs K * sum(n_a) complex exponentials instead of K * prod(n_a),
     and the last axis's table joins the others by one matrix product.
 
-    The leading axis's table is the one built anew for each chunk, and in
-    one dimension it is the whole grid.  When that axis is a composite Gauss
-    axis of P panels of q nodes (``GridPoints.factors``), it counts as two
-    axes, panel offsets and local nodes, by exp(2 pi i k (o_p + t_j)) =
+    Callers slice: a grid integrand gets one row block of at most
+    ``POINT_BUDGET // 32`` nodes (``quadrature._row_blocks``), which bounds
+    every call on a grid, and the whole block is evaluated at once.  The
+    leading axis's table spans the block.  When that axis is a composite
+    Gauss axis of P panels of q nodes (``GridPoints.factors``), it counts as
+    two axes, panel offsets and local nodes, by exp(2 pi i k (o_p + t_j)) =
     exp(2 pi i k o_p) exp(2 pi i k t_j), so it costs K * (P + q)
     exponentials instead of K * P * q.  The two phases round differently
     from the one phase of the node o_p + t_j, so values move by a few ulps
@@ -91,7 +91,6 @@ def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:
     else:  # both halves of a split axis take its frequency column
         coords, owners = factors()
         freqs = freqs[:, owners]
-    shape = np.broadcast_shapes(*(x.shape for x in coords))
     terms = freqs.shape[0]
     tau = 2.0 * np.pi
 
@@ -100,29 +99,22 @@ def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:
         np.multiply(phase, tau, out=phase)
         return np.exp(1j * phase)
 
-    tables = [(x, k, table(x, k) if x.shape[0] == 1 else None) for x, k in zip(coords, freqs.T)]
     last = None
-    if len(tables) > 1 and tables[-1][2] is not None:
-        last = tables.pop()[2].reshape(-1, terms).T  # (K, n_d) of a tensor grid
+    if len(coords) > 1 and coords[-1].shape[0] == 1:  # the last axis of a tensor grid
+        last = table(coords[-1], freqs[:, -1]).reshape(-1, terms).T  # (K, n_d)
+        coords, freqs = coords[:-1], freqs[:, :-1]
     # the last step multiplies the product by the coefficients, or joins it
     # to the last axis's table; for the real part its rows Re z_k, -Im z_k
     # meet the interleaved (Re, Im) columns of the left side's float64 view
     right = coeffs if last is None else last
     if real:
         right = np.stack([right.real, -right.imag], axis=1).reshape(2 * terms, *right.shape[1:])
-    out = np.empty(shape, dtype=np.float64 if real else np.complex128)
-    # chunk the leading axis so the (chunk, ..., K) product temporary stays small
-    span = math.prod(shape[1:] if last is None else shape[1:-1])
-    chunk = max(1, POINT_BUDGET // max(1, terms * span))
-    for start in range(0, shape[0], chunk):
-        stop = min(shape[0], start + chunk)
-        product = None
-        for x, k, fixed in tables:
-            factor = table(x[start:stop], k) if fixed is None else fixed
-            product = factor if product is None else product * factor
-        if last is not None:  # one matrix product over all rows of the chunk
-            product = (product * coeffs)[..., 0, :].reshape(-1, terms)
-        if real:
-            product = product.view(np.float64)
-        out[start:stop] = (product @ right).reshape(out[start:stop].shape)
-    return out.ravel()
+    product = None
+    for x, k in zip(coords, freqs.T):
+        factor = table(x, k)
+        product = factor if product is None else product * factor
+    if last is not None:  # one matrix product over all rows
+        product = (product * coeffs)[..., 0, :].reshape(-1, terms)
+    if real:
+        product = product.view(np.float64)
+    return (product @ right).ravel()

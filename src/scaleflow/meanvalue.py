@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import GridSpec, Homogenizer, TestFunction, integrate
-from .quadrature import Box, GridPoints, integrate_with_refinement
+from .measures import Homogenizer, TestFunction, integrate
+from .quadrature import Box, GridPoints, GridSpec, integrate_on_grid
 from .trig import TrigPolynomial
 
 PERIODIC = "periodic"
@@ -215,11 +215,9 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> Mean
     terms = []
     for freq, coeff in u.poly.terms():
         f = np.asarray(freq)
-        grid = grid_spec.build(kernel.support, tuple(np.abs(f)))
+        grid = grid_spec.build(kernel.support, tuple(np.abs(f))).refined()
         wave = TrigPolynomial.character(-f)
-        transform, _ = integrate_with_refinement(
-            lambda pts: kernel(pts) * wave(pts), grid
-        )
+        transform = integrate_on_grid(lambda pts: kernel(pts) * wave(pts), grid)
         terms.append((freq, coeff * transform))
     poly = TrigPolynomial.from_terms(terms, dim=u.dimension)
     if u.kind == PERIODIC:

@@ -21,11 +21,11 @@ from .actions import Action, DiagonalScaling
 from .quadrature import (
     Box,
     GridPoints,
+    GridSpec,
     QuadratureGrid,
     SupportEscapeError,
     UnderResolvedError,
     integrate_with_refinement,
-    resolved_nodes,
 )
 
 LEBESGUE = "lebesgue"
@@ -207,27 +207,6 @@ class MeasureDescriptor:
                 f"support {box} misses the measure domain {Box(lows, highs)}"
             )
         return Box(new_lows, new_highs)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """How to build quadrature grids: the base resolution, the q of the
-    q-point Gauss-Legendre panels (1, the default, is the midpoint rule) and
-    the node cap per axis.  ``build`` rounds each axis up to whole panels."""
-
-    base_nodes: int = 1024
-    panel_order: int = 1
-    max_nodes: int = 1 << 21
-
-    def build(self, box: Box, max_freqs=None) -> QuadratureGrid:
-        if max_freqs is None:
-            max_freqs = (0.0,) * box.dim
-        nodes = tuple(
-            resolved_nodes(side, f, base=self.base_nodes, cap=self.max_nodes,
-                           multiple_of=self.panel_order)
-            for side, f in zip(box.sides, max_freqs)
-        )
-        return QuadratureGrid(box=box, nodes_per_axis=nodes, panel_order=self.panel_order)
 
 
 @dataclass(frozen=True)

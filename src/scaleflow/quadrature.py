@@ -1,10 +1,13 @@
 """Tensor-product quadrature on boxes: composite Gauss-Legendre panels.
 
 Every grid axis is P = n / q panels of the q-point Gauss-Legendre rule,
-all of one width; the midpoint rule is q = 1.
+all of one width; the midpoint rule is q = 1.  A :class:`GridSpec` sizes
+the grids, and :meth:`QuadratureGrid.refined` doubles them.
 
-Integrals are reported together with a refinement estimate, the difference
-between the value on the grid and on the grid with doubled resolution.
+:func:`integrate_with_refinement` reports an integral on the doubled grid
+together with a refinement estimate, the difference between the value on
+the grid and on the doubled one.
+
 An integral streams over the grid in leading-axis row blocks of at most
 ``kernels.POINT_BUDGET // 32`` nodes, so no grid-sized weights or
 temporaries are built.  Each block is evaluated once and reduced by one
@@ -348,8 +351,48 @@ class QuadratureGrid:
         pts = GridPoints((nodes[0][start:stop], *nodes[1:]), (lead, *splits[1:]))
         return pts, np.asarray(w).ravel()
 
-    def refined(self, factor: int = 2) -> "QuadratureGrid":
-        return replace(self, nodes_per_axis=tuple(n * factor for n in self.nodes_per_axis))
+    def refined(self) -> "QuadratureGrid":
+        """The grid with twice the nodes on every axis."""
+        return replace(self, nodes_per_axis=tuple(2 * n for n in self.nodes_per_axis))
+
+
+# nodes per oscillation period of a resolved grid
+NODES_PER_PERIOD = 8
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """How to build quadrature grids: the base resolution, the q of the
+    q-point Gauss-Legendre panels (1, the default, is the midpoint rule) and
+    the node cap per axis."""
+
+    base_nodes: int = 1024
+    panel_order: int = 1
+    max_nodes: int = 1 << 21
+
+    def build(self, box: Box, max_freqs=None) -> QuadratureGrid:
+        """The grid on ``box`` whose axis a resolves the oscillation
+        exp(2 pi i f x) of f = ``max_freqs[a]`` (0 by default) with
+        ``NODES_PER_PERIOD`` nodes per period: at least ``base_nodes``
+        nodes, rounded up to whole panels.
+
+        Raises :class:`UnderResolvedError` when an axis needs more than
+        ``max_nodes``.
+        """
+        if max_freqs is None:
+            max_freqs = (0.0,) * box.dim
+        q = self.panel_order
+        nodes = []
+        for side, freq in zip(box.sides, max_freqs):
+            need = max(self.base_nodes, math.ceil(side * abs(freq) * NODES_PER_PERIOD))
+            need = -(-need // q) * q
+            if need > self.max_nodes:
+                raise UnderResolvedError(
+                    f"{need} nodes needed to resolve frequency {freq} on a side of "
+                    f"length {side}, cap is {self.max_nodes}"
+                )
+            nodes.append(need)
+        return QuadratureGrid(box=box, nodes_per_axis=tuple(nodes), panel_order=q)
 
 
 def _row_blocks(grid: QuadratureGrid) -> list:
@@ -485,31 +528,3 @@ def boundary_mass_fraction(values, grid: QuadratureGrid) -> float:
         return 0.0
     inner = mass[(slice(1, -1),) * mass.ndim]
     return (total - _weighted_total(inner, [w[1:-1] for w in weights])) / total
-
-
-# nodes per oscillation period of a resolved grid
-NODES_PER_PERIOD = 8
-
-
-def resolved_nodes(
-    side: float,
-    max_freq: float,
-    base: int,
-    cap: int | None = None,
-    multiple_of: int = 1,
-) -> int:
-    """Node count resolving oscillation ``exp(2 pi i f x)`` on a side with
-    ``NODES_PER_PERIOD`` nodes per period.
-
-    Raises :class:`UnderResolvedError` when more than ``cap`` nodes would be
-    needed.
-    """
-    need = max(base, int(math.ceil(side * abs(max_freq) * NODES_PER_PERIOD)))
-    if multiple_of > 1:
-        need = ((need + multiple_of - 1) // multiple_of) * multiple_of
-    if cap is not None and need > cap:
-        raise UnderResolvedError(
-            f"{need} nodes needed to resolve frequency {max_freq} on a side of "
-            f"length {side}, cap is {cap}"
-        )
-    return need

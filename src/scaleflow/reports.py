@@ -68,30 +68,18 @@ def write_csv(path: str, rows, header: dict) -> None:
         handle.write(buffer.getvalue())
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, complex):
-            return {"re": o.real, "im": o.imag}
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.complexfloating):
-            return {"re": float(o.real), "im": float(o.imag)}
-        return super().default(o)
-
-    def iterencode(self, o, _one_shot=False):
-        # route non-finite floats through repr so output stays valid text
-        return super().iterencode(_sanitize(o), _one_shot)
-
-
 def _sanitize(obj):
-    # dataclasses become dicts here, not in the encoder's default(), so
-    # their non-finite floats still pass through the repr below
+    """``obj`` in JSON types, in one pass: dataclasses become dicts, numpy
+    values their ``tolist()``, complex numbers {"re", "im"} pairs and
+    non-finite floats their repr ("inf", "nan"), so the text is valid JSON."""
     if dataclasses.is_dataclass(obj):
         obj = dataclasses.asdict(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        return {"re": _sanitize(obj.real), "im": _sanitize(obj.imag)}
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -101,10 +89,10 @@ def _sanitize(obj):
 
 def write_json(path: str, payload: dict, header: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    document = {"header": header, **payload}
+    text = json.dumps(_sanitize({"header": header, **payload}), sort_keys=True, indent=2,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, cls=_Encoder, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def write_curve(path: str, points, header: dict) -> None:

@@ -24,9 +24,8 @@ import numpy as np
 from . import kernels
 from .actions import Action
 from .algebra import GENERATOR_TOL, spectral_pairing
-from .measures import GridSpec
 from .meanvalue import ERROR_FLOOR, fit_decay_order
-from .quadrature import Box, integrate_oscillatory, integrate_with_refinement
+from .quadrature import Box, GridSpec, integrate_on_grid, integrate_oscillatory
 
 ENVELOPE_CELL_SAMPLES = 2048
 
@@ -85,8 +84,7 @@ class TwoScaleField:
                 out[start:stop] = np.max(np.abs(field), axis=1)
             return out**p
 
-        grid = grid_spec.build(self.domain)
-        value, _ = integrate_with_refinement(fn, grid)
+        value = integrate_on_grid(fn, grid_spec.build(self.domain).refined())
         return float(abs(value)) ** (1.0 / p)
 
 
@@ -119,10 +117,9 @@ def trace_norm_bound_check(
     """Compare the L^p norm of the trace with the field's envelope norm."""
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    grid = grid_spec.build(u.domain, action.frequency_bound(eps, u.max_freq().astype(float)))
-    value, _ = integrate_with_refinement(
-        lambda pts: np.abs(u.trace_values(action, eps, pts)) ** p, grid
-    )
+    bound = action.frequency_bound(eps, u.max_freq().astype(float))
+    grid = grid_spec.build(u.domain, bound).refined()
+    value = integrate_on_grid(lambda pts: np.abs(u.trace_values(action, eps, pts)) ** p, grid)
     lhs = float(abs(value)) ** (1.0 / p)
     rhs = u.envelope_norm(p, grid_spec)
     return {"eps": float(eps), "lhs": lhs, "rhs": rhs, "passed": lhs <= rhs * (1.0 + 1e-6)}
@@ -195,17 +192,14 @@ def sigma_pairing_rhs(
     """Spectral-side pairing: macro inner products times beta pairings."""
     if psi.domain != u.domain:
         raise ValueError("fields live on different domains")
-    grid = grid_spec.build(u.domain)
+    grid = grid_spec.build(u.domain).refined()
     total = 0j
     for macro_u, w_u in u.terms:
         for macro_psi, w_psi in psi.terms:
             spectral = spectral_pairing(w_u, w_psi)
             if spectral == 0j:
                 continue
-            inner, _ = integrate_with_refinement(
-                lambda pts: macro_u(pts) * macro_psi(pts),
-                grid,
-            )
+            inner = integrate_on_grid(lambda pts: macro_u(pts) * macro_psi(pts), grid)
             total += inner * spectral
     return total
 

@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 import scaleflow
+from scaleflow import quadrature
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -35,12 +37,17 @@ def test_public_names_are_pinned_and_resolve():
 
 def test_grid_knobs_are_pinned():
     # a grid axis is q-point Gauss-Legendre panels of one width, and the
-    # midpoint rule is q = 1: a knob added back fails here
+    # midpoint rule is q = 1: a knob added back fails here.  quadrature
+    # owns the one resolution rule, GridSpec.build, and refines only by
+    # doubling
     def names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
 
     assert names(scaleflow.GridSpec) == ("base_nodes", "panel_order", "max_nodes")
+    assert scaleflow.GridSpec.__module__ == "scaleflow.quadrature"
+    assert not hasattr(quadrature, "resolved_nodes")
     assert names(scaleflow.QuadratureGrid) == ("box", "nodes_per_axis", "panel_order")
+    assert list(inspect.signature(scaleflow.QuadratureGrid.refined).parameters) == ["self"]
     assert set(_SCHEMA["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
 
 
@@ -67,17 +74,24 @@ def test_modules_import_only_what_they_use():
     assert [entry for path in modules for entry in _unused_imports(path)] == []
 
 
-def _matrix_calls(path: pathlib.Path) -> list:
-    """Lines of ``path`` that call a ``.matrix(...)`` method, as ``module:line``."""
+def _calls(path: pathlib.Path, name: str) -> list:
+    """Lines of ``path`` that call a function or method ``name``, as ``module:line``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "matrix"]
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
 
 
 def test_only_actions_calls_the_matrix():
     # the linear-map shortcuts live in actions.py, so a nonlinear action
     # overrides them in one place
-    assert _matrix_calls(PACKAGE_DIR / "actions.py")
+    assert _calls(PACKAGE_DIR / "actions.py", "matrix")
     modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "actions.py")
-    assert [entry for path in modules for entry in _matrix_calls(path)] == []
+    assert [entry for path in modules for entry in _calls(path, "matrix")] == []
+
+
+def test_only_measures_integrate_takes_a_refinement_estimate():
+    # every other grid integral reports the doubled grid's value alone
+    calls = [entry for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for entry in _calls(path, "integrate_with_refinement")]
+    assert [entry.split(":")[0] for entry in calls] == ["measures.py"]

@@ -11,6 +11,7 @@ from scipy.special import spherical_jn
 from scaleflow import kernels, quadrature
 from scaleflow.quadrature import (
     Box,
+    GridSpec,
     QuadratureGrid,
     SupportEscapeError,
     UnderResolvedError,
@@ -23,7 +24,6 @@ from scaleflow.quadrature import (
     integrate_on_grid,
     integrate_oscillatory,
     integrate_with_refinement,
-    resolved_nodes,
 )
 from scaleflow.trig import TrigPolynomial
 
@@ -243,7 +243,7 @@ def test_refinement_estimate_tracks_error():
     grid = QuadratureGrid(box=Box((-1.0,), (1.0,)), nodes_per_axis=(37,))
     f = lambda p: np.abs(np.asarray(p)[:, 0])
     value, estimate = integrate_with_refinement(f, grid)
-    finer = integrate_on_grid(f, grid.refined(4))
+    finer = integrate_on_grid(f, grid.refined().refined())
     assert abs(value - finer) <= 2.0 * estimate + 1e-12
 
 
@@ -349,13 +349,19 @@ def test_pairwise_dot_is_within_the_pairwise_bound_of_fsum(n):
 
 
 def test_resolved_nodes_rule():
-    # 8 nodes per period on a unit side with frequency 100 needs 800 nodes
-    assert resolved_nodes(1.0, 100.0, base=64) == 800
-    assert resolved_nodes(1.0, 1.0, base=64) == 64
-    assert resolved_nodes(1.0, 100.0, base=64, multiple_of=16) == 800
-    assert resolved_nodes(1.0, 101.0, base=64, multiple_of=16) == 816
+    # GridSpec.build: 8 nodes per period on a unit side with frequency 100
+    # needs 800 nodes, at least the base, rounded up to whole panels
+    def nodes(spec, freqs):
+        return spec.build(Box((0.0,) * len(freqs), (1.0,) * len(freqs)), freqs).nodes_per_axis
+
+    assert nodes(GridSpec(base_nodes=64), (100.0,)) == (800,)
+    assert nodes(GridSpec(base_nodes=64), (1.0,)) == (64,)
+    gauss = GridSpec(base_nodes=64, panel_order=16)
+    assert nodes(gauss, (100.0,)) == (800,)
+    # Action.frequency_bound gives an array, one frequency per axis
+    assert nodes(gauss, np.array([101.0, -1.0])) == (816, 64)
     with pytest.raises(UnderResolvedError):
-        resolved_nodes(1.0, 1e6, base=64, cap=4096)
+        nodes(GridSpec(base_nodes=64, max_nodes=4096), (1e6,))
 
 
 def _bits(z: complex) -> tuple:

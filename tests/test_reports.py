@@ -6,13 +6,16 @@ downstream readers (and the benchmark's verdict reader) rely on.
 """
 
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
+import pytest
 import yaml
 
 from scaleflow.cli import main
-from scaleflow.reports import _format
+from scaleflow.reports import _format, write_json
 
 BASE = {
     "seed": 0,
@@ -170,3 +173,33 @@ def test_csv_format_unwraps_numpy_scalars():
     assert _format(np.bool_(True)) == _format(True) == "true"
     assert _format(np.int64(3)) == 3
     assert _format("g-half") == "g-half"
+
+
+def _no_constants(token):
+    raise ValueError(f"bare JSON constant {token}")
+
+
+def test_json_writer_emits_strict_json(tmp_path):
+    # non-finite floats, numpy or not and inside complex numbers and arrays,
+    # become their repr; numpy scalars their Python values
+    @dataclasses.dataclass
+    class Row:
+        value: float
+
+    path = tmp_path / "doc.json"
+    write_json(str(path), {
+        "a": np.array([np.inf, 1.5]), "z": complex(math.nan, 1.0), "g": np.float64("nan"),
+        "b": np.bool_(True), "c": np.complex128(complex(0.5, -math.inf)), "i": np.int64(3),
+        "row": Row(-math.inf),
+    }, {"tool": "scaleflow"})
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle, parse_constant=_no_constants)
+    assert doc == {
+        "header": {"tool": "scaleflow"}, "a": ["inf", 1.5], "z": {"re": "nan", "im": 1.0},
+        "g": "nan", "b": True, "c": {"re": 0.5, "im": "-inf"}, "i": 3,
+        "row": {"value": "-inf"},
+    }
+    # a value JSON cannot hold fails before the file is opened
+    with pytest.raises(TypeError):
+        write_json(str(tmp_path / "bad.json"), {"o": object()}, {})
+    assert not (tmp_path / "bad.json").exists()

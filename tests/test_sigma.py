@@ -14,6 +14,7 @@ from scaleflow import (
     DiagonalScaling,
     GridSpec,
     HAlgebra,
+    MeanFunction,
     TestFunction,
     TrigPolynomial,
     TwoScaleField,
@@ -26,6 +27,7 @@ from scaleflow import (
 )
 from scaleflow import config as cfg_mod
 from scaleflow import sigma as sigma_module
+from scaleflow.meanvalue import convolve
 from scaleflow.quadrature import Box
 from scaleflow.sigma import trace_norm_bound_rows, validate_ladder
 
@@ -84,6 +86,60 @@ def test_trace_norm_bound_closed_forms():
     assert entry["passed"]
     assert entry["lhs"] == pytest.approx(norm_g / math.sqrt(2.0), rel=1e-3)
     assert entry["rhs"] == pytest.approx(norm_g, rel=1e-4)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_trace_norm_bound_away_from_p2(p):
+    # u = G(x) sin 2 pi y: the trace norm tends to ||G||_p m_p^(1/p), where
+    # m_p = Gamma((p + 1) / 2) / (sqrt(pi) Gamma(p / 2 + 1)) is the mean of
+    # |sin|^p, below the envelope norm ||G||_p
+    g = gaussian([0.5], 0.15, name="G")
+    norm_g = quad(lambda x: math.exp(-((x - 0.5) ** 2) / 0.045) ** p, 0, 1,
+                  epsabs=0.0, epsrel=1e-13)[0] ** (1.0 / p)
+    m_p = math.gamma((p + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(p / 2.0 + 1.0))
+    limit = norm_g * m_p ** (1.0 / p)
+    ladder = [2.0**-4, 2.0**-6, 2.0**-8, 2.0**-10]
+    rows = trace_norm_bound_rows([field([(g, SIN_EL)], "osc")], SCALING, ladder, p, SPEC)
+    assert len(rows) == len(ladder) and all(r["passed"] for r in rows)
+    assert rows[0]["rhs"] == pytest.approx(norm_g, rel=1e-6)
+    # at 2^-4 the base grid gives 32 nodes per period
+    assert rows[0]["lhs"] == pytest.approx(limit, rel=1e-6)
+    # finer rungs get the resolved grid's 8 nodes per period, doubled: too
+    # few for the cusp of |sin|^p at its zeros when p is not an even integer,
+    # so the relative error stops falling, at 1.8e-3 for p = 1.5 and 2.6e-4
+    # for p = 3 (p = 2 and p = 4 reach about 1e-11)
+    for row in rows[2:]:
+        assert abs(row["lhs"] - limit) <= 5e-3 * limit
+
+
+def _counted(phi: TestFunction, seen: list) -> TestFunction:
+    # phi, appending the number of points of each call to ``seen``
+    def fn(pts):
+        seen.append(pts.shape[0])
+        return phi.fn(pts)
+
+    return TestFunction(phi.name, fn, phi.support)
+
+
+def test_integrals_without_an_estimate_evaluate_only_the_doubled_grid():
+    # envelope and trace norms, the spectral side and kernel transforms
+    # report the doubled grid's value alone, so they evaluate no coarse
+    # grid: 512 nodes on a 256-node spec, not 256 + 512
+    seen = []
+    u = field([(_counted(gaussian([0.5], 0.15, name="G"), seen), SIN_EL)], "u")
+    psi = field([(parabola(OMEGA), SIN_EL)], "psi")
+    u.envelope_norm(2.0, SPEC)
+    assert sum(seen) == 512
+    seen.clear()
+    trace_norm_bound_check(u, SCALING, 1.0, 2.0, SPEC)  # the envelope norm is cached
+    assert sum(seen) == 512
+    seen.clear()
+    sigma_pairing_rhs(u, psi, SPEC)
+    assert sum(seen) == 512
+    seen.clear()
+    kernel = _counted(gaussian([0.0], 0.1), seen)
+    convolve(kernel, MeanFunction.periodic_trig(TrigPolynomial.character([1.0])), SPEC)
+    assert sum(seen) == 512
 
 
 def test_norm_bound_rows_compute_each_envelope_once(monkeypatch):

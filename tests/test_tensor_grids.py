@@ -156,15 +156,6 @@ def test_trig_eval_on_scattered_points_matches_direct_sum(dim, count):
     assert np.max(np.abs(values - direct)) <= 1e-12
 
 
-def test_trig_eval_chunks_grid_rows_without_changing_values(monkeypatch):
-    pts = _grid_points(2)
-    freqs = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.0]])
-    coeffs = np.array([1.0 + 0.5j, -0.25j, 0.75])
-    whole = kernels.trig_eval(freqs, coeffs, pts)
-    monkeypatch.setattr(kernels, "POINT_BUDGET", 100)
-    np.testing.assert_array_equal(kernels.trig_eval(freqs, coeffs, pts), whole)
-
-
 # composite Gauss grids of several panels per axis, so every axis has a split
 SPLIT_GRIDS = {
     1: QuadratureGrid(Box((-0.4,), (1.0,)), (2048,), panel_order=16),
