@@ -111,6 +111,10 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     the quadrature floor are excluded, and if fewer than two informative
     points remain the decay is reported as infinite (below measurement).
     Fewer than two rungs give no slope at all: a ValueError.
+
+    The slope is the closed form sum (x - x_bar)(y - y_bar) / sum
+    (x - x_bar)^2, every sum by ``math.fsum`` and every log by ``math.log``,
+    so it does not depend on the BLAS kernel or on numpy's SIMD dispatch.
     """
     eps_values = list(eps_values)[-window:]
     errors = list(errors)[-window:]
@@ -119,10 +123,11 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     pts = [(e, v) for e, v in zip(eps_values, errors) if v > floor]
     if len(pts) < 2:
         return math.inf
-    x = np.log([abs(e) for e, _ in pts])
-    y = np.log([v for _, v in pts])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    x = [math.log(abs(e)) for e, _ in pts]
+    y = [math.log(v) for _, v in pts]
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - x_bar for xi in x]
+    return math.fsum(d * (yi - y_bar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
 
 
 def empirical_mean(

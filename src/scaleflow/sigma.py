@@ -66,23 +66,38 @@ class TwoScaleField:
         """(integral over the domain of sup_y |u0(x, y)|^p)^(1/p).
 
         The sup in the oscillation slot is taken over a dense deterministic
-        sample of the algebra's almost-period window, so the result is a
-        slight underestimate of the true envelope.  Each (field, p, grid
-        spec) is computed once; the cache keeps its fields alive.
+        sample of the algebra's almost-period window, so on either path the
+        result is a lower bound of the true envelope: the sample can miss the
+        sup.  A one-term field a(x) w(y) factors:
+        sup_y |a(x) w(y)| = |a(x)| max |w|, with max |w| taken once over the
+        sample.  For real w this is bit for bit the per-node sup, since
+        rounding |a| |w| is monotone in |w|; for complex w it may differ by
+        an ulp.  A field of several terms takes the sup over the sample at
+        every node.  Each (field, p, grid spec) is computed once; the cache
+        keeps its fields alive.
         """
         y = _cell_sample(self.algebra, ENVELOPE_CELL_SAMPLES)
         values = np.stack([w.poly(y) for _, w in self.terms])  # (J, My)
 
-        def fn(pts):
-            macro = np.stack([m(pts) for m, _ in self.terms])  # (J, Mx)
-            out = np.empty(pts.shape[0])
-            # blocks of about POINT_BUDGET / 8 samples bound the field temporaries
-            step = max(1, kernels.POINT_BUDGET // (8 * values.shape[1]))
-            for start in range(0, pts.shape[0], step):
-                stop = min(pts.shape[0], start + step)
-                field = sum(a[start:stop, None] * w for a, w in zip(macro, values))  # (block, My)
-                out[start:stop] = np.max(np.abs(field), axis=1)
-            return out**p
+        if len(self.terms) == 1:
+            (macro, _), = self.terms
+            peak = np.max(np.abs(values[0]))
+
+            def fn(pts):
+                return (np.abs(macro(pts)) * peak) ** p
+
+        else:
+
+            def fn(pts):
+                macro = np.stack([m(pts) for m, _ in self.terms])  # (J, Mx)
+                out = np.empty(pts.shape[0])
+                # blocks of about POINT_BUDGET / 8 samples bound the field temporaries
+                step = max(1, kernels.POINT_BUDGET // (8 * values.shape[1]))
+                for start in range(0, pts.shape[0], step):
+                    stop = min(pts.shape[0], start + step)
+                    field = sum(a[start:stop, None] * w for a, w in zip(macro, values))  # (block, My)
+                    out[start:stop] = np.max(np.abs(field), axis=1)
+                return out**p
 
         value = integrate_on_grid(fn, grid_spec.build(self.domain).refined())
         return float(abs(value)) ** (1.0 / p)

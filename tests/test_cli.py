@@ -611,14 +611,27 @@ def test_reports_agree_across_blas_core_types(tmp_path):
     for a, b in zip(*means, strict=True):
         a, b = complex(a["re"], a["im"]), complex(b["re"], b["im"])
         assert abs(a - b) <= _ACROSS_BLAS * abs(a)
+    fitted = 0
     for stem, rounding in _ROUNDING_ROWS.items():
         rows = [_csv_rows(runs[variant, stem][2] / "sigma.csv") for variant in ("default", "prescott")]
+        moved = set()
         for a, b in zip(*rows, strict=True):
             assert (a["psi"], a["eps"]) == (b["psi"], b["eps"])
             # the Filon lhs reduces by products and np.sum only, never BLAS
             assert a["lhs"] == b["lhs"], (stem, a["psi"], a["eps"])
+            if a["rel_err"] != b["rel_err"]:
+                moved.add(a["psi"])
             if a["psi"] in rounding:
                 assert max(float(a["rel_err"]), float(b["rel_err"])) <= _ACROSS_BLAS
+        # the decay fit is BLAS-free: equal errors give an equal fitted order
+        per_test = []
+        for variant in ("default", "prescott"):
+            with open(runs[variant, stem][2] / "sigma.json", encoding="utf-8") as handle:
+                per_test.append(json.load(handle)["per_test"])
+        for psi in per_test[0].keys() - moved:
+            assert per_test[0][psi]["fitted_order"] == per_test[1][psi]["fitted_order"], (stem, psi)
+            fitted += 1
+    assert fitted > 0
 
 
 # configs whose reports do not depend on the BLAS core type: their integrals

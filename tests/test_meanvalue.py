@@ -174,6 +174,29 @@ def test_fit_decay_order_informative_and_floor():
     assert math.isinf(fit_decay_order(eps, [1e-16] * 6))
 
 
+def test_fit_decay_order_is_the_least_squares_slope():
+    # ragged errors, some at the floor, on ladders shorter and longer than
+    # the window: the closed-form slope is numpy's least-squares line
+    rng = np.random.default_rng(7)
+    for count in (2, 3, 5, 6, 9, 12):
+        eps = np.sort(rng.uniform(1e-4, 1.0, count))[::-1].tolist()
+        errors = (10.0 ** rng.uniform(-12.0, -1.0, count)).tolist()
+        errors[count // 2] = 1e-15
+        tail = [(e, v) for e, v in list(zip(eps, errors))[-6:] if v > 1e-13]
+        order = fit_decay_order(eps, errors)
+        if len(tail) < 2:
+            assert math.isinf(order)
+            continue
+        x, y = np.log([abs(e) for e, _ in tail]), np.log([v for _, v in tail])
+        assert abs(order - np.polyfit(x, y, 1)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.75])
+def test_fit_decay_order_recovers_power_laws(k):
+    eps = [2.0**-n for n in range(1, 9)]
+    assert abs(fit_decay_order(eps, [3.0 * e**k for e in eps]) - k) <= 1e-14
+
+
 def test_fit_decay_order_needs_two_rungs():
     # two rungs at the floor: decay below measurement; one rung: no slope at all
     assert math.isinf(fit_decay_order([0.5, 0.25], [1e-16, 1e-16]))

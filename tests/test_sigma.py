@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,56 @@ def test_norm_bound_rows_compute_each_envelope_once(monkeypatch):
     # the memoised norm is the one a fresh computation gives
     fresh = TwoScaleField.envelope_norm.__wrapped__(fields[0], 2.0, SPEC)
     assert rows[0]["rhs"] == fresh
+
+
+ALG_AP = HAlgebra.subgroup([[1.0], [ROOT2]], degree=8)
+ZERO = TestFunction("zero", lambda p: np.zeros(np.atleast_2d(p).shape[0]), OMEGA)
+
+
+def _one_term_fields():
+    # (field, whether its oscillation factor is real)
+    g = gaussian([0.5], 0.15, name="G")
+    return [
+        (field([(g, SIN_EL)], "sin"), True),
+        (field([(parabola(OMEGA), ALG.element(TrigPolynomial.character([1.0])))], "char"), False),
+        (field([(g, ALG_AP.from_terms([([ROOT2], 1.0)]))], "ap-char"), False),
+    ]
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("index", range(3), ids=["sin", "char", "ap-char"])
+def test_one_term_envelope_is_the_per_node_sup(index, p):
+    # a second term with a zero macro factor sends the same field down the
+    # per-node sup over the sample; the one-term path factors the sup
+    u, real = _one_term_fields()[index]
+    other = ALG_AP.constant(1.0) if u.algebra is ALG_AP else ONE_EL
+    general = replace(u, terms=(*u.terms, (ZERO, other)))
+    one, many = (TwoScaleField.envelope_norm.__wrapped__(f, p, SPEC) for f in (u, general))
+    if real:
+        assert one == many
+    else:
+        assert abs(one - many) <= 4 * np.spacing(many)
+
+
+def test_one_term_envelope_closed_form():
+    # sup |sin 2 pi y| = 1, so the envelope at p = 2 is ||G||_2 on [0, 1]
+    u, _ = _one_term_fields()[0]
+    sigma = 0.15
+    exact = math.sqrt(sigma * math.sqrt(math.pi) * math.erf(0.5 / sigma))
+    assert abs(TwoScaleField.envelope_norm.__wrapped__(u, 2.0, SPEC) - exact) <= 1e-12
+
+
+def test_one_term_envelope_samples_the_oscillation_once():
+    # no (nodes x samples) field block: one quasi-periodic envelope stays
+    # below 2 MB of traced allocations (the per-node sup peaks near 9 MB)
+    u, _ = _one_term_fields()[2]
+    tracemalloc.start()
+    try:
+        TwoScaleField.envelope_norm.__wrapped__(u, 2.0, SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_lhs_oscillation_free_is_parameter_independent():
