@@ -186,9 +186,10 @@ class TrigPolynomial:
         return TrigPolynomial(-self.freqs, np.conj(self.coeffs))
 
     def translate(self, shift) -> "TrigPolynomial":
-        """The map x -> p(x - shift): each coefficient picks up a unit phase."""
+        """The map x -> p(x - shift): c_k picks up the unit phase
+        e(-<k, shift>), with <k, shift> by ``np.sum``, not BLAS ``@``."""
         shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
-        phases = np.exp(-2j * np.pi * (self.freqs @ shift))
+        phases = np.exp(-2j * np.pi * np.sum(self.freqs * shift, axis=1))
         return TrigPolynomial(self.freqs, self.coeffs * phases)
 
     def compose_linear(self, matrix) -> "TrigPolynomial":

@@ -61,6 +61,18 @@ def test_trig_translate_phases():
     assert np.max(np.abs(shifted(xs) - p(xs - 0.25))) <= 1e-13
 
 
+def test_trig_translate_phases_are_summed_left_to_right():
+    # <k, shift> is f_0 s_0 + f_1 s_1 in that order, not a BLAS product,
+    # whose bits can differ with the kernel
+    rng = np.random.default_rng(11)
+    p = TrigPolynomial(rng.uniform(-50.0, 50.0, size=(200, 2)),
+                       rng.normal(size=200) + 1j * rng.normal(size=200))
+    s0, s1 = rng.uniform(-1.0, 1.0, size=2).tolist()
+    phases = np.array([f0 * s0 + f1 * s1 for f0, f1 in p.freqs.tolist()])
+    expected = p.coeffs * np.exp(-2j * np.pi * phases)
+    assert np.array_equal(p.translate([s0, s1]).coeffs, expected)
+
+
 def test_trig_conjugate_and_compose():
     p = TrigPolynomial.from_terms([([1.0, 0.0], 1 + 2j), ([0.0, 2.0], -1j)])
     q = p.conjugate()

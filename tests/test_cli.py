@@ -66,6 +66,18 @@ def test_malformed_yaml_is_line_anchored(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_committed_configs_parse_alike_under_the_c_and_python_loaders():
+    # load_config takes libyaml's CSafeLoader when PyYAML has it; it must
+    # read every committed config as the pure-Python SafeLoader does
+    names = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml"))
+    assert len(names) == 7
+    for name in names:
+        path = os.path.join(CONFIG_DIR, name)
+        with open(path, "r", encoding="utf-8") as handle:
+            expected = yaml.load(handle, Loader=yaml.SafeLoader)
+        assert repr(load_config(path)) == repr(expected), name
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("ladder: {count: 6\n")
@@ -505,6 +517,25 @@ def test_cli_homogeneity_jobs_deterministic(tmp_path):
     # the battery runs in pool threads at --jobs 2; every integral streams in
     # the same row blocks whatever thread runs it
     _assert_jobs_deterministic(tmp_path, "homogeneity", "homogeneity_r2.yaml")
+
+
+def test_reports_and_stdout_do_not_depend_on_the_hash_seed(tmp_path):
+    # each run starts a fresh interpreter, whose string hashes are seeded
+    # anew: iteration over a set or a hashed key must not reach the output
+    for subcommand, stem in (("mean", "mean_periodic"), ("sigma", "sigma_quasiperiodic")):
+        runs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed / stem
+            result = subprocess.run(
+                [sys.executable, "-m", "scaleflow.cli", subcommand, "--config",
+                 os.path.join(CONFIG_DIR, f"{stem}.yaml"), "--out", str(out)],
+                capture_output=True, text=True, env={**_src_env(), "PYTHONHASHSEED": seed},
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+            runs.append((result.stdout, files))
+        assert runs[0][1] and runs[0] == runs[1], stem
 
 
 def test_reports_embed_header(tmp_path):

@@ -4,11 +4,13 @@ Oscillatory pairing oracles are one-dimensional Fourier transforms of the
 test functions, evaluated in closed form or by adaptive quadrature.
 """
 
+import json
 import math
 import os
 
 import numpy as np
 import pytest
+import yaml
 from scipy.integrate import quad
 
 from scaleflow import (
@@ -26,7 +28,9 @@ from scaleflow import (
     verify_translation_invariance,
 )
 from scaleflow import config as cfg_mod
-from scaleflow.meanvalue import fit_decay_order
+from scaleflow import quadrature
+from scaleflow.cli import main
+from scaleflow.meanvalue import convolve, fit_decay_order
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -98,11 +102,15 @@ def test_empirical_mean_matches_oscillatory_oracle():
         assert abs(row["value"].imag) <= 1e-12
 
 
+def _mean_periodic_config():
+    return cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+
+
 def test_mean_periodic_rows_match_the_triangle_closed_form():
     # the triangle phi of half-width w about c has integral(phi e(k x)) /
     # integral(phi) = sinc^2(w k) e(k c), so the pairing of u(x / eps) =
     # sum_k c_k e(k x / eps) is that transform summed over u's terms at k / eps
-    cfg = cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+    cfg = _mean_periodic_config()
     action = cfg_mod.build_action(cfg)
     block = cfg["mean"]
     assert block["phi"]["kind"] == "triangle"
@@ -275,3 +283,88 @@ def test_empirical_mean_two_dimensional():
     report = empirical_mean(u, hz, phi, [2.0**-n for n in range(1, 4)])
     assert report.limit == 0.25 + 0j
     assert report.final_error <= 5e-3
+
+
+def test_weighted_power_mean_run_passes_its_convolution_check(tmp_path):
+    # the predicted mean of kernel * u is c_0 T(0), the Lebesgue mass the
+    # convolution uses, not the kernel's mass under the power density
+    cfg = cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml"))
+    cfg["homogenizer"] = {"measure": "weighted-power", "power": 1.0}
+    cfg["mean"]["phi"] = {"kind": "triangle", "center": [0.8], "width": 0.7}
+    sigma = cfg["mean"]["kernel"]["sigma"]
+    assert sigma == 0.5
+    path = tmp_path / "weighted.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["mean", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "mean.json", encoding="utf-8") as handle:
+        conv = json.load(handle)["results"]["convolution"]
+    assert conv["passed"] and conv["difference"] <= conv["tolerance"]
+    limit = conv["first"]["limit"]
+    assert abs(limit["re"] - 0.5 * sigma * math.sqrt(2.0 * math.pi)) <= 1e-12
+    assert limit["im"] == 0.0
+
+
+def _gaussian_transform(sigma, k):
+    # integral exp(-|x|^2 / (2 sigma^2)) e(-k x) dx over R^d
+    k = np.asarray(k, dtype=np.float64)
+    return (2.0 * np.pi * sigma**2) ** (len(k) / 2) * np.exp(-2.0 * np.pi**2 * sigma**2 * (k @ k))
+
+
+def _transforms(kernel, freqs, spec):
+    # the transform convolve applies at each frequency: the coefficients of
+    # kernel * sum_k e(k x)
+    ones = MeanFunction.almost_periodic(TrigPolynomial(freqs, np.ones(len(freqs))))
+    poly = convolve(kernel, ones, spec).poly
+    return dict(zip(map(tuple, poly.freqs.tolist()), poly.coeffs))
+
+
+def test_convolve_transforms_match_the_gaussian_closed_form_at_any_frequency():
+    # Filon weights do not resolve the oscillation, so 2^20 costs what 2 does
+    cfg = _mean_periodic_config()
+    block = cfg["mean"]["kernel"]
+    kernel = cfg_mod.build_test_function(block, 1, "mean.kernel")
+    freqs = [[0.0], [2.0], [-2.0], [2.0**20], [-(2.0**20)]]
+    transforms = _transforms(kernel, freqs, cfg_mod.build_grid_spec(cfg))
+    assert len(transforms) == len(freqs)
+    for k, value in transforms.items():
+        assert abs(value - _gaussian_transform(block["sigma"], k)) <= 1e-15, k
+
+
+def test_convolve_transforms_match_the_gaussian_closed_form_in_two_dimensions():
+    # the kernel, grid and frequencies of the benchmark's 2-D mean run
+    freqs = [[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]
+    transforms = _transforms(gaussian([0.0, 0.0], 0.5), freqs, GridSpec(64, 16, 4096))
+    assert len(transforms) == len(freqs)
+    for k, value in transforms.items():
+        assert abs(value - _gaussian_transform(0.5, k)) <= 1e-13, k
+
+
+def test_convolve_evaluates_the_kernel_once_per_row_block():
+    spec = GridSpec(256, 16, 4096)
+    raw = gaussian([0.0, 0.0], 0.5)
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return raw.fn(pts)
+
+    kernel = type(raw)("counted", counted, raw.support)
+    freqs = [[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]
+    _transforms(kernel, freqs, spec)
+    grid = spec.build(raw.support).refined()
+    assert len(quadrature._row_blocks(grid)) > 1
+    assert len(calls) == len(quadrature._row_blocks(grid))
+    assert sum(calls) == grid.total_points
+
+
+def test_convolving_a_real_function_keeps_it_real():
+    # T(-k) is conj T(k) bit for bit for a real kernel, so the convolved
+    # coefficients stay conjugate-symmetric
+    one_d = cfg_mod.build_mean_function(_mean_periodic_config()["mean"]["function"], 1)
+    two_d = MeanFunction.periodic_trig(TrigPolynomial.from_terms([
+        ([0.0, 0.0], 0.5), ([1.0, 2.0], -0.25), ([-1.0, -2.0], -0.25),
+        ([2.0, -1.0], 0.1 + 0.05j), ([-2.0, 1.0], 0.1 - 0.05j)]))
+    for u, spec in ((one_d, OSC_SPEC), (two_d, GridSpec(64, 16, 4096))):
+        assert u.poly.real_form() is not None
+        kernel = gaussian([0.0] * u.dimension, 0.5)
+        assert convolve(kernel, u, spec).poly.real_form() is not None

@@ -6,7 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import quadrature
+from scaleflow import meanvalue, quadrature
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -51,6 +51,15 @@ def test_grid_knobs_are_pinned():
     assert set(_SCHEMA["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
 
 
+def test_mean_function_fields_are_pinned():
+    # a mean is the zero-frequency coefficient of poly, or else the limit:
+    # no class string or cell is kept beside them
+    fields = tuple(f.name for f in dataclasses.fields(scaleflow.MeanFunction))
+    assert fields == ("dimension", "evaluator", "poly", "limit")
+    assert [name for name in ("PERIODIC", "VANISHING", "ALMOST_PERIODIC")
+            if hasattr(meanvalue, name)] == []
+
+
 def _unused_imports(path: pathlib.Path) -> list:
     """Names a module imports but never reads, as ``module:line:name``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -74,12 +83,14 @@ def test_modules_import_only_what_they_use():
     assert [entry for path in modules for entry in _unused_imports(path)] == []
 
 
-def _calls(path: pathlib.Path, name: str) -> list:
-    """Lines of ``path`` that call a function or method ``name``, as ``module:line``."""
+def _calls(path: pathlib.Path, name: str, min_args: int = 0) -> list:
+    """Lines of ``path`` that call a function or method ``name`` with at
+    least ``min_args`` arguments, as ``module:line``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+            and len(node.args) + len(node.keywords) >= min_args]
 
 
 def test_only_actions_calls_the_matrix():
@@ -95,3 +106,11 @@ def test_only_measures_integrate_takes_a_refinement_estimate():
     calls = [entry for path in sorted(PACKAGE_DIR.glob("*.py"))
              for entry in _calls(path, "integrate_with_refinement")]
     assert [entry.split(":")[0] for entry in calls] == ["measures.py"]
+
+
+def test_only_measures_and_sigma_build_grids_that_resolve_a_frequency():
+    # every other grid is built at its base resolution: the kernel
+    # transforms take Filon weights, whatever the frequency
+    calls = [entry for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for entry in _calls(path, "build", 2)]
+    assert sorted({entry.split(":")[0] for entry in calls}) == ["measures.py", "sigma.py"]
