@@ -44,7 +44,8 @@ from .meanvalue import (
 from .measures import (
     ConstructedMeasure,
     Homogenizer,
-    MeasureDescriptor,
+    Lebesgue,
+    PointMass,
     SupportEscapeError,
     TestFunction,
     bump,
@@ -82,10 +83,11 @@ __all__ = [
     "HAlgebra",
     "Homogenizer",
     "INTEGER_ADDITIVE",
+    "Lebesgue",
     "LinearFamily",
     "MeanFunction",
-    "MeasureDescriptor",
     "POSITIVE_MULTIPLICATIVE",
+    "PointMass",
     "ProductAction",
     "QuadratureGrid",
     "REAL_ADDITIVE",

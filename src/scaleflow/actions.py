@@ -226,11 +226,10 @@ class DiagonalScaling(Action):
 
     def _apply_grid(self, eps: float, grid: GridPoints) -> GridPoints:
         # scaling each axis maps a tensor grid to a tensor grid, and both
-        # halves of a panel split to the split of the scaled axis
+        # halves of the leading axis's panel split to the scaled axis's split
         scales = self._scales(eps)
-        splits = [None if split is None else tuple(part * s for part in split)
-                  for split, s in zip(grid.splits, scales)]
-        return GridPoints([axis * s for axis, s in zip(grid.axes, scales)], splits)
+        lead = None if grid.lead is None else tuple(part * scales[0] for part in grid.lead)
+        return GridPoints([axis * s for axis, s in zip(grid.axes, scales)], lead)
 
     def operator_norm(self, params):
         return as_scalar_or_array(np.max(self._scales(self.group.validate(params)), axis=-1))

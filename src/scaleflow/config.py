@@ -9,6 +9,7 @@ only converted values and add the checks that relate two fields.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from .measures import (
     DEFAULT_TAIL_CUT,
     ConstructedMeasure,
     Homogenizer,
-    MeasureDescriptor,
+    Lebesgue,
+    PointMass,
     TestFunction,
     bump,
     construct_measure,
@@ -369,17 +371,17 @@ def build_homogenizer(cfg: dict, action: Action) -> Homogenizer:
         hz = Homogenizer.lebesgue(action, grid_spec)
     if "factor_override" in block:
         # negative-control knob: replace the factor map by a declared rate
-        hz = hz.with_factor_map(action.group.character(block["factor_override"]))
+        hz = replace(hz, factor_map=action.group.character(block["factor_override"]))
     return hz
 
 
-def build_seed_measure(block: dict, dim: int) -> MeasureDescriptor:
+def build_seed_measure(block: dict, dim: int) -> Lebesgue | PointMass:
     if block["kind"] == "dirac":
         check_dimension("construct.seed_measure.point", len(block["point"]), dim)
-        return MeasureDescriptor.dirac(block["point"])
+        return PointMass(block["point"])
     box = block["box"]
     check_dimension("construct.seed_measure.box", box.dim, dim)
-    return MeasureDescriptor("lebesgue", box.dim, domain_lows=box.lows, domain_highs=box.highs)
+    return Lebesgue(box.dim, domain=box)
 
 
 def build_constructed_measure(cfg: dict, action: Action) -> ConstructedMeasure:

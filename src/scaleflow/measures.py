@@ -12,7 +12,7 @@ construction is checked by the same homogeneity battery as the built-ins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +28,13 @@ from .quadrature import (
     integrate_with_refinement,
 )
 
-LEBESGUE = "lebesgue"
-WEIGHTED = "weighted-density"
-DIRAC = "dirac"
-
 BOUNDARY_MASS_TOL = 1e-6
 DEFAULT_TAIL_CUT = 1e-10
 SEED_NODES_PER_AXIS = 128
+# Haar nodes per unit of the group parameter in an orbit sweep's coarse pass
+# (the refined pass takes twice as many), and the most blocks a sweep takes
+ORBIT_NODES_PER_UNIT = 96
+MAX_ORBIT_BLOCKS = 120
 
 
 # -- test functions ----------------------------------------------------------
@@ -150,63 +150,56 @@ def default_battery(dim: int, offset: float = 0.3) -> list:
 
 
 @dataclass(frozen=True)
-class MeasureDescriptor:
-    """Lebesgue, a weighted density, or a point mass.
+class Lebesgue:
+    """Lebesgue measure on R^dimension, times ``density`` if one is given,
+    on ``domain`` if one is given.
 
-    ``domain`` bounds may be infinite; the effective quadrature box clips a
-    candidate support box against them.
+    The domain's bounds may be infinite; the effective quadrature box clips
+    a candidate support box against them.
     """
 
-    kind: str
     dimension: int
     density: object = None
-    point: tuple | None = None
-    domain_lows: tuple | None = None
-    domain_highs: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in (LEBESGUE, WEIGHTED, DIRAC):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == WEIGHTED and self.density is None:
-            raise ValueError("weighted measure requires a density")
-        if self.kind == DIRAC and self.point is None:
-            raise ValueError("point mass requires a point")
+    domain: Box | None = None
 
     @classmethod
-    def lebesgue(cls, dimension: int) -> "MeasureDescriptor":
-        return cls(kind=LEBESGUE, dimension=dimension)
-
-    @classmethod
-    def dirac(cls, point) -> "MeasureDescriptor":
-        point = tuple(float(p) for p in np.atleast_1d(point))
-        return cls(kind=DIRAC, dimension=len(point), point=point)
-
-    @classmethod
-    def power_density(cls, power: float) -> "MeasureDescriptor":
+    def power_density(cls, power: float) -> "Lebesgue":
         """Density t^power on the positive half line."""
 
         def density(pts):
             (t,) = kernels.coordinates(pts)
             return np.maximum(t, 0.0) ** power
 
-        return cls(
-            kind=WEIGHTED,
-            dimension=1,
-            density=density,
-            domain_lows=(0.0,),
-            domain_highs=(math.inf,),
-        )
+        return cls(1, density, Box((0.0,), (math.inf,)))
 
     def clip(self, box: Box) -> Box:
-        lows = self.domain_lows or (-math.inf,) * self.dimension
-        highs = self.domain_highs or (math.inf,) * self.dimension
-        new_lows = tuple(max(a, b) for a, b in zip(box.lows, lows))
-        new_highs = tuple(min(a, b) for a, b in zip(box.highs, highs))
-        if any(h <= l for l, h in zip(new_lows, new_highs)):
-            raise SupportEscapeError(
-                f"support {box} misses the measure domain {Box(lows, highs)}"
-            )
-        return Box(new_lows, new_highs)
+        if self.domain is None:
+            return box
+        lows = tuple(map(max, box.lows, self.domain.lows))
+        highs = tuple(map(min, box.highs, self.domain.highs))
+        if any(h <= l for l, h in zip(lows, highs)):
+            raise SupportEscapeError(f"support {box} misses the measure domain {self.domain}")
+        return Box(lows, highs)
+
+    def weighted(self, phi):
+        """The integrand of the pairing with phi: phi times the density."""
+        if self.density is None:
+            return phi
+        return lambda pts: self.density(pts) * phi(pts)
+
+
+@dataclass(frozen=True)
+class PointMass:
+    """The unit mass at ``point``."""
+
+    point: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "point", tuple(float(p) for p in np.atleast_1d(self.point)))
+
+    def pairing(self, phi) -> tuple[complex, float]:
+        """phi(point), exactly: its error estimate is 0."""
+        return complex(phi(np.asarray(self.point)[None, :])[0]), 0.0
 
 
 @dataclass(frozen=True)
@@ -214,7 +207,7 @@ class Homogenizer:
     """Action plus measure plus the positive factor map of the pushforward."""
 
     action: Action
-    measure: object  # MeasureDescriptor or ConstructedMeasure
+    measure: object  # Lebesgue, PointMass or ConstructedMeasure
     factor_map: object  # callable eps -> positive float
     grid_spec: GridSpec = field(default_factory=GridSpec)
 
@@ -223,7 +216,7 @@ class Homogenizer:
         # volume change of a linear map gives the factor directly
         return cls(
             action=action,
-            measure=MeasureDescriptor.lebesgue(action.dimension),
+            measure=Lebesgue(action.dimension),
             factor_map=lambda eps: 1.0 / action.volume_factor(eps),
             grid_spec=grid_spec or GridSpec(),
         )
@@ -236,7 +229,7 @@ class Homogenizer:
             raise ValueError("power densities are one-dimensional")
         return cls(
             action=action,
-            measure=MeasureDescriptor.power_density(power),
+            measure=Lebesgue.power_density(power),
             factor_map=action.group.character(action.exponents[0] * (power + 1.0)),
             grid_spec=grid_spec or GridSpec(),
         )
@@ -248,38 +241,26 @@ class Homogenizer:
         point = action.center() if point is None else point
         return cls(
             action=action,
-            measure=MeasureDescriptor.dirac(point),
+            measure=PointMass(point),
             factor_map=lambda eps: 1.0,
             grid_spec=grid_spec or GridSpec(),
         )
-
-    def with_factor_map(self, factor_map) -> "Homogenizer":
-        return replace(self, factor_map=factor_map)
-
-
-def _weighted_integrand(measure, phi):
-    if measure.kind == WEIGHTED:
-        return lambda pts: measure.density(pts) * phi(pts)
-    return phi
 
 
 def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None):
     """Pair the measure with a test function; returns (value, error estimate).
 
-    Lebesgue and weighted measures integrate on a ``hz.grid_spec`` grid over
+    A :class:`Lebesgue` measure integrates on a ``hz.grid_spec`` grid over
     phi's clipped support that resolves per-axis frequencies ``max_freqs``;
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
-    its boundary (:func:`integrate_with_refinement`).  Point masses and
-    constructed measures integrate without a grid.
+    its boundary (:func:`integrate_with_refinement`).  Every other measure
+    pairs by its own ``pairing``, without a grid.
     """
     measure = hz.measure
-    if isinstance(measure, ConstructedMeasure):
+    if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
-    if measure.kind == DIRAC:
-        point = np.asarray(measure.point)
-        return complex(phi(point[None, :])[0]), 0.0
     grid = hz.grid_spec.build(measure.clip(phi.support), max_freqs)
-    return integrate_with_refinement(_weighted_integrand(measure, phi), grid, edge_tol)
+    return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 
 def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
@@ -382,8 +363,6 @@ class ConstructedMeasure:
     seed_nodes: np.ndarray  # (K, N)
     seed_weights: np.ndarray  # (K,)
     tail_cut: float = DEFAULT_TAIL_CUT
-    nodes_per_unit: int = 96
-    max_blocks: int = 120
 
     def _block_value(self, phi, params: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
         """One-block contribution, the largest |phi| seen, the smallest orbit norm.
@@ -412,14 +391,14 @@ class ConstructedMeasure:
         total = kernels.pairwise_dot(weights, np.concatenate(node_sums))
         return total, peak, min_norm
 
-    def _sweep(self, phi, support_radius: float) -> tuple[complex, float]:
+    def _sweep(self, phi, support_radius: float, nodes_per_unit: int) -> tuple[complex, float]:
         # Blocks descend from the tail cutoff; orbits run from the center
         # outward, so the sweep may stop only after they have crossed the
         # integrand's bounding radius.
         total = 0j
         peak = 0.0
         quiet = 0
-        blocks = self.action.group.haar_blocks(self.tail_cut, self.nodes_per_unit, self.max_blocks)
+        blocks = self.action.group.haar_blocks(self.tail_cut, nodes_per_unit, MAX_ORBIT_BLOCKS)
         for params, w in blocks:
             block, block_peak, min_norm = self._block_value(phi, params, w)
             total += block
@@ -432,16 +411,15 @@ class ConstructedMeasure:
                 quiet = 0
         else:
             raise UnderResolvedError(
-                f"orbit sweep still contributing after {self.max_blocks} blocks"
+                f"orbit sweep still contributing after {MAX_ORBIT_BLOCKS} blocks"
             )
         return total, peak
 
     def pairing(self, phi: TestFunction) -> tuple[complex, float]:
         corners = np.abs(np.stack([np.asarray(phi.support.lows), np.asarray(phi.support.highs)]))
         radius = float(np.linalg.norm(np.max(corners, axis=0)))
-        value, peak = self._sweep(phi, radius)
-        fine = replace(self, nodes_per_unit=self.nodes_per_unit * 2)
-        refined, _ = fine._sweep(phi, radius)
+        value, peak = self._sweep(phi, radius, ORBIT_NODES_PER_UNIT)
+        refined, _ = self._sweep(phi, radius, 2 * ORBIT_NODES_PER_UNIT)
         estimate = abs(refined - value) + self.tail_cut * peak
         return refined, estimate
 
@@ -457,7 +435,7 @@ class ConstructedMeasure:
 
 def construct_measure(
     action: Action,
-    seed: MeasureDescriptor,
+    seed: Lebesgue | PointMass,
     tail_cut: float = DEFAULT_TAIL_CUT,
 ) -> ConstructedMeasure:
     """Build a homogeneous measure from a compactly supported seed off-center.
@@ -465,19 +443,17 @@ def construct_measure(
     The seed must carry positive mass and keep a positive distance from the
     action's center.
     """
-    if seed.kind == DIRAC:
+    if isinstance(seed, PointMass):
         nodes = np.asarray(seed.point, dtype=np.float64)[None, :]
         weights = np.ones(1)
     else:
-        if seed.domain_lows is None or not all(
-            math.isfinite(v) for v in seed.domain_lows + seed.domain_highs
-        ):
+        box = seed.domain
+        if box is None or not all(math.isfinite(v) for v in box.lows + box.highs):
             raise ValueError("seed measures need a finite domain box")
-        box = Box(seed.domain_lows, seed.domain_highs)
         grid = QuadratureGrid(box=box, nodes_per_axis=(SEED_NODES_PER_AXIS,) * box.dim)
         nodes, weights = grid.points_and_weights()
         nodes = np.asarray(nodes)  # the orbit sweep maps scattered seed nodes
-        if seed.kind == WEIGHTED:
+        if seed.density is not None:
             weights = weights * np.asarray(seed.density(nodes), dtype=np.float64)
     if float(np.sum(weights)) <= 0.0:
         raise ValueError("seed measure must be nonzero")

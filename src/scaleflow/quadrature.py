@@ -218,18 +218,16 @@ class GridPoints:
     opaque point arrays.  Formulas that factor by axis read :meth:`coords`
     instead (see ``kernels.coordinates``).
 
-    ``splits`` holds, per axis, None or the panel split ``(offsets, local)``
-    of a composite Gauss axis (see ``_axis_rule``): node p * q + j is
+    ``lead`` is None or the panel split ``(offsets, local)`` of the leading
+    axis, a composite Gauss axis (see ``_axis_rule``): node p * q + j is
     offsets[p] + local[j] bit for bit.  Only :meth:`factors` reads it,
     for ``kernels.trig_eval``; ``axes``, ``coords`` and ``np.asarray`` give
     the node vectors' bits.
     """
 
-    def __init__(self, axes, splits=None):
+    def __init__(self, axes, lead=None):
         self.axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
-        self.splits = (None,) * len(self.axes) if splits is None else tuple(splits)
-        if len(self.splits) != len(self.axes):
-            raise ValueError("one split or None per axis required")
+        self.lead = lead
 
     @property
     def shape(self) -> tuple:
@@ -249,10 +247,9 @@ class GridPoints:
         the vectors ravel in the grid's C order.  Only the leading axis is
         split: it is the one ``kernels.trig_eval`` does not tabulate once.
         """
-        split = self.splits[0]
-        if split is None:
+        if self.lead is None:
             return self.coords(), list(range(len(self.axes)))
-        return _spanning([*split, *self.axes[1:]]), [0, *range(len(self.axes))]
+        return _spanning([*self.lead, *self.axes[1:]]), [0, *range(len(self.axes))]
 
     def __array__(self, dtype=None, copy=None):
         grids = np.meshgrid(*self.axes, indexing="ij")
@@ -334,12 +331,11 @@ class QuadratureGrid:
         split leading axis (see ``_axis_rule``) is cut on panel edges only,
         and the block carries the split of its own panels.
         """
-        nodes, weights, splits = zip(*self.axes())
+        nodes, weights, (lead, *_) = zip(*self.axes())
         rows = len(nodes[0])
         stop = rows if stop is None else stop
         if not 0 <= start < stop <= rows:
             raise ValueError(f"rows [{start}, {stop}) are not a block of {rows} rows")
-        lead = splits[0]
         if lead is not None:
             panel = len(lead[1])
             if start % panel or stop % panel:
@@ -348,7 +344,7 @@ class QuadratureGrid:
         w = weights[0][start:stop]
         for wi in weights[1:]:
             w = np.multiply.outer(w, wi)
-        pts = GridPoints((nodes[0][start:stop], *nodes[1:]), (lead, *splits[1:]))
+        pts = GridPoints((nodes[0][start:stop], *nodes[1:]), lead)
         return pts, np.asarray(w).ravel()
 
     def refined(self) -> "QuadratureGrid":

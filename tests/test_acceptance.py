@@ -22,7 +22,7 @@ from scaleflow import (
     HAlgebra,
     Homogenizer,
     MeanFunction,
-    MeasureDescriptor,
+    PointMass,
     POSITIVE_MULTIPLICATIVE,
     RGroup,
     TrigPolynomial,
@@ -150,7 +150,7 @@ def test_criterion_4_homogeneity_r2():
 def test_criterion_5_constructive_measure():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
-    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, PointMass([1.0]))
     battery = [gaussian([3.0], 0.5), gaussian([2.0], 0.25), bump([4.0], 2.0)]
     worst = 0.0
     for phi in battery:

@@ -700,14 +700,21 @@ def test_blas_free_reports_are_byte_identical_across_blas_core_types(tmp_path):
             assert same, (stem, name, cores_a, cores_b)
 
 
-# Prints the enabled dispatch targets, then the bits of pairwise_dot on a
-# real and a complex input.
-_SUM_BITS = """
-import numpy as np
+# Prints numpy's enabled SIMD dispatch targets.
+_PRINT_TARGETS = """
 from numpy._core import _multiarray_umath as umath
-from scaleflow import kernels
 
 print("targets:", [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
+"""
+# numpy's environment switch down to the AVX2 targets on an AVX-512 machine
+_AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# Prints the enabled dispatch targets, then the bits of pairwise_dot on a
+# real and a complex input.
+_SUM_BITS = _PRINT_TARGETS + """
+import numpy as np
+from scaleflow import kernels
+
 rng = np.random.default_rng(3)
 n = 300_007
 weights = rng.uniform(0.5, 1.5, size=n)
@@ -723,7 +730,7 @@ def test_pairwise_dot_bits_do_not_depend_on_simd_dispatch():
     # an AVX2 machine takes the sums down the same path as an AVX-512 one;
     # on a machine without AVX-512 both runs are the default, still a valid run
     outputs = []
-    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+    for extra in ({}, _AVX2):
         result = subprocess.run([sys.executable, "-c", _SUM_BITS], capture_output=True, text=True,
                                 env={**_src_env(), **extra}, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -732,3 +739,117 @@ def test_pairwise_dot_bits_do_not_depend_on_simd_dispatch():
         outputs.append((targets, bits))
     (targets_a, bits_a), (targets_b, bits_b) = outputs
     assert bits_a == bits_b, (targets_a, targets_b)
+
+
+# Runs the CLI after printing the enabled dispatch targets.
+_ON_TARGETS = _PRINT_TARGETS + """
+import sys
+from scaleflow.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+_SEVEN_CONFIGS = (
+    ("verify-action", "verify_action"),
+    ("contract", "contract"),
+    ("homogeneity", "homogeneity_r2"),
+    ("construct-measure", "construct_measure"),
+    ("mean", "mean_periodic"),
+    ("sigma", "sigma_periodic"),
+    ("sigma", "sigma_quasiperiodic"),
+)
+# report fields that are themselves rounding errors, read at (file, *keys):
+# their bits move with the SIMD path, so each only stays below _ACROSS_SIMD
+_ROUNDING_FIELDS = {
+    "verify_action": ("action_certificates.json", "results", "group_law", "worst_violation"),
+    "contract": ("contraction.json", "submultiplicative", "worst_excess"),
+    "homogeneity_r2": ("homogeneity.json", "worst_rel_err"),
+    "sigma_periodic": ("sigma.json", "per_test", "oscillation-free", "final_rel_err"),
+}
+_ACROSS_SIMD = 1e-12
+
+
+def _paired_values(out, rounding) -> dict:
+    """Every lhs, rhs and mean value of the reports in ``out``, by field, in
+    report order: a CSV field is one column of one test function's rows, and
+    a JSON field one key at one path, whose list entries go by their
+    ``field``.  The CSV rows of the test functions in ``rounding`` are left
+    out: their lhs is itself rounding."""
+    values = {}
+
+    def add(key, value):
+        if isinstance(value, dict):
+            value = complex(value["re"], value["im"])
+        values.setdefault(key, []).append(complex(value))
+
+    def walk(node, path):
+        if isinstance(node, list):
+            for item in node:
+                walk(item, (*path, item.get("field", "") if isinstance(item, dict) else ""))
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                if key in ("lhs", "rhs", "value"):
+                    add((*path, key), value)
+                else:
+                    walk(value, (*path, key))
+
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".json"):
+            with open(out / name, encoding="utf-8") as handle:
+                walk(json.load(handle), (name,))
+        elif name.endswith(".csv"):
+            for row in _csv_rows(out / name):
+                test = row.get("psi", row.get("phi"))
+                for column in ("lhs", "rhs"):
+                    if column in row and test not in rounding:
+                        add((name, test, column), row[column])
+    return values
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 dispatch targets")
+def test_reports_agree_across_simd_dispatch(tmp_path):
+    # the seven configs under numpy's AVX2 targets and its default: reports
+    # are byte-identical only for fixed targets, but the verdicts hold and
+    # every lhs, rhs and mean value agrees within 1e-12 of its field's scale;
+    # on a machine without AVX-512 both runs are the default, still a valid run
+    runs = {}
+    for variant, extra in (("default", {}), ("avx2", _AVX2)):
+        for subcommand, stem in _SEVEN_CONFIGS:
+            out = tmp_path / variant / stem
+            result = subprocess.run(
+                [sys.executable, "-c", _ON_TARGETS, subcommand, "--config",
+                 os.path.join(CONFIG_DIR, f"{stem}.yaml"), "--out", str(out)],
+                capture_output=True, text=True, env={**_src_env(), **extra}, timeout=300,
+            )
+            targets, *lines = result.stdout.splitlines()
+            assert targets.startswith("targets: "), result.stderr
+            runs[variant, stem] = (result.returncode, lines, out, targets)
+    compared = 0
+    for _, stem in _SEVEN_CONFIGS:
+        (code_a, lines_a, out_a, targets_a), (code_b, lines_b, out_b, targets_b) = (
+            runs["default", stem], runs["avx2", stem])
+        assert "X86_V4" not in targets_b
+        assert code_a == code_b == 0, (stem, targets_a, targets_b)
+        # the same [pass]/[FAIL] and check name on every verdict line
+        assert [line.split()[:2] for line in lines_a] == [line.split()[:2] for line in lines_b]
+        rounding = _ROUNDING_ROWS.get(stem, set())
+        values_a, values_b = _paired_values(out_a, rounding), _paired_values(out_b, rounding)
+        assert values_a.keys() == values_b.keys(), stem
+        for key, a in values_a.items():
+            b = values_b[key]
+            assert len(a) == len(b), (stem, key)
+            scale = max(abs(v) for v in a + b)
+            worst = max(abs(x - y) for x, y in zip(a, b))
+            assert worst <= _ACROSS_SIMD * scale, (stem, key, worst, targets_a, targets_b)
+            compared += 1
+        for out in (out_a, out_b):
+            if rounding:
+                rows = [row for row in _csv_rows(out / "sigma.csv") if row["psi"] in rounding]
+                assert rows and all(float(row["rel_err"]) <= _ACROSS_SIMD for row in rows), stem
+            if stem in _ROUNDING_FIELDS:
+                name, *keys = _ROUNDING_FIELDS[stem]
+                with open(out / name, encoding="utf-8") as handle:
+                    node = json.load(handle)
+                for key in keys:
+                    node = node[key]
+                assert abs(node) <= _ACROSS_SIMD, (stem, keys, node)
+    assert compared > 0

@@ -17,9 +17,10 @@ from scaleflow import (
     GridSpec,
     Homogenizer,
     INTEGER_ADDITIVE,
+    Lebesgue,
     LinearFamily,
-    MeasureDescriptor,
     POSITIVE_MULTIPLICATIVE,
+    PointMass,
     RGroup,
     SupportEscapeError,
     TestFunction,
@@ -35,7 +36,7 @@ from scaleflow import (
     triangle,
     verify_homogeneity,
 )
-from scaleflow import kernels
+from scaleflow import kernels, measures
 from scaleflow.config import build_seed_measure
 from scaleflow.measures import check_factor_multiplicative
 from scaleflow.quadrature import Box, QuadratureGrid, UnderResolvedError
@@ -113,7 +114,7 @@ def test_homogeneity_pass_and_negative_control():
     battery = default_battery(1)
     report = verify_homogeneity(hz, ladder, battery, tol_rel=1e-6)
     assert report.passed and report.decay_ok
-    wrong = hz.with_factor_map(lambda eps: float(eps) ** 2)
+    wrong = dataclasses.replace(hz, factor_map=lambda eps: float(eps) ** 2)
     assert not verify_homogeneity(wrong, ladder, battery, tol_rel=1e-6).passed
 
 
@@ -200,7 +201,7 @@ def test_support_outside_measure_domain_raises():
 def _half_line_setup():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
-    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, PointMass([1.0]))
     return group, action, measure
 
 
@@ -252,12 +253,12 @@ def test_constructed_measure_linear_and_positive():
     assert vp.real >= 0.0 and vq.real >= 0.0
 
 
-def test_constructed_measure_exhausted_sweep_raises():
+def test_constructed_measure_exhausted_sweep_raises(monkeypatch):
     # two blocks end the sweep far above the orbit radii that reach phi
     _, _, measure = _half_line_setup()
-    short = dataclasses.replace(measure, max_blocks=2)
-    with pytest.raises(UnderResolvedError):
-        short.pairing(gaussian([3.0], 0.5))
+    monkeypatch.setattr(measures, "MAX_ORBIT_BLOCKS", 2)
+    with pytest.raises(UnderResolvedError, match="after 2 blocks"):
+        measure.pairing(gaussian([3.0], 0.5))
 
 
 def _gauss_profile(center, sigma):
@@ -269,7 +270,7 @@ def test_constructed_measure_real_additive_oracle(center, sigma):
     # H_eps x = exp(-2.5 eps) x with weight exp(-eps): substituting
     # t = exp(-2.5 eps) turns the orbit integral into 0.4 * phi(t) t^-0.6 dt
     action = ExpSemigroup.from_matrix(2.0, [[0.5]])
-    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, PointMass([1.0]))
     value, _ = measure.pairing(gaussian([center], sigma))
     profile = _gauss_profile(center, sigma)
     integral, _ = quad(
@@ -301,12 +302,34 @@ def test_constructed_measure_uniform_seed_oracle():
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
+def test_constructed_measure_density_seed_scales_the_pairing():
+    # a density 2 on the uniform seed's box doubles every seed weight, so
+    # every block and the pairing double bit for bit
+    group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
+    action = DiagonalScaling((1,), group=group)
+    box = Box((1.0,), (2.0,))
+    uniform = construct_measure(action, Lebesgue(1, domain=box))
+    doubled = construct_measure(action, Lebesgue(1, lambda pts: np.full(len(pts), 2.0), box))
+    phi = gaussian([3.0], 0.5)
+    value, _ = doubled.pairing(phi)
+    assert value == 2.0 * uniform.pairing(phi)[0]
+    assert value.real == pytest.approx(3.7599089457378, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [Lebesgue.power_density(1.0), Lebesgue(1)],
+                         ids=["half-line", "no-domain"])
+def test_construct_measure_rejects_an_unbounded_seed(seed):
+    action = DiagonalScaling((1,), group=RGroup(POSITIVE_MULTIPLICATIVE, 2.0))
+    with pytest.raises(ValueError, match="seed measures need a finite domain box"):
+        construct_measure(action, seed)
+
+
 def test_constructed_measure_rejects_non_finite_orbit_value():
     # the orbit of 1 under n -> 2^-n passes 4 exactly (n = -2)
     group = RGroup(INTEGER_ADDITIVE, 0.5)
     action = LinearFamily(group=group, dimension=1,
                           matrix_fn=lambda n: np.array([[2.0**-n]]))
-    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, PointMass([1.0]))
     phi = gaussian([2.0], 0.5)
     spiked = TestFunction(
         "spiked", lambda p: np.where(p[:, 0] == 4.0, np.inf, phi.fn(p)), Box((0.0,), (8.0,))
@@ -369,7 +392,7 @@ def test_constructed_measure_rejects_center_support():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
     with pytest.raises(ValueError):
-        construct_measure(action, MeasureDescriptor.dirac([0.0]))
+        construct_measure(action, PointMass([0.0]))
 
 
 # -- vanishing mass at the center ------------------------------------------------
@@ -409,7 +432,7 @@ def test_constructed_measure_integer_group():
     group = RGroup(INTEGER_ADDITIVE, 0.5)
     action = LinearFamily(group=group, dimension=1,
                           matrix_fn=lambda n: np.array([[2.0**-n]]))
-    measure = construct_measure(action, MeasureDescriptor.dirac([1.0]))
+    measure = construct_measure(action, PointMass([1.0]))
     phi = gaussian([2.0], 0.5)
     value, _ = measure.pairing(phi)
     oracle = sum(

@@ -6,7 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import meanvalue, quadrature
+from scaleflow import meanvalue, measures, quadrature
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -14,8 +14,9 @@ PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
 PUBLIC_NAMES = [
     "AlgebraElement", "Ball", "Box", "ConstructedMeasure", "DiagonalScaling",
     "ExpSemigroup", "GridSpec", "HAlgebra", "Homogenizer",
-    "INTEGER_ADDITIVE", "LinearFamily", "MeanFunction", "MeasureDescriptor",
-    "POSITIVE_MULTIPLICATIVE", "ProductAction", "QuadratureGrid", "REAL_ADDITIVE",
+    "INTEGER_ADDITIVE", "Lebesgue", "LinearFamily", "MeanFunction",
+    "POSITIVE_MULTIPLICATIVE", "PointMass", "ProductAction", "QuadratureGrid",
+    "REAL_ADDITIVE",
     "RGroup", "SupportEscapeError", "TestFunction", "TrigPolynomial",
     "TruncationOverflowError", "TwoScaleField", "UnderResolvedError", "__version__",
     "bump", "certify_absorption", "certify_escape", "certify_group_law",
@@ -30,7 +31,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(scaleflow.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(scaleflow, name)] == []
 
@@ -58,6 +59,21 @@ def test_mean_function_fields_are_pinned():
     assert fields == ("dimension", "evaluator", "poly", "limit")
     assert [name for name in ("PERIODIC", "VANISHING", "ALMOST_PERIODIC")
             if hasattr(meanvalue, name)] == []
+
+
+def test_measure_fields_are_pinned():
+    # a measure's type says how it pairs: no kind string decides which
+    # fields mean anything, and the orbit sweep's node density and block
+    # cap are module constants, not fields
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(scaleflow.Lebesgue) == ("dimension", "density", "domain")
+    assert names(scaleflow.PointMass) == ("point",)
+    assert names(scaleflow.ConstructedMeasure) == (
+        "action", "seed_nodes", "seed_weights", "tail_cut")
+    assert [name for name in ("LEBESGUE", "WEIGHTED", "DIRAC")
+            if hasattr(measures, name)] == []
 
 
 def _unused_imports(path: pathlib.Path) -> list:

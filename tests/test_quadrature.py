@@ -481,14 +481,14 @@ def test_row_blocks_cover_the_grid_once_within_the_budget(name, monkeypatch):
     integrate_on_grid(_spy_nodes(f, calls), grid)
     assert [len(c) for c in calls] == [(b - a) * row for a, b in blocks]
     np.testing.assert_array_equal(np.concatenate(calls), np.asarray(whole_pts))
-    # the blocks' weights and splits are the whole grid's, bit for bit
+    # the blocks' weights and leading splits are the whole grid's, bit for bit
     parts = [grid.points_and_weights(a, b) for a, b in blocks]
     np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), whole_w)
     if panel > 1:
-        offsets = np.concatenate([pts.splits[0][0] for pts, _ in parts])
-        np.testing.assert_array_equal(offsets, whole_pts.splits[0][0])
+        offsets = np.concatenate([pts.lead[0] for pts, _ in parts])
+        np.testing.assert_array_equal(offsets, whole_pts.lead[0])
         for pts, _ in parts:
-            np.testing.assert_array_equal(pts.splits[0][1], whole_pts.splits[0][1])
+            np.testing.assert_array_equal(pts.lead[1], whole_pts.lead[1])
 
 
 def _integrands(dim: int):
@@ -536,13 +536,9 @@ def test_points_and_weights_slices_concatenate_to_the_whole_grid(name):
     parts = [grid.points_and_weights(a, b) for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(np.concatenate([np.asarray(p) for p, _ in parts]), np.asarray(whole_pts))
     np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), whole_w)
-    for pts, _ in parts:  # the other axes and their splits are the whole grid's
+    for pts, _ in parts:  # the other axes are the whole grid's
         for a, b in zip(pts.axes[1:], whole_pts.axes[1:]):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(pts.splits[1:], whole_pts.splits[1:]):
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
     if panel > 1:
         with pytest.raises(ValueError, match="cut a panel"):
             grid.points_and_weights(0, panel + 1)

@@ -183,13 +183,13 @@ def test_trig_eval_on_split_gauss_axes_matches_the_point_array(dim, monkeypatch)
     # the rounding of the phase, a few ulps of the largest |2 pi k x|
     seen = _spy_factors(monkeypatch)
     pts, _ = SPLIT_GRIDS[dim].points_and_weights()
-    assert all(split is not None for split in pts.splits)
+    assert pts.lead is not None
     rng = np.random.default_rng(20 + dim)
     freqs = rng.integers(-3, 4, size=(6, dim)).astype(float)
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
     coeffs /= np.sum(np.abs(coeffs))
     image = DiagonalScaling((1, 2)[:dim]).apply(2.0**-9, pts)
-    assert all(split is not None for split in image.splits)
+    assert image.lead is not None
     for points in (pts, image):
         array = np.asarray(points)
         bound = 64 * np.finfo(float).eps * 2.0 * math.pi * np.max(np.abs(array @ freqs.T))
@@ -218,7 +218,7 @@ def test_unsplit_grids_and_linear_images_take_the_plain_path(monkeypatch):
     freqs, coeffs = np.array([[1.0, -2.0, 0.5]]), np.array([1.0 + 0.5j])
     one_panel = QuadratureGrid(Box((0.0,), (1.0,)), (16,), panel_order=16)
     for pts, dim in ((_grid_points(3), 3), (one_panel.points_and_weights()[0], 1)):
-        assert pts.splits == (None,) * dim
+        assert pts.lead is None
         for points in (pts, DiagonalScaling((1,) * dim).apply(0.37, pts)):
             kernels.trig_eval(freqs[:, :dim], coeffs, points)
             assert seen.pop() == list(range(dim))
