@@ -381,7 +381,7 @@ def build_seed_measure(block: dict, dim: int) -> Lebesgue | PointMass:
         return PointMass(block["point"])
     box = block["box"]
     check_dimension("construct.seed_measure.box", box.dim, dim)
-    return Lebesgue(box.dim, domain=box)
+    return Lebesgue(domain=box)
 
 
 def build_constructed_measure(cfg: dict, action: Action) -> ConstructedMeasure:

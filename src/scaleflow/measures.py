@@ -151,14 +151,13 @@ def default_battery(dim: int, offset: float = 0.3) -> list:
 
 @dataclass(frozen=True)
 class Lebesgue:
-    """Lebesgue measure on R^dimension, times ``density`` if one is given,
-    on ``domain`` if one is given.
+    """Lebesgue measure, times ``density`` if one is given, on ``domain`` if
+    one is given; its dimension is that of the boxes it integrates over.
 
     The domain's bounds may be infinite; the effective quadrature box clips
     a candidate support box against them.
     """
 
-    dimension: int
     density: object = None
     domain: Box | None = None
 
@@ -170,7 +169,7 @@ class Lebesgue:
             (t,) = kernels.coordinates(pts)
             return np.maximum(t, 0.0) ** power
 
-        return cls(1, density, Box((0.0,), (math.inf,)))
+        return cls(density, Box((0.0,), (math.inf,)))
 
     def clip(self, box: Box) -> Box:
         if self.domain is None:
@@ -216,7 +215,7 @@ class Homogenizer:
         # volume change of a linear map gives the factor directly
         return cls(
             action=action,
-            measure=Lebesgue(action.dimension),
+            measure=Lebesgue(),
             factor_map=lambda eps: 1.0 / action.volume_factor(eps),
             grid_spec=grid_spec or GridSpec(),
         )

@@ -293,7 +293,8 @@ class QuadratureGrid:
         return math.prod(self.nodes_per_axis)
 
     def axes(self):
-        """Per axis: its nodes, weights and panel split (see ``_axis_rule``).
+        """Per axis: its nodes, weights and, on the leading axis only, its
+        panel split (see ``_axis_rule``); the other axes carry None there.
 
         They are built once per grid, for all the blocks an integral streams
         over, so the arrays are shared and read-only.
@@ -302,12 +303,14 @@ class QuadratureGrid:
 
     @functools.cached_property
     def _axes(self) -> tuple:
-        axes = tuple(_axis_rule(lo, hi, n, self.panel_order)
-                     for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis))
+        axes = [_axis_rule(lo, hi, n, self.panel_order)
+                for lo, hi, n in zip(self.box.lows, self.box.highs, self.nodes_per_axis)]
+        # GridPoints reads the leading axis alone as its split
+        axes[1:] = [(nodes, weights, None) for nodes, weights, _ in axes[1:]]
         for nodes, weights, split in axes:
             for array in (nodes, weights, *(split or ())):
                 array.flags.writeable = False
-        return axes
+        return tuple(axes)
 
     def filon_weights(self, freqs) -> list:
         """Per axis a, the (K, n_a) oscillation-aware weights of its nodes at

@@ -308,15 +308,15 @@ def test_constructed_measure_density_seed_scales_the_pairing():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
     box = Box((1.0,), (2.0,))
-    uniform = construct_measure(action, Lebesgue(1, domain=box))
-    doubled = construct_measure(action, Lebesgue(1, lambda pts: np.full(len(pts), 2.0), box))
+    uniform = construct_measure(action, Lebesgue(domain=box))
+    doubled = construct_measure(action, Lebesgue(lambda pts: np.full(len(pts), 2.0), box))
     phi = gaussian([3.0], 0.5)
     value, _ = doubled.pairing(phi)
     assert value == 2.0 * uniform.pairing(phi)[0]
     assert value.real == pytest.approx(3.7599089457378, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [Lebesgue.power_density(1.0), Lebesgue(1)],
+@pytest.mark.parametrize("seed", [Lebesgue.power_density(1.0), Lebesgue()],
                          ids=["half-line", "no-domain"])
 def test_construct_measure_rejects_an_unbounded_seed(seed):
     action = DiagonalScaling((1,), group=RGroup(POSITIVE_MULTIPLICATIVE, 2.0))

@@ -68,7 +68,7 @@ def test_measure_fields_are_pinned():
     def names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
 
-    assert names(scaleflow.Lebesgue) == ("dimension", "density", "domain")
+    assert names(scaleflow.Lebesgue) == ("density", "domain")
     assert names(scaleflow.PointMass) == ("point",)
     assert names(scaleflow.ConstructedMeasure) == (
         "action", "seed_nodes", "seed_weights", "tail_cut")

@@ -464,6 +464,8 @@ def test_row_blocks_cover_the_grid_once_within_the_budget(name, monkeypatch):
     rows = len(whole_pts.axes[0])
     row = whole_pts.shape[0] // rows
     panel = _panel(grid)
+    # only the leading axis is ever read as its split
+    assert all(split is None for _, _, split in grid.axes()[1:])
     blocks = _row_blocks(grid)
     assert len(blocks) > 1
     assert blocks[0][0] == 0 and blocks[-1][1] == rows
