@@ -21,7 +21,13 @@ from . import reports
 from .actions import certify_absorption, certify_escape, certify_group_law
 from .config import ConfigError
 from .contraction import certify_submultiplicative, fixed_point
-from .meanvalue import empirical_mean, mean, verify_convolution, verify_translation_invariance
+from .meanvalue import (
+    convolve,
+    empirical_mean,
+    mean,
+    verify_convolution,
+    verify_translation_invariance,
+)
 from .measures import (
     SupportEscapeError,
     check_factor_multiplicative,
@@ -197,7 +203,13 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     order_floor = tolerances.get("decay_order", 0.9)
     value = mean(u)
     print(f"closed-form mean: {value}")
-    report = empirical_mean(u, hz, phi, ladder)
+    # u, its translate and its convolution share one sweep of the ladder
+    functions = [u]
+    if "shift" in block:
+        functions.append(u.translate(block["shift"]))
+    if "kernel" in block:
+        functions.append(convolve(kernel, u, hz.grid_spec))
+    report, *others = empirical_mean(functions, hz, phi, ladder)
     ok = report.final_error <= tol and report.fitted_order >= order_floor
     _status(
         "empirical-mean", ok,
@@ -205,12 +217,12 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     )
     results = {"empirical": report, "closed_form": value}
     if "shift" in block:
-        trans = verify_translation_invariance(u, report, hz, block["shift"], phi)
+        trans = verify_translation_invariance(report, others.pop(0))
         results["translation"] = trans
         _status("translation-invariance", trans.passed, f"diff={trans.difference:.3e}")
         ok = ok and trans.passed
     if "kernel" in block:
-        conv = verify_convolution(kernel, u, report, hz, phi)
+        conv = verify_convolution(report, others.pop(0))
         results["convolution"] = conv
         _status("convolution", conv.passed, f"diff={conv.difference:.3e}")
         ok = ok and conv.passed

@@ -34,19 +34,22 @@ def coordinates(pts) -> list:
     return [pts[:, axis] for axis in range(pts.shape[1])]
 
 
-def pairwise_dot(weights, values) -> complex:
+def pairwise_dot(weights, values):
     """Weighted sum ``sum(weights * values)``, by ``np.sum`` in the dtype of the product.
 
     Real weights and values stay real through the sum, which becomes a
     Python complex once at the end, with imaginary part +0.  Complex weights
-    (Filon weights) stay complex.
+    (Filon weights) stay complex.  A (J, M) stack of values gives J sums as
+    a complex128 array, each row reduced over the last axis with the bits
+    of its own 1-D sum.
     """
     weights = np.asarray(weights)
     weights = weights.astype(np.result_type(weights.dtype, np.float64), copy=False)
     values = np.asarray(values)
-    if weights.shape != values.shape:
+    if values.ndim not in (1, 2) or weights.shape != values.shape[-1:]:
         raise ValueError("weights and values must have matching shapes")
-    return complex(np.sum(weights * values))
+    total = np.sum(weights * values, axis=-1)
+    return complex(total) if values.ndim == 1 else total.astype(np.complex128)
 
 
 def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:

@@ -124,42 +124,72 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     return math.fsum(d * (yi - y_bar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
 
 
+@dataclass(frozen=True)
+class _Pairings:
+    """The integrands x -> phi(x) u(H_eps x), one per u of ``functions``,
+    as one (J, M) stack: phi and H_eps are evaluated once for all of them,
+    and row j has the bits of phi(x) * u_j(H_eps x) alone when every row
+    has the same dtype (a real row stacked with complex ones is complex)."""
+
+    phi: TestFunction
+    functions: tuple
+    action: object
+    eps: float
+
+    @property
+    def support(self) -> Box:
+        return self.phi.support
+
+    def __call__(self, pts) -> np.ndarray:
+        weight = self.phi(pts)
+        mapped = self.action.apply(self.eps, pts)
+        return np.stack([weight * u(mapped) for u in self.functions])
+
+
 def empirical_mean(
-    u: MeanFunction,
+    functions,
     hz: Homogenizer,
     phi: TestFunction,
     ladder,
-) -> ConvergenceReport:
-    """Pair u(H_eps(x)) against phi along the ladder and track the error.
+) -> list:
+    """Pair u(H_eps(x)) against phi along the ladder and track the error,
+    for every u of ``functions``: one :class:`ConvergenceReport` each.
 
     The pairing r(eps) = integral(phi * u(H_eps .)) / integral(phi) must
-    approach the closed-form mean; grids are built from ``hz.grid_spec``
-    and auto-sized per eps so the composed oscillation stays resolved.
+    approach the closed-form mean.  phi is integrated once; at each eps one
+    grid, built from ``hz.grid_spec`` and sized so the composed oscillation
+    of every u stays resolved, takes all the functions at once.  Functions
+    of one frequency bound and dtype (u, its translate and its convolution)
+    get the bits of their own sweeps.
     """
+    functions = tuple(functions)
     base, base_est = integrate(hz, phi)
     if abs(base) == 0.0:
         raise ValueError("test function must have nonzero integral")
-    limit = mean(u)
+    limits = [mean(u) for u in functions]
     action = hz.action
-    bound_u = u.oscillation_bound()
-    rows = []
+    bound = np.max([u.oscillation_bound() for u in functions], axis=0)
+    rows = [[] for _ in functions]
     for eps in ladder:
         eps = action.group.validate(eps)
-        integrand = TestFunction(
-            name=f"{phi.name}*u",
-            fn=lambda pts: phi(pts) * u(action.apply(eps, pts)),
-            support=phi.support,
-        )
-        value, est = integrate(hz, integrand, action.frequency_bound(eps, bound_u))
-        r = value / base
-        rows.append(
-            {
-                "eps": float(eps),
-                "value": r,
-                "abs_err": abs(r - limit),
-                "quad_est": (est + abs(r) * base_est) / abs(base),
-            }
-        )
+        pairings = _Pairings(phi, functions, action, eps)
+        values, ests = integrate(hz, pairings, action.frequency_bound(eps, bound))
+        # one function's stack integrates to a scalar pair
+        values, ests = np.reshape(values, -1).tolist(), np.reshape(ests, -1).tolist()
+        for limit, value, est, out in zip(limits, values, ests, rows):
+            r = value / base
+            out.append(
+                {
+                    "eps": float(eps),
+                    "value": r,
+                    "abs_err": abs(r - limit),
+                    "quad_est": (est + abs(r) * base_est) / abs(base),
+                }
+            )
+    return [_report(action, out, limit) for limit, out in zip(limits, rows)]
+
+
+def _report(action, rows: list, limit: complex) -> ConvergenceReport:
     order = None
     if len(rows) > 1:
         order = fit_decay_order(
@@ -185,21 +215,17 @@ def _combined_tolerance(a: ConvergenceReport, b: ConvergenceReport) -> float:
 
 
 def verify_translation_invariance(
-    u: MeanFunction,
     report: ConvergenceReport,
-    hz: Homogenizer,
-    shift,
-    phi: TestFunction,
+    shifted: ConvergenceReport,
 ) -> ComparisonReport:
     """Empirical means of u and of its translate must share the same limit.
 
-    ``report`` is :func:`empirical_mean` of u against phi; the translate is
-    swept along the same ladder, on grids built from ``hz.grid_spec``.
+    ``report`` and ``shifted`` are :func:`empirical_mean`'s reports of u
+    and of ``u.translate(shift)`` against one phi along one ladder.
     """
-    second = empirical_mean(u.translate(shift), hz, phi, [row["eps"] for row in report.rows])
-    diff = abs(report.rows[-1]["value"] - second.rows[-1]["value"])
-    tol = _combined_tolerance(report, second)
-    return ComparisonReport(first=report, second=second, difference=diff, tolerance=tol,
+    diff = abs(report.rows[-1]["value"] - shifted.rows[-1]["value"])
+    tol = _combined_tolerance(report, shifted)
+    return ComparisonReport(first=report, second=shifted, difference=diff, tolerance=tol,
                             passed=diff <= tol)
 
 
@@ -219,26 +245,20 @@ def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> Mean
 
 
 def verify_convolution(
-    kernel: TestFunction,
-    u: MeanFunction,
     report: ConvergenceReport,
-    hz: Homogenizer,
-    phi: TestFunction,
+    convolved: ConvergenceReport,
 ) -> ComparisonReport:
     """Mean of kernel * u must equal mean(u) times the kernel's total mass.
 
-    ``report`` is :func:`empirical_mean` of u against phi; kernel * u is
-    swept along the same ladder, and every grid is built from
-    ``hz.grid_spec``.  The mass is the Lebesgue T(0) the convolution itself
-    uses, whatever measure ``hz`` carries, so the prediction is c_0 T(0).
-    The check is still the triangle-inequality bound that
+    ``report`` and ``convolved`` are :func:`empirical_mean`'s reports of u
+    and of :func:`convolve`'s kernel * u against one phi along one ladder.
+    The prediction is the convolved report's limit, c_0 T(0), with T(0) the
+    Lebesgue mass the convolution itself uses, whatever measure the sweep
+    took.  The check is still the triangle-inequality bound that
     perfbench/workloads.judged_errors describes; only a kernel mass known
     independently of the transforms would test them.
     """
-    convolved = convolve(kernel, u, hz.grid_spec)
-    first = empirical_mean(convolved, hz, phi, [row["eps"] for row in report.rows])
-    predicted = mean(convolved)
-    diff = abs(first.rows[-1]["value"] - predicted)
-    tol = _combined_tolerance(first, report)
-    return ComparisonReport(first=first, second=report, difference=diff, tolerance=tol,
+    diff = abs(convolved.rows[-1]["value"] - convolved.limit)
+    tol = _combined_tolerance(convolved, report)
+    return ComparisonReport(first=convolved, second=report, difference=diff, tolerance=tol,
                             passed=diff <= tol)

@@ -18,6 +18,17 @@ on the grid's shape and the block size, not on ``--jobs``; when every block
 has the same power-of-two size of at least 128 nodes and their count is a
 power of two, they are the bits of ``np.sum`` over the whole grid.
 
+The integrand of :func:`integrate_on_grid` or :func:`integrate_with_refinement`
+returns its values at a block's M nodes, in any shape of that size, or a
+(J, M) stack of the values of J integrands on the same nodes; a stack
+integrates to J values, row j to the bits of its own integral.
+
+A grid builds one full block's weights once, read-only.  Every panel of
+the leading axis has the same weights, so the weights of rows [start,
+stop) with start on a panel edge are a prefix of that block's; a block
+that starts inside a panel (a one-panel Gauss axis cut into blocks) has
+its weights built anew.
+
 A grid hands its points to integrands as :class:`GridPoints`, one node
 vector per axis: formulas that factor by axis read ``coords()`` and never
 build the (n^d, d) point array; ``np.asarray`` builds it for any other use.
@@ -257,6 +268,14 @@ class GridPoints:
         return pts if dtype is None else pts.astype(dtype, copy=False)
 
 
+def _outer_weights(lead, others) -> np.ndarray:
+    # the tensor-product weights of leading-axis weights and the other axes', raveled
+    w = lead
+    for wi in others:
+        w = np.multiply.outer(w, wi)
+    return np.asarray(w).ravel()
+
+
 def _spanning(vectors) -> list:
     # vector i reshaped to span axis i of a len(vectors)-dimensional grid
     dim = len(vectors)
@@ -330,9 +349,11 @@ class QuadratureGrid:
         """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
         and their weights raveled in C order; by default the whole grid.
 
-        The weights are the rows' slice of the whole grid's, bit for bit.  A
-        split leading axis (see ``_axis_rule``) is cut on panel edges only,
-        and the block carries the split of its own panels.
+        The weights are the rows' slice of the whole grid's, bit for bit: a
+        read-only prefix of the grid's first row block when ``start`` is on a
+        panel edge and the rows fit in that block, else built anew.  A split
+        leading axis (see ``_axis_rule``) is cut on panel edges only, and the
+        block carries the split of its own panels.
         """
         nodes, weights, (lead, *_) = zip(*self.axes())
         rows = len(nodes[0])
@@ -344,11 +365,21 @@ class QuadratureGrid:
             if start % panel or stop % panel:
                 raise ValueError(f"rows [{start}, {stop}) cut a panel of {panel} nodes")
             lead = (lead[0][start // panel : stop // panel], lead[1])
-        w = weights[0][start:stop]
-        for wi in weights[1:]:
-            w = np.multiply.outer(w, wi)
         pts = GridPoints((nodes[0][start:stop], *nodes[1:]), lead)
-        return pts, np.asarray(w).ravel()
+        block = self._block_weights
+        size = pts.shape[0]
+        if start % self.panel_order == 0 and size <= len(block):
+            return pts, block[:size]
+        return pts, _outer_weights(weights[0][start:stop], weights[1:])
+
+    @functools.cached_property
+    def _block_weights(self) -> np.ndarray:
+        # the weights of the first row block, raveled; every panel of the
+        # leading axis repeats the first one's weights (``_axis_rule``)
+        _, weights, _ = zip(*self.axes())
+        block = _outer_weights(weights[0][: _row_blocks(self)[0][1]], weights[1:])
+        block.flags.writeable = False
+        return block
 
     def refined(self) -> "QuadratureGrid":
         """The grid with twice the nodes on every axis."""
@@ -410,9 +441,10 @@ def _row_blocks(grid: QuadratureGrid) -> list:
     return [(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 
-def _tree_sum(sums: list) -> complex:
+def _tree_sum(sums: list):
     # balanced pairwise tree, left half first: np.sum's own split when the
-    # blocks are equal and their count is a power of two
+    # blocks are equal and their count is a power of two; the sums are
+    # complex numbers or, for a stack, arrays of them
     if len(sums) == 1:
         return sums[0]
     half = len(sums) // 2
@@ -420,9 +452,12 @@ def _tree_sum(sums: list) -> complex:
 
 
 def _block_values(f, pts: GridPoints) -> np.ndarray:
-    # f at one block's nodes, raveled, after the checks every integral makes
-    values = np.ravel(f(pts))
-    if values.shape[0] != pts.shape[0]:
+    # f at one block's M nodes, raveled, or its (J, M) stack, after the
+    # checks every integral makes
+    values = np.asarray(f(pts))
+    if values.ndim != 2 or values.size == pts.shape[0]:
+        values = values.ravel()
+    if values.shape[-1] != pts.shape[0]:
         raise ValueError("integrand returned a wrong-sized array")
     if not np.isfinite(values).all():
         raise ValueError("integrand returned non-finite values")
@@ -431,7 +466,8 @@ def _block_values(f, pts: GridPoints) -> np.ndarray:
 
 def _integral_and_values(f, grid: QuadratureGrid, keep: bool = False):
     """The integral of f on the grid, one row block at a time, and with
-    ``keep`` the values of f at every node in C order (else None)."""
+    ``keep`` the values of f at every node in C order (else None); J
+    integrals for a (J, M) stack."""
     sums, kept = [], []
     for start, stop in _row_blocks(grid):
         pts, w = grid.points_and_weights(start, stop)
@@ -487,7 +523,9 @@ def integrate_on_grid(f, grid: QuadratureGrid) -> complex:
 
 
 def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
-    """Integral on the doubled grid plus the coarse-to-fine difference.
+    """Integral on the doubled grid plus the coarse-to-fine difference; J of
+    each, as arrays, for an integrand that returns a (J, M) stack (which
+    takes no ``edge_tol``).
 
     With ``edge_tol``, the coarse values also judge the support: more than
     that fraction of the |f| mass on the grid's outermost node layer raises

@@ -48,6 +48,7 @@ from scaleflow import (
 )
 from scaleflow.algebra import spectral_pairing
 from scaleflow.cli import main as cli_main
+from scaleflow.meanvalue import convolve
 from scaleflow.quadrature import Box
 from scaleflow.sigma import trace_norm_bound_rows
 
@@ -171,10 +172,10 @@ def test_criterion_6_mean_values():
     sin2 = MeanFunction.periodic_trig(TrigPolynomial.sine([1.0]) * TrigPolynomial.sine([1.0]))
     closed_ok = abs(mean(sin2) - 0.5) <= 1e-10
     hz = Homogenizer.lebesgue(DiagonalScaling((1,)), OSC_SPEC)
-    report = empirical_mean(sin2, hz, triangle(0.0, 0.7), [2.0**-n for n in range(1, 11)])
+    (report,) = empirical_mean([sin2], hz, triangle(0.0, 0.7), [2.0**-n for n in range(1, 11)])
     empirical_ok = report.final_error <= 1e-2 and report.fitted_order >= 0.9
     character = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
-    rl = empirical_mean(character, hz, gaussian([0.3], 1.0), [2.0**-12])
+    (rl,) = empirical_mean([character], hz, gaussian([0.3], 1.0), [2.0**-12])
     rl_ok = abs(rl.rows[-1]["value"]) <= 1e-3
     _check(
         6,
@@ -198,9 +199,11 @@ def test_criterion_7_translation_convolution():
     )
     results = []
     for u in (periodic, trig):
-        report = empirical_mean(u, hz, phi, ladder)
-        results.append(verify_translation_invariance(u, report, hz, [0.3], phi))
-        results.append(verify_convolution(gaussian([0.0], 0.5), u, report, hz, phi))
+        convolved = convolve(gaussian([0.0], 0.5), u, hz.grid_spec)
+        functions = [u, u.translate([0.3]), convolved]
+        report, shifted, smoothed = empirical_mean(functions, hz, phi, ladder)
+        results.append(verify_translation_invariance(report, shifted))
+        results.append(verify_convolution(report, smoothed))
     _check(7, all(r.passed for r in results),
            "translation and convolution limits agree on periodic and trig batteries")
 

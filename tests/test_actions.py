@@ -15,6 +15,7 @@ from scaleflow import (
     LinearFamily,
     POSITIVE_MULTIPLICATIVE,
     RGroup,
+    TrigPolynomial,
     certify_absorption,
     certify_escape,
     certify_group_law,
@@ -237,6 +238,35 @@ def test_product_action():
     assert np.allclose(single.apply(0.3, x), DiagonalScaling((3,)).apply(0.3, x))
     with pytest.raises(ValueError):
         product([DiagonalScaling((1,)), ExpSemigroup.from_matrix(1.0, np.zeros((1, 1)))])
+
+
+def _pullback_actions():
+    spiral = ExpSemigroup.from_matrix(1.0, [[0.0, -0.5], [0.5, 0.0]])
+    shear = LinearFamily(RGroup("real-additive"), 2,
+                         lambda eps: [[1.0, 0.7 * eps], [-0.4 * eps, 1.0 + eps * eps]])
+    return {
+        "exp-semigroup": spiral,
+        "linear-family": shear,
+        "product": product([spiral, ExpSemigroup.from_matrix(0.8, [[0.0]])]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pullback_actions()))
+def test_pullback_agrees_with_apply_off_the_diagonal(name):
+    # p(H_eps x) = sum_k c_k e(<k, B x>) = sum_k c_k e(<B^T k, x>): a matrix
+    # that is not diagonal makes a transposed pullback differ
+    action = _pullback_actions()[name]
+    dim = action.dimension
+    rng = np.random.default_rng(11)
+    terms = [(rng.uniform(-2.0, 2.0, dim), complex(*rng.normal(size=2))) for _ in range(3)]
+    poly = TrigPolynomial.from_terms(terms)
+    x = rng.uniform(-1.5, 1.5, (64, dim))
+    for eps in (0.3, -0.45, 1.1):
+        matrix = action.matrix(eps)
+        assert np.max(np.abs(matrix - matrix.T)) > 0.1
+        expected = poly(action.apply(eps, x))
+        got = action.pullback(eps, poly)(x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.sum(np.abs(poly.coeffs))
 
 
 def test_group_law_certificates():

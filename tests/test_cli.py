@@ -428,8 +428,9 @@ def test_cli_construct_uniform_seed_passes(tmp_path):
     assert code == 0
 
 
-def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch):
-    # u, its translate and its convolution: one ladder sweep each
+def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch, capsys):
+    # u, its translate and its convolution share one ladder sweep, and the
+    # verdict lines keep their order
     calls = []
 
     def counting(*args, **kwargs):
@@ -443,7 +444,15 @@ def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 0
-    assert len(calls) == 3
+    assert len(calls) == 1 and len(calls[0][0]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 2)[:2] for line in lines] == [
+        ["closed-form", "mean:"],
+        ["[pass]", "empirical-mean"],
+        ["[pass]", "translation-invariance"],
+        ["[pass]", "convolution"],
+        ["PASS"],
+    ]
 
 
 def test_cli_mean_runs(tmp_path):

@@ -23,6 +23,7 @@ from scaleflow import (
     empirical_mean,
     gaussian,
     mean,
+    mollifier,
     triangle,
     verify_convolution,
     verify_translation_invariance,
@@ -36,6 +37,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SIN2 = TrigPolynomial.sine([1.0]) * TrigPolynomial.sine([1.0])
 OSC_SPEC = GridSpec(base_nodes=256, panel_order=16, max_nodes=1 << 21)
+ROOT2 = math.sqrt(2.0)
 
 
 def lebesgue_line(spec=OSC_SPEC):
@@ -94,7 +96,7 @@ def test_empirical_mean_matches_oscillatory_oracle():
     hz = lebesgue_line()
     u = MeanFunction.periodic_trig(SIN2)
     phi = triangle(0.3, 0.7)
-    report = empirical_mean(u, hz, phi, [2.0**-3, 2.0**-4, 2.0**-5])
+    (report,) = empirical_mean([u], hz, phi, [2.0**-3, 2.0**-4, 2.0**-5])
     fn = lambda x: max(0.0, 1.0 - abs(x - 0.3) / 0.7)
     for row in report.rows:
         oracle = _pairing_oracle_sin2(fn, (-0.4, 1.0), row["eps"])
@@ -118,7 +120,7 @@ def test_mean_periodic_rows_match_the_triangle_closed_form():
     u = cfg_mod.build_mean_function(block["function"], 1)
     phi = cfg_mod.build_test_function(block["phi"], 1, "mean.phi")
     ladder = cfg_mod.build_ladder(cfg, action.group)
-    report = empirical_mean(u, cfg_mod.build_homogenizer(cfg, action), phi, ladder)
+    (report,) = empirical_mean([u], cfg_mod.build_homogenizer(cfg, action), phi, ladder)
     assert len(report.rows) == len(ladder) == 10
     for row in report.rows:
         eps = row["eps"]
@@ -134,7 +136,7 @@ def test_empirical_mean_periodic_converges_with_order():
     u = MeanFunction.periodic_trig(SIN2)
     phi = triangle(0.0, 0.7)
     ladder = [2.0**-n for n in range(1, 11)]
-    report = empirical_mean(u, hz, phi, ladder)
+    (report,) = empirical_mean([u], hz, phi, ladder)
     assert report.limit == 0.5 + 0j
     assert report.final_error <= 1e-2
     errors = [r["abs_err"] for r in report.rows]
@@ -148,7 +150,7 @@ def test_empirical_mean_constant_exact():
     hz = lebesgue_line()
     u = MeanFunction.constant(1.0)
     phi = gaussian([0.3], 1.0)
-    report = empirical_mean(u, hz, phi, [0.5, 0.25, 0.125])
+    (report,) = empirical_mean([u], hz, phi, [0.5, 0.25, 0.125])
     for row in report.rows:
         assert row["value"] == pytest.approx(1.0, rel=1e-14)
 
@@ -157,7 +159,7 @@ def test_empirical_mean_riemann_lebesgue():
     hz = lebesgue_line()
     u = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
     phi = gaussian([0.3], 1.0)
-    report = empirical_mean(u, hz, phi, [2.0**-12])
+    (report,) = empirical_mean([u], hz, phi, [2.0**-12])
     assert abs(report.rows[-1]["value"]) <= 1e-3
     assert report.limit == 0j
 
@@ -168,7 +170,7 @@ def test_empirical_mean_integrable_function_pairs_to_zero():
     profile = bump([0.0], 1.0)
     u = MeanFunction.vanishing(profile.fn, 0.0, 1)
     phi = gaussian([0.3], 1.0)
-    report = empirical_mean(u, hz, phi, [2.0**-n for n in range(1, 11)])
+    (report,) = empirical_mean([u], hz, phi, [2.0**-n for n in range(1, 11)])
     errors = [r["abs_err"] for r in report.rows]
     assert errors[-1] <= 1e-3
     assert errors[-1] <= errors[0] * 1e-2
@@ -215,7 +217,7 @@ def test_fit_decay_order_needs_two_rungs():
 
 def test_empirical_mean_one_rung_fits_no_decay_order():
     u = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
-    report = empirical_mean(u, lebesgue_line(), gaussian([0.3], 1.0), [0.25])
+    (report,) = empirical_mean([u], lebesgue_line(), gaussian([0.3], 1.0), [0.25])
     assert len(report.rows) == 1 and report.fitted_order is None
 
 
@@ -223,10 +225,11 @@ def test_translation_invariance():
     hz = lebesgue_line()
     u = MeanFunction.periodic_trig(SIN2)
     phi = triangle(0.3, 0.7)
-    report = empirical_mean(u, hz, phi, [2.0**-n for n in range(1, 9)])
-    trivial = verify_translation_invariance(u, report, hz, [0.0], phi)
+    functions = [u, u.translate([0.0]), u.translate([0.3])]
+    report, unmoved, moved = empirical_mean(functions, hz, phi, [2.0**-n for n in range(1, 9)])
+    trivial = verify_translation_invariance(report, unmoved)
     assert trivial.passed and trivial.difference == 0.0
-    shifted = verify_translation_invariance(u, report, hz, [0.3], phi)
+    shifted = verify_translation_invariance(report, moved)
     assert shifted.passed
     assert shifted.first is report
     assert [row["eps"] for row in shifted.second.rows] == [row["eps"] for row in report.rows]
@@ -244,12 +247,14 @@ def test_convolution_constant_and_characters():
     raw = bump([0.0], 0.5)
     unit = type(raw)("unit-kernel", lambda p: raw.fn(p) / kernel_mass, raw.support)
     const = MeanFunction.constant(2.5)
-    report = verify_convolution(unit, const, empirical_mean(const, hz, phi, ladder), hz, phi)
+    sweep = empirical_mean([const, convolve(unit, const, OSC_SPEC)], hz, phi, ladder)
+    report = verify_convolution(*sweep)
     assert report.passed
     # Fourier multiplier: kernel * e = F(kernel)(1) e keeps the zero mean
     char = MeanFunction.almost_periodic(TrigPolynomial.character([1.0]))
-    char_report = empirical_mean(char, hz, phi, ladder)
-    report = verify_convolution(gaussian([0.0], 0.5), char, char_report, hz, phi)
+    convolved = convolve(gaussian([0.0], 0.5), char, OSC_SPEC)
+    char_report, convolved_report = empirical_mean([char, convolved], hz, phi, ladder)
+    report = verify_convolution(char_report, convolved_report)
     assert report.passed
     assert report.second is char_report
     assert mean(char) == 0j
@@ -264,7 +269,8 @@ def test_convolution_doubling_kernel():
     mass = 16.0 * 0.5 / 15.0
     doubler = type(raw)("double-kernel", lambda p: 2.0 * raw.fn(p) / mass, raw.support)
     u = MeanFunction.periodic_trig(SIN2)
-    report = verify_convolution(doubler, u, empirical_mean(u, hz, phi, ladder), hz, phi)
+    sweep = empirical_mean([u, convolve(doubler, u, OSC_SPEC)], hz, phi, ladder)
+    report = verify_convolution(*sweep)
     assert report.passed
     convolved_final = report.first.rows[-1]["value"]
     assert convolved_final == pytest.approx(1.0, abs=1e-6)
@@ -280,7 +286,7 @@ def test_empirical_mean_two_dimensional():
     u = MeanFunction.periodic_trig(tensor)
     assert mean(u) == 0.25 + 0j
     phi = bump([0.3, 0.3], 2.0)
-    report = empirical_mean(u, hz, phi, [2.0**-n for n in range(1, 4)])
+    (report,) = empirical_mean([u], hz, phi, [2.0**-n for n in range(1, 4)])
     assert report.limit == 0.25 + 0j
     assert report.final_error <= 5e-3
 
@@ -368,3 +374,46 @@ def test_convolving_a_real_function_keeps_it_real():
         assert u.poly.real_form() is not None
         kernel = gaussian([0.0] * u.dimension, 0.5)
         assert convolve(kernel, u, spec).poly.real_form() is not None
+
+
+def _stack_case(name):
+    # (homogenizer, u, phi, kernel, shift, ladder) of one stacked sweep
+    line = DiagonalScaling((1,))
+    ladder = [2.0**-n for n in range(1, 7)]
+    u = MeanFunction.periodic_trig(SIN2)
+    if name == "lebesgue-1d":
+        return lebesgue_line(), u, triangle(0.3, 0.7), gaussian([0.0], 0.5), [0.3], ladder
+    if name == "lebesgue-1d-complex":
+        poly = TrigPolynomial.from_terms([([0.0], 0.5), ([1.0], 0.3j), ([-ROOT2], 0.2)])
+        return (lebesgue_line(), MeanFunction.almost_periodic(poly), triangle(0.3, 0.7),
+                gaussian([0.0], 0.5), [0.3], ladder)
+    if name == "lebesgue-2d":  # the shape of the benchmark's 2-D mean run
+        poly = TrigPolynomial.from_terms([
+            ([0.0, 0.0], 0.5), ([1.0, 2.0], -0.25), ([-1.0, -2.0], -0.25),
+            ([2.0, -1.0], 0.1 + 0.05j), ([-2.0, 1.0], 0.1 - 0.05j),
+        ])
+        hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(64, 16, 4096))
+        return (hz, MeanFunction.periodic_trig(poly), mollifier([0.3, 0.2], 0.5),
+                gaussian([0.0, 0.0], 0.5), [0.3, 0.1], ladder[:4])
+    if name == "weighted-power":
+        hz = Homogenizer.weighted_power(line, 1.0, OSC_SPEC)
+        return hz, u, triangle(0.8, 0.7), gaussian([0.0], 0.5), [0.3], ladder
+    assert name == "dirac"
+    hz = Homogenizer.point_mass(line, [0.3], OSC_SPEC)
+    return hz, u, triangle(0.3, 0.7), gaussian([0.0], 0.5), [0.3], ladder
+
+
+@pytest.mark.parametrize(
+    "name", ["dirac", "lebesgue-1d", "lebesgue-1d-complex", "lebesgue-2d", "weighted-power"]
+)
+def test_stacked_sweep_has_the_bits_of_each_function_alone(name):
+    hz, u, phi, kernel, shift, ladder = _stack_case(name)
+    functions = [u, u.translate(shift), convolve(kernel, u, hz.grid_spec)]
+    reports = empirical_mean(functions, hz, phi, ladder)
+    assert len(reports) == len(functions)
+    for f, report in zip(functions, reports):
+        (alone,) = empirical_mean([f], hz, phi, ladder)
+        assert repr(report.rows) == repr(alone.rows)
+        assert repr((report.limit, report.fitted_order)) == repr((alone.limit, alone.fitted_order))
+    # the translate moves the pairings, so the rows are not one function's thrice
+    assert reports[0].rows[0]["value"] != reports[1].rows[0]["value"]

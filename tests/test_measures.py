@@ -56,6 +56,21 @@ def test_integrate_unit_mass_bump():
     assert estimate <= 1e-8
 
 
+def test_bump_has_the_bits_of_the_selected_square():
+    # computed in place, without the select: off the ball 1 - min(r^2, 1)
+    # is +0.0 already
+    phi = bump([0.3, -0.2], 0.7)
+    grid = QuadratureGrid(phi.support, (48, 40), panel_order=8)
+    scattered = np.random.default_rng(3).uniform(-1.0, 1.5, (4096, 2))
+    for pts in (grid.points_and_weights()[0], scattered):
+        x, y = np.asarray(pts).T
+        r2 = (0 + (x - 0.3) ** 2 + (y + 0.2) ** 2) / 0.7**2
+        selected = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 2, 0.0)
+        values = phi(pts)
+        assert values.tobytes() == selected.tobytes()
+        assert (r2 >= 1.0).any() and not np.signbit(values).any()
+
+
 def test_real_test_functions_keep_float64():
     # values keep the dtype their formula gives, on arrays and on tensor grids
     pts = np.array([[0.1, 0.2], [1.0, -0.5], [2.5, 0.3]])
@@ -405,6 +420,22 @@ def test_center_null_lebesgue_2d():
     # smoothed-indicator mass oracle on the disk: pi rho^2 / 3
     for rho, mass in report.masses:
         assert mass == pytest.approx(math.pi * rho**2 / 3.0, rel=1e-6)
+
+
+def test_center_null_integrates_only_the_doubled_grid(monkeypatch):
+    # no refinement estimate is read, so each ball takes the doubled grid of
+    # integrate alone, and its mass is integrate's value bit for bit
+    hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=64))
+    grids = []
+    on_grid = measures.integrate_on_grid
+    monkeypatch.setattr(measures, "integrate_on_grid",
+                        lambda f, grid: grids.append(grid) or on_grid(f, grid))
+    radii = [1.0, 0.5, 0.25]
+    report = verify_center_null(hz, radii)
+    assert [grid.nodes_per_axis for grid in grids] == [(128, 128)] * len(radii)
+    for (rho, mass), radius in zip(report.masses, radii):
+        value, _ = integrate(hz, bump(hz.action.center(), radius))
+        assert rho == radius and mass == abs(value)
 
 
 def test_center_null_weighted_density():

@@ -386,6 +386,21 @@ def test_pairwise_backends_agree(n):
     assert _bits(kernels.pairwise_dot(weights, real))[1] == "0x0.0p+0"
 
 
+@pytest.mark.parametrize("n", [1, 7, 128, 129, 1025, 1 << 16, 1 << 17])
+def test_pairwise_dot_of_a_stack_has_the_bits_of_each_row(n):
+    # a (J, M) stack reduces over its last axis, row by row as the 1-D sum
+    rng = np.random.default_rng(90 + n)
+    weights = rng.uniform(1e-3, 2.0, size=n)
+    real = rng.normal(size=(3, n))
+    for stack in (real, real + 1j * rng.normal(size=(3, n))):
+        sums = kernels.pairwise_dot(weights, stack)
+        assert sums.shape == (3,) and sums.dtype == np.complex128
+        assert [_bits(z) for z in sums.tolist()] == [
+            _bits(kernels.pairwise_dot(weights, row)) for row in stack]
+    with pytest.raises(ValueError, match="matching shapes"):
+        kernels.pairwise_dot(weights, real[:, :-1])
+
+
 @pytest.mark.parametrize("n", [1, 7, 1025, 4097])
 def test_pairwise_dot_of_real_values_has_the_bits_of_the_complex_product(n):
     # real values stay real through the weighted product and its sum, and the
@@ -549,3 +564,44 @@ def test_points_and_weights_slices_concatenate_to_the_whole_grid(name):
     for start, stop in ((0, 0), (-1, rows), (0, rows + panel), (panel, 0)):
         with pytest.raises(ValueError, match="not a block"):
             grid.points_and_weights(start, stop)
+
+
+# grids whose row blocks take their weights from the cached first block:
+# midpoint, split Gauss, a one-panel Gauss axis whose second block starts
+# inside its only panel, and a 3-D grid
+CACHED_WEIGHT_GRIDS = {
+    "midpoint-1024^2": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), 1024),
+    "gauss-512^2": QuadratureGrid(Box((0.0, -0.5), (1.0, 0.5)), 512, panel_order=16),
+    "one-panel-16x8192": QuadratureGrid(Box((0.0, 0.0), (1.0, 3.0)), (16, 8192), panel_order=16),
+    "gauss-3d": QuadratureGrid(Box((0.0, -1.0, 0.5), (1.0, 2.0, 1.5)), (96, 32, 48), panel_order=16),
+}
+
+
+def _outer_slice(grid, start, stop):
+    # the weights of rows [start, stop) as an outer product of axis slices
+    _, weights, _ = zip(*grid.axes())
+    w = weights[0][start:stop]
+    for wi in weights[1:]:
+        w = np.multiply.outer(w, wi)
+    return np.asarray(w).ravel()
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_WEIGHT_GRIDS))
+def test_block_weights_have_the_bits_of_the_outer_product(name):
+    grid = CACHED_WEIGHT_GRIDS[name]
+    blocks = _row_blocks(grid)
+    assert len(blocks) > 1
+    for start, stop in [*blocks, (0, len(grid.axes()[0][0]))]:
+        _, w = grid.points_and_weights(start, stop)
+        expected = _outer_slice(grid, start, stop)
+        assert w.dtype == expected.dtype and w.tobytes() == expected.tobytes(), (start, stop)
+    cached = grid._block_weights
+    assert not cached.flags.writeable
+    assert np.shares_memory(grid.points_and_weights(*blocks[0])[1], cached)
+    with pytest.raises(ValueError):
+        cached[0] = 0.0
+    if name == "one-panel-16x8192":
+        # the block [8, 16) starts mid-panel: a prefix of the cache is wrong there
+        assert blocks == [(0, 8), (8, 16)]
+        size = 8 * 8192
+        assert cached[:size].tobytes() != _outer_slice(grid, 8, 16).tobytes()
