@@ -183,6 +183,12 @@ class Action:
         frequencies are bounded by ``bound``: |B(eps)|^T bound."""
         return np.abs(self.matrix(eps)).T @ bound
 
+    def pullback_factors(self, eps: float, factors):
+        """Per-axis factors of x -> f(H_eps x) for f(y) = prod_a
+        factors[a](y_a), or None when H_eps mixes the axes, as a general
+        linear map does."""
+        return None
+
 
 @dataclass(frozen=True)
 class DiagonalScaling(Action):
@@ -230,6 +236,11 @@ class DiagonalScaling(Action):
         scales = self._scales(eps)
         lead = None if grid.lead is None else tuple(part * scales[0] for part in grid.lead)
         return GridPoints([axis * s for axis, s in zip(grid.axes, scales)], lead)
+
+    def pullback_factors(self, eps: float, factors):
+        # x_a -> f_a(x_a * s_a), the products that _apply_grid forms
+        scales = self._scales(self.group.validate(eps))
+        return tuple(lambda x, f=f, s=s: f(x * s) for f, s in zip(factors, scales))
 
     def operator_norm(self, params):
         return as_scalar_or_array(np.max(self._scales(self.group.validate(params)), axis=-1))

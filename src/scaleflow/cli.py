@@ -169,7 +169,7 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
 
 def _run_construct(cfg, header, out, jobs) -> bool:
     action = cfg_mod.build_action(cfg)
-    hz = cfg_mod.build_constructed_measure(cfg, action).as_homogenizer(cfg_mod.build_grid_spec(cfg))
+    hz = cfg_mod.build_constructed_measure(cfg, action).as_homogenizer()
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol = cfg.get("tolerances", {}).get("rel", 1e-5)

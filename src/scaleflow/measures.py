@@ -26,6 +26,7 @@ from .quadrature import (
     SupportEscapeError,
     UnderResolvedError,
     integrate_on_grid,
+    integrate_product,
     integrate_with_refinement,
 )
 
@@ -41,7 +42,8 @@ MAX_ORBIT_BLOCKS = 120
 # -- test functions ----------------------------------------------------------
 # Each formula reads its points through kernels.coordinates, so it runs on an
 # (M, N) array of scattered points and on a tensor grid's GridPoints alike; a
-# product of per-axis factors costs one evaluation per node of each axis.
+# product of per-axis factors costs one evaluation per node of each axis, and
+# a Lebesgue pairing integrates it axis by axis (quadrature.integrate_product).
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class TestFunction:
 
     ``fn`` gets an (M, N) array or a tensor grid's :class:`GridPoints`; its
     values come back raveled in C order, in the dtype the formula gives.
+    ``factors`` is None or N elementwise callables on 1-D coordinate arrays
+    whose product is ``fn``.
     """
 
     __test__ = False  # plain data, despite the pytest-like name
@@ -57,6 +61,7 @@ class TestFunction:
     name: str
     fn: object
     support: Box
+    factors: tuple | None = None
 
     def __call__(self, pts) -> np.ndarray:
         if not isinstance(pts, GridPoints):
@@ -69,16 +74,22 @@ def _r2(pts, center) -> np.ndarray:
     return sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center))
 
 
+def _product(name: str, factors, support: Box) -> TestFunction:
+    """The test function prod_a factors[a](x_a), its factors kept."""
+    factors = tuple(factors)
+
+    def fn(pts):
+        return math.prod(f(x) for f, x in zip(factors, kernels.coordinates(pts)))
+
+    return TestFunction(name, fn, support, factors)
+
+
 def gaussian(center, sigma: float, name: str | None = None) -> TestFunction:
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     radius = 12.0 * sigma
     box = Box(tuple(center - radius), tuple(center + radius))
-
-    def fn(pts):
-        return math.prod(np.exp(-((x - c) ** 2) / (2.0 * sigma**2))
-                         for x, c in zip(kernels.coordinates(pts), center))
-
-    return TestFunction(name or f"gauss-{sigma:g}", fn, box)
+    factors = [lambda x, c=c: np.exp(-((x - c) ** 2) / (2.0 * sigma**2)) for c in center]
+    return _product(name or f"gauss-{sigma:g}", factors, box)
 
 
 def bump(center, width: float, name: str | None = None) -> TestFunction:
@@ -129,13 +140,10 @@ def parabola(box: Box, name: str | None = None) -> TestFunction:
     lows = np.asarray(box.lows)
     highs = np.asarray(box.highs)
     half = (highs - lows) / 2.0
-
-    def fn(pts):
-        # each factor is negative off its side, so the clip zeroes the outside
-        return math.prod(np.maximum((x - lo) * (hi - x) / h**2, 0.0)
-                         for x, lo, hi, h in zip(kernels.coordinates(pts), lows, highs, half))
-
-    return TestFunction(name or "parabola", fn, box)
+    # each factor is negative off its side, so the clip zeroes the outside
+    factors = [lambda x, lo=lo, hi=hi, h=h: np.maximum((x - lo) * (hi - x) / h**2, 0.0)
+               for lo, hi, h in zip(lows, highs, half)]
+    return _product(name or "parabola", factors, box)
 
 
 def default_battery(dim: int, offset: float = 0.3) -> list:
@@ -259,14 +267,20 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     A :class:`Lebesgue` measure integrates on a ``hz.grid_spec`` grid over
     phi's clipped support that resolves per-axis frequencies ``max_freqs``;
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
-    its boundary (:func:`integrate_with_refinement`).  Every other measure
-    pairs by its own ``pairing``, without a grid.  A phi that returns a
-    (J, M) stack pairs to J values and J estimates.
+    its boundary (:func:`integrate_with_refinement`).  Without a density, a
+    phi with ``factors`` integrates on that grid axis by axis
+    (:func:`integrate_product`).  Every other measure pairs by its own
+    ``pairing``, without a grid.  A phi that returns a (J, M) stack pairs to
+    J values and J estimates.
     """
     measure = hz.measure
     if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
-    return integrate_with_refinement(measure.weighted(phi), _grid(hz, phi, max_freqs), edge_tol)
+    grid = _grid(hz, phi, max_freqs)
+    factors = getattr(phi, "factors", None)
+    if measure.density is None and factors is not None:
+        return integrate_product(factors, grid, edge_tol)
+    return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 
 def _grid(hz: Homogenizer, phi, max_freqs=None) -> QuadratureGrid:
@@ -280,7 +294,9 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
 
     The quadrature box follows the composed integrand's support (the image
     of the support of phi under the inverse map); mass detected on the box
-    boundary raises :class:`SupportEscapeError`.
+    boundary raises :class:`SupportEscapeError`.  The composed integrand
+    keeps phi's factors when H_eps maps axis by axis
+    (``Action.pullback_factors``).
     """
     action = hz.action
     eps = action.group.validate(eps)
@@ -288,6 +304,7 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
         name=f"{phi.name}@{eps:g}",
         fn=lambda pts: phi(action.apply(eps, pts)),
         support=action.image_box(action.group.inverse(eps), phi.support),
+        factors=None if phi.factors is None else action.pullback_factors(eps, phi.factors),
     )
     return integrate(hz, composed, edge_tol=BOUNDARY_MASS_TOL)
 
@@ -376,14 +393,15 @@ class ConstructedMeasure:
     seed_weights: np.ndarray  # (K,)
     tail_cut: float = DEFAULT_TAIL_CUT
 
-    def _block_value(self, phi, params: np.ndarray, w: np.ndarray) -> tuple[complex, float, float]:
+    def _block_value(self, phi, params: np.ndarray, w: np.ndarray):
         """One-block contribution, the largest |phi| seen, the smallest orbit norm.
 
         phi sees the orbit points of many Haar nodes in one call, at most
         ``kernels.POINT_BUDGET`` of them (or one node's seed images).  Each
         node's seed sum is a row sum, the same whatever the budget, and the
         block total is one ``kernels.pairwise_dot`` over the node sums; all
-        stay in the dtype phi returns.
+        stay in the dtype phi returns.  A phi that returns a (J, M) stack
+        gives J totals and J peaks, each row reduced as phi's row alone.
         """
         k, dim = self.seed_nodes.shape
         step = max(1, kernels.POINT_BUDGET // k)
@@ -394,38 +412,53 @@ class ConstructedMeasure:
             part = params[start : start + step]
             images = self.action.apply(part[:, None], self.seed_nodes)
             min_norm = min(min_norm, float(np.min(np.linalg.norm(images, axis=2))))
-            values = np.asarray(phi(images.reshape(-1, dim))).reshape(len(part), k)
+            values = np.asarray(phi(images.reshape(-1, dim)))
+            values = values.reshape(values.shape[:-1] + (len(part), k))
             if not np.all(np.isfinite(values)):
                 raise ValueError("integrand returned non-finite values")
-            peak = max(peak, float(np.max(np.abs(values))))
-            node_sums.append(np.sum(values * self.seed_weights, axis=1))
+            if values.ndim == 2:
+                peak = max(peak, float(np.max(np.abs(values))))
+            else:
+                peak = np.maximum(peak, np.max(np.abs(values), axis=(1, 2)))
+            node_sums.append(np.sum(values * self.seed_weights, axis=-1))
         weights = w * self.action.group.weight(params)
-        total = kernels.pairwise_dot(weights, np.concatenate(node_sums))
+        total = kernels.pairwise_dot(weights, np.concatenate(node_sums, axis=-1))
         return total, peak, min_norm
 
-    def _sweep(self, phi, support_radius: float, nodes_per_unit: int) -> tuple[complex, float]:
+    def _sweep(self, phi, support_radius: float, nodes_per_unit: int):
         # Blocks descend from the tail cutoff; orbits run from the center
         # outward, so the sweep may stop only after they have crossed the
-        # integrand's bounding radius.
-        total = 0j
-        peak = 0.0
-        quiet = 0
+        # integrand's bounding radius.  Each row of a (J, M) stack stops
+        # where its own sweep would, and the sweep ends with the last row.
+        rows = None  # per row: [total, peak, quiet blocks]
         blocks = self.action.group.haar_blocks(self.tail_cut, nodes_per_unit, MAX_ORBIT_BLOCKS)
         for params, w in blocks:
             block, block_peak, min_norm = self._block_value(phi, params, w)
-            total += block
-            peak = max(peak, block_peak)
-            if min_norm > support_radius and abs(block) <= 1e-14 * (1.0 + abs(total)):
-                quiet += 1
-                if quiet >= 2:
-                    break
+            stacked = np.ndim(block) > 0
+            if stacked:
+                block, block_peak = block.tolist(), block_peak.tolist()
             else:
-                quiet = 0
+                block, block_peak = [block], [block_peak]
+            rows = rows or [[0j, 0.0, 0] for _ in block]
+            for row, value, value_peak in zip(rows, block, block_peak):
+                if row[2] >= 2:
+                    continue
+                row[0] += value
+                row[1] = max(row[1], value_peak)
+                if min_norm > support_radius and abs(value) <= 1e-14 * (1.0 + abs(row[0])):
+                    row[2] += 1
+                else:
+                    row[2] = 0
+            if all(row[2] >= 2 for row in rows):
+                break
         else:
             raise UnderResolvedError(
                 f"orbit sweep still contributing after {MAX_ORBIT_BLOCKS} blocks"
             )
-        return total, peak
+        total, peak, _ = zip(*rows)
+        if stacked:
+            return np.array(total, dtype=np.complex128), np.array(peak)
+        return total[0], peak[0]
 
     def pairing(self, phi: TestFunction) -> tuple[complex, float]:
         corners = np.abs(np.stack([np.asarray(phi.support.lows), np.asarray(phi.support.highs)]))
@@ -435,13 +468,13 @@ class ConstructedMeasure:
         estimate = abs(refined - value) + self.tail_cut * peak
         return refined, estimate
 
-    def as_homogenizer(self, grid_spec: GridSpec | None = None) -> Homogenizer:
+    def as_homogenizer(self) -> Homogenizer:
+        # no pairing of a constructed measure reads a grid
         group = self.action.group
         return Homogenizer(
             action=self.action,
             measure=self,
             factor_map=lambda eps: group.weight(group.inverse(eps)),
-            grid_spec=grid_spec or GridSpec(),
         )
 
 

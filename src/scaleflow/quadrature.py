@@ -535,13 +535,45 @@ def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[c
     """
     coarse, values = _integral_and_values(f, grid, keep=edge_tol is not None)
     if edge_tol is not None:
-        fraction = boundary_mass_fraction(values, grid)
-        if fraction > edge_tol:
-            raise SupportEscapeError(
-                f"{fraction:.2e} of the integrand mass sits on the grid boundary"
-            )
+        _check_edge(boundary_mass_fraction(values, grid), edge_tol)
     del values  # hold one grid's values at a time
     fine = integrate_on_grid(f, grid.refined())
+    return fine, abs(fine - coarse)
+
+
+def _check_edge(fraction: float, edge_tol: float) -> None:
+    if fraction > edge_tol:
+        raise SupportEscapeError(f"{fraction:.2e} of the integrand mass sits on the grid boundary")
+
+
+def integrate_product(factors, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
+    """:func:`integrate_with_refinement` of f(x) = prod_a f_a(x_a), for
+    per-axis ``factors`` f_a that take 1-D coordinate arrays.
+
+    A tensor rule applied to a product is the product of its axes' rules
+    (sum factorisation: Orszag, J. Comput. Phys. 37, 1980).  So factor a is
+    integrated on axis a's own 1-D grid, whose nodes and weights are the
+    grid's bit for bit, and on its doubled grid: n_a + 2 n_a evaluations,
+    against (1 + 2^d) prod_a n_a on the tensor grids.  With ``edge_tol``,
+    the |f| mass on the grid's outermost node layer is 1 - prod_a (1 - the
+    fraction on axis a's two end nodes), the fraction the tensor grid
+    reads.  In 1-D the results are :func:`integrate_with_refinement`'s bits.
+    """
+    axes = [QuadratureGrid(Box((lo,), (hi,)), (n,), grid.panel_order)
+            for lo, hi, n in zip(grid.box.lows, grid.box.highs, grid.nodes_per_axis)]
+    integrands = [lambda pts, f=f: f(*pts.coords()) for f in factors]
+    coarse, fraction, empty = [], 0.0, False
+    for f, axis in zip(integrands, axes):
+        value, values = _integral_and_values(f, axis, keep=edge_tol is not None)
+        coarse.append(value)
+        if edge_tol is not None:
+            # the recursion 1 - prod (1 - s_a), exact for one axis
+            fraction += (1.0 - fraction) * boundary_mass_fraction(values, axis)
+            empty = empty or not np.any(values)  # f vanishes on the grid: no mass
+    if edge_tol is not None and not empty:
+        _check_edge(fraction, edge_tol)
+    fine = [integrate_on_grid(f, axis.refined()) for f, axis in zip(integrands, axes)]
+    coarse, fine = (math.prod(v[1:], start=v[0]) for v in (coarse, fine))
     return fine, abs(fine - coarse)
 
 

@@ -18,8 +18,11 @@ from scaleflow import (
     GridSpec,
     Homogenizer,
     MeanFunction,
+    PointMass,
+    RGroup,
     TrigPolynomial,
     bump,
+    construct_measure,
     empirical_mean,
     gaussian,
     mean,
@@ -417,3 +420,17 @@ def test_stacked_sweep_has_the_bits_of_each_function_alone(name):
         assert repr((report.limit, report.fitted_order)) == repr((alone.limit, alone.fitted_order))
     # the translate moves the pairings, so the rows are not one function's thrice
     assert reports[0].rows[0]["value"] != reports[1].rows[0]["value"]
+
+
+def test_stacked_sweep_over_a_constructed_measure_matches_each_own_sweep():
+    # the orbit sweep of a constructed measure reduces each row of the
+    # (J, M) stack alone: every function's rows have the bits of its own sweep
+    action = DiagonalScaling((1,), group=RGroup("positive-multiplicative", 2.0))
+    hz = construct_measure(action, PointMass([1.0])).as_homogenizer()
+    u = MeanFunction.periodic_trig(SIN2)
+    functions = [u, u.translate([0.3]), MeanFunction.constant(2.0)]
+    phi, ladder = gaussian([0.5], 0.3), [0.5, 0.25]
+    together = empirical_mean(functions, hz, phi, ladder)
+    for function, report in zip(functions, together):
+        (alone,) = empirical_mean([function], hz, phi, ladder)
+        assert repr(report.rows) == repr(alone.rows)

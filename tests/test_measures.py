@@ -403,6 +403,32 @@ def test_constructed_measure_pairing_applies_parameter_columns(monkeypatch):
         assert 1 <= eps_shape[0] <= 1000 // k
 
 
+class _Stack:
+    """J test functions on one support, evaluated as one (J, M) stack."""
+
+    def __init__(self, rows, support):
+        self.rows, self.support = rows, support
+
+    def __call__(self, pts):
+        return np.stack([np.ravel(row(pts)) for row in self.rows])
+
+
+def test_constructed_measure_sweeps_each_row_of_a_stack_alone():
+    # rows 0 and 2 fall quiet once the orbits pass the Gaussian at 3, while
+    # row 1's mass near 1e6 keeps the sweep going: each row keeps the sums
+    # its own sweep stopped at, so row 0 never takes the 1e-26 far tail
+    # (about ten units in its last place) that its own sweep stops short of
+    _, _, measure = _half_line_setup()
+    g, far = gaussian([3.0], 0.5), gaussian([1e6], 2e5)
+    rows = [lambda p: g(p) + 1e-26 * far(p), far, lambda p: np.cos(p[:, 0]) * g(p)]
+    support = Box((2.5,), (3.5,))
+    values, estimates = measure.pairing(_Stack(rows, support))
+    assert values.shape == estimates.shape == (3,)
+    for row, value, estimate in zip(rows, values, estimates):
+        alone = measure.pairing(TestFunction("row", row, support))
+        assert repr((complex(value), float(estimate))) == repr(alone)
+
+
 def test_constructed_measure_rejects_center_support():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)

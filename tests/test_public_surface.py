@@ -74,6 +74,16 @@ def test_measure_fields_are_pinned():
         "action", "seed_nodes", "seed_weights", "tail_cut")
     assert [name for name in ("LEBESGUE", "WEIGHTED", "DIRAC")
             if hasattr(measures, name)] == []
+    # no constructed-measure pairing reads a grid, so none is passed in
+    assert list(inspect.signature(scaleflow.ConstructedMeasure.as_homogenizer).parameters) == [
+        "self"]
+
+
+def test_test_function_fields_are_pinned():
+    # factors, when set, are the per-axis callables whose product is fn: a
+    # Lebesgue pairing integrates them axis by axis
+    fields = tuple(f.name for f in dataclasses.fields(scaleflow.TestFunction))
+    assert fields == ("name", "fn", "support", "factors")
 
 
 def _unused_imports(path: pathlib.Path) -> list:
