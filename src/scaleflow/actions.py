@@ -184,9 +184,10 @@ class Action:
         return np.abs(self.matrix(eps)).T @ bound
 
     def pullback_factors(self, eps: float, factors):
-        """Per-axis factors of x -> f(H_eps x) for f(y) = prod_a
-        factors[a](y_a), or None when H_eps mixes the axes, as a general
-        linear map does."""
+        """Per-axis callables x_a -> factors[a]((H_eps x)_a), or None when
+        H_eps mixes the axes, as a general linear map does.  They compose
+        f(y) = prod_a factors[a](y_a) with H_eps, and so any f built axis by
+        axis, such as the bump's sum of radial terms."""
         return None
 
 

@@ -143,7 +143,7 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_homogenizer(cfg, action)
     ladder = cfg_mod.build_ladder(cfg, action.group)
-    battery = cfg_mod.build_battery(cfg, action.dimension)
+    battery = cfg_mod.build_battery(cfg, action.dimension, edge_checked=True)
     tol = cfg.get("tolerances", {}).get("rel", 1e-6)
     partials, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
     mult_defect = check_factor_multiplicative(hz, seed=cfg.get("seed", 0))

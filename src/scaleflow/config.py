@@ -321,10 +321,21 @@ def build_test_function(block: dict, dim: int, path: str) -> TestFunction:
         return (bump if kind == "bump" else mollifier)(center, block["width"], name)
 
 
-def build_battery(cfg: dict, dim: int) -> list:
+def build_battery(cfg: dict, dim: int, edge_checked: bool = False) -> list:
+    """The ``battery`` block's test functions, or the default battery.
+
+    With ``edge_checked`` (the homogeneity subcommand, whose Lebesgue
+    pushforwards judge the mass on the grid's boundary) a parabola is
+    rejected: its support is its exact box, so its edge nodes carry about
+    6 / n^2 of its mass and no grid passes the check.
+    """
     entries = cfg.get("battery")
     if not entries:
         return default_battery(dim)
+    for i, block in enumerate(entries):
+        if edge_checked and block["kind"] == "parabola":
+            raise ConfigError(f"battery[{i}]: a parabola's mass reaches its support's edge, "
+                              "so every Lebesgue pushforward's edge check rejects it")
     return [build_test_function(b, dim, f"battery[{i}]") for i, b in enumerate(entries)]
 
 

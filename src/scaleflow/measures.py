@@ -25,6 +25,8 @@ from .quadrature import (
     QuadratureGrid,
     SupportEscapeError,
     UnderResolvedError,
+    bump_on_grid,
+    integrate_bump,
     integrate_on_grid,
     integrate_product,
     integrate_with_refinement,
@@ -53,7 +55,9 @@ class TestFunction:
     ``fn`` gets an (M, N) array or a tensor grid's :class:`GridPoints`; its
     values come back raveled in C order, in the dtype the formula gives.
     ``factors`` is None or N elementwise callables on 1-D coordinate arrays
-    whose product is ``fn``.
+    whose product is ``fn``.  ``radial`` is None or N such callables q_a
+    with ``fn`` = g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0
+    otherwise: the quartic bump.
     """
 
     __test__ = False  # plain data, despite the pytest-like name
@@ -62,6 +66,7 @@ class TestFunction:
     fn: object
     support: Box
     factors: tuple | None = None
+    radial: tuple | None = None
 
     def __call__(self, pts) -> np.ndarray:
         if not isinstance(pts, GridPoints):
@@ -93,7 +98,12 @@ def gaussian(center, sigma: float, name: str | None = None) -> TestFunction:
 
 
 def bump(center, width: float, name: str | None = None) -> TestFunction:
-    """Compactly supported quartic bump (1 - (r/width)^2)^2 on a ball."""
+    """Compactly supported quartic bump (1 - (r/width)^2)^2 on a ball.
+
+    Its ``radial`` terms are ((x_a - c_a) / width)^2, whose sum is (r/width)^2,
+    so a Lebesgue pairing sums its last axis in closed form
+    (``quadrature.integrate_bump``); ``fn`` itself keeps the formula below.
+    """
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     box = Box(tuple(center - width), tuple(center + width))
 
@@ -103,7 +113,8 @@ def bump(center, width: float, name: str | None = None) -> TestFunction:
         np.subtract(1.0, np.minimum(r2, 1.0, out=r2), out=r2)
         return np.square(r2, out=r2)
 
-    return TestFunction(name or f"bump-{width:g}", fn, box)
+    radial = tuple(lambda x, c=c: ((x - c) / width) ** 2 for c in center)
+    return TestFunction(name or f"bump-{width:g}", fn, box, radial=radial)
 
 
 def triangle(center: float, width: float, name: str | None = None) -> TestFunction:
@@ -269,17 +280,21 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
     its boundary (:func:`integrate_with_refinement`).  Without a density, a
     phi with ``factors`` integrates on that grid axis by axis
-    (:func:`integrate_product`).  Every other measure pairs by its own
-    ``pairing``, without a grid.  A phi that returns a (J, M) stack pairs to
-    J values and J estimates.
+    (:func:`integrate_product`), and a phi with ``radial`` terms (the bump)
+    by prefix sums over the grid's last axis (:func:`integrate_bump`), each
+    with the grid's nodes, weights and edge check.  Every other measure
+    pairs by its own ``pairing``, without a grid.  A phi that returns a
+    (J, M) stack pairs to J values and J estimates.
     """
     measure = hz.measure
     if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
     grid = _grid(hz, phi, max_freqs)
-    factors = getattr(phi, "factors", None)
-    if measure.density is None and factors is not None:
-        return integrate_product(factors, grid, edge_tol)
+    if measure.density is None:
+        if getattr(phi, "factors", None) is not None:
+            return integrate_product(phi.factors, grid, edge_tol)
+        if getattr(phi, "radial", None) is not None:
+            return integrate_bump(phi.radial, grid, edge_tol)
     return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 
@@ -295,7 +310,7 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
     The quadrature box follows the composed integrand's support (the image
     of the support of phi under the inverse map); mass detected on the box
     boundary raises :class:`SupportEscapeError`.  The composed integrand
-    keeps phi's factors when H_eps maps axis by axis
+    keeps phi's factors and radial terms when H_eps maps axis by axis
     (``Action.pullback_factors``).
     """
     action = hz.action
@@ -305,6 +320,7 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
         fn=lambda pts: phi(action.apply(eps, pts)),
         support=action.image_box(action.group.inverse(eps), phi.support),
         factors=None if phi.factors is None else action.pullback_factors(eps, phi.factors),
+        radial=None if phi.radial is None else action.pullback_factors(eps, phi.radial),
     )
     return integrate(hz, composed, edge_tol=BOUNDARY_MASS_TOL)
 
@@ -529,7 +545,8 @@ def verify_center_null(hz: Homogenizer, radii=None) -> CenterNullReport:
 
     Only the masses are read, not their error estimates, so a
     :class:`Lebesgue` measure integrates on the doubled grid of
-    :func:`integrate` alone, to the same value.
+    :func:`integrate` alone, to the same value: without a density by the
+    bump's prefix sums (:func:`bump_on_grid`), else on the tensor grid.
     """
     if radii is None:
         radii = [2.0 ** (-n) for n in range(0, 8)]
@@ -538,7 +555,11 @@ def verify_center_null(hz: Homogenizer, radii=None) -> CenterNullReport:
     for rho in radii:
         phi = bump(center, rho, name=f"ball-{rho:g}")
         if isinstance(hz.measure, Lebesgue):
-            value = integrate_on_grid(hz.measure.weighted(phi), _grid(hz, phi).refined())
+            grid = _grid(hz, phi).refined()
+            if hz.measure.density is None:
+                value = bump_on_grid(phi.radial, grid)
+            else:
+                value = integrate_on_grid(hz.measure.weighted(phi), grid)
         else:
             value, _ = integrate(hz, phi)
         masses.append((float(rho), abs(value)))

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from scaleflow import cli, meanvalue
+from scaleflow import config as cfg_mod
 from scaleflow.cli import main
 from scaleflow.config import ConfigError, load_config, validate_config
 from scaleflow.meanvalue import empirical_mean
@@ -262,6 +263,12 @@ def test_missing_required_key_is_config_error(tmp_path, capsys, subcommand, over
 
 _PERIODIC = {"class": "periodic", "terms": [[[0.0], 0.5, 0.0], [[2.0], -0.25, 0.0]]}
 
+# a parabola's support is its exact box, so its edge nodes carry about
+# 6 / n^2 of its mass and every Lebesgue pushforward's edge check rejects it
+_PARABOLA_BATTERY = [{"kind": "gaussian", "center": [0.3], "sigma": 0.5},
+                     {"kind": "parabola", "box": [[0.0, 1.0]]}]
+
+
 # (subcommand, config overlay on BASE, path of the malformed entry)
 _MALFORMED_ENTRIES = [
     ("mean", {"mean": {"function": {"class": "periodic", "terms": [[[0.0], 0.5]]}}},
@@ -327,6 +334,7 @@ _MALFORMED_ENTRIES = [
      "mean.function.'dimension'"),
     ("homogeneity", {"grid": {"rule": "midpoint", "panel_order": 7}},
      "grid.panel_order: the midpoint rule has no panels"),
+    ("homogeneity", {"battery": _PARABOLA_BATTERY}, "battery[1]: a parabola"),
 ]
 
 
@@ -415,6 +423,14 @@ def test_cli_mean_point_mass_builds_no_grid(tmp_path):
     write_yaml(path, cfg)
     code = run_cli(["mean", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 0
+
+
+def test_construct_measure_battery_keeps_a_parabola():
+    # an orbit sweep judges no grid boundary, so only homogeneity rejects it
+    cfg = validate_config({**BASE, "battery": _PARABOLA_BATTERY})
+    assert [phi.name for phi in cfg_mod.build_battery(cfg, 1)] == ["gauss-0.5", "parabola"]
+    with pytest.raises(ConfigError, match=r"battery\[1\]: a parabola"):
+        cfg_mod.build_battery(cfg, 1, edge_checked=True)
 
 
 def test_cli_construct_uniform_seed_passes(tmp_path):

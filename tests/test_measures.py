@@ -450,12 +450,15 @@ def test_center_null_lebesgue_2d():
 
 def test_center_null_integrates_only_the_doubled_grid(monkeypatch):
     # no refinement estimate is read, so each ball takes the doubled grid of
-    # integrate alone, and its mass is integrate's value bit for bit
+    # integrate alone, by the bump's prefix sums and never on the tensor
+    # grid, and its mass is integrate's value bit for bit
     hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=64))
     grids = []
-    on_grid = measures.integrate_on_grid
+    on_bump = measures.bump_on_grid
+    monkeypatch.setattr(measures, "bump_on_grid",
+                        lambda terms, grid: grids.append(grid) or on_bump(terms, grid))
     monkeypatch.setattr(measures, "integrate_on_grid",
-                        lambda f, grid: grids.append(grid) or on_grid(f, grid))
+                        lambda f, grid: grids.append(("tensor grid", grid)))
     radii = [1.0, 0.5, 0.25]
     report = verify_center_null(hz, radii)
     assert [grid.nodes_per_axis for grid in grids] == [(128, 128)] * len(radii)

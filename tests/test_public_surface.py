@@ -81,9 +81,11 @@ def test_measure_fields_are_pinned():
 
 def test_test_function_fields_are_pinned():
     # factors, when set, are the per-axis callables whose product is fn: a
-    # Lebesgue pairing integrates them axis by axis
+    # Lebesgue pairing integrates them axis by axis; radial, when set, are
+    # the bump's per-axis terms q_a, fn = g(sum_a q_a): a Lebesgue pairing
+    # sums the last axis by prefix sums
     fields = tuple(f.name for f in dataclasses.fields(scaleflow.TestFunction))
-    assert fields == ("name", "fn", "support", "factors")
+    assert fields == ("name", "fn", "support", "factors", "radial")
 
 
 def _unused_imports(path: pathlib.Path) -> list:
