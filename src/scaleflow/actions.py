@@ -187,7 +187,7 @@ class Action:
         """Per-axis callables x_a -> factors[a]((H_eps x)_a), or None when
         H_eps mixes the axes, as a general linear map does.  They compose
         f(y) = prod_a factors[a](y_a) with H_eps, and so any f built axis by
-        axis, such as the bump's sum of radial terms."""
+        axis, such as the quartic bump's sum of per-axis terms."""
         return None
 
 

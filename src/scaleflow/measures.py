@@ -12,7 +12,7 @@ construction is checked by the same homogeneity battery as the built-ins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,13 +22,12 @@ from .quadrature import (
     Box,
     GridPoints,
     GridSpec,
+    Product,
     QuadratureGrid,
+    QuarticBump,
     SupportEscapeError,
     UnderResolvedError,
-    bump_on_grid,
-    integrate_bump,
-    integrate_on_grid,
-    integrate_product,
+    integrate_separable,
     integrate_with_refinement,
 )
 
@@ -44,8 +43,8 @@ MAX_ORBIT_BLOCKS = 120
 # -- test functions ----------------------------------------------------------
 # Each formula reads its points through kernels.coordinates, so it runs on an
 # (M, N) array of scattered points and on a tensor grid's GridPoints alike; a
-# product of per-axis factors costs one evaluation per node of each axis, and
-# a Lebesgue pairing integrates it axis by axis (quadrature.integrate_product).
+# separable one also keeps its per-axis parts, whose own tensor rule a
+# Lebesgue pairing applies (quadrature.integrate_separable).
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,8 @@ class TestFunction:
 
     ``fn`` gets an (M, N) array or a tensor grid's :class:`GridPoints`; its
     values come back raveled in C order, in the dtype the formula gives.
-    ``factors`` is None or N elementwise callables on 1-D coordinate arrays
-    whose product is ``fn``.  ``radial`` is None or N such callables q_a
-    with ``fn`` = g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0
-    otherwise: the quartic bump.
+    ``separable`` is None or ``fn`` again as a :class:`Product` or a
+    :class:`QuarticBump` of N elementwise callables on 1-D coordinate arrays.
     """
 
     __test__ = False  # plain data, despite the pytest-like name
@@ -65,8 +62,7 @@ class TestFunction:
     name: str
     fn: object
     support: Box
-    factors: tuple | None = None
-    radial: tuple | None = None
+    separable: Product | QuarticBump | None = None
 
     def __call__(self, pts) -> np.ndarray:
         if not isinstance(pts, GridPoints):
@@ -80,13 +76,13 @@ def _r2(pts, center) -> np.ndarray:
 
 
 def _product(name: str, factors, support: Box) -> TestFunction:
-    """The test function prod_a factors[a](x_a), its factors kept."""
+    """The test function prod_a factors[a](x_a), kept as a :class:`Product`."""
     factors = tuple(factors)
 
     def fn(pts):
         return math.prod(f(x) for f, x in zip(factors, kernels.coordinates(pts)))
 
-    return TestFunction(name, fn, support, factors)
+    return TestFunction(name, fn, support, Product(factors))
 
 
 def gaussian(center, sigma: float, name: str | None = None) -> TestFunction:
@@ -100,9 +96,9 @@ def gaussian(center, sigma: float, name: str | None = None) -> TestFunction:
 def bump(center, width: float, name: str | None = None) -> TestFunction:
     """Compactly supported quartic bump (1 - (r/width)^2)^2 on a ball.
 
-    Its ``radial`` terms are ((x_a - c_a) / width)^2, whose sum is (r/width)^2,
-    so a Lebesgue pairing sums its last axis in closed form
-    (``quadrature.integrate_bump``); ``fn`` itself keeps the formula below.
+    It is the :class:`QuarticBump` of the terms ((x_a - c_a) / width)^2, whose
+    sum is (r/width)^2, so a Lebesgue pairing sums its last axis in closed
+    form; ``fn`` itself keeps the formula below.
     """
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     box = Box(tuple(center - width), tuple(center + width))
@@ -113,8 +109,8 @@ def bump(center, width: float, name: str | None = None) -> TestFunction:
         np.subtract(1.0, np.minimum(r2, 1.0, out=r2), out=r2)
         return np.square(r2, out=r2)
 
-    radial = tuple(lambda x, c=c: ((x - c) / width) ** 2 for c in center)
-    return TestFunction(name or f"bump-{width:g}", fn, box, radial=radial)
+    terms = tuple(lambda x, c=c: ((x - c) / width) ** 2 for c in center)
+    return TestFunction(name or f"bump-{width:g}", fn, box, QuarticBump(terms))
 
 
 def triangle(center: float, width: float, name: str | None = None) -> TestFunction:
@@ -279,29 +275,19 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     phi's clipped support that resolves per-axis frequencies ``max_freqs``;
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
     its boundary (:func:`integrate_with_refinement`).  Without a density, a
-    phi with ``factors`` integrates on that grid axis by axis
-    (:func:`integrate_product`), and a phi with ``radial`` terms (the bump)
-    by prefix sums over the grid's last axis (:func:`integrate_bump`), each
-    with the grid's nodes, weights and edge check.  Every other measure
-    pairs by its own ``pairing``, without a grid.  A phi that returns a
-    (J, M) stack pairs to J values and J estimates.
+    phi whose ``separable`` is set takes its own tensor rule on that grid
+    (:func:`integrate_separable`), with the grid's nodes, weights and edge
+    check.  Every other measure pairs by its own ``pairing``, without a
+    grid.  A phi that returns a (J, M) stack pairs to J values and J
+    estimates.
     """
     measure = hz.measure
     if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
-    grid = _grid(hz, phi, max_freqs)
-    if measure.density is None:
-        if getattr(phi, "factors", None) is not None:
-            return integrate_product(phi.factors, grid, edge_tol)
-        if getattr(phi, "radial", None) is not None:
-            return integrate_bump(phi.radial, grid, edge_tol)
+    grid = hz.grid_spec.build(measure.clip(phi.support), max_freqs)
+    if measure.density is None and getattr(phi, "separable", None) is not None:
+        return integrate_separable(phi.separable, grid, edge_tol)
     return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
-
-
-def _grid(hz: Homogenizer, phi, max_freqs=None) -> QuadratureGrid:
-    # the grid a Lebesgue measure's pairing with phi is judged on (its
-    # refinement estimate takes the doubled grid too)
-    return hz.grid_spec.build(hz.measure.clip(phi.support), max_freqs)
 
 
 def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
@@ -310,17 +296,18 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
     The quadrature box follows the composed integrand's support (the image
     of the support of phi under the inverse map); mass detected on the box
     boundary raises :class:`SupportEscapeError`.  The composed integrand
-    keeps phi's factors and radial terms when H_eps maps axis by axis
-    (``Action.pullback_factors``).
+    stays separable, with phi's parts pulled back, when H_eps maps axis by
+    axis (``Action.pullback_factors``).
     """
     action = hz.action
     eps = action.group.validate(eps)
+    separable = phi.separable
+    parts = None if separable is None else action.pullback_factors(eps, separable.parts)
     composed = TestFunction(
         name=f"{phi.name}@{eps:g}",
         fn=lambda pts: phi(action.apply(eps, pts)),
         support=action.image_box(action.group.inverse(eps), phi.support),
-        factors=None if phi.factors is None else action.pullback_factors(eps, phi.factors),
-        radial=None if phi.radial is None else action.pullback_factors(eps, phi.radial),
+        separable=None if parts is None else replace(separable, parts=parts),
     )
     return integrate(hz, composed, edge_tol=BOUNDARY_MASS_TOL)
 
@@ -543,25 +530,16 @@ class CenterNullReport:
 def verify_center_null(hz: Homogenizer, radii=None) -> CenterNullReport:
     """Integrate smoothed ball indicators around the center for shrinking radii.
 
-    Only the masses are read, not their error estimates, so a
-    :class:`Lebesgue` measure integrates on the doubled grid of
-    :func:`integrate` alone, to the same value: without a density by the
-    bump's prefix sums (:func:`bump_on_grid`), else on the tensor grid.
+    Each ball is a :func:`bump` paired by :func:`integrate`, so every measure
+    takes its one pairing path; only the masses are read, not their error
+    estimates.
     """
     if radii is None:
         radii = [2.0 ** (-n) for n in range(0, 8)]
     center = hz.action.center()
     masses = []
     for rho in radii:
-        phi = bump(center, rho, name=f"ball-{rho:g}")
-        if isinstance(hz.measure, Lebesgue):
-            grid = _grid(hz, phi).refined()
-            if hz.measure.density is None:
-                value = bump_on_grid(phi.radial, grid)
-            else:
-                value = integrate_on_grid(hz.measure.weighted(phi), grid)
-        else:
-            value, _ = integrate(hz, phi)
+        value, _ = integrate(hz, bump(center, rho, name=f"ball-{rho:g}"))
         masses.append((float(rho), abs(value)))
     values = [m for _, m in masses]
     trivial = values[-1] > 0.5 * values[0] and values[0] > 0.0

@@ -23,12 +23,6 @@ returns its values at a block's M nodes, in any shape of that size, or a
 (J, M) stack of the values of J integrands on the same nodes; a stack
 integrates to J values, row j to the bits of its own integral.
 
-A grid builds one full block's weights once, read-only.  Every panel of
-the leading axis has the same weights, so the weights of rows [start,
-stop) with start on a panel edge are a prefix of that block's; a block
-that starts inside a panel (a one-panel Gauss axis cut into blocks) has
-its weights built anew.
-
 A grid hands its points to integrands as :class:`GridPoints`, one node
 vector per axis: formulas that factor by axis read ``coords()`` and never
 build the (n^d, d) point array; ``np.asarray`` builds it for any other use.
@@ -349,11 +343,9 @@ class QuadratureGrid:
         """The nodes of leading-axis rows [start, stop) as :class:`GridPoints`
         and their weights raveled in C order; by default the whole grid.
 
-        The weights are the rows' slice of the whole grid's, bit for bit: a
-        read-only prefix of the grid's first row block when ``start`` is on a
-        panel edge and the rows fit in that block, else built anew.  A split
-        leading axis (see ``_axis_rule``) is cut on panel edges only, and the
-        block carries the split of its own panels.
+        The weights are the rows' slice of the whole grid's, bit for bit.  A
+        split leading axis (see ``_axis_rule``) is cut on panel edges only,
+        and the block carries the split of its own panels.
         """
         nodes, weights, (lead, *_) = zip(*self.axes())
         rows = len(nodes[0])
@@ -366,20 +358,7 @@ class QuadratureGrid:
                 raise ValueError(f"rows [{start}, {stop}) cut a panel of {panel} nodes")
             lead = (lead[0][start // panel : stop // panel], lead[1])
         pts = GridPoints((nodes[0][start:stop], *nodes[1:]), lead)
-        block = self._block_weights
-        size = pts.shape[0]
-        if start % self.panel_order == 0 and size <= len(block):
-            return pts, block[:size]
         return pts, _outer_weights(weights[0][start:stop], weights[1:])
-
-    @functools.cached_property
-    def _block_weights(self) -> np.ndarray:
-        # the weights of the first row block, raveled; every panel of the
-        # leading axis repeats the first one's weights (``_axis_rule``)
-        _, weights, _ = zip(*self.axes())
-        block = _outer_weights(weights[0][: _row_blocks(self)[0][1]], weights[1:])
-        block.flags.writeable = False
-        return block
 
     def refined(self) -> "QuadratureGrid":
         """The grid with twice the nodes on every axis."""
@@ -546,84 +525,94 @@ def _check_edge(fraction: float, edge_tol: float) -> None:
         raise SupportEscapeError(f"{fraction:.2e} of the integrand mass sits on the grid boundary")
 
 
-def integrate_product(factors, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
-    """:func:`integrate_with_refinement` of f(x) = prod_a f_a(x_a), for
-    per-axis ``factors`` f_a that take 1-D coordinate arrays.
+def integrate_separable(separable, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
+    """:func:`integrate_with_refinement` of a separable integrand, a
+    :class:`Product` or a :class:`QuarticBump`, by its own tensor rule on
+    the grid and on the doubled grid, with the tensor grid's nodes, weights
+    and edge check.
+
+    With ``edge_tol``, the rule's outer-layer mass fraction on the coarse
+    grid is judged before the fine grid is evaluated.
+    """
+    coarse, fraction = separable.tensor_rule(grid, edge=edge_tol is not None)
+    if edge_tol is not None:
+        _check_edge(fraction, edge_tol)
+    fine, _ = separable.tensor_rule(grid.refined())
+    return fine, abs(fine - coarse)
+
+
+@dataclass(frozen=True)
+class Product:
+    """f(x) = prod_a f_a(x_a), for per-axis ``parts`` f_a that take 1-D
+    coordinate arrays.
 
     A tensor rule applied to a product is the product of its axes' rules
-    (sum factorisation: Orszag, J. Comput. Phys. 37, 1980).  So factor a is
+    (sum factorisation: Orszag, J. Comput. Phys. 37, 1980).  So part a is
     integrated on axis a's own 1-D grid, whose nodes and weights are the
-    grid's bit for bit, and on its doubled grid: n_a + 2 n_a evaluations,
-    against (1 + 2^d) prod_a n_a on the tensor grids.  With ``edge_tol``,
-    the |f| mass on the grid's outermost node layer is 1 - prod_a (1 - the
-    fraction on axis a's two end nodes), the fraction the tensor grid
-    reads.  In 1-D the results are :func:`integrate_with_refinement`'s bits.
+    grid's bit for bit: n_a evaluations against prod_a n_a on the tensor
+    grid.  In 1-D the value is :func:`integrate_on_grid`'s bits.
     """
-    axes = [QuadratureGrid(Box((lo,), (hi,)), (n,), grid.panel_order)
-            for lo, hi, n in zip(grid.box.lows, grid.box.highs, grid.nodes_per_axis)]
-    integrands = [lambda pts, f=f: f(*pts.coords()) for f in factors]
-    coarse, fraction, empty = [], 0.0, False
-    for f, axis in zip(integrands, axes):
-        value, values = _integral_and_values(f, axis, keep=edge_tol is not None)
-        coarse.append(value)
-        if edge_tol is not None:
-            # the recursion 1 - prod (1 - s_a), exact for one axis
-            fraction += (1.0 - fraction) * boundary_mass_fraction(values, axis)
-            empty = empty or not np.any(values)  # f vanishes on the grid: no mass
-    if edge_tol is not None and not empty:
-        _check_edge(fraction, edge_tol)
-    fine = [integrate_on_grid(f, axis.refined()) for f, axis in zip(integrands, axes)]
-    coarse, fine = (math.prod(v[1:], start=v[0]) for v in (coarse, fine))
-    return fine, abs(fine - coarse)
+
+    parts: tuple
+
+    def tensor_rule(self, grid: QuadratureGrid, edge: bool = False) -> tuple[complex, float]:
+        """The grid's rule applied to f and, with ``edge``, the fraction of
+        the |f| mass on the grid's outermost node layer (else 0): 1 -
+        prod_a (1 - the fraction on axis a's two end nodes), the tensor
+        grid's own, and 0 when a part vanishes on its axis."""
+        values, fraction, empty = [], 0.0, False
+        for f, lo, hi, n in zip(self.parts, grid.box.lows, grid.box.highs, grid.nodes_per_axis):
+            axis = QuadratureGrid(Box((lo,), (hi,)), (n,), grid.panel_order)
+            value, nodes = _integral_and_values(lambda pts: f(*pts.coords()), axis, keep=edge)
+            values.append(value)
+            if edge:
+                # the recursion 1 - prod (1 - s_a), exact for one axis
+                fraction += (1.0 - fraction) * boundary_mass_fraction(nodes, axis)
+                empty = empty or not np.any(nodes)
+        return math.prod(values[1:], start=values[0]), 0.0 if empty else fraction
 
 
-def _bump_sum(terms, axes) -> complex:
-    """The tensor rule on ``axes``, (nodes, weights) per axis, applied to
-    g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0 otherwise, with
-    q_a = ``terms[a]``.
+@dataclass(frozen=True)
+class QuarticBump:
+    """f(x) = g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0 otherwise,
+    for per-axis ``parts`` q_a that take 1-D coordinate arrays.
 
-    With tau = 1 - sum_(a<d) q_a at a node of the leading axes, the last
-    axis's nodes y_j of weight v_j and p_j = q_d(y_j) sum to
-    sum_(p_j < tau) v_j (tau - p_j)^2 = tau^2 M0 - 2 tau M1 + M2, where M_k
-    are prefix sums of v_j p_j^k over the nodes sorted by p.  The leading
-    axes are then contracted with their weights by one ``pairwise_dot``.
+    Its tensor rule sums the last axis in closed form: with tau = 1 -
+    sum_(a<d) q_a at a node of the leading axes, the last axis's nodes y_j
+    of weight v_j and p_j = q_d(y_j) sum to sum_(p_j < tau) v_j (tau -
+    p_j)^2 = tau^2 M0 - 2 tau M1 + M2, where M_k are prefix sums of v_j
+    p_j^k over the nodes sorted by p.  So a grid costs O(n^(d-1) log n)
+    instead of O(n^d).
     """
-    *lead, (y, v) = axes
-    p = np.asarray(terms[-1](y), dtype=np.float64)
-    order = np.argsort(p, kind="stable")
-    p, v = p[order], v[order]
-    m0, m1, m2 = (np.concatenate(([0.0], np.cumsum(v * p**k))) for k in range(3))
-    tau = np.ravel(1.0 - sum(_spanning([q(x) for q, (x, _) in zip(terms, lead)])))
-    below = np.searchsorted(p, tau)  # the count of p_j < tau
-    sums = tau * tau * m0[below] - 2.0 * tau * m1[below] + m2[below]
-    weights = _outer_weights(lead[0][1], [w for _, w in lead[1:]]) if lead else np.ones(1)
-    return kernels.pairwise_dot(weights, sums)
 
+    parts: tuple
 
-def bump_on_grid(terms, grid: QuadratureGrid) -> complex:
-    """:func:`integrate_on_grid` of the bump g(sum_a q_a(x_a)) of
-    :func:`integrate_bump`, on the grid's nodes and weights."""
-    return _bump_sum(terms, [(nodes, weights) for nodes, weights, _ in grid.axes()])
+    def tensor_rule(self, grid: QuadratureGrid, edge: bool = False) -> tuple[complex, float]:
+        """The grid's rule applied to f and, with ``edge``, the fraction of
+        its mass on the grid's outermost node layer (else 0): the total
+        minus the total on the axes with their two end nodes dropped.  f is
+        nonnegative, so this is the tensor grid's |f| fraction, and 0 when
+        the total is 0."""
+        axes = [(nodes, weights) for nodes, weights, _ in grid.axes()]
+        total = self._sum(axes)
+        if not edge or total == 0:
+            return total, 0.0
+        inner = self._sum([(x[1:-1], w[1:-1]) for x, w in axes])
+        return total, (total.real - inner.real) / total.real
 
-
-def integrate_bump(terms, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
-    """:func:`integrate_with_refinement` of the quartic bump f(x) =
-    g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0 otherwise, for
-    per-axis ``terms`` q_a that take 1-D coordinate arrays.
-
-    The last axis is summed in closed form from prefix sums (see
-    ``_bump_sum``), so a grid costs O(n^(d-1) log n) instead of O(n^d),
-    with the tensor grid's nodes and weights.  With ``edge_tol``, the mass
-    on the grid's outermost node layer is the total minus the total on the
-    axes with their two end nodes dropped: f is nonnegative, so this is the
-    tensor grid's |f| fraction, and 0 when the total is 0.
-    """
-    coarse = bump_on_grid(terms, grid)
-    if edge_tol is not None:
-        inner = _bump_sum(terms, [(x[1:-1], w[1:-1]) for x, w, _ in grid.axes()])
-        _check_edge(0.0 if coarse == 0 else (coarse.real - inner.real) / coarse.real, edge_tol)
-    fine = bump_on_grid(terms, grid.refined())
-    return fine, abs(fine - coarse)
+    def _sum(self, axes) -> complex:
+        # the tensor rule on axes, (nodes, weights) per axis; the leading
+        # axes are contracted with their weights by one pairwise_dot
+        *lead, (y, v) = axes
+        p = np.asarray(self.parts[-1](y), dtype=np.float64)
+        order = np.argsort(p, kind="stable")
+        p, v = p[order], v[order]
+        m0, m1, m2 = (np.concatenate(([0.0], np.cumsum(v * p**k))) for k in range(3))
+        tau = np.ravel(1.0 - sum(_spanning([q(x) for q, (x, _) in zip(self.parts, lead)])))
+        below = np.searchsorted(p, tau)  # the count of p_j < tau
+        sums = tau * tau * m0[below] - 2.0 * tau * m1[below] + m2[below]
+        weights = _outer_weights(lead[0][1], [w for _, w in lead[1:]]) if lead else np.ones(1)
+        return kernels.pairwise_dot(weights, sums)
 
 
 def _weighted_total(mass: np.ndarray, weights) -> float:

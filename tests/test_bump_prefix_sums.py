@@ -4,7 +4,9 @@ The bump is g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1, so the tensor
 rule's sum over the last axis is tau^2 M0 - 2 tau M1 + M2 from prefix sums
 M_k of v_j p_j^k.  The oracles are the tensor-grid path itself (the same
 bump with its radial terms dropped), the closed-form bump mass and the
-outer-layer mass fraction of the full tensor grid.
+outer-layer mass fraction of the full tensor grid.  The product test
+functions, the other separable integrands, are tested in
+test_sum_factorisation.py.
 """
 
 import dataclasses
@@ -28,7 +30,13 @@ from scaleflow import (
 )
 from scaleflow import measures, quadrature
 from scaleflow.measures import Lebesgue
-from scaleflow.quadrature import Box, QuadratureGrid, integrate_bump, integrate_with_refinement
+from scaleflow.quadrature import (
+    Box,
+    QuadratureGrid,
+    QuarticBump,
+    integrate_separable,
+    integrate_with_refinement,
+)
 
 CENTER = (0.3, -0.2, 0.1)
 EXPONENTS = (1, 2, 3)
@@ -39,8 +47,8 @@ RULES = {"midpoint": 1, "gauss": 16}
 
 
 def _plain(phi: TestFunction) -> TestFunction:
-    # the same bump without its radial terms, so it takes the tensor-grid path
-    return dataclasses.replace(phi, radial=None)
+    # the same bump without its terms, so it takes the tensor-grid path
+    return dataclasses.replace(phi, separable=None)
 
 
 def _close(got, expected, scale) -> bool:
@@ -54,7 +62,7 @@ def test_bump_path_agrees_with_the_tensor_grid(dim, rule):
     # paths are judged against a looser edge tolerance than the pushforward's
     phi = bump(CENTER[:dim], 1.3)
     grid = QuadratureGrid(phi.support, NODES[dim], RULES[rule])
-    value, estimate = integrate_bump(phi.radial, grid, 1e-4)
+    value, estimate = integrate_separable(phi.separable, grid, 1e-4)
     grid_value, grid_estimate = integrate_with_refinement(phi, grid, 1e-4)
     assert _close(value, grid_value, grid_value)
     assert _close(estimate, grid_estimate, grid_value)
@@ -90,9 +98,9 @@ def test_bump_clipped_by_the_domain_agrees_with_the_tensor_grid(monkeypatch, dim
     hz = Homogenizer(DiagonalScaling((1,) * dim), Lebesgue(domain=domain), lambda eps: 1.0, spec)
     phi = bump(CENTER[:dim], 1.3)
     calls = []
-    on_bump = measures.integrate_bump
-    monkeypatch.setattr(measures, "integrate_bump",
-                        lambda *args: calls.append(args) or on_bump(*args))
+    on_separable = measures.integrate_separable
+    monkeypatch.setattr(measures, "integrate_separable",
+                        lambda *args: calls.append(args) or on_separable(*args))
     value, estimate = integrate(hz, phi)
     assert len(calls) == 1 and calls[0][1].box.lows == (0.0,) * dim
     grid_value, grid_estimate = integrate(hz, _plain(phi))
@@ -130,12 +138,12 @@ def test_edge_fraction_is_the_tensor_grids_own():
     fraction = quadrature.boundary_mass_fraction(phi(pts), grid)
     assert fraction > 1e-6
     with pytest.raises(SupportEscapeError):
-        integrate_bump(phi.radial, grid, edge_tol=fraction * (1.0 - 1e-9))
-    value, _ = integrate_bump(phi.radial, grid, edge_tol=fraction * (1.0 + 1e-9))
+        integrate_separable(phi.separable, grid, edge_tol=fraction * (1.0 - 1e-9))
+    value, _ = integrate_separable(phi.separable, grid, edge_tol=fraction * (1.0 + 1e-9))
     assert _close(value, quadrature.integrate_on_grid(phi, grid.refined()), value)
     # a box the ball misses: no mass, so nothing to judge
     far = QuadratureGrid(Box((2.0, 2.0), (3.0, 3.0)), (16, 16))
-    assert integrate_bump(phi.radial, far, edge_tol=1e-6) == (0.0, 0.0)
+    assert integrate_separable(phi.separable, far, edge_tol=1e-6) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -165,7 +173,7 @@ def test_each_axis_is_evaluated_on_its_own_nodes_only():
         raise AssertionError("the bump path evaluated the tensor grid")
 
     phi = TestFunction("counted", opaque, Box((-1.0, -1.0), (1.0, 1.0)),
-                       radial=(counting(0), counting(1)))
+                       QuarticBump((counting(0), counting(1))))
     hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=512))
     value, _ = pushforward_pairing(hz, 1.0, phi)
     assert value == pytest.approx(math.pi / 3.0, rel=1e-9)
@@ -186,7 +194,7 @@ def test_homogeneity_fails_when_the_radial_pullback_drops_its_scale(monkeypatch)
 
 
 def test_mixing_actions_keep_the_tensor_grid_path(monkeypatch):
-    # a shear mixes the axes: no radial terms, so the composed bump is
+    # a shear mixes the axes: no bump terms, so the composed bump is
     # evaluated on the tensor grid, and Lebesgue measure is still invariant
     shear = LinearFamily(RGroup("real-additive"), 2, lambda e: np.array([[1.0, e], [0.0, 1.0]]))
     hz = Homogenizer.lebesgue(shear, GridSpec(base_nodes=256))
@@ -195,7 +203,7 @@ def test_mixing_actions_keep_the_tensor_grid_path(monkeypatch):
     on_grid = measures.integrate_with_refinement
     monkeypatch.setattr(measures, "integrate_with_refinement",
                         lambda f, grid, tol: grids.append(grid) or on_grid(f, grid, tol))
-    monkeypatch.setattr(measures, "integrate_bump", None)  # never reached
+    monkeypatch.setattr(measures, "integrate_separable", None)  # never reached
     value, _ = pushforward_pairing(hz, 0.5, phi)
     assert len(grids) == 1
     assert abs(value - math.pi / 3.0) <= 1e-6

@@ -448,23 +448,27 @@ def test_center_null_lebesgue_2d():
         assert mass == pytest.approx(math.pi * rho**2 / 3.0, rel=1e-6)
 
 
-def test_center_null_integrates_only_the_doubled_grid(monkeypatch):
-    # no refinement estimate is read, so each ball takes the doubled grid of
-    # integrate alone, by the bump's prefix sums and never on the tensor
-    # grid, and its mass is integrate's value bit for bit
-    hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=64))
-    grids = []
-    on_bump = measures.bump_on_grid
-    monkeypatch.setattr(measures, "bump_on_grid",
-                        lambda terms, grid: grids.append(grid) or on_bump(terms, grid))
-    monkeypatch.setattr(measures, "integrate_on_grid",
-                        lambda f, grid: grids.append(("tensor grid", grid)))
+def test_center_null_masses_are_integrates_values(monkeypatch):
+    # each ball is paired by integrate, whatever the measure, so its mass is
+    # integrate's value bit for bit, with or without a density
     radii = [1.0, 0.5, 0.25]
-    report = verify_center_null(hz, radii)
-    assert [grid.nodes_per_axis for grid in grids] == [(128, 128)] * len(radii)
-    for (rho, mass), radius in zip(report.masses, radii):
-        value, _ = integrate(hz, bump(hz.action.center(), radius))
-        assert rho == radius and mass == abs(value)
+    spec = GridSpec(base_nodes=64)
+    lebesgue = Homogenizer.lebesgue(DiagonalScaling((1, 1)), spec)
+    weighted = Homogenizer.weighted_power(DiagonalScaling((1,)), power=1.0, grid_spec=spec)
+    for hz in (lebesgue, weighted):
+        report = verify_center_null(hz, radii)
+        for (rho, mass), radius in zip(report.masses, radii):
+            value, _ = integrate(hz, bump(hz.action.center(), radius))
+            assert rho == radius and mass == abs(value)
+    # a Lebesgue ball without a density takes the bump's own tensor rule,
+    # never the tensor grid
+    masses = verify_center_null(lebesgue, radii).masses
+
+    def tensor_grid(*args):
+        raise AssertionError("a ball reached the tensor grid")
+
+    monkeypatch.setattr(measures, "integrate_with_refinement", tensor_grid)
+    assert verify_center_null(lebesgue, radii).masses == masses
 
 
 def test_center_null_weighted_density():

@@ -80,12 +80,15 @@ def test_measure_fields_are_pinned():
 
 
 def test_test_function_fields_are_pinned():
-    # factors, when set, are the per-axis callables whose product is fn: a
-    # Lebesgue pairing integrates them axis by axis; radial, when set, are
-    # the bump's per-axis terms q_a, fn = g(sum_a q_a): a Lebesgue pairing
-    # sums the last axis by prefix sums
+    # separable, when set, is fn again as a quadrature.Product or
+    # QuarticBump of per-axis parts, whose own tensor rule a Lebesgue
+    # pairing applies through the one driver, integrate_separable
     fields = tuple(f.name for f in dataclasses.fields(scaleflow.TestFunction))
-    assert fields == ("name", "fn", "support", "factors", "radial")
+    assert fields == ("name", "fn", "support", "separable")
+    assert [name for name in ("integrate_product", "integrate_bump", "bump_on_grid")
+            if hasattr(quadrature, name)] == []
+    # every row block's weights are built as one outer product, not cached
+    assert not hasattr(scaleflow.QuadratureGrid, "_block_weights")
 
 
 def _unused_imports(path: pathlib.Path) -> list:

@@ -569,7 +569,7 @@ def test_points_and_weights_slices_concatenate_to_the_whole_grid(name):
 # grids whose row blocks take their weights from the cached first block:
 # midpoint, split Gauss, a one-panel Gauss axis whose second block starts
 # inside its only panel, and a 3-D grid
-CACHED_WEIGHT_GRIDS = {
+WEIGHT_GRIDS = {
     "midpoint-1024^2": QuadratureGrid(Box((-1.0, -1.0), (1.0, 2.0)), 1024),
     "gauss-512^2": QuadratureGrid(Box((0.0, -0.5), (1.0, 0.5)), 512, panel_order=16),
     "one-panel-16x8192": QuadratureGrid(Box((0.0, 0.0), (1.0, 3.0)), (16, 8192), panel_order=16),
@@ -586,22 +586,12 @@ def _outer_slice(grid, start, stop):
     return np.asarray(w).ravel()
 
 
-@pytest.mark.parametrize("name", sorted(CACHED_WEIGHT_GRIDS))
+@pytest.mark.parametrize("name", sorted(WEIGHT_GRIDS))
 def test_block_weights_have_the_bits_of_the_outer_product(name):
-    grid = CACHED_WEIGHT_GRIDS[name]
+    grid = WEIGHT_GRIDS[name]
     blocks = _row_blocks(grid)
     assert len(blocks) > 1
     for start, stop in [*blocks, (0, len(grid.axes()[0][0]))]:
         _, w = grid.points_and_weights(start, stop)
         expected = _outer_slice(grid, start, stop)
         assert w.dtype == expected.dtype and w.tobytes() == expected.tobytes(), (start, stop)
-    cached = grid._block_weights
-    assert not cached.flags.writeable
-    assert np.shares_memory(grid.points_and_weights(*blocks[0])[1], cached)
-    with pytest.raises(ValueError):
-        cached[0] = 0.0
-    if name == "one-panel-16x8192":
-        # the block [8, 16) starts mid-panel: a prefix of the cache is wrong there
-        assert blocks == [(0, 8), (8, 16)]
-        size = 8 * 8192
-        assert cached[:size].tobytes() != _outer_slice(grid, 8, 16).tobytes()

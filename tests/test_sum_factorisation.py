@@ -3,7 +3,8 @@
 A tensor rule applied to f(x) = prod_a f_a(x_a) is the product of the 1-D
 rules on each axis.  The oracles are the tensor-grid path itself (the same
 test function with its factors dropped), closed-form Gaussian masses and
-the outer-layer mass fraction of the full tensor grid.
+the outer-layer mass fraction of the full tensor grid.  The quartic bump,
+the other separable integrand, is tested in test_bump_prefix_sums.py.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from scaleflow import (
     verify_homogeneity,
 )
 from scaleflow import quadrature
-from scaleflow.quadrature import Box, QuadratureGrid, integrate_product
+from scaleflow.quadrature import Box, Product, QuadratureGrid, integrate_separable
 
 SPECS = {
     "midpoint": GridSpec(base_nodes=96),
@@ -38,7 +39,7 @@ SPECS = {
 
 def _plain(phi: TestFunction) -> TestFunction:
     # the same function without its factors, so it takes the tensor-grid path
-    return dataclasses.replace(phi, factors=None)
+    return dataclasses.replace(phi, separable=None)
 
 
 def _functions(dim: int) -> list:
@@ -117,12 +118,12 @@ def test_edge_fraction_is_the_tensor_grids_own():
     fraction = quadrature.boundary_mass_fraction(phi(pts), grid)
     assert fraction > 1e-6
     with pytest.raises(SupportEscapeError):
-        integrate_product(phi.factors, grid, edge_tol=fraction * (1.0 - 1e-12))
-    value, _ = integrate_product(phi.factors, grid, edge_tol=fraction * (1.0 + 1e-12))
+        integrate_separable(phi.separable, grid, edge_tol=fraction * (1.0 - 1e-12))
+    value, _ = integrate_separable(phi.separable, grid, edge_tol=fraction * (1.0 + 1e-12))
     assert value == pytest.approx(quadrature.integrate_on_grid(phi, grid.refined()), rel=1e-13)
     # a factor that vanishes on its axis leaves the tensor grid no mass at all
-    vanishing = (phi.factors[0], np.zeros_like)
-    assert integrate_product(vanishing, grid, edge_tol=1e-6) == (0.0, 0.0)
+    vanishing = Product((phi.separable.parts[0], np.zeros_like))
+    assert integrate_separable(vanishing, grid, edge_tol=1e-6) == (0.0, 0.0)
 
 
 def test_each_axis_is_evaluated_on_its_own_nodes_only():
@@ -141,7 +142,7 @@ def test_each_axis_is_evaluated_on_its_own_nodes_only():
         raise AssertionError("the product path evaluated the tensor grid")
 
     phi = TestFunction("counted", opaque, Box((-6.0, -6.0), (6.0, 6.0)),
-                       (counting(0), counting(1)))
+                       Product((counting(0), counting(1))))
     hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=48))
     value, _ = pushforward_pairing(hz, 1.0, phi)
     assert value == pytest.approx(math.pi, rel=1e-12)
