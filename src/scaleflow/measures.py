@@ -290,7 +290,28 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 
-def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
+class _Pushforwards:
+    """The integrands x -> phi(H_eps x), one per element of ``eps``, as one
+    (J, M) stack: H maps the points under all J elements in one
+    ``Action.apply`` call and phi is called once on the images, so row j
+    has the bits of the integrand of element j alone wherever a batched
+    apply has the bits of single calls.  ``support`` holds one box per
+    row, the image of phi's support under the inverse map."""
+
+    def __init__(self, phi: TestFunction, action: Action, eps: np.ndarray):
+        self.phi, self.action, self.eps = phi, action, eps  # eps: (J,) validated elements
+
+    @property
+    def support(self) -> tuple:
+        inverse, box = self.action.group.inverse, self.phi.support
+        return tuple(self.action.image_box(inverse(e), box) for e in self.eps.tolist())
+
+    def __call__(self, pts) -> np.ndarray:
+        images = self.action.apply(self.eps[:, None], pts)
+        return self.phi(images.reshape(-1, images.shape[-1])).reshape(len(self.eps), -1)
+
+
+def pushforward_pairing(hz: Homogenizer, eps, phi: TestFunction):
     """Quadrature of x -> phi(H_eps(x)) against the measure.
 
     The quadrature box follows the composed integrand's support (the image
@@ -298,9 +319,26 @@ def pushforward_pairing(hz: Homogenizer, eps: float, phi: TestFunction):
     boundary raises :class:`SupportEscapeError`.  The composed integrand
     stays separable, with phi's parts pulled back, when H_eps maps axis by
     axis (``Action.pullback_factors``).
+
+    ``eps`` is one group element or a 1-D array of them, as ``Action.apply``
+    takes; for an array, value and estimate are arrays over it, entry j
+    with the bits of the call at element j.  A :class:`Lebesgue` measure
+    pairs each element on its own grid; every other measure pairs them all
+    as one (J, M) stack by one :func:`integrate`, so a constructed measure
+    sweeps its orbits once for the whole array.
     """
+    eps = hz.action.group.validate(eps)
+    if not np.ndim(eps):
+        return _pushforward(hz, eps, phi)
+    if not isinstance(hz.measure, Lebesgue):
+        return integrate(hz, _Pushforwards(phi, hz.action, eps))
+    values, estimates = zip(*(_pushforward(hz, e, phi) for e in eps.tolist()))
+    return np.array(values, dtype=np.complex128), np.array(estimates)
+
+
+def _pushforward(hz: Homogenizer, eps: float, phi: TestFunction):
+    # pushforward_pairing at one validated element
     action = hz.action
-    eps = action.group.validate(eps)
     separable = phi.separable
     parts = None if separable is None else action.pullback_factors(eps, separable.parts)
     composed = TestFunction(
@@ -331,13 +369,15 @@ def verify_homogeneity(
     Also checks the factor decays along the ladder (ordered toward the
     group infimum): strictly decreasing and at least halved overall, which
     together with the certified multiplicativity forces the vanishing limit.
+    Each battery entry pairs its pushforwards along the whole ladder by one
+    :func:`pushforward_pairing` call.
     """
     rows = []
     ok = True
     for phi in battery:
         base, base_est = integrate(hz, phi)
-        for eps in ladder:
-            lhs, lhs_est = pushforward_pairing(hz, eps, phi)
+        lhs_all, lhs_ests = pushforward_pairing(hz, np.asarray(ladder), phi)
+        for eps, lhs, lhs_est in zip(ladder, lhs_all.tolist(), lhs_ests.tolist()):
             c = float(hz.factor_map(eps))
             rhs = c * base
             scale = max(abs(rhs), 1e-300)
@@ -381,6 +421,12 @@ def check_factor_multiplicative(hz: Homogenizer, sample_count: int = 128, seed: 
 # -- the constructive measure --------------------------------------------------
 
 
+def _bounding_radius(box: Box) -> float:
+    """Radius of the smallest origin-centred ball that holds ``box``."""
+    corners = np.abs(np.stack([np.asarray(box.lows), np.asarray(box.highs)]))
+    return float(np.linalg.norm(np.max(corners, axis=0)))
+
+
 @dataclass
 class ConstructedMeasure:
     """Measure built by pairing orbits of a seed measure with weighted Haar mass.
@@ -396,18 +442,19 @@ class ConstructedMeasure:
     seed_weights: np.ndarray  # (K,)
     tail_cut: float = DEFAULT_TAIL_CUT
 
-    def _block_value(self, phi, params: np.ndarray, w: np.ndarray):
+    def _block_value(self, phi, params: np.ndarray, w: np.ndarray, height: int):
         """One-block contribution, the largest |phi| seen, the smallest orbit norm.
 
         phi sees the orbit points of many Haar nodes in one call, at most
-        ``kernels.POINT_BUDGET`` of them (or one node's seed images).  Each
-        node's seed sum is a row sum, the same whatever the budget, and the
-        block total is one ``kernels.pairwise_dot`` over the node sums; all
-        stay in the dtype phi returns.  A phi that returns a (J, M) stack
-        gives J totals and J peaks, each row reduced as phi's row alone.
+        ``kernels.POINT_BUDGET`` values in all ``height`` rows of its stack
+        (or one node's seed images).  Each node's seed sum is a row sum, the
+        same whatever the budget, and the block total is one
+        ``kernels.pairwise_dot`` over the node sums; all stay in the dtype
+        phi returns.  A phi that returns a (J, M) stack gives J totals and J
+        peaks, each row reduced as phi's row alone.
         """
         k, dim = self.seed_nodes.shape
-        step = max(1, kernels.POINT_BUDGET // k)
+        step = max(1, kernels.POINT_BUDGET // (height * k))
         node_sums = []
         peak = 0.0
         min_norm = math.inf
@@ -419,36 +466,36 @@ class ConstructedMeasure:
             values = values.reshape(values.shape[:-1] + (len(part), k))
             if not np.all(np.isfinite(values)):
                 raise ValueError("integrand returned non-finite values")
-            if values.ndim == 2:
-                peak = max(peak, float(np.max(np.abs(values))))
-            else:
-                peak = np.maximum(peak, np.max(np.abs(values), axis=(1, 2)))
+            peak = np.maximum(peak, np.max(np.abs(values), axis=(-2, -1)))
             node_sums.append(np.sum(values * self.seed_weights, axis=-1))
         weights = w * self.action.group.weight(params)
         total = kernels.pairwise_dot(weights, np.concatenate(node_sums, axis=-1))
         return total, peak, min_norm
 
-    def _sweep(self, phi, support_radius: float, nodes_per_unit: int):
+    def _sweep(self, phi, radii: list, nodes_per_unit: int):
         # Blocks descend from the tail cutoff; orbits run from the center
-        # outward, so the sweep may stop only after they have crossed the
-        # integrand's bounding radius.  Each row of a (J, M) stack stops
-        # where its own sweep would, and the sweep ends with the last row.
+        # outward, so a row's sweep may stop only after they have crossed
+        # its integrand's bounding radius, ``radii[j]`` or the one radius
+        # all rows share.  Each row of a (J, M) stack stops where its own
+        # sweep would, and the sweep ends with the last row.
         rows = None  # per row: [total, peak, quiet blocks]
         blocks = self.action.group.haar_blocks(self.tail_cut, nodes_per_unit, MAX_ORBIT_BLOCKS)
         for params, w in blocks:
-            block, block_peak, min_norm = self._block_value(phi, params, w)
+            height = len(radii) if rows is None else len(rows)
+            block, block_peak, min_norm = self._block_value(phi, params, w, height)
             stacked = np.ndim(block) > 0
-            if stacked:
-                block, block_peak = block.tolist(), block_peak.tolist()
-            else:
-                block, block_peak = [block], [block_peak]
-            rows = rows or [[0j, 0.0, 0] for _ in block]
-            for row, value, value_peak in zip(rows, block, block_peak):
+            block, block_peak = np.atleast_1d(block).tolist(), np.atleast_1d(block_peak).tolist()
+            if rows is None:
+                rows = [[0j, 0.0, 0] for _ in block]
+                radii = radii * len(rows) if len(radii) == 1 else radii
+                if len(radii) != len(rows):
+                    raise ValueError(f"{len(radii)} supports for a stack of {len(rows)} rows")
+            for row, radius, value, value_peak in zip(rows, radii, block, block_peak):
                 if row[2] >= 2:
                     continue
                 row[0] += value
                 row[1] = max(row[1], value_peak)
-                if min_norm > support_radius and abs(value) <= 1e-14 * (1.0 + abs(row[0])):
+                if min_norm > radius and abs(value) <= 1e-14 * (1.0 + abs(row[0])):
                     row[2] += 1
                 else:
                     row[2] = 0
@@ -463,11 +510,19 @@ class ConstructedMeasure:
             return np.array(total, dtype=np.complex128), np.array(peak)
         return total[0], peak[0]
 
-    def pairing(self, phi: TestFunction) -> tuple[complex, float]:
-        corners = np.abs(np.stack([np.asarray(phi.support.lows), np.asarray(phi.support.highs)]))
-        radius = float(np.linalg.norm(np.max(corners, axis=0)))
-        value, peak = self._sweep(phi, radius, ORBIT_NODES_PER_UNIT)
-        refined, _ = self._sweep(phi, radius, 2 * ORBIT_NODES_PER_UNIT)
+    def pairing(self, phi) -> tuple[complex, float]:
+        """The pairing with phi and its error estimate: J of each, as
+        arrays, for a phi that returns a (J, M) stack.
+
+        phi's ``support`` is one box, or for a stack one box per row, whose
+        bounding radius lets that row's sweep stop.  The point budget
+        counts every row of a stack, from the first block when it has one
+        box per row and from the second when its rows share one box.
+        """
+        boxes = (phi.support,) if isinstance(phi.support, Box) else phi.support
+        radii = [_bounding_radius(box) for box in boxes]
+        value, peak = self._sweep(phi, radii, ORBIT_NODES_PER_UNIT)
+        refined, _ = self._sweep(phi, radii, 2 * ORBIT_NODES_PER_UNIT)
         estimate = abs(refined - value) + self.tail_cut * peak
         return refined, estimate
 

@@ -16,7 +16,10 @@ values in their own dtype, so a real integrand sums in float64), and the
 block sums combine by a fixed balanced pairwise tree.  The bits depend only
 on the grid's shape and the block size, not on ``--jobs``; when every block
 has the same power-of-two size of at least 128 nodes and their count is a
-power of two, they are the bits of ``np.sum`` over the whole grid.
+power of two, they are the bits of ``np.sum`` over the whole grid.  A
+grid evaluated node by node holds at most ``MAX_GRID_NODES`` nodes, its
+doubling included; a larger one raises :class:`UnderResolvedError` before
+its first block.
 
 The integrand of :func:`integrate_on_grid` or :func:`integrate_with_refinement`
 returns its values at a block's M nodes, in any shape of that size, or a
@@ -73,13 +76,38 @@ class Box:
         return tuple(h - l for l, h in zip(self.lows, self.highs))
 
 
+def _legendre_series(x, c) -> np.ndarray:
+    # sum_n c[n] P_n(x) by Clenshaw's recurrence, numpy's legval step for step
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(q: int):
     """Gauss-Legendre nodes and weights of order q on [-1, 1], computed once.
 
-    The arrays are shared by every caller, so they are read-only.
+    This is numpy's ``leggauss`` without importing ``numpy.polynomial``, and
+    it has its bits: the eigenvalues of the symmetric companion matrix
+    (Golub and Welsch, Math. Comp. 23, 1969), one Newton step on P_q, and
+    weights 1 / (P_(q-1) P_q') symmetrised and scaled to sum to 2.  The
+    arrays are shared by every caller, so they are read-only.
     """
-    rule = np.polynomial.legendre.leggauss(q)
+    scale = 1.0 / np.sqrt(2 * np.arange(q) + 1)
+    # eigvalsh reads the lower triangle of the symmetric matrix alone
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, q) * scale[:-1] * scale[1:], -1))
+    p_q = [0.0] * q + [1.0]
+    # P_q' = sum of (2k + 1) P_k over k = q - 1, q - 3, ...
+    slope = _legendre_series(x, [2.0 * k + 1.0 if (q - k) % 2 else 0.0 for k in range(q)])
+    x = x - _legendre_series(x, p_q) / slope
+    below = _legendre_series(x, p_q[1:])
+    w = 1 / ((below / np.abs(below).max()) * (slope / np.abs(slope).max()))
+    w = (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    rule = ((x - x[::-1]) / 2, w)
     for array in rule:
         array.flags.writeable = False
     return rule
@@ -368,6 +396,10 @@ class QuadratureGrid:
 # nodes per oscillation period of a resolved grid
 NODES_PER_PERIOD = 8
 
+# most nodes of a grid that an integral evaluates node by node; the
+# separable rules evaluate their axes alone and are not bound by it
+MAX_GRID_NODES = 1 << 24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -409,7 +441,10 @@ def _row_blocks(grid: QuadratureGrid) -> list:
 
     A block is the most whole rows, or on a split leading axis the most
     whole panels, of at most ``kernels.POINT_BUDGET // 32`` nodes, and never
-    less than one row or one panel.
+    less than one row or one panel.  So a block holds at most the larger of
+    that budget and one panel of rows, which the grid's node total bounds:
+    an integral checks that total against ``MAX_GRID_NODES`` first
+    (``_check_node_total``).
     """
     axes = grid.axes()
     rows = len(axes[0][0])
@@ -418,6 +453,15 @@ def _row_blocks(grid: QuadratureGrid) -> list:
     panel = 1 if split is None else len(split[1])
     step = panel * max(1, kernels.POINT_BUDGET // 32 // (row * panel))
     return [(start, min(rows, start + step)) for start in range(0, rows, step)]
+
+
+def _check_node_total(grid: QuadratureGrid) -> None:
+    # raised before the first block, so an oversized grid fails at once
+    if grid.total_points > MAX_GRID_NODES:
+        raise UnderResolvedError(
+            f"a grid of {grid.total_points} nodes is evaluated node by node, "
+            f"cap is {MAX_GRID_NODES}"
+        )
 
 
 def _tree_sum(sums: list):
@@ -475,6 +519,7 @@ def integrate_oscillatory(f, grid: QuadratureGrid, polys) -> np.ndarray:
     sums the real form c_0 + 2 Re sum_(k>0) c_k e(k x) from half the terms,
     and its share of the integral is real.
     """
+    _check_node_total(grid)
     forms = {}  # per (polynomial, real block): its coefficients and Filon weights
     sums = [[] for _ in polys]
     for start, stop in _row_blocks(grid):
@@ -498,6 +543,9 @@ def integrate_oscillatory(f, grid: QuadratureGrid, polys) -> np.ndarray:
 
 
 def integrate_on_grid(f, grid: QuadratureGrid) -> complex:
+    """The integral of f on the grid, node by node: at most
+    ``MAX_GRID_NODES`` nodes, else :class:`UnderResolvedError`."""
+    _check_node_total(grid)
     return _integral_and_values(f, grid)[0]
 
 
@@ -510,8 +558,10 @@ def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[c
     that fraction of the |f| mass on the grid's outermost node layer raises
     :class:`SupportEscapeError` before the fine grid is evaluated.  Each
     grid is evaluated once, block by block; only an edge-checked coarse grid
-    keeps its values.
+    keeps its values.  A doubled grid of more than ``MAX_GRID_NODES`` nodes
+    raises :class:`UnderResolvedError` before either grid is evaluated.
     """
+    _check_node_total(grid.refined())
     coarse, values = _integral_and_values(f, grid, keep=edge_tol is not None)
     if edge_tol is not None:
         _check_edge(boundary_mass_fraction(values, grid), edge_tol)

@@ -6,11 +6,12 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
 
-from scaleflow import cli, meanvalue
+from scaleflow import cli, meanvalue, measures
 from scaleflow import config as cfg_mod
 from scaleflow.cli import main
 from scaleflow.config import ConfigError, load_config, validate_config
@@ -161,6 +162,80 @@ def test_benchmark_spans_install():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=_src_env())
     assert result.returncode == 0, result.stderr
+
+
+# Runs three CLI invocations on committed configs in one interpreter, then
+# checks that none of them imported numpy.polynomial.
+_WITHOUT_POLYNOMIAL = """
+import sys
+
+from scaleflow.cli import main
+
+configs, out = sys.argv[1:]
+for subcommand, stem in (("construct-measure", "construct_measure"),
+                         ("sigma", "sigma_periodic"), ("mean", "mean_periodic")):
+    code = main([subcommand, "--config", f"{configs}/{stem}.yaml", "--out", f"{out}/{stem}"])
+    assert code == 0, (stem, code)
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is computed in house: no invocation pays for
+    # importing numpy.polynomial and its submodules
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_POLYNOMIAL, CONFIG_DIR, str(tmp_path)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_construct_measure_sweeps_each_battery_entry_once(tmp_path, monkeypatch):
+    # each battery entry pairs its base integral and its whole ladder of
+    # pushforwards by one orbit sweep pair each: 3 entries take 12 sweeps
+    # (54 when each pushforward swept alone) and 72 block evaluations (274)
+    counts = {"_sweep": 0, "_block_value": 0}
+    for name in counts:
+        original = getattr(measures.ConstructedMeasure, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(measures.ConstructedMeasure, name, counting)
+    config = os.path.join(CONFIG_DIR, "construct_measure.yaml")
+    code = run_cli(["construct-measure", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert counts == {"_sweep": 12, "_block_value": 72}
+
+
+def test_cli_three_dimensional_mean_fails_loudly(tmp_path, capsys):
+    # a 3-D mean sweep whose first rung's doubled grid needs 1.1e8 nodes
+    # exits 3 at once, naming the total and the cap, instead of running out
+    # of memory
+    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+    cfg["action"] = {"variant": "diagonal-scaling", "exponents": [1, 1, 1]}
+    cfg["ladder"] = {"count": 5}
+    cfg["grid"] = {"rule": "gauss", "base_nodes": 64, "panel_order": 16, "max_nodes": 4096}
+    cfg["mean"] = {
+        "function": {"class": "periodic", "terms": [
+            [[0.0, 0.0, 0.0], 0.5, 0.0],
+            [[1.0, 2.0, 1.0], -0.25, 0.0],
+            [[-1.0, -2.0, -1.0], -0.25, 0.0],
+        ]},
+        "phi": {"kind": "gaussian", "center": [0.3, 0.3, 0.3], "sigma": 0.5},
+        "shift": [0.3, 0.1, 0.2],
+        "kernel": {"kind": "gaussian", "center": [0.0, 0.0, 0.0], "sigma": 0.5},
+    }
+    path = tmp_path / "mean_3d.yaml"
+    write_yaml(path, cfg)
+    start = time.perf_counter()
+    code = run_cli(["mean", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert time.perf_counter() - start < 20.0
+    assert ("a grid of 113246208 nodes is evaluated node by node, cap is 16777216"
+            in capsys.readouterr().err)
 
 
 def test_cli_homogeneity_negative_control(tmp_path):

@@ -429,6 +429,110 @@ def test_constructed_measure_sweeps_each_row_of_a_stack_alone():
         assert repr((complex(value), float(estimate))) == repr(alone)
 
 
+def _integer_orbit_measure():
+    # n -> 2^-n x on the integers, seeded at 1
+    group = RGroup(INTEGER_ADDITIVE, 0.5)
+    action = LinearFamily(group=group, dimension=1, matrix_fn=lambda n: np.array([[2.0**-n]]))
+    return construct_measure(action, PointMass([1.0]))
+
+
+def _stack_case(name):
+    """(homogenizer, ladder, battery) of one setting of the stacked pairing."""
+    if name == "dirac-seed":  # configs/construct_measure.yaml
+        _, _, measure = _half_line_setup()
+        battery = [gaussian([3.0], 0.5), gaussian([2.0], 0.25), bump([4.0], 2.0)]
+        return measure.as_homogenizer(), [2.0**-n for n in range(1, 9)], battery
+    if name == "far-tail":
+        # a tail of 1e-26 of a far Gaussian beyond the stated support: a row
+        # that sweeps past its own stop picks it up in its last bits
+        _, _, measure = _half_line_setup()
+        g, far = gaussian([3.0], 0.5), gaussian([1e6], 2e5)
+        tailed = TestFunction("tailed", lambda p: g(p) + 1e-26 * far(p), g.support)
+        return measure.as_homogenizer(), [2.0**-n for n in range(1, 9)], [tailed]
+    if name == "uniform-seed":
+        measure = _uniform_seed_measure()
+        battery = [gaussian([3.0], 0.5), bump([4.0], 2.0)]
+        return measure.as_homogenizer(), [0.5, 0.25, 0.125], battery
+    if name == "exp-semigroup-2d":
+        group = RGroup("real-additive", 4.0)
+        action = ExpSemigroup.from_matrix(2.0, [[0.5, 0.2], [-0.1, 0.4]], group)
+        measure = construct_measure(action, PointMass([1.0, 0.5]))
+        return measure.as_homogenizer(), [-0.5, -1.0, -1.5], [gaussian([1.5, 0.5], 0.4)]
+    if name == "integer-group":
+        measure = _integer_orbit_measure()
+        battery = [bump([3.0], 1.5), gaussian([2.0], 0.5)]
+        return measure.as_homogenizer(), [-1.0, -2.0, -3.0, -4.0], battery
+    if name == "point-mass":
+        hz = Homogenizer.point_mass(DiagonalScaling((1, 2)), point=[0.3, -0.4])
+        return hz, [0.5, 0.25, 2.0], [bump([0.6, -0.6], 1.0), gaussian([0.5, -0.5], 2.0)]
+    assert name == "lebesgue"
+    hz = Homogenizer.lebesgue(DiagonalScaling((1,)), GridSpec(base_nodes=256))
+    return hz, [0.5, 0.25], [bump([0.3], 1.0), mollifier([0.3], 0.7), gaussian([0.3], 0.5)]
+
+
+STACK_CASES = ["dirac-seed", "far-tail", "uniform-seed", "exp-semigroup-2d", "integer-group",
+               "point-mass", "lebesgue"]
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_stacked_pushforward_rows_have_the_bits_of_each_element_alone(name):
+    # one call over the ladder pairs every element, each row with the value
+    # and estimate of its own call, on every measure type
+    hz, ladder, battery = _stack_case(name)
+    for phi in battery:
+        values, estimates = pushforward_pairing(hz, np.array(ladder), phi)
+        assert values.shape == estimates.shape == (len(ladder),)
+        assert values.dtype == np.complex128 and estimates.dtype == np.float64
+        for eps, value, estimate in zip(ladder, values.tolist(), estimates.tolist()):
+            assert repr((value, estimate)) == repr(pushforward_pairing(hz, eps, phi))
+    # the rows of the last entry are not one element's value repeated
+    assert len(set(values.tolist())) == len(ladder)
+
+
+def test_stacked_pushforward_sweeps_the_orbits_once(monkeypatch):
+    # a constructed measure pairs the whole ladder by two orbit sweeps, the
+    # coarse one and the refined one, whatever the ladder's length
+    hz, ladder, (phi, *_) = _stack_case("dirac-seed")
+    sweeps = []
+    sweep = measures.ConstructedMeasure._sweep
+
+    def counting(self, phi, radii, nodes_per_unit):
+        sweeps.append(len(radii))
+        return sweep(self, phi, radii, nodes_per_unit)
+
+    monkeypatch.setattr(measures.ConstructedMeasure, "_sweep", counting)
+    pushforward_pairing(hz, np.array(ladder), phi)
+    assert sweeps == [len(ladder), len(ladder)]
+
+
+def test_stacked_pushforward_point_budget_counts_every_row(monkeypatch):
+    # with a small budget no phi call sees more values than the budget
+    # across all rows of the stack, and no bit of any row moves
+    hz, ladder, _ = _stack_case("uniform-seed")
+    phi = gaussian([3.0], 0.5)
+    expected = pushforward_pairing(hz, np.array(ladder), phi)
+    sizes = []
+
+    def recording(pts):
+        sizes.append(len(pts))
+        return phi.fn(pts)
+
+    budget = 128 * len(ladder) * 5
+    monkeypatch.setattr(kernels, "POINT_BUDGET", budget)
+    recorded = TestFunction("recording", recording, phi.support)
+    assert repr(pushforward_pairing(hz, np.array(ladder), recorded)) == repr(expected)
+    assert max(sizes) <= budget
+    assert max(sizes) == 128 * len(ladder) * 5  # five Haar nodes of every row per call
+
+
+def test_orbit_sweep_rejects_a_support_per_row_of_the_wrong_count():
+    _, _, measure = _half_line_setup()
+    phi = gaussian([3.0], 0.5)
+    stack = _Stack([phi, phi], (phi.support,) * 3)
+    with pytest.raises(ValueError, match="3 supports for a stack of 2 rows"):
+        measure.pairing(stack)
+
+
 def test_constructed_measure_rejects_center_support():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)

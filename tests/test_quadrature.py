@@ -78,6 +78,55 @@ def test_gauss_axis_rule_shares_one_legendre_rule():
         shared[0][0] = 0.0
 
 
+@pytest.mark.parametrize("q", range(1, 65))
+def test_legendre_rule_has_the_bits_of_numpy_leggauss(q):
+    # the in-house rule is numpy's algorithm step for step, so its nodes and
+    # weights are leggauss's bit for bit, and the weights still sum to 2
+    nodes, weights = _legendre_rule(q)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(q)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert math.fsum(weights) == pytest.approx(2.0, abs=1e-14)
+
+
+def _never_called(pts):
+    raise AssertionError("an oversized grid was evaluated")
+
+
+def test_node_by_node_grids_are_capped_before_their_first_block():
+    # a 3-D grid past MAX_GRID_NODES fails at once, naming its total and the
+    # cap, and a coarse grid under the cap fails when its doubling is over
+    cap = quadrature.MAX_GRID_NODES
+    assert cap == 1 << 24
+    box = Box((0.0,) * 3, (1.0,) * 3)
+    over = QuadratureGrid(box, (257, 256, 256))
+    assert over.total_points > cap >= QuadratureGrid(box, (256,) * 3).total_points
+    message = f"a grid of {over.total_points} nodes is evaluated node by node, cap is {cap}"
+    with pytest.raises(UnderResolvedError, match=message):
+        integrate_on_grid(_never_called, over)
+    with pytest.raises(UnderResolvedError, match=message):
+        integrate_oscillatory(_never_called, over, [TrigPolynomial.constant(1.0, 3)])
+    coarse = QuadratureGrid(box, (129, 128, 128))  # 2.1e6 nodes, 1.7e7 doubled
+    assert coarse.total_points <= cap < coarse.refined().total_points
+    with pytest.raises(UnderResolvedError, match=f"{coarse.refined().total_points} nodes"):
+        integrate_with_refinement(_never_called, coarse)
+
+
+def test_separable_rules_are_not_capped():
+    # the separable rules evaluate each axis alone, so a tensor grid past the
+    # cap still integrates: a product of Gaussians and a quartic bump
+    grid = QuadratureGrid(Box((-1.0,) * 3, (1.0,) * 3), (512,) * 3, panel_order=16)
+    assert grid.total_points > quadrature.MAX_GRID_NODES
+    gauss = quadrature.Product((lambda x: np.exp(-50.0 * x * x),) * 3)
+    value, estimate = quadrature.integrate_separable(gauss, grid)
+    assert value.real == pytest.approx((math.pi / 50.0) ** 1.5, rel=1e-12)
+    assert estimate <= 1e-12
+    ball = quadrature.QuarticBump((lambda x: (x / 0.9) ** 2,) * 3)
+    value, _ = quadrature.integrate_separable(ball, grid)
+    # the quartic bump of radius w in 3-D has mass 4 pi * 8 / 105 * w^3
+    assert value.real == pytest.approx(4.0 * math.pi * 8.0 / 105.0 * 0.9**3, rel=1e-6)
+
+
 def test_gauss_node_counts_fill_whole_panels():
     # 24 nodes would be read as two 16-node panels, 32 nodes in all
     with pytest.raises(ValueError, match="axis 0 has 24 nodes, not a multiple of panel_order 16"):
