@@ -9,6 +9,7 @@ low-discrepancy samples of ball boundaries along a parameter ladder.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -22,23 +23,30 @@ CENTER_TOL = 1e-12
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor evaluation of exp(a).
+    """Scaling-and-squaring Taylor evaluation of exp(a), for one (N, N)
+    matrix or for each of a stack (..., N, N).
 
     The argument is halved until its 1-norm is below 1/2, a fixed-order
     Taylor sum is taken, and the result squared back; the truncation level
-    keeps the series error below 1e-13 with margin.
+    keeps the series error below 1e-13 with margin.  A stack takes one
+    series with stacked products, and each matrix its own squarings, so
+    every matrix has the bits of its one-matrix call.
     """
     a = np.asarray(a, dtype=np.float64)
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    b = a / (2.0**squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
+    norms = np.linalg.norm(a, 1, axis=(-2, -1))
+    squarings = np.reshape(
+        [math.ceil(math.log2(n / 0.5)) if n > 0.5 else 0 for n in np.ravel(norms).tolist()],
+        norms.shape,
+    ).astype(int)
+    b = a / (2.0**squarings)[..., None, None]
+    result = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    term = result
     for n in range(1, 21):
         term = term @ b / n
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
     return result
 
 
@@ -303,8 +311,14 @@ class ExpSemigroup(Action):
             self.dimension, self.dimension
         )
 
-    def _matrix(self, eps: float) -> np.ndarray:
-        return math.exp(-self.k * eps) * matrix_exponential(-eps * self.generator_matrix())
+    def matrix(self, params) -> np.ndarray:
+        # exp(-k eps) times one stacked matrix_exponential of -eps P: each
+        # matrix has the bits of its own one-element call
+        params = self.group.validate(params)
+        flat = np.ravel(params)
+        decay = np.array([math.exp(-self.k * eps) for eps in flat.tolist()])
+        out = decay[:, None, None] * matrix_exponential(-flat[:, None, None] * self.generator_matrix())
+        return out.reshape(np.shape(params) + (self.dimension, self.dimension))
 
     def parameter_window(self) -> float:
         # keep exp((k + |P|) * window) small enough that rounding cannot
@@ -387,11 +401,12 @@ def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> 
     """Sample (eps, eps', x) and compare H_eps(H_eps'(x)) with H_(eps eps')(x)."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     window = action.parameter_window()
     eps1 = action.group.sample(rng, sample_count, window)
     eps2 = action.group.sample(rng, sample_count, window)
-    xs = rng.normal(scale=2.0, size=(sample_count, action.dimension))
+    xs = np.array([[rng.gauss(0.0, 2.0) for _ in range(action.dimension)]
+                   for _ in range(sample_count)])
     lhs = action.apply(eps1, action.apply(eps2, xs))
     rhs = action.apply(action.group.compose(eps1, eps2), xs)
     worst = float(np.max(_norms(lhs - rhs) / (1.0 + _norms(xs))))

@@ -11,6 +11,7 @@ failures).  Reports are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -107,13 +108,22 @@ def _run_contract(cfg, header, out, jobs) -> bool:
     seed = cfg.get("seed", 0)
     sub = certify_submultiplicative(action, sample_count=block["pairs"], seed=seed, ladder=ladder)
     _status("submultiplicative", sub.passed, f"worst_excess={sub.worst_excess:.3e}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+    x0 = np.array([[rng.uniform(-8.0, 8.0) for _ in range(action.dimension)]
+                   for _ in range(starts)])
+    try:
+        outcomes = fixed_point(action, eps, x0, tol=block["tol"], max_iter=block["max_iter"])
+    except ValueError as exc:  # not a contraction: every start fails alike
+        outcomes = [exc] * starts
     fp_rows = []
     ok = sub.passed
-    for i in range(starts):
-        x0 = rng.uniform(-8.0, 8.0, size=action.dimension)
-        try:
-            result = fixed_point(action, eps, x0, tol=block["tol"], max_iter=block["max_iter"])
+    for i, result in enumerate(outcomes):
+        if isinstance(result, Exception):
+            fp_rows.append({"start": i, "iterations": 0, "residual": float("nan"),
+                            "center_distance": float("nan"), "passed": False})
+            _status("fixed-point", False, str(result))
+            ok = False
+        else:
             fp_rows.append(
                 {
                     "start": i,
@@ -123,11 +133,6 @@ def _run_contract(cfg, header, out, jobs) -> bool:
                     "passed": True,
                 }
             )
-        except (RuntimeError, ValueError) as exc:
-            fp_rows.append({"start": i, "iterations": 0, "residual": float("nan"),
-                            "center_distance": float("nan"), "passed": False})
-            _status("fixed-point", False, str(exc))
-            ok = False
     fp_ok = all(r["passed"] for r in fp_rows)
     _status("fixed-point", fp_ok, f"starts={starts} eps={eps}")
     reports.write_json(

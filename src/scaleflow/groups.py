@@ -16,6 +16,7 @@ ladders, the Haar coordinate of the orbit sweep and the scale of decay fits.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,14 +105,15 @@ class RGroup:
         """Default half-width, in the Haar coordinate, of certificate samples."""
         return 2.0 if self.kind == POSITIVE_MULTIPLICATIVE else 3.0
 
-    def sample(self, rng: np.random.Generator, count: int, window: float | None = None) -> np.ndarray:
+    def sample(self, rng: random.Random, count: int, window: float | None = None) -> np.ndarray:
         """``count`` uniform draws within ``window`` of the identity in the Haar
-        coordinate; the integers draw from -hi..hi, hi = max(1, int(window)) or 6."""
+        coordinate, by ``rng.uniform``; the integers draw from -hi..hi by
+        ``rng.randrange``, hi = max(1, int(window)) or 6."""
         if self.kind == INTEGER_ADDITIVE:
             hi = 6 if window is None else max(1, int(window))
-            return rng.integers(-hi, hi + 1, size=count).astype(np.float64)
+            return np.array([rng.randrange(-hi, hi + 1) for _ in range(count)], dtype=np.float64)
         w = self.parameter_window() if window is None else window
-        return self._from_haar(rng.uniform(-w, w, size=count))
+        return self._from_haar(np.array([rng.uniform(-w, w) for _ in range(count)]))
 
     def compose(self, eps: float, other: float) -> float:
         eps, other = self.validate(eps), self.validate(other)
@@ -199,10 +201,18 @@ class RGroup:
 
     def character(self, rate: float):
         """The homomorphism into R+* with exponent ``rate``: eps -> eps**rate on
-        R+*, eps -> exp(rate * eps) on the additive groups."""
-        if self.kind == POSITIVE_MULTIPLICATIVE:
-            return lambda eps: float(eps) ** rate
-        return lambda eps: np.exp(rate * float(eps))
+        R+*, eps -> exp(rate * eps) on the additive groups.  It maps one
+        element to a float and an array element by element, as
+        ``DiagonalScaling.volume_factor`` does, so every entry has the bits
+        of its one-element call."""
+        multiplicative = self.kind == POSITIVE_MULTIPLICATIVE
+
+        def chi(params):
+            values = [eps**rate if multiplicative else float(np.exp(rate * eps))
+                      for eps in np.ravel(params).tolist()]
+            return as_scalar_or_array(np.reshape(values, np.shape(params)))
+
+        return chi
 
     # -- ladders ------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Action variants, their matrices, and the sampled certificates."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from scaleflow import (
     matrix_exponential,
     product,
 )
-from scaleflow.actions import _halton, sphere_directions
+from scaleflow.actions import Action, _halton, sphere_directions
 from scaleflow.groups import INTEGER_ADDITIVE
 from scaleflow.quadrature import Box, GridPoints
 
@@ -163,6 +164,25 @@ def test_matrix_exponential_against_scipy():
         mine = matrix_exponential(a)
         ref = scipy_expm(a)
         assert np.linalg.norm(mine - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_exp_semigroup_matrix_has_the_bits_of_each_element(dim):
+    # one Taylor series over the stack, each matrix squared its own number
+    # of times: every matrix has the bits of its one-element call
+    rng = np.random.default_rng(dim)
+    p = rng.normal(size=(dim, dim))
+    action = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 0.5, p)
+    params = np.linspace(-4.0, 4.0, 25)
+    single = np.array([action.matrix(eps) for eps in params.tolist()])
+    np.testing.assert_array_equal(action.matrix(params), single)
+    np.testing.assert_array_equal(action.matrix(params.reshape(5, 5)), single.reshape(5, 5, dim, dim))
+    stack = -params[:, None, None] * p
+    np.testing.assert_array_equal(matrix_exponential(stack), [matrix_exponential(a) for a in stack])
+    # the stack mixes matrices that take no squaring with ones that take several
+    norms = np.linalg.norm(stack, 1, axis=(1, 2))
+    squarings = {math.ceil(math.log2(n / 0.5)) if n > 0.5 else 0 for n in norms.tolist()}
+    assert 0 in squarings and len(squarings) >= 4
 
 
 def test_exp_semigroup_closed_form():
@@ -394,11 +414,11 @@ def _reference_threshold(ladder, passed):
 
 
 def _reference_group_law(action, sample_count, seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     window = action.parameter_window()
     eps1 = action.group.sample(rng, sample_count, window)
     eps2 = action.group.sample(rng, sample_count, window)
-    xs = rng.normal(scale=2.0, size=(sample_count, action.dimension))
+    xs = [[rng.gauss(0.0, 2.0) for _ in range(action.dimension)] for _ in range(sample_count)]
     worst = 0.0
     for a, b, x in zip(eps1, eps2, xs):
         lhs = action.apply(a, action.apply(b, x))
@@ -444,6 +464,28 @@ def test_batched_certificates_match_per_sample_loops(exponents):
     norms, threshold = _reference_escape(action, x, ladder, 1000.0)
     assert (report.norms, report.threshold) == (norms, threshold)
     assert threshold is not None and threshold != ladder[0]
+
+
+def test_group_law_draws_are_pinned(monkeypatch):
+    # all of eps1, then all of eps2, then the points row by row, from
+    # random.Random(seed); Python keeps only random()'s stream across
+    # versions, not gauss's, so a change there must fail here
+    calls = []
+    apply = Action.apply
+
+    def recording(self, eps, x):
+        calls.append((np.array(eps), np.array(x)))
+        return apply(self, eps, x)
+
+    monkeypatch.setattr(Action, "apply", recording)
+    certify_group_law(DiagonalScaling((1, 2)), sample_count=3, seed=0)
+    (eps2, xs), (eps1, _), (_, again) = calls
+    assert eps1.tolist() == [3.9657199151167384, 2.8061617146668896, 0.7278111478907403]
+    assert eps2.tolist() == [0.3812374007467805, 1.0461313019842904, 0.6836812695184208]
+    assert xs.tolist() == [[0.35839297454971375, -1.6621984305419764],
+                           [-2.6180747289187174, 0.3877754824982082],
+                           [1.9864994070703943, -1.2939632610950096]]
+    assert again.tolist() == xs.tolist()
 
 
 def test_volume_factor_matches_determinant():

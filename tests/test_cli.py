@@ -191,6 +191,52 @@ def test_cli_runs_without_numpy_polynomial(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+# Runs four CLI invocations on committed configs in one interpreter, then
+# checks that none of them imported numpy.random.
+_WITHOUT_NUMPY_RANDOM = """
+import sys
+
+from scaleflow.cli import main
+
+configs, out = sys.argv[1:]
+for subcommand, stem in (("verify-action", "verify_action"), ("contract", "contract"),
+                         ("homogeneity", "homogeneity_r2"),
+                         ("construct-measure", "construct_measure")):
+    code = main([subcommand, "--config", f"{configs}/{stem}.yaml", "--out", f"{out}/{stem}"])
+    assert code == 0, (stem, code)
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_numpy_random(tmp_path):
+    # every sampled certificate draws from random.Random(seed), which the
+    # standard library has loaded already: no invocation imports numpy.random
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY_RANDOM, CONFIG_DIR, str(tmp_path)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_contract_starts_are_pinned(tmp_path, monkeypatch):
+    # the CLI draws its starts row by row from random.Random(seed) and maps
+    # them all by one fixed_point call
+    calls = []
+    fixed_point = cli.fixed_point
+
+    def recording(action, eps, x0, **kwargs):
+        calls.append(x0)
+        return fixed_point(action, eps, x0, **kwargs)
+
+    monkeypatch.setattr(cli, "fixed_point", recording)
+    config = os.path.join(CONFIG_DIR, "contract.yaml")
+    assert run_cli(["contract", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    (starts,) = calls
+    assert starts.shape == (10, 1)
+    assert starts[:3, 0].tolist() == [5.51074962440077, 4.12727044704484, -1.27085470670648]
+
+
 def test_construct_measure_sweeps_each_battery_entry_once(tmp_path, monkeypatch):
     # each battery entry pairs its base integral and its whole ladder of
     # pushforwards by one orbit sweep pair each: 3 entries take 12 sweeps

@@ -1,6 +1,7 @@
 """Lipschitz bounds, submultiplicativity and fixed-point location."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scaleflow import (
     ExpSemigroup,
     certify_submultiplicative,
     fixed_point,
+    product,
 )
 from scaleflow.actions import Action
 from scaleflow.groups import POSITIVE_MULTIPLICATIVE, RGroup
@@ -45,7 +47,7 @@ def test_submultiplicative_reports():
 def _reference_submultiplicative(action, sample_count, seed, ladder):
     # the per-pair loop the batched certificate must agree with bit for bit
     group = action.group
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     eps1 = group.sample(rng, sample_count)
     eps2 = group.sample(rng, sample_count)
     worst = 0.0
@@ -100,6 +102,55 @@ def test_fixed_point_rejects_expanding_parameter():
     action = DiagonalScaling((1,))
     with pytest.raises(ValueError):
         fixed_point(action, 2.0, np.array([1.0]))  # l(eps^-1) = 2 >= 1
+
+
+# (action, eps) with l(eps^-1) < 1: the diagonal maps scale each row alone,
+# the others map it by its matrix
+_FIXED_POINT_CASES = {
+    "diagonal-N=1": (DiagonalScaling((1,)), 0.5),
+    "diagonal-N=2": (DiagonalScaling((1, 2)), 0.5),
+    "diagonal-N=3": (DiagonalScaling((2, 1, 3)), 0.7),
+    "exp-semigroup-2d": (ExpSemigroup.from_matrix(2.0, [[0.5, 0.2], [-0.1, 0.4]]), -1.0),
+    "product": (product([DiagonalScaling((1,)), DiagonalScaling((2,))]), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED_POINT_CASES))
+def test_batched_fixed_point_rows_have_the_bits_of_one_start_calls(name):
+    # a stack of starts iterates as one, each row stopping at its own step
+    action, eps = _FIXED_POINT_CASES[name]
+    starts = np.random.default_rng(len(name)).uniform(-8.0, 8.0, size=(6, action.dimension))
+    starts[2] = action.center()
+    results = fixed_point(action, eps, starts)
+    assert isinstance(results, list) and len(results) == len(starts)
+    for start, result in zip(starts, results):
+        assert repr(result) == repr(fixed_point(action, eps, start))
+    # the start at the center stops at once; the others take their own counts
+    assert (results[2].iterations, results[2].step_ratios) == (1, [])
+    assert len({r.iterations for r in results}) > 2
+
+
+def test_batched_fixed_point_fails_a_row_alone():
+    # with too few iterations for the far starts, each fails with its own
+    # one-start error while the near starts and the center pass
+    action = DiagonalScaling((1,))
+    starts = np.array([[8.0], [1e-10], [0.0], [-6.0]])
+    results = fixed_point(action, 0.5, starts, max_iter=20)
+    for start, result in zip(starts, results):
+        if abs(start[0]) > 1.0:
+            with pytest.raises(RuntimeError) as alone:
+                fixed_point(action, 0.5, start, max_iter=20)
+            assert type(result) is RuntimeError and str(result) == str(alone.value)
+            assert str(result) == "no convergence after 20 iterations: contraction fails at eps=0.5"
+        else:
+            assert repr(result) == repr(fixed_point(action, 0.5, start, max_iter=20))
+
+
+def test_batched_fixed_point_rejects_an_expanding_parameter_once():
+    with pytest.raises(ValueError, match="not a contraction"):
+        fixed_point(DiagonalScaling((1,)), 2.0, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="stack"):
+        fixed_point(DiagonalScaling((1,)), 0.5, np.ones((2, 3, 1)))
 
 
 class _OpaqueScaling(Action):

@@ -6,6 +6,7 @@ scipy adaptive quadrature or a closed form worked out by substitution.
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -434,6 +435,55 @@ def _integer_orbit_measure():
     group = RGroup(INTEGER_ADDITIVE, 0.5)
     action = LinearFamily(group=group, dimension=1, matrix_fn=lambda n: np.array([[2.0**-n]]))
     return construct_measure(action, PointMass([1.0]))
+
+
+def _factor_case(name):
+    """A homogenizer whose factor map the one-pass check must match."""
+    if name == "lebesgue":  # configs/homogeneity_r2.yaml
+        return Homogenizer.lebesgue(DiagonalScaling((1, 1)))
+    if name == "lebesgue-exp-semigroup":
+        group = RGroup("real-additive", 4.0)
+        return Homogenizer.lebesgue(ExpSemigroup.from_matrix(2.0, [[0.5, 0.2], [-0.1, 0.4]], group))
+    if name == "weighted-power":
+        return Homogenizer.weighted_power(DiagonalScaling((1,)), 1.5)
+    if name == "additive-character":
+        hz = Homogenizer.lebesgue(ExpSemigroup.from_matrix(1.0, [[0.0]]))
+        return dataclasses.replace(hz, factor_map=hz.action.group.character(-1.3))
+    if name == "point-mass":
+        return Homogenizer.point_mass(DiagonalScaling((1, 2)), point=[0.3, -0.4])
+    if name == "constructed":  # configs/construct_measure.yaml
+        return _half_line_setup()[2].as_homogenizer()
+    assert name == "constructed-integer"
+    return _integer_orbit_measure().as_homogenizer()
+
+
+def _reference_factor_defect(hz, sample_count, seed):
+    # the per-pair loop the one-pass check must agree with bit for bit
+    rng = random.Random(seed)
+    group = hz.action.group
+    eps1 = group.sample(rng, sample_count)
+    eps2 = group.sample(rng, sample_count)
+    worst = 0.0
+    for a, b in zip(eps1.tolist(), eps2.tolist()):
+        lhs = hz.factor_map(group.compose(a, b))
+        rhs = hz.factor_map(a) * hz.factor_map(b)
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return float(worst)
+
+
+@pytest.mark.parametrize("name", ["lebesgue", "lebesgue-exp-semigroup", "weighted-power",
+                                  "additive-character", "point-mass", "constructed",
+                                  "constructed-integer"])
+def test_factor_multiplicative_matches_per_pair_loop(name):
+    # one pass of the factor map over all pairs reports the loop's defect
+    hz = _factor_case(name)
+    defect = check_factor_multiplicative(hz, seed=5)
+    assert type(defect) is float
+    assert repr(defect) == repr(_reference_factor_defect(hz, 128, 5))
+    assert defect <= 1e-9
+    params = hz.action.group.sample(random.Random(1), 6)
+    single = [float(hz.factor_map(eps)) for eps in params.tolist()]
+    assert hz.factor_map(params).tolist() == single
 
 
 def _stack_case(name):
