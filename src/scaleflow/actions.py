@@ -119,13 +119,6 @@ class Action:
 
     def matrix(self, params) -> np.ndarray:
         """The representing matrices, of shape ``np.shape(params) + (N, N)``."""
-        params = self.group.validate(params)
-        blocks = [self._matrix(eps) for eps in np.ravel(params).tolist()]
-        n = self.dimension
-        return np.reshape(np.array(blocks, dtype=np.float64), np.shape(params) + (n, n))
-
-    def _matrix(self, eps: float) -> np.ndarray:
-        # the matrix at one validated element
         raise NotImplementedError
 
     def apply(self, eps, x):
@@ -275,11 +268,15 @@ class LinearFamily(Action):
     dimension: int
     matrix_fn: ...  # callable (eps) -> (N, N) array
 
-    def _matrix(self, eps: float) -> np.ndarray:
-        b = np.asarray(self.matrix_fn(eps), dtype=np.float64)
-        if b.shape != (self.dimension, self.dimension):
-            raise ValueError(f"matrix map returned shape {b.shape}")
-        return b
+    def matrix(self, params) -> np.ndarray:
+        # one matrix_fn call per element, each checked, then stacked
+        params = self.group.validate(params)
+        n = self.dimension
+        blocks = [np.asarray(self.matrix_fn(e), dtype=np.float64) for e in np.ravel(params).tolist()]
+        for b in blocks:
+            if b.shape != (n, n):
+                raise ValueError(f"matrix map returned shape {b.shape}")
+        return np.reshape(np.array(blocks, dtype=np.float64), np.shape(params) + (n, n))
 
 
 @dataclass(frozen=True)

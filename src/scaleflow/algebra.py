@@ -86,6 +86,16 @@ class HAlgebra:
             return tuple(int(v) for v in rounded)
         return self._table.get(_freq_key(freq))
 
+    def sample_window(self) -> float:
+        """Side of the cube whose dense sample stands for the oscillation
+        slot: the unit cell of the lattice, else eight periods of the
+        slowest generator entry, since irrational generators have no exact
+        period."""
+        if self.kind == PERIODIC:
+            return 1.0
+        gens = np.asarray(self.generators, dtype=np.float64)
+        return float(8.0 / np.min(np.abs(gens[np.abs(gens) > GENERATOR_TOL])))
+
     def admissible(self, freq) -> bool:
         return self.coordinates(freq) is not None
 

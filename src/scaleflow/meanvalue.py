@@ -34,11 +34,10 @@ class MeanFunction:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def periodic_trig(cls, poly: TrigPolynomial, cell: Box | None = None) -> "MeanFunction":
-        cell = cell or Box((0.0,) * poly.dim, (1.0,) * poly.dim)
+    def periodic_trig(cls, poly: TrigPolynomial) -> "MeanFunction":
+        """A trig polynomial periodic on the unit cell: integer frequencies."""
         for f, _ in poly.terms():
-            scaled = [fi * si for fi, si in zip(f, cell.sides)]
-            if any(abs(v - round(v)) > 1e-9 for v in scaled):
+            if any(abs(v - round(v)) > 1e-9 for v in f):
                 raise ValueError(f"frequency {f} is not periodic on the cell")
         return cls(dimension=poly.dim, poly=poly)
 
@@ -98,7 +97,11 @@ class ConvergenceReport:
         return self.rows[-1]["abs_err"]
 
 
-def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FLOOR) -> float:
+# ladder rungs, the last ones, that a decay order is fitted to
+DECAY_FIT_WINDOW = 6
+
+
+def fit_decay_order(eps_values, errors, floor: float = ERROR_FLOOR) -> float:
     """Least-squares slope of log(error) against log(eps-scale).
 
     Only the informative tail is used: entries whose error already sits at
@@ -110,8 +113,8 @@ def fit_decay_order(eps_values, errors, window: int = 6, floor: float = ERROR_FL
     (x - x_bar)^2, every sum by ``math.fsum`` and every log by ``math.log``,
     so it does not depend on the BLAS kernel or on numpy's SIMD dispatch.
     """
-    eps_values = list(eps_values)[-window:]
-    errors = list(errors)[-window:]
+    eps_values = list(eps_values)[-DECAY_FIT_WINDOW:]
+    errors = list(errors)[-DECAY_FIT_WINDOW:]
     if len(eps_values) < 2:
         raise ValueError(f"a decay order needs at least two ladder rungs, got {len(eps_values)}")
     pts = [(e, v) for e, v in zip(eps_values, errors) if v > floor]

@@ -44,9 +44,9 @@ MAX_ORBIT_BLOCKS = 120
 
 # -- test functions ----------------------------------------------------------
 # Each formula reads its points through kernels.coordinates, so it runs on an
-# (M, N) array of scattered points and on a tensor grid's GridPoints alike; a
-# separable one also keeps its per-axis parts, whose own tensor rule a
-# Lebesgue pairing applies (quadrature.integrate_separable).
+# (M, N) array of scattered points and on a tensor grid's GridPoints alike.  A
+# separable one is a quadrature.Product or QuarticBump of per-axis parts,
+# whose own tensor rule a Lebesgue pairing applies (integrate_separable).
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class TestFunction:
 
     ``fn`` gets an (M, N) array or a tensor grid's :class:`GridPoints`; its
     values come back raveled in C order, in the dtype the formula gives.
-    ``separable`` is None or ``fn`` again as a :class:`Product` or a
-    :class:`QuarticBump` of N elementwise callables on 1-D coordinate arrays.
+    An ``fn`` that is a :class:`Product` or a :class:`QuarticBump` makes the
+    test function separable.
     """
 
     __test__ = False  # plain data, despite the pytest-like name
@@ -64,7 +64,6 @@ class TestFunction:
     name: str
     fn: object
     support: Box
-    separable: Product | QuarticBump | None = None
 
     def __call__(self, pts) -> np.ndarray:
         if not isinstance(pts, GridPoints):
@@ -72,27 +71,17 @@ class TestFunction:
         return np.ravel(self.fn(pts))
 
 
-def _r2(pts, center) -> np.ndarray:
-    """Squared distance from ``center``, summed axis by axis."""
-    return sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center))
-
-
-def _product(name: str, factors, support: Box) -> TestFunction:
-    """The test function prod_a factors[a](x_a), kept as a :class:`Product`."""
-    factors = tuple(factors)
-
-    def fn(pts):
-        return math.prod(f(x) for f, x in zip(factors, kernels.coordinates(pts)))
-
-    return TestFunction(name, fn, support, Product(factors))
+def _separable(phi) -> bool:
+    # phi's own formula has a tensor rule; a (J, M) stack has no fn
+    return isinstance(getattr(phi, "fn", None), (Product, QuarticBump))
 
 
 def gaussian(center, sigma: float, name: str | None = None) -> TestFunction:
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     radius = 12.0 * sigma
     box = Box(tuple(center - radius), tuple(center + radius))
-    factors = [lambda x, c=c: np.exp(-((x - c) ** 2) / (2.0 * sigma**2)) for c in center]
-    return _product(name or f"gauss-{sigma:g}", factors, box)
+    factors = tuple(lambda x, c=c: np.exp(-((x - c) ** 2) / (2.0 * sigma**2)) for c in center)
+    return TestFunction(name or f"gauss-{sigma:g}", Product(factors), box)
 
 
 def bump(center, width: float, name: str | None = None) -> TestFunction:
@@ -100,30 +89,19 @@ def bump(center, width: float, name: str | None = None) -> TestFunction:
 
     It is the :class:`QuarticBump` of the terms ((x_a - c_a) / width)^2, whose
     sum is (r/width)^2, so a Lebesgue pairing sums its last axis in closed
-    form; ``fn`` itself keeps the formula below.
+    form.
     """
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     box = Box(tuple(center - width), tuple(center + width))
-
-    def fn(pts):
-        # off the ball 1 - min(r^2, 1) is +0.0 already, so no select is needed
-        r2 = _r2(pts, center) / width**2
-        np.subtract(1.0, np.minimum(r2, 1.0, out=r2), out=r2)
-        return np.square(r2, out=r2)
-
     terms = tuple(lambda x, c=c: ((x - c) / width) ** 2 for c in center)
-    return TestFunction(name or f"bump-{width:g}", fn, box, QuarticBump(terms))
+    return TestFunction(name or f"bump-{width:g}", QuarticBump(terms), box)
 
 
 def triangle(center: float, width: float, name: str | None = None) -> TestFunction:
     """One-dimensional hat function, Fourier transform ~ f^-2."""
     box = Box((center - width,), (center + width,))
-
-    def fn(pts):
-        (x,) = kernels.coordinates(pts)
-        return np.maximum(0.0, 1.0 - np.abs(x - center) / width)
-
-    return TestFunction(name or f"triangle-{width:g}", fn, box)
+    hat = Product((lambda x: np.maximum(0.0, 1.0 - np.abs(x - center) / width),))
+    return TestFunction(name or f"triangle-{width:g}", hat, box)
 
 
 def mollifier(center, width: float, name: str | None = None) -> TestFunction:
@@ -136,7 +114,7 @@ def mollifier(center, width: float, name: str | None = None) -> TestFunction:
     box = Box(tuple(center - width), tuple(center + width))
 
     def fn(pts):
-        r2 = _r2(pts, center) / width**2
+        r2 = sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center)) / width**2
         inside = r2 < 1.0
         safe = np.where(inside, 1.0 - r2, 1.0)
         return np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
@@ -150,14 +128,15 @@ def parabola(box: Box, name: str | None = None) -> TestFunction:
     highs = np.asarray(box.highs)
     half = (highs - lows) / 2.0
     # each factor is negative off its side, so the clip zeroes the outside
-    factors = [lambda x, lo=lo, hi=hi, h=h: np.maximum((x - lo) * (hi - x) / h**2, 0.0)
-               for lo, hi, h in zip(lows, highs, half)]
-    return _product(name or "parabola", factors, box)
+    factors = tuple(lambda x, lo=lo, hi=hi, h=h: np.maximum((x - lo) * (hi - x) / h**2, 0.0)
+                    for lo, hi, h in zip(lows, highs, half))
+    return TestFunction(name or "parabola", Product(factors), box)
 
 
-def default_battery(dim: int, offset: float = 0.3) -> list:
-    """Three tensor Gaussians plus one compact bump, all center-offset."""
-    center = np.full(dim, offset)
+def default_battery(dim: int) -> list:
+    """Three tensor Gaussians plus one compact bump, all centered at 0.3 on
+    every axis, off the origin."""
+    center = np.full(dim, 0.3)
     return [
         gaussian(center, 0.5),
         gaussian(center, 1.0),
@@ -277,18 +256,18 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     phi's clipped support that resolves per-axis frequencies ``max_freqs``;
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
     its boundary (:func:`integrate_with_refinement`).  Without a density, a
-    phi whose ``separable`` is set takes its own tensor rule on that grid
-    (:func:`integrate_separable`), with the grid's nodes, weights and edge
-    check.  Every other measure pairs by its own ``pairing``, without a
-    grid.  A phi that returns a (J, M) stack pairs to J values and J
-    estimates.
+    phi whose ``fn`` is a :class:`Product` or a :class:`QuarticBump` takes
+    that formula's own tensor rule on that grid (:func:`integrate_separable`),
+    with the grid's nodes, weights and edge check.  Every other measure
+    pairs by its own ``pairing``, without a grid.  A phi that returns a
+    (J, M) stack pairs to J values and J estimates.
     """
     measure = hz.measure
     if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
     grid = hz.grid_spec.build(measure.clip(phi.support), max_freqs)
-    if measure.density is None and getattr(phi, "separable", None) is not None:
-        return integrate_separable(phi.separable, grid, edge_tol)
+    if measure.density is None and _separable(phi):
+        return integrate_separable(phi.fn, grid, edge_tol)
     return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 
@@ -318,9 +297,9 @@ def pushforward_pairing(hz: Homogenizer, eps, phi: TestFunction):
 
     The quadrature box follows the composed integrand's support (the image
     of the support of phi under the inverse map); mass detected on the box
-    boundary raises :class:`SupportEscapeError`.  The composed integrand
-    stays separable, with phi's parts pulled back, when H_eps maps axis by
-    axis (``Action.pullback_factors``).
+    boundary raises :class:`SupportEscapeError`.  A separable phi's
+    composed integrand is its formula with the parts pulled back, and so
+    separable too, when H_eps maps axis by axis (``Action.pullback_factors``).
 
     ``eps`` is one group element or a 1-D array of them, as ``Action.apply``
     takes; for an array, value and estimate are arrays over it, entry j
@@ -341,15 +320,10 @@ def pushforward_pairing(hz: Homogenizer, eps, phi: TestFunction):
 def _pushforward(hz: Homogenizer, eps: float, phi: TestFunction):
     # pushforward_pairing at one validated element
     action = hz.action
-    separable = phi.separable
-    parts = None if separable is None else action.pullback_factors(eps, separable.parts)
-    composed = TestFunction(
-        name=f"{phi.name}@{eps:g}",
-        fn=lambda pts: phi(action.apply(eps, pts)),
-        support=action.image_box(action.group.inverse(eps), phi.support),
-        separable=None if parts is None else replace(separable, parts=parts),
-    )
-    return integrate(hz, composed, edge_tol=BOUNDARY_MASS_TOL)
+    parts = action.pullback_factors(eps, phi.fn.parts) if _separable(phi) else None
+    fn = replace(phi.fn, parts=parts) if parts is not None else lambda pts: phi(action.apply(eps, pts))
+    support = action.image_box(action.group.inverse(eps), phi.support)
+    return integrate(hz, TestFunction(f"{phi.name}@{eps:g}", fn, support), edge_tol=BOUNDARY_MASS_TOL)
 
 
 @dataclass
@@ -406,13 +380,17 @@ def verify_homogeneity(
     )
 
 
-def check_factor_multiplicative(hz: Homogenizer, sample_count: int = 128, seed: int = 0) -> float:
+# sampled pairs (e, e') of the factor map's multiplicativity check
+FACTOR_SAMPLES = 128
+
+
+def check_factor_multiplicative(hz: Homogenizer, seed: int = 0) -> float:
     """Worst relative defect of c(e e') = c(e) c(e') on sampled pairs, all
     pairs in one pass of the factor map."""
     rng = random.Random(seed)
     group = hz.action.group
-    eps1 = group.sample(rng, sample_count)
-    eps2 = group.sample(rng, sample_count)
+    eps1 = group.sample(rng, FACTOR_SAMPLES)
+    eps2 = group.sample(rng, FACTOR_SAMPLES)
     lhs = hz.factor_map(group.compose(eps1, eps2))
     rhs = hz.factor_map(eps1) * hz.factor_map(eps2)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs), initial=0.0))

@@ -593,17 +593,22 @@ def integrate_separable(separable, grid: QuadratureGrid, edge_tol=None) -> tuple
 
 @dataclass(frozen=True)
 class Product:
-    """f(x) = prod_a f_a(x_a), for per-axis ``parts`` f_a that take 1-D
+    """f(x) = prod_a f_a(x_a), for per-axis ``parts`` f_a that take
     coordinate arrays.
 
-    A tensor rule applied to a product is the product of its axes' rules
-    (sum factorisation: Orszag, J. Comput. Phys. 37, 1980).  So part a is
+    Called on points, (M, N) or a tensor grid's :class:`GridPoints`, it
+    evaluates f node by node through ``kernels.coordinates``.  A tensor
+    rule applied to a product is the product of its axes' rules (sum
+    factorisation: Orszag, J. Comput. Phys. 37, 1980).  So part a is
     integrated on axis a's own 1-D grid, whose nodes and weights are the
     grid's bit for bit: n_a evaluations against prod_a n_a on the tensor
     grid.  In 1-D the value is :func:`integrate_on_grid`'s bits.
     """
 
     parts: tuple
+
+    def __call__(self, pts) -> np.ndarray:
+        return math.prod(f(x) for f, x in zip(self.parts, kernels.coordinates(pts)))
 
     def tensor_rule(self, grid: QuadratureGrid, edge: bool = False) -> tuple[complex, float]:
         """The grid's rule applied to f and, with ``edge``, the fraction of
@@ -625,9 +630,10 @@ class Product:
 @dataclass(frozen=True)
 class QuarticBump:
     """f(x) = g(sum_a q_a(x_a)), g(t) = (1 - t)^2 for t < 1 and 0 otherwise,
-    for per-axis ``parts`` q_a that take 1-D coordinate arrays.
+    for per-axis ``parts`` q_a that take coordinate arrays.
 
-    Its tensor rule sums the last axis in closed form: with tau = 1 -
+    Called on points, it evaluates f node by node, as :class:`Product`
+    does.  Its tensor rule sums the last axis in closed form: with tau = 1 -
     sum_(a<d) q_a at a node of the leading axes, the last axis's nodes y_j
     of weight v_j and p_j = q_d(y_j) sum to sum_(p_j < tau) v_j (tau -
     p_j)^2 = tau^2 M0 - 2 tau M1 + M2, where M_k are prefix sums of v_j
@@ -636,6 +642,12 @@ class QuarticBump:
     """
 
     parts: tuple
+
+    def __call__(self, pts) -> np.ndarray:
+        # off the support 1 - min(t, 1) is +0.0 already, so no select is needed
+        t = sum(q(x) for q, x in zip(self.parts, kernels.coordinates(pts)))
+        np.subtract(1.0, np.minimum(t, 1.0, out=t), out=t)
+        return np.square(t, out=t)
 
     def tensor_rule(self, grid: QuadratureGrid, edge: bool = False) -> tuple[complex, float]:
         """The grid's rule applied to f and, with ``edge``, the fraction of

@@ -105,8 +105,9 @@ def write_curve(path: str, points, header: dict) -> None:
             handle.write(f"{_format(float(x))} {_format(float(y))}\n")
 
 
-def log_error_curve(rows, eps_key: str = "eps", err_key: str = "abs_err", floor: float = 1e-300):
+def log_error_curve(rows, err_key: str = "abs_err"):
+    """(log |eps|, log error) per row, an error of 0 read as 1e-300."""
     return [
-        (math.log(abs(row[eps_key])), math.log(max(row[err_key], floor)))
+        (math.log(abs(row["eps"])), math.log(max(row[err_key], 1e-300)))
         for row in rows
     ]

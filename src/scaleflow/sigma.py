@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .actions import Action
-from .algebra import GENERATOR_TOL, spectral_pairing
+from .algebra import spectral_pairing
 from .meanvalue import ERROR_FLOOR, fit_decay_order
 from .quadrature import Box, GridSpec, integrate_on_grid, integrate_oscillatory
 
@@ -106,14 +106,7 @@ class TwoScaleField:
 def _cell_sample(algebra, count: int) -> np.ndarray:
     """Deterministic dense sample of one (almost-)period window."""
     dim = algebra.dimension
-    if algebra.kind == "periodic":
-        width = 1.0
-    else:
-        # irrational generators have no exact period; a window of several
-        # slowest oscillations sampled densely approaches the true sup
-        gens = np.asarray(algebra.generators, dtype=np.float64)
-        slowest = np.min(np.abs(gens[np.abs(gens) > GENERATOR_TOL]))
-        width = 8.0 / slowest
+    width = algebra.sample_window()
     if dim == 1:
         return np.linspace(0.0, width, count, endpoint=False)[:, None]
     per_axis = max(8, int(round(count ** (1.0 / dim))))

@@ -58,18 +58,19 @@ def test_integrate_unit_mass_bump():
 
 
 def test_bump_has_the_bits_of_the_selected_square():
-    # computed in place, without the select: off the ball 1 - min(r^2, 1)
-    # is +0.0 already
+    # t = sum_a ((x_a - c_a) / w)^2, the parts of the tensor rule, at a
+    # width that is not a power of two; computed in place, without the
+    # select: off the ball 1 - min(t, 1) is +0.0 already
     phi = bump([0.3, -0.2], 0.7)
     grid = QuadratureGrid(phi.support, (48, 40), panel_order=8)
     scattered = np.random.default_rng(3).uniform(-1.0, 1.5, (4096, 2))
     for pts in (grid.points_and_weights()[0], scattered):
         x, y = np.asarray(pts).T
-        r2 = (0 + (x - 0.3) ** 2 + (y + 0.2) ** 2) / 0.7**2
-        selected = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 2, 0.0)
+        t = ((x - 0.3) / 0.7) ** 2 + ((y + 0.2) / 0.7) ** 2
+        selected = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** 2, 0.0)
         values = phi(pts)
         assert values.tobytes() == selected.tobytes()
-        assert (r2 >= 1.0).any() and not np.signbit(values).any()
+        assert (t >= 1.0).any() and not np.signbit(values).any()
 
 
 def test_real_test_functions_keep_float64():

@@ -6,7 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import meanvalue, measures, quadrature
+from scaleflow import actions, meanvalue, measures, quadrature, reports
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -80,15 +80,31 @@ def test_measure_fields_are_pinned():
 
 
 def test_test_function_fields_are_pinned():
-    # separable, when set, is fn again as a quadrature.Product or
-    # QuarticBump of per-axis parts, whose own tensor rule a Lebesgue
-    # pairing applies through the one driver, integrate_separable
+    # a test function is separable when fn itself is a quadrature.Product or
+    # QuarticBump, whose own tensor rule a Lebesgue pairing applies through
+    # the one driver, integrate_separable: no second copy of the formula
     fields = tuple(f.name for f in dataclasses.fields(scaleflow.TestFunction))
-    assert fields == ("name", "fn", "support", "separable")
+    assert fields == ("name", "fn", "support")
+    assert [name for name in ("_product", "_r2") if hasattr(measures, name)] == []
     assert [name for name in ("integrate_product", "integrate_bump", "bump_on_grid")
             if hasattr(quadrature, name)] == []
     # every row block's weights are built as one outer product, not cached
     assert not hasattr(scaleflow.QuadratureGrid, "_block_weights")
+
+
+def test_settable_values_no_caller_sets_are_constants():
+    # the battery offset, the factor-map sample count, the decay-fit window,
+    # the log curve's eps key and floor and the periodic cell are fixed
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(scaleflow.default_battery) == ["dim"]
+    assert params(measures.check_factor_multiplicative) == ["hz", "seed"]
+    assert params(meanvalue.fit_decay_order) == ["eps_values", "errors", "floor"]
+    assert params(reports.log_error_curve) == ["rows", "err_key"]
+    assert params(scaleflow.MeanFunction.periodic_trig) == ["poly"]
+    # each action builds its own matrices: no per-element hook on the base
+    assert not hasattr(actions.Action, "_matrix")
 
 
 def _unused_imports(path: pathlib.Path) -> list:

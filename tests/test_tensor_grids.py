@@ -95,14 +95,16 @@ def test_test_functions_on_grid_points_match_materialised(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_test_functions_match_their_formulas_on_the_point_array(dim):
-    # the radial formulas written on the materialised array, row by row
+    # the radial formulas written on the materialised array, row by row; the
+    # bump sums the squares of (x_a - c_a) / w, its tensor rule's parts
     pts = _grid_points(dim)
     array = np.asarray(pts)
     center = np.array([0.2, -0.1, 0.3][:dim])
     r2 = np.sum((array - center) ** 2, axis=1)
     _assert_close(gaussian(center, 0.4)(pts), np.exp(-r2 / (2.0 * 0.4**2)), TOL[dim])
+    t = np.sum(((array - center) / 0.9) ** 2, axis=1)
+    _assert_close(bump(center, 0.9)(pts), (1.0 - np.minimum(t, 1.0)) ** 2, TOL[dim])
     u2 = r2 / 0.9**2
-    _assert_close(bump(center, 0.9)(pts), np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0), TOL[dim])
     inside = u2 < 1.0
     expected = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u2, 1.0)), 0.0)
     _assert_close(mollifier(center, 0.9)(pts), expected, TOL[dim])
