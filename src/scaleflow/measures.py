@@ -29,7 +29,6 @@ from .quadrature import (
     QuarticBump,
     SupportEscapeError,
     UnderResolvedError,
-    integrate_separable,
     integrate_with_refinement,
 )
 
@@ -46,7 +45,8 @@ MAX_ORBIT_BLOCKS = 120
 # Each formula reads its points through kernels.coordinates, so it runs on an
 # (M, N) array of scattered points and on a tensor grid's GridPoints alike.  A
 # separable one is a quadrature.Product or QuarticBump of per-axis parts,
-# whose own tensor rule a Lebesgue pairing applies (integrate_separable).
+# whose own tensor rule integrate_with_refinement applies to a pairing with
+# Lebesgue measure.
 
 
 @dataclass(frozen=True)
@@ -255,19 +255,19 @@ def integrate(hz: Homogenizer, phi: TestFunction, max_freqs=None, edge_tol=None)
     A :class:`Lebesgue` measure integrates on a ``hz.grid_spec`` grid over
     phi's clipped support that resolves per-axis frequencies ``max_freqs``;
     with ``edge_tol`` that grid also rejects an integrand whose mass reaches
-    its boundary (:func:`integrate_with_refinement`).  Without a density, a
-    phi whose ``fn`` is a :class:`Product` or a :class:`QuarticBump` takes
-    that formula's own tensor rule on that grid (:func:`integrate_separable`),
-    with the grid's nodes, weights and edge check.  Every other measure
-    pairs by its own ``pairing``, without a grid.  A phi that returns a
-    (J, M) stack pairs to J values and J estimates.
+    its boundary.  It makes one :func:`integrate_with_refinement` call:
+    without a density, a phi whose ``fn`` is a :class:`Product` or a
+    :class:`QuarticBump` passes that formula, which takes its own tensor
+    rule there, and every other phi passes ``measure.weighted(phi)``.
+    Every other measure pairs by its own ``pairing``, without a grid.  A phi
+    that returns a (J, M) stack pairs to J values and J estimates.
     """
     measure = hz.measure
     if not isinstance(measure, Lebesgue):
         return measure.pairing(phi)
     grid = hz.grid_spec.build(measure.clip(phi.support), max_freqs)
     if measure.density is None and _separable(phi):
-        return integrate_separable(phi.fn, grid, edge_tol)
+        phi = phi.fn  # the formula itself, which takes its own tensor rule
     return integrate_with_refinement(measure.weighted(phi), grid, edge_tol)
 
 

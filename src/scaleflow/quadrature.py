@@ -554,41 +554,34 @@ def integrate_with_refinement(f, grid: QuadratureGrid, edge_tol=None) -> tuple[c
     each, as arrays, for an integrand that returns a (J, M) stack (which
     takes no ``edge_tol``).
 
-    With ``edge_tol``, the coarse values also judge the support: more than
-    that fraction of the |f| mass on the grid's outermost node layer raises
-    :class:`SupportEscapeError` before the fine grid is evaluated.  Each
-    grid is evaluated once, block by block; only an edge-checked coarse grid
-    keeps its values.  A doubled grid of more than ``MAX_GRID_NODES`` nodes
-    raises :class:`UnderResolvedError` before either grid is evaluated.
+    A :class:`Product` or a :class:`QuarticBump` takes its own tensor rule
+    on both grids, with the tensor grid's nodes and weights and no node cap.
+    Any other f is evaluated node by node, once per grid, block by block: a
+    doubled grid of more than ``MAX_GRID_NODES`` nodes raises
+    :class:`UnderResolvedError` before either grid is evaluated.  With
+    ``edge_tol``, the coarse rule also judges the support: more than that
+    fraction of the |f| mass on the grid's outermost node layer raises
+    :class:`SupportEscapeError` before the fine grid is evaluated.
     """
-    _check_node_total(grid.refined())
-    coarse, values = _integral_and_values(f, grid, keep=edge_tol is not None)
-    if edge_tol is not None:
-        _check_edge(boundary_mass_fraction(values, grid), edge_tol)
-    del values  # hold one grid's values at a time
-    fine = integrate_on_grid(f, grid.refined())
-    return fine, abs(fine - coarse)
-
-
-def _check_edge(fraction: float, edge_tol: float) -> None:
-    if fraction > edge_tol:
+    if isinstance(f, (Product, QuarticBump)):
+        rule = f.tensor_rule
+    else:
+        _check_node_total(grid.refined())
+        rule = functools.partial(_node_rule, f)
+    coarse, fraction = rule(grid, edge_tol is not None)
+    if edge_tol is not None and fraction > edge_tol:
         raise SupportEscapeError(f"{fraction:.2e} of the integrand mass sits on the grid boundary")
-
-
-def integrate_separable(separable, grid: QuadratureGrid, edge_tol=None) -> tuple[complex, float]:
-    """:func:`integrate_with_refinement` of a separable integrand, a
-    :class:`Product` or a :class:`QuarticBump`, by its own tensor rule on
-    the grid and on the doubled grid, with the tensor grid's nodes, weights
-    and edge check.
-
-    With ``edge_tol``, the rule's outer-layer mass fraction on the coarse
-    grid is judged before the fine grid is evaluated.
-    """
-    coarse, fraction = separable.tensor_rule(grid, edge=edge_tol is not None)
-    if edge_tol is not None:
-        _check_edge(fraction, edge_tol)
-    fine, _ = separable.tensor_rule(grid.refined())
+    fine, _ = rule(grid.refined())
     return fine, abs(fine - coarse)
+
+
+def _node_rule(f, grid: QuadratureGrid, edge: bool = False) -> tuple[complex, float]:
+    # a tensor_rule for any f, node by node: with edge, the values are kept
+    # for the outer-layer fraction and dropped on return
+    if not edge:
+        return integrate_on_grid(f, grid), 0.0
+    value, values = _integral_and_values(f, grid, keep=True)
+    return value, boundary_mass_fraction(values, grid)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def sigma_pairing_rhs(
             spectral = spectral_pairing(w_u, w_psi)
             if spectral == 0j:
                 continue
-            inner = integrate_on_grid(lambda pts: macro_u(pts) * macro_psi(pts), grid)
+            inner = integrate_on_grid(_product(macro_u, macro_psi), grid)
             total += inner * spectral
     return total
 

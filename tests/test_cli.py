@@ -29,6 +29,12 @@ def write_yaml(path, payload):
         yaml.safe_dump(payload, handle)
 
 
+def read_config(stem: str) -> dict:
+    """The committed config ``configs/<stem>.yaml``, its file closed."""
+    with open(os.path.join(CONFIG_DIR, f"{stem}.yaml"), encoding="utf-8") as handle:
+        return yaml.safe_load(handle)
+
+
 BASE = {
     "seed": 0,
     "group": {"kind": "positive-multiplicative", "weight_param": 1.0},
@@ -260,7 +266,7 @@ def test_cli_three_dimensional_mean_fails_loudly(tmp_path, capsys):
     # a 3-D mean sweep whose first rung's doubled grid needs 1.1e8 nodes
     # exits 3 at once, naming the total and the cap, instead of running out
     # of memory
-    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+    cfg = read_config("mean_periodic")
     cfg["action"] = {"variant": "diagonal-scaling", "exponents": [1, 1, 1]}
     cfg["ladder"] = {"count": 5}
     cfg["grid"] = {"rule": "gauss", "base_nodes": 64, "panel_order": 16, "max_nodes": 4096}
@@ -297,7 +303,7 @@ def test_cli_homogeneity_negative_control(tmp_path):
 
 
 def test_cli_resolution_failure_exit_code(tmp_path):
-    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "sigma_periodic.yaml")))
+    cfg = read_config("sigma_periodic")
     cfg["grid"]["max_nodes"] = 512
     cfg["ladder"] = {"count": 12}
     path = tmp_path / "under.yaml"
@@ -308,7 +314,7 @@ def test_cli_resolution_failure_exit_code(tmp_path):
 
 def test_cli_contract_rejects_zero_starts(tmp_path, capsys):
     # no fixed point is computed with zero starts, so nothing may pass
-    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "contract.yaml")))
+    cfg = read_config("contract")
     cfg["contraction"]["starts"] = 0
     path = tmp_path / "zero.yaml"
     write_yaml(path, cfg)
@@ -319,7 +325,7 @@ def test_cli_contract_rejects_zero_starts(tmp_path, capsys):
 
 def test_group_law_tolerance_rejected(tmp_path, capsys):
     # no verdict reads a group_law tolerance, so a config naming one is an error
-    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "verify_action.yaml")))
+    cfg = read_config("verify_action")
     cfg["tolerances"] = {"group_law": 1.0e-30}
     path = tmp_path / "group_law.yaml"
     write_yaml(path, cfg)
@@ -485,7 +491,7 @@ _BAD_ELEMENTS = [
 
 @pytest.mark.parametrize("overlay,where", _BAD_ELEMENTS, ids=[case[1] for case in _BAD_ELEMENTS])
 def test_bad_group_element_is_config_error(tmp_path, capsys, overlay, where):
-    cfg = yaml.safe_load(open(os.path.join(CONFIG_DIR, "contract.yaml")))
+    cfg = read_config("contract")
     path = tmp_path / "bad_element.yaml"
     write_yaml(path, {**cfg, **overlay})
     code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -518,8 +524,7 @@ _OUT_OF_RANGE = [
 @pytest.mark.parametrize("subcommand,stem,overlay,where", _OUT_OF_RANGE,
                          ids=[f"{case[1]}:{case[3]}" for case in _OUT_OF_RANGE])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, subcommand, stem, overlay, where):
-    with open(os.path.join(CONFIG_DIR, f"{stem}.yaml"), encoding="utf-8") as handle:
-        cfg = yaml.safe_load(handle)
+    cfg = read_config(stem)
     for key, block in overlay.items():
         cfg[key] = {**cfg.get(key, {}), **block} if key != "ladder" else block
     path = tmp_path / "out_of_range.yaml"
@@ -556,8 +561,7 @@ def test_construct_measure_battery_keeps_a_parabola():
 
 def test_cli_construct_uniform_seed_passes(tmp_path):
     # 128 seed nodes per Haar node: the sweep's point budget at work
-    with open(os.path.join(CONFIG_DIR, "construct_measure.yaml"), encoding="utf-8") as handle:
-        cfg = yaml.safe_load(handle)
+    cfg = read_config("construct_measure")
     cfg["construct"]["seed_measure"] = {"kind": "uniform", "box": [[0.5, 1.5]]}
     path = tmp_path / "construct_uniform.yaml"
     write_yaml(path, cfg)

@@ -37,7 +37,7 @@ from scaleflow import (
     triangle,
     verify_homogeneity,
 )
-from scaleflow import kernels, measures
+from scaleflow import kernels, measures, quadrature
 from scaleflow.config import build_seed_measure
 from scaleflow.measures import check_factor_multiplicative
 from scaleflow.quadrature import Box, QuadratureGrid, UnderResolvedError
@@ -616,13 +616,13 @@ def test_center_null_masses_are_integrates_values(monkeypatch):
             value, _ = integrate(hz, bump(hz.action.center(), radius))
             assert rho == radius and mass == abs(value)
     # a Lebesgue ball without a density takes the bump's own tensor rule,
-    # never the tensor grid
+    # never the node-by-node rule on the tensor grid
     masses = verify_center_null(lebesgue, radii).masses
 
     def tensor_grid(*args):
         raise AssertionError("a ball reached the tensor grid")
 
-    monkeypatch.setattr(measures, "integrate_with_refinement", tensor_grid)
+    monkeypatch.setattr(quadrature, "_node_rule", tensor_grid)
     assert verify_center_null(lebesgue, radii).masses == masses
 
 

@@ -12,9 +12,12 @@ import re
 import numpy as np
 import pytest
 
-from scaleflow import cli
+from scaleflow import cli, meanvalue
 from scaleflow import config as cfg_mod
 from scaleflow.actions import Action, DiagonalScaling
+from scaleflow.groups import RGroup
+from scaleflow.sigma import TwoScaleField
+from scaleflow.trig import TrigPolynomial
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -49,12 +52,48 @@ def _scale_the_factor_map(monkeypatch):
     monkeypatch.setattr(cfg_mod, "build_homogenizer", scaled)
 
 
+def _scale_method(cls, name: str, factor: float):
+    # every value the method returns, times factor
+    def mutate(monkeypatch):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args: method(self, *args) * factor)
+    return mutate
+
+
+def _scale_the_closed_form_mean(monkeypatch):
+    # the limit empirical_mean measures against; cli.mean only prints it
+    mean = meanvalue.mean
+    monkeypatch.setattr(meanvalue, "mean", lambda u: mean(u) * 1.001)
+
+
+def _scale_the_translate(monkeypatch):
+    # the translate's coefficients 1e-3 off, its frequencies exact
+    translate = meanvalue.MeanFunction.translate
+
+    def scaled(self, shift):
+        moved = translate(self, shift)
+        poly = TrigPolynomial(moved.poly.freqs, moved.poly.coeffs * 1.001)
+        return dataclasses.replace(moved, poly=poly)
+
+    monkeypatch.setattr(meanvalue.MeanFunction, "translate", scaled)
+
+
 # (subcommand, config stem, verdict the defect must flip, defect)
 ROWS = {
     "diagonal-scales-times-1+1e-6": ("verify-action", "verify_action", "group-law", _scale_the_scales),
     "center-offset-1e-9": ("contract", "contract", "fixed-point", _offset_the_center),
     "factor-map-times-1+1e-6": ("homogeneity", "homogeneity_r2", "factor-multiplicative",
                                 _scale_the_factor_map),
+    "volume-factor-times-1+1e-4": ("homogeneity", "homogeneity_r2", "homogeneity",
+                                   _scale_method(DiagonalScaling, "volume_factor", 1.0 + 1e-4)),
+    "group-weight-times-1+1e-4": ("construct-measure", "construct_measure", "construct-homogeneity",
+                                  _scale_method(RGroup, "weight", 1.0 + 1e-4)),
+    "closed-form-mean-times-1.001": ("mean", "mean_periodic", "empirical-mean",
+                                     _scale_the_closed_form_mean),
+    "envelope-norm-times-0.99": ("sigma", "sigma_periodic", "trace-norm-bound",
+                                 _scale_method(TwoScaleField, "envelope_norm", 0.99)),
+    "translate-coefficients-times-1.001": ("mean", "mean_periodic", "translation-invariance",
+                                           _scale_the_translate),
 }
 
 

@@ -82,7 +82,7 @@ def test_measure_fields_are_pinned():
 def test_test_function_fields_are_pinned():
     # a test function is separable when fn itself is a quadrature.Product or
     # QuarticBump, whose own tensor rule a Lebesgue pairing applies through
-    # the one driver, integrate_separable: no second copy of the formula
+    # integrate_with_refinement: no second copy of the formula
     fields = tuple(f.name for f in dataclasses.fields(scaleflow.TestFunction))
     assert fields == ("name", "fn", "support")
     assert [name for name in ("_product", "_r2") if hasattr(measures, name)] == []
@@ -90,6 +90,21 @@ def test_test_function_fields_are_pinned():
             if hasattr(quadrature, name)] == []
     # every row block's weights are built as one outer product, not cached
     assert not hasattr(scaleflow.QuadratureGrid, "_block_weights")
+
+
+def test_one_refinement_driver_keeps_its_benchmarked_signatures():
+    # perfbench wraps both drivers by name, integrate_on_grid as (f, grid)
+    # positionally, and a separable formula takes integrate_with_refinement
+    # too, so no second refinement routine or edge check is left
+    def params(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert params(quadrature.integrate_with_refinement) == [
+        ("f", empty), ("grid", empty), ("edge_tol", None)]
+    assert params(quadrature.integrate_on_grid) == [("f", empty), ("grid", empty)]
+    assert [name for name in ("integrate_separable", "_check_edge")
+            if hasattr(quadrature, name)] == []
 
 
 def test_settable_values_no_caller_sets_are_constants():

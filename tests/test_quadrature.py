@@ -118,11 +118,11 @@ def test_separable_rules_are_not_capped():
     grid = QuadratureGrid(Box((-1.0,) * 3, (1.0,) * 3), (512,) * 3, panel_order=16)
     assert grid.total_points > quadrature.MAX_GRID_NODES
     gauss = quadrature.Product((lambda x: np.exp(-50.0 * x * x),) * 3)
-    value, estimate = quadrature.integrate_separable(gauss, grid)
+    value, estimate = integrate_with_refinement(gauss, grid)
     assert value.real == pytest.approx((math.pi / 50.0) ** 1.5, rel=1e-12)
     assert estimate <= 1e-12
     ball = quadrature.QuarticBump((lambda x: (x / 0.9) ** 2,) * 3)
-    value, _ = quadrature.integrate_separable(ball, grid)
+    value, _ = integrate_with_refinement(ball, grid)
     # the quartic bump of radius w in 3-D has mass 4 pi * 8 / 105 * w^3
     assert value.real == pytest.approx(4.0 * math.pi * 8.0 / 105.0 * 0.9**3, rel=1e-6)
 

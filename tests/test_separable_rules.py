@@ -32,9 +32,9 @@ from scaleflow import (
     triangle,
     verify_homogeneity,
 )
-from scaleflow import measures, quadrature
+from scaleflow import quadrature
 from scaleflow.measures import Lebesgue
-from scaleflow.quadrature import Box, Product, QuadratureGrid, QuarticBump, integrate_separable
+from scaleflow.quadrature import Box, Product, QuadratureGrid, QuarticBump, integrate_with_refinement
 
 CENTER = (0.3, -0.2, 0.1)
 EXPONENTS = (1, 2, 3)
@@ -72,6 +72,21 @@ def _close(got, expected, scale) -> bool:
 
 def _spec(dim: int, rule: str) -> GridSpec:
     return GridSpec(base_nodes=NODES[dim], panel_order=RULES[rule])
+
+
+def _spy_rules(monkeypatch) -> list:
+    # (rule, grid) of every rule integrate_with_refinement applies: a
+    # formula's own tensor rule, named by its type, or "node"
+    calls = []
+    for cls in (Product, QuarticBump):
+        def spy(self, grid, edge=False, rule=cls.tensor_rule, name=cls.__name__):
+            calls.append((name, grid))
+            return rule(self, grid, edge)
+        monkeypatch.setattr(cls, "tensor_rule", spy)
+    node = quadrature._node_rule
+    monkeypatch.setattr(quadrature, "_node_rule",
+                        lambda f, grid, edge=False: calls.append(("node", grid)) or node(f, grid, edge))
+    return calls
 
 
 @pytest.mark.parametrize("rule", sorted(RULES))
@@ -195,7 +210,7 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("kind", list(EDGE_CASES))
-def test_edge_fraction_is_the_tensor_grids_own(kind):
+def test_edge_fraction_is_the_tensor_grids_own(monkeypatch, kind):
     # the tensor grid's outer-layer |f| fraction F sits between edge
     # tolerances just below and just above it
     phi, box, margin = EDGE_CASES[kind]
@@ -203,9 +218,12 @@ def test_edge_fraction_is_the_tensor_grids_own(kind):
     pts, _ = grid.points_and_weights()
     fraction = quadrature.boundary_mass_fraction(phi(pts), grid)
     assert fraction > 1e-6
-    with pytest.raises(SupportEscapeError):
-        integrate_separable(phi.fn, grid, edge_tol=fraction * (1.0 - margin))
-    value, _ = integrate_separable(phi.fn, grid, edge_tol=fraction * (1.0 + margin))
+    calls = _spy_rules(monkeypatch)
+    with pytest.raises(SupportEscapeError, match="grid boundary"):
+        integrate_with_refinement(phi.fn, grid, edge_tol=fraction * (1.0 - margin))
+    # the coarse rule judged the edge, and the doubled grid was never ruled
+    assert calls == [(type(phi.fn).__name__, grid)]
+    value, _ = integrate_with_refinement(phi.fn, grid, edge_tol=fraction * (1.0 + margin))
     assert _close(value, quadrature.integrate_on_grid(phi, grid.refined()), value)
 
 
@@ -213,10 +231,10 @@ def test_rules_without_mass_judge_no_edge():
     grid = QuadratureGrid(Box((-3.0, -2.5), (3.0, 2.5)), (64, 80), panel_order=16)
     # a factor that vanishes on its axis leaves the tensor grid no mass at all
     vanishing = Product((gaussian([0.0, 0.0], 1.0).fn.parts[0], np.zeros_like))
-    assert integrate_separable(vanishing, grid, edge_tol=1e-6) == (0.0, 0.0)
+    assert integrate_with_refinement(vanishing, grid, edge_tol=1e-6) == (0.0, 0.0)
     # a box the ball misses: no mass, so nothing to judge
     far = QuadratureGrid(Box((2.0, 2.0), (3.0, 3.0)), (16, 16))
-    assert integrate_separable(bump((0.0, 0.0), 1.0).fn, far, edge_tol=1e-6) == (0.0, 0.0)
+    assert integrate_with_refinement(bump((0.0, 0.0), 1.0).fn, far, edge_tol=1e-6) == (0.0, 0.0)
 
 
 COUNTED = {
@@ -286,13 +304,11 @@ def test_mixing_actions_keep_the_grid_path(monkeypatch, kind):
     assert DiagonalScaling((1, 2)).pullback_factors(0.5, (abs, abs)) is not None
     phi, nodes, exact, tol = SHEARED[kind]
     hz = Homogenizer.lebesgue(shear, GridSpec(base_nodes=nodes))
-    grids = []
-    on_grid = measures.integrate_with_refinement
-    monkeypatch.setattr(measures, "integrate_with_refinement",
-                        lambda f, grid, tol: grids.append(grid) or on_grid(f, grid, tol))
-    monkeypatch.setattr(measures, "integrate_separable", None)  # never reached
+    calls = _spy_rules(monkeypatch)
     value, _ = pushforward_pairing(hz, 0.5, phi)
-    assert len(grids) == 1
+    # one grid and its doubling, node by node, and no tensor rule
+    [(coarse_rule, grid), (fine_rule, fine)] = calls
+    assert coarse_rule == fine_rule == "node" and fine == grid.refined()
     assert abs(value - exact) <= tol
 
 
@@ -304,15 +320,13 @@ def test_domain_clipped_paths_agree(monkeypatch, kind, dim, rule):
     domain = Box((0.0,) * dim, (math.inf,) * dim)
     hz = Homogenizer(DiagonalScaling((1,) * dim), Lebesgue(domain=domain), lambda eps: 1.0,
                      _spec(dim, rule))
-    calls = []
-    on_separable = measures.integrate_separable
-    monkeypatch.setattr(measures, "integrate_separable",
-                        lambda *args: calls.append(args) or on_separable(*args))
+    calls = _spy_rules(monkeypatch)
     for phi in _functions(kind, dim):
         calls.clear()
         value, estimate = integrate(hz, phi)
-        assert len(calls) == 1 and calls[0][1].box.lows == (0.0,) * dim
+        assert [rule for rule, _ in calls] == [type(phi.fn).__name__] * 2
+        assert calls[0][1].box.lows == (0.0,) * dim
         grid_value, grid_estimate = integrate(hz, _hidden(phi))
-        assert len(calls) == 1
+        assert [rule for rule, _ in calls[2:]] == ["node"] * 2
         assert _close(value, grid_value, grid_value)
         assert _close(estimate, grid_estimate, grid_value)

@@ -312,7 +312,14 @@ def test_lhs_matches_qawo_on_the_sigma_periodic_battery():
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
 
-@pytest.mark.parametrize("eps", [2.0**-16, 2.0**-20])
+# At 2^-20, QAWO warns that roundoff keeps it from its requested 1e-13: that
+# tolerance sits at the float floor on purpose, and the oracle still agrees
+# with the pairing to 1e-12 below, so the warning is no error here alone.
+@pytest.mark.parametrize("eps", [
+    2.0**-16,
+    pytest.param(2.0**-20, marks=pytest.mark.filterwarnings(
+        "ignore:The occurrence of roundoff error:scipy.integrate.IntegrationWarning")),
+])
 def test_lhs_matches_qawo_below_any_resolvable_eps(eps):
     # a grid spec capped at its base grid: any resolved grid would raise, so
     # the pairing runs on the 256 base nodes however fine the oscillation
