@@ -17,7 +17,10 @@ import numpy as np
 # callers slice larger inputs so their temporaries stay a few tens of MB.
 # Grid integrals stream in row blocks of at most POINT_BUDGET // 32 nodes
 # (``quadrature._row_blocks``), whose sums combine by a fixed pairwise tree:
-# their bits depend only on the grid's shape and this budget, not on --jobs.
+# their bits depend only on the grid's shape and this budget.  The same
+# POINT_BUDGET // 32 values bound each chunk of a stack that
+# :func:`pairwise_dot` weights at once, so a block's weighted copy is one
+# row and its transients stay under glibc's heap trim threshold.
 POINT_BUDGET = 1 << 21
 
 
@@ -41,15 +44,22 @@ def pairwise_dot(weights, values):
     Python complex once at the end, with imaginary part +0.  Complex weights
     (Filon weights) stay complex.  A (J, M) stack of values gives J sums as
     a complex128 array, each row reduced over the last axis with the bits
-    of its own 1-D sum.
+    of its own 1-D sum; the rows are weighted and summed in chunks of
+    whole rows of at most ``POINT_BUDGET // 32`` values, so a grid block's
+    weighted copy is one row.
     """
     weights = np.asarray(weights)
     weights = weights.astype(np.result_type(weights.dtype, np.float64), copy=False)
     values = np.asarray(values)
     if values.ndim not in (1, 2) or weights.shape != values.shape[-1:]:
         raise ValueError("weights and values must have matching shapes")
-    total = np.sum(weights * values, axis=-1)
-    return complex(total) if values.ndim == 1 else total.astype(np.complex128)
+    if values.ndim == 1:
+        return complex(np.sum(weights * values))
+    step = max(1, POINT_BUDGET // 32 // max(1, values.shape[1]))
+    total = np.empty(values.shape[0], dtype=np.complex128)
+    for start in range(0, values.shape[0], step):
+        total[start : start + step] = np.sum(weights * values[start : start + step], axis=-1)
+    return total
 
 
 def trig_eval(freqs, coeffs, pts, real: bool = False) -> np.ndarray:

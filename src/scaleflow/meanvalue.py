@@ -132,7 +132,13 @@ class _Pairings:
     """The integrands x -> phi(x) u(H_eps x), one per u of ``functions``,
     as one (J, M) stack: phi and H_eps are evaluated once for all of them,
     and row j has the bits of phi(x) * u_j(H_eps x) alone when every row
-    has the same dtype (a real row stacked with complex ones is complex)."""
+    has the same dtype (a real row stacked with complex ones is complex).
+
+    Each product is written into its row of one (J, M) buffer, so a block
+    holds no list of rows and no stacked copy of them.  The buffer is real
+    until a complex row arrives, which casts the rows before it once, as
+    ``np.stack`` would.
+    """
 
     phi: TestFunction
     functions: tuple
@@ -146,7 +152,16 @@ class _Pairings:
     def __call__(self, pts) -> np.ndarray:
         weight = self.phi(pts)
         mapped = self.action.apply(self.eps, pts)
-        return np.stack([weight * u(mapped) for u in self.functions])
+        out = None
+        for j, u in enumerate(self.functions):
+            row = u(mapped)
+            if out is None:
+                out = np.empty((len(self.functions), *weight.shape), np.result_type(weight, row))
+            elif np.result_type(out, row) != out.dtype:  # a complex row after real ones
+                out = out.astype(np.result_type(out, row))
+            np.multiply(weight, row, out=out[j])
+            del row  # u_j's values go before u_(j+1)'s are made
+        return out
 
 
 def empirical_mean(

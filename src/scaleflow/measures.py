@@ -116,8 +116,9 @@ def mollifier(center, width: float, name: str | None = None) -> TestFunction:
     def fn(pts):
         r2 = sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center)) / width**2
         inside = r2 < 1.0
-        safe = np.where(inside, 1.0 - r2, 1.0)
-        return np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
+        out = np.zeros(r2.shape)  # +0.0 off the support
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return out
 
     return TestFunction(name or f"mollifier-{width:g}", fn, box)
 

@@ -10,11 +10,12 @@ the grid and on the doubled one.
 
 An integral streams over the grid in leading-axis row blocks of at most
 ``kernels.POINT_BUDGET // 32`` nodes, so no grid-sized weights or
-temporaries are built.  Each block is evaluated once and reduced by one
+temporaries are built, and a block's values are dropped before the next
+block's are made.  Each block is evaluated once and reduced by one
 ``kernels.pairwise_dot`` (numpy's pairwise ``np.sum`` of the weighted
 values in their own dtype, so a real integrand sums in float64), and the
 block sums combine by a fixed balanced pairwise tree.  The bits depend only
-on the grid's shape and the block size, not on ``--jobs``; when every block
+on the grid's shape and the block size; when every block
 has the same power-of-two size of at least 128 nodes and their count is a
 power of two, they are the bits of ``np.sum`` over the whole grid.  A
 grid evaluated node by node holds at most ``MAX_GRID_NODES`` nodes, its
@@ -498,6 +499,7 @@ def _integral_and_values(f, grid: QuadratureGrid, keep: bool = False):
         sums.append(kernels.pairwise_dot(w, values))
         if keep:
             kept.append(values)
+        del values  # a block's values go before the next block's are made
     return _tree_sum(sums), np.concatenate(kept) if keep else None
 
 
@@ -539,6 +541,7 @@ def integrate_oscillatory(f, grid: QuadratureGrid, polys) -> np.ndarray:
                 integrals[k] = kernels.pairwise_dot(np.ravel(weights), values)
             terms = coeffs * integrals
             sums[i].append(complex(np.sum(terms.real if real else terms)))
+        del values
     return np.array([_tree_sum(blocks) for blocks in sums], dtype=np.complex128)
 
 

@@ -7,6 +7,7 @@ test functions, evaluated in closed form or by adaptive quadrature.
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from scaleflow import (
     verify_translation_invariance,
 )
 from scaleflow import config as cfg_mod
-from scaleflow import quadrature
+from scaleflow import kernels, meanvalue, quadrature
 from scaleflow.cli import main
 from scaleflow.meanvalue import convolve, fit_decay_order
 
@@ -434,3 +435,68 @@ def test_stacked_sweep_over_a_constructed_measure_matches_each_own_sweep():
     for function, report in zip(functions, together):
         (alone,) = empirical_mean([function], hz, phi, ladder)
         assert repr(report.rows) == repr(alone.rows)
+
+
+def _pairing_functions(case):
+    # the functions of one _Pairings bit case on R^2
+    real = MeanFunction.periodic_trig(TrigPolynomial.from_terms([
+        ([0.0, 0.0], 0.5), ([1.0, 2.0], -0.25), ([-1.0, -2.0], -0.25)]))
+    if case == "three-real":
+        return [real, real.translate([0.3, 0.1]), MeanFunction.constant(2.0, 2)]
+    if case == "real-and-complex":
+        wave = TrigPolynomial.from_terms([([0.0, 0.0], 0.5), ([1.0, -ROOT2], 0.3j)])
+        return [real, MeanFunction.almost_periodic(wave), real.translate([0.3, 0.1])]
+    assert case == "vanishing"
+    decay = MeanFunction.vanishing(
+        lambda pts: 1.0 / (1.0 + np.sum(np.asarray(pts) ** 2, axis=1)), 0.0, 2)
+    return [decay]
+
+
+@pytest.mark.parametrize("case", ["three-real", "real-and-complex", "vanishing"])
+def test_pairings_rows_have_the_bits_of_the_stacked_products(case):
+    # each product is written into its row of one buffer; the stack is
+    # np.stack's, in dtype and bits, on a grid block and on scattered points
+    functions = _pairing_functions(case)
+    action, phi, eps = DiagonalScaling((1, 1)), mollifier([0.3, 0.2], 0.5), 2.0**-3
+    pairings = meanvalue._Pairings(phi, tuple(functions), action, eps)
+    grid = quadrature.QuadratureGrid(phi.support, (64, 64), panel_order=16)
+    block, _ = grid.points_and_weights(16, 48)
+    scattered = np.random.default_rng(3).uniform(-0.3, 0.9, size=(500, 2))
+    for pts in (block, scattered):
+        expected = np.stack([phi(pts) * u(action.apply(eps, pts)) for u in functions])
+        values = pairings(pts)
+        assert values.dtype == expected.dtype and values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+    assert np.iscomplexobj(values) == (case == "real-and-complex")
+
+
+def test_a_mean_sweep_block_fits_under_the_heap_trim_threshold():
+    # one 65,536-node block of the benchmark's 2-D mean sweep at its last
+    # rung: the pairings peak at 2.75 MiB of new allocations (3.51 MiB with
+    # a list of products stacked into a copy), and the reduction weights one
+    # row at a time
+    hz, u, phi, kernel, shift, _ = _stack_case("lebesgue-2d")
+    functions = (u, u.translate(shift), convolve(kernel, u, hz.grid_spec))
+    eps = 2.0**-5
+    bound = np.max([f.oscillation_bound() for f in functions], axis=0)
+    grid = hz.grid_spec.build(phi.support, hz.action.frequency_bound(eps, bound)).refined()
+    assert grid.nodes_per_axis == (1024, 1024)
+    blocks = quadrature._row_blocks(grid)
+    start, stop = blocks[len(blocks) // 2]  # the mollifier's widest rows
+    pts, w = grid.points_and_weights(start, stop)
+    assert pts.shape[0] == 1 << 16
+    pairings = meanvalue._Pairings(phi, functions, hz.action, eps)
+    pairings(pts)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        values = pairings(pts)
+        block_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        kernels.pairwise_dot(w, values)
+        reduction = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (3, 1 << 16)
+    assert block_peak <= 2.75 * 2**20
+    assert reduction <= 1.05 * values[0].nbytes

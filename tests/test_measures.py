@@ -673,3 +673,62 @@ def test_product_action_homogenizer():
     assert hz.factor_map(0.5) == pytest.approx(0.5**3, rel=1e-14)
     report = verify_homogeneity(hz, [0.5, 0.25, 0.125], default_battery(2), tol_rel=1e-6)
     assert report.passed
+
+
+def _mollifier_by_two_selects(center, width, pts):
+    # the mollifier's formula with its exp taken at every point
+    r2 = sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center)) / width**2
+    inside = r2 < 1.0
+    safe = np.where(inside, 1.0 - r2, 1.0)
+    return np.ravel(np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0))
+
+
+def test_mollifier_has_the_bits_of_the_two_select_formula():
+    # exp is taken on the support only and +0.0 written elsewhere; nodes at
+    # r = 1 exactly and beyond it read +0.0 both ways
+    c, width = 17 / 64, 0.5  # a midpoint node, and so is c + width
+    center = [c, c]
+    phi = mollifier(center, width)
+    grid = QuadratureGrid(Box((-1.0, -1.0), (1.0, 1.0)), (64, 64))
+    block, _ = grid.points_and_weights(8, 56)
+    rng = np.random.default_rng(8)
+    scattered = np.vstack([rng.uniform(-0.5, 1.0, size=(400, 2)),
+                           [[c + width, c], [c, c - width], [0.9, 0.9]]])
+    for pts in (block, scattered):
+        r2 = np.ravel(sum((x - c) ** 2 for x, c in zip(kernels.coordinates(pts), center)))
+        assert (r2 == width**2).any() and (r2 > width**2).any() and (r2 < width**2).any()
+        assert phi(pts).tobytes() == _mollifier_by_two_selects(center, width, pts).tobytes()
+    assert not np.signbit(phi(scattered)).any()
+
+
+def test_homogeneity_quad_est_bounds_each_of_its_parts():
+    # quad_est is (lhs_est + c base_est) / scale: at least each nonnegative
+    # part over scale, so neither estimate can cancel the other
+    hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=512))
+    ladder = [2.0, 1.0, 0.5]
+    battery = [gaussian([0.3, 0.3], 0.5), bump([0.3, 0.3], 2.0)]
+    rows = verify_homogeneity(hz, ladder, battery).rows
+    both = 0
+    for i, phi in enumerate(battery):
+        base, base_est = integrate(hz, phi)
+        _, lhs_ests = pushforward_pairing(hz, np.asarray(ladder), phi)
+        for row, eps, lhs_est in zip(rows[3 * i : 3 * i + 3], ladder, lhs_ests.tolist()):
+            c = float(hz.factor_map(eps))
+            scale = max(abs(c * base), 1e-300)
+            assert row["quad_est"] >= lhs_est / scale
+            assert row["quad_est"] >= c * base_est / scale
+            both += lhs_est > 0.0 and c * base_est > 0.0
+    assert both  # some row has two positive parts, so a sign flip shows
+
+
+def test_constructed_measure_estimate_bounds_its_tail_and_its_refinement():
+    # the estimate is |fine - coarse| + tail_cut * peak: at least each part
+    cm = construct_measure(DiagonalScaling((1,)), PointMass([1.0]))
+    phi = gaussian([3.0], 0.5)
+    radii = [measures._bounding_radius(phi.support)]
+    coarse, peak = cm._sweep(phi, radii, measures.ORBIT_NODES_PER_UNIT)
+    fine, _ = cm._sweep(phi, radii, 2 * measures.ORBIT_NODES_PER_UNIT)
+    value, estimate = cm.pairing(phi)
+    assert value == fine
+    assert abs(fine - coarse) > 0.0 and cm.tail_cut * peak > 0.0
+    assert estimate >= abs(fine - coarse) and estimate >= cm.tail_cut * peak

@@ -437,7 +437,9 @@ def test_pairwise_backends_agree(n):
 
 @pytest.mark.parametrize("n", [1, 7, 128, 129, 1025, 1 << 16, 1 << 17])
 def test_pairwise_dot_of_a_stack_has_the_bits_of_each_row(n):
-    # a (J, M) stack reduces over its last axis, row by row as the 1-D sum
+    # a (J, M) stack reduces over its last axis, row by row with the bits of
+    # np.sum(w * row), in chunks of whole rows of at most POINT_BUDGET // 32
+    # values: n = 1 << 16 is a grid block's stack, one row per chunk
     rng = np.random.default_rng(90 + n)
     weights = rng.uniform(1e-3, 2.0, size=n)
     real = rng.normal(size=(3, n))
@@ -445,7 +447,7 @@ def test_pairwise_dot_of_a_stack_has_the_bits_of_each_row(n):
         sums = kernels.pairwise_dot(weights, stack)
         assert sums.shape == (3,) and sums.dtype == np.complex128
         assert [_bits(z) for z in sums.tolist()] == [
-            _bits(kernels.pairwise_dot(weights, row)) for row in stack]
+            _bits(complex(np.sum(weights * row))) for row in stack]
     with pytest.raises(ValueError, match="matching shapes"):
         kernels.pairwise_dot(weights, real[:, :-1])
 
