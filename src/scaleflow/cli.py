@@ -6,6 +6,10 @@ Subcommands mirror the verification surfaces: ``verify-action``,
 the output directory and exits 0 only when every verdict passes (2 for
 config errors, 3 for numerical resolution failures, 1 for verification
 failures).  Reports are byte-identical across repeated runs.
+
+Each runner returns a list of :class:`reports.Verdict`: the stdout lines,
+its JSON report's ``passed`` and ``verdicts`` and the exit code come from
+that list alone.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import config as cfg_mod
 from . import reports
 from .actions import certify_absorption, certify_escape, certify_group_law
 from .config import ConfigError
-from .contraction import certify_submultiplicative, fixed_point
+from .contraction import SUBMULT_SLACK, certify_submultiplicative, fixed_point
 from .meanvalue import (
     convolve,
     empirical_mean,
@@ -28,6 +32,7 @@ from .meanvalue import (
     verify_translation_invariance,
 )
 from .measures import (
+    FACTOR_DEFECT_TOL,
     SupportEscapeError,
     check_factor_multiplicative,
     verify_center_null,
@@ -41,6 +46,24 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 
+# the tolerances.rel each runner judges against when its config names none,
+# and the floor of a fitted decay order
+HOMOGENEITY_REL = 1e-6
+CONSTRUCT_REL = 1e-5
+CONVERGENCE_REL = 1e-2  # mean and sigma
+DECAY_ORDER = 0.9
+
+
+def _bounds(cfg, rel: float) -> tuple:
+    """(rel, decay_order) from tolerances, ``rel`` or DECAY_ORDER where unset."""
+    tolerances = cfg.get("tolerances", {})
+    return tolerances.get("rel", rel), tolerances.get("decay_order", DECAY_ORDER)
+
+
+def _failures(flags) -> int:
+    """How many of the library's own pass flags read false."""
+    return sum(not flag for flag in flags)
+
 
 def _parallel(fn, items, jobs: int):
     # the one battery map, in order on the calling thread; jobs is ignored.
@@ -48,23 +71,21 @@ def _parallel(fn, items, jobs: int):
     return [fn(item) for item in items]
 
 
-def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int):
-    """verify_homogeneity per battery entry: (partials, rows, passed, worst rel_err)."""
+def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int, name: str):
+    """verify_homogeneity per battery entry: (partials, rows, worst rel_err,
+    verdicts).  The worst is np.max's, so a NaN row reads NaN wherever it sits."""
     partials = _parallel(
         lambda phi: verify_homogeneity(hz, ladder, [phi], tol_rel=tol), battery, jobs
     )
     rows = [row for part in partials for row in part.rows]
-    passed = all(part.passed for part in partials)
-    return partials, rows, passed, max(row["rel_err"] for row in rows)
+    worst = float(np.max([row["rel_err"] for row in rows]))
+    return partials, rows, worst, [
+        reports.Verdict(name, worst, tol, "<="),
+        reports.Verdict(f"{name}-decay", _failures(part.decay_ok for part in partials), 0, "<="),
+    ]
 
 
-def _status(name: str, passed: bool, detail: str = "") -> None:
-    flag = "pass" if passed else "FAIL"
-    suffix = f" {detail}" if detail else ""
-    print(f"[{flag}] {name}{suffix}")
-
-
-def _run_verify_action(cfg, header, out, jobs) -> bool:
+def _run_verify_action(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     absorption = cfg.get("absorption")
@@ -76,35 +97,34 @@ def _run_verify_action(cfg, header, out, jobs) -> bool:
     results = {}
     law = certify_group_law(action, sample_count=256, seed=cfg.get("seed", 0))
     results["group_law"] = law
-    _status("group-law", law.passed, f"worst={law.worst_violation:.3e}")
-    ok = law.passed
+    verdicts = [reports.Verdict("group-law", law.worst_violation, law.tolerance, "<=")]
+    # a certificate's threshold exists exactly when its last rung passes
     if absorption:
         cert = certify_absorption(
             action, source, target, ladder,
             directions_per_dim=absorption.get("directions_per_dim", 64),
         )
         results["absorption"] = cert
-        _status("absorption", cert.passed, f"threshold={cert.threshold}")
-        ok = ok and cert.passed
+        verdicts.append(
+            reports.Verdict("absorption", cert.sample_evidence[-1][1], target.radius, "<="))
     if escape:
         rep = certify_escape(action, escape_point, ladder, escape["radius"])
         results["escape"] = rep
-        _status("escape", rep.passed, f"threshold={rep.threshold}")
-        ok = ok and rep.passed
-    reports.write_json(f"{out}/action_certificates.json", {"passed": ok, "results": results}, header)
+        verdicts.append(reports.Verdict("escape", rep.norms[-1][1], rep.radius, ">"))
+    reports.write_json(f"{out}/action_certificates.json",
+                       {**reports.verdict_fields(verdicts), "results": results}, header)
     rows = [{"check": name, "passed": payload.passed} for name, payload in results.items()]
     reports.write_csv(f"{out}/action_summary.csv", rows, header)
-    return ok
+    return verdicts
 
 
-def _run_contract(cfg, header, out, jobs) -> bool:
+def _run_contract(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     block = cfg_mod.build_contraction(cfg, action.group)
     starts, eps = block["starts"], block["eps"]
     seed = cfg.get("seed", 0)
     sub = certify_submultiplicative(action, sample_count=block["pairs"], seed=seed, ladder=ladder)
-    _status("submultiplicative", sub.passed, f"worst_excess={sub.worst_excess:.3e}")
     rng = random.Random(seed)
     x0 = np.array([[rng.uniform(-8.0, 8.0) for _ in range(action.dimension)]
                    for _ in range(starts)])
@@ -112,14 +132,13 @@ def _run_contract(cfg, header, out, jobs) -> bool:
         outcomes = fixed_point(action, eps, x0, tol=block["tol"], max_iter=block["max_iter"])
     except ValueError as exc:  # not a contraction: every start fails alike
         outcomes = [exc] * starts
+    for reason in sorted({str(result) for result in outcomes if isinstance(result, Exception)}):
+        print(f"fixed-point: {reason}", file=sys.stderr)
     fp_rows = []
-    ok = sub.passed
     for i, result in enumerate(outcomes):
         if isinstance(result, Exception):
             fp_rows.append({"start": i, "iterations": 0, "residual": float("nan"),
                             "center_distance": float("nan"), "passed": False})
-            _status("fixed-point", False, str(result))
-            ok = False
         else:
             fp_rows.append(
                 {
@@ -130,35 +149,39 @@ def _run_contract(cfg, header, out, jobs) -> bool:
                     "passed": True,
                 }
             )
-    fp_ok = all(r["passed"] for r in fp_rows)
-    _status("fixed-point", fp_ok, f"starts={starts} eps={eps}")
+    verdicts = [
+        reports.Verdict("submultiplicative", sub.worst_excess, SUBMULT_SLACK, "<="),
+        reports.Verdict("submultiplicative-decay", _failures([sub.decay_ok]), 0, "<="),
+        reports.Verdict("fixed-point", _failures(r["passed"] for r in fp_rows), 0, "<="),
+    ]
     reports.write_json(
         f"{out}/contraction.json",
-        {"passed": ok and fp_ok, "submultiplicative": sub, "fixed_point": fp_rows},
+        {**reports.verdict_fields(verdicts), "submultiplicative": sub, "fixed_point": fp_rows},
         header,
     )
     reports.write_csv(f"{out}/fixed_point.csv", fp_rows, header)
-    return ok and fp_ok
+    return verdicts
 
 
-def _run_homogeneity(cfg, header, out, jobs) -> bool:
+def _run_homogeneity(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_homogenizer(cfg, action)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension, edge_checked=True)
-    tol = cfg.get("tolerances", {}).get("rel", 1e-6)
-    partials, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
+    tol, _ = _bounds(cfg, HOMOGENEITY_REL)
+    partials, rows, worst, verdicts = _homogeneity_battery(
+        hz, ladder, battery, tol, jobs, "homogeneity")
     mult_defect = check_factor_multiplicative(hz, seed=cfg.get("seed", 0))
     null = verify_center_null(hz)
-    ok = passed and mult_defect <= 1e-9 and null.passed
-    _status("homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
-    _status("factor-multiplicative", mult_defect <= 1e-9, f"defect={mult_defect:.3e}")
-    _status("center-null", null.passed)
+    verdicts += [
+        reports.Verdict("factor-multiplicative", mult_defect, FACTOR_DEFECT_TOL, "<="),
+        reports.Verdict("center-null", _failures([null.passed]), 0, "<="),
+    ]
     reports.write_csv(f"{out}/homogeneity.csv", rows, header)
     reports.write_json(
         f"{out}/homogeneity.json",
         {
-            "passed": ok,
+            **reports.verdict_fields(verdicts),
             "worst_rel_err": worst,
             "factor_multiplicative_defect": mult_defect,
             "center_null": null,
@@ -166,25 +189,27 @@ def _run_homogeneity(cfg, header, out, jobs) -> bool:
         },
         header,
     )
-    return ok
+    return verdicts
 
 
-def _run_construct(cfg, header, out, jobs) -> bool:
+def _run_construct(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_constructed_measure(cfg, action).as_homogenizer()
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
-    tol = cfg.get("tolerances", {}).get("rel", 1e-5)
-    _, rows, passed, worst = _homogeneity_battery(hz, ladder, battery, tol, jobs)
-    _status("construct-homogeneity", passed, f"worst_rel={worst:.3e} tol={tol:g}")
+    tol, _ = _bounds(cfg, CONSTRUCT_REL)
+    _, rows, worst, verdicts = _homogeneity_battery(
+        hz, ladder, battery, tol, jobs, "construct-homogeneity")
     reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
     reports.write_json(
-        f"{out}/construct_homogeneity.json", {"passed": passed, "worst_rel_err": worst}, header
+        f"{out}/construct_homogeneity.json",
+        {**reports.verdict_fields(verdicts), "worst_rel_err": worst},
+        header,
     )
-    return passed
+    return verdicts
 
 
-def _run_mean(cfg, header, out, jobs) -> bool:
+def _run_mean(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     dim = action.dimension
     hz = cfg_mod.build_homogenizer(cfg, action)
@@ -200,9 +225,7 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     if "kernel" in block:
         kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
     ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
-    tolerances = cfg.get("tolerances", {})
-    tol = tolerances.get("rel", 1e-2)
-    order_floor = tolerances.get("decay_order", 0.9)
+    tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
     # u, its translate and its convolution share one sweep of the ladder
     functions = [u]
     if "shift" in block:
@@ -212,29 +235,28 @@ def _run_mean(cfg, header, out, jobs) -> bool:
     report, *others = empirical_mean(functions, hz, phi, ladder)
     # the closed-form mean is the limit the sweep measured against
     print(f"closed-form mean: {report.limit}")
-    ok = report.final_error <= tol and report.fitted_order >= order_floor
-    _status(
-        "empirical-mean", ok,
-        f"final_err={report.final_error:.3e} order={report.fitted_order:.2f}",
-    )
+    verdicts = [
+        reports.Verdict("empirical-mean", report.final_error, tol, "<="),
+        reports.Verdict("empirical-mean-order", report.fitted_order, order_floor, ">="),
+    ]
     results = {"empirical": report, "closed_form": report.limit}
     if "shift" in block:
         trans = verify_translation_invariance(report, others.pop(0))
         results["translation"] = trans
-        _status("translation-invariance", trans.passed, f"diff={trans.difference:.3e}")
-        ok = ok and trans.passed
+        verdicts.append(
+            reports.Verdict("translation-invariance", trans.difference, trans.tolerance, "<="))
     if "kernel" in block:
         conv = verify_convolution(report, others.pop(0))
         results["convolution"] = conv
-        _status("convolution", conv.passed, f"diff={conv.difference:.3e}")
-        ok = ok and conv.passed
+        verdicts.append(reports.Verdict("convolution", conv.difference, conv.tolerance, "<="))
     reports.write_csv(f"{out}/mean.csv", report.rows, header)
-    reports.write_json(f"{out}/mean.json", {"passed": ok, "results": results}, header)
+    reports.write_json(f"{out}/mean.json",
+                       {**reports.verdict_fields(verdicts), "results": results}, header)
     reports.write_curve(f"{out}/mean_error.dat", reports.log_error_curve(report.rows), header)
-    return ok
+    return verdicts
 
 
-def _run_sigma(cfg, header, out, jobs) -> bool:
+def _run_sigma(cfg, header, out, jobs) -> list[reports.Verdict]:
     action = cfg_mod.build_action(cfg)
     dim = action.dimension
     spec = cfg_mod.build_grid_spec(cfg)
@@ -256,46 +278,32 @@ def _run_sigma(cfg, header, out, jobs) -> bool:
         validate_ladder(action.group, ladder)
     except ValueError as exc:
         raise ConfigError(f"ladder: {exc}") from exc
-    tolerances = cfg.get("tolerances", {})
-    tol = tolerances.get("rel", 1e-2)
-    order_floor = tolerances.get("decay_order", 0.9)
+    tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
     p = block.get("p", 2.0)
     if not 1.0 < p < float("inf"):
         raise ConfigError(f"sigma.p must satisfy 1 < p < inf, got {p}")
-    partials = _parallel(
-        lambda psi: verify_sigma_convergence(u, [psi], action, ladder, spec, tol=tol, p=p),
-        battery, jobs,
-    )
-    rows = [row for part in partials for row in part.rows]
-    per_test = {}
-    for part in partials:
-        per_test.update(part.per_test)
+    report = verify_sigma_convergence(u, battery, action, ladder, spec, p=p)
     norm_rows = trace_norm_bound_rows([u, *battery], action, ladder, p, spec)
-    norm_ok = all(r["passed"] for r in norm_rows)
-    passed = all(part.passed for part in partials) and norm_ok
-    orders_ok = all(
-        info["fitted_order"] >= order_floor for info in per_test.values()
-    )
-    ok = passed and orders_ok
-    for name, info in sorted(per_test.items()):
-        _status(
-            f"sigma[{name}]",
-            info["final_rel_err"] <= tol and info["fitted_order"] >= order_floor,
-            f"final_rel={info['final_rel_err']:.3e} order={info['fitted_order']:.2f}",
-        )
-    _status("trace-norm-bound", norm_ok)
-    reports.write_csv(f"{out}/sigma.csv", rows, header)
+    verdicts = []
+    for name, info in sorted(report.per_test.items()):
+        verdicts += [
+            reports.Verdict(f"sigma[{name}]", info["final_rel_err"], tol, "<="),
+            reports.Verdict(f"sigma-order[{name}]", info["fitted_order"], order_floor, ">="),
+        ]
+    failures = _failures(row["passed"] for row in norm_rows)
+    verdicts.append(reports.Verdict("trace-norm-bound", failures, 0, "<="))
+    reports.write_csv(f"{out}/sigma.csv", report.rows, header)
     reports.write_json(
         f"{out}/sigma.json",
-        {"passed": ok, "per_test": per_test, "norm_bound": norm_rows},
+        {**reports.verdict_fields(verdicts), "per_test": report.per_test, "norm_bound": norm_rows},
         header,
     )
-    for name in sorted(per_test):
+    for name in sorted(report.per_test):
         curve = reports.log_error_curve(
-            [r for r in rows if r["psi"] == name], err_key="rel_err"
+            [r for r in report.rows if r["psi"] == name], err_key="rel_err"
         )
         reports.write_curve(f"{out}/sigma_{name}.dat", curve, header)
-    return ok
+    return verdicts
 
 
 _RUNNERS = {
@@ -330,13 +338,16 @@ def main(argv=None) -> int:
         cfg_mod.apply_overrides(raw, args.tol_override)
         cfg = cfg_mod.validate_config(raw)
         header = reports.report_header(reports.config_digest(args.config), cfg.get("seed", 0))
-        passed = _RUNNERS[args.subcommand](cfg, header, args.out, args.jobs)
+        verdicts = _RUNNERS[args.subcommand](cfg, header, args.out, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnderResolvedError, SupportEscapeError) as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
+    for verdict in verdicts:
+        print(verdict.line())
+    passed = all(verdict.passed for verdict in verdicts)
     print("PASS" if passed else "FAIL")
     return EXIT_PASS if passed else EXIT_FAIL
 

@@ -40,6 +40,34 @@ def report_header(digest: str, seed: int) -> dict:
     }
 
 
+# the comparison each sense names; a NaN value fails all three
+_SENSES = {"<=": lambda v, b: v <= b, ">=": lambda v, b: v >= b, ">": lambda v, b: v > b}
+
+
+@dataclasses.dataclass(frozen=True)
+class Verdict:
+    """One judged number: it passes when ``value <sense> bound`` holds."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str  # "<=", ">=" or ">"
+
+    @property
+    def passed(self) -> bool:
+        return bool(_SENSES[self.sense](self.value, self.bound))
+
+    def line(self) -> str:
+        flag = "pass" if self.passed else "FAIL"
+        return f"[{flag}] {self.name} {self.value:.3e} {self.sense} {self.bound:g}"
+
+
+def verdict_fields(verdicts) -> dict:
+    """A JSON report's top-level ``passed`` and ``verdicts``, from ``verdicts`` alone."""
+    return {"passed": all(v.passed for v in verdicts),
+            "verdicts": [{**dataclasses.asdict(v), "passed": v.passed} for v in verdicts]}
+
+
 def _format(value):
     if isinstance(value, np.generic):
         # np.float64 and np.complex128 subclass float and complex but repr

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import platform
 import subprocess
@@ -11,7 +12,7 @@ import time
 import pytest
 import yaml
 
-from scaleflow import cli, meanvalue, measures
+from scaleflow import cli, meanvalue, measures, reports
 from scaleflow import config as cfg_mod
 from scaleflow.cli import main
 from scaleflow.config import ConfigError, load_config, validate_config
@@ -333,6 +334,22 @@ def test_cli_homogeneity_negative_control(tmp_path):
     assert code == 1
 
 
+def test_homogeneity_verdict_reads_a_nan_row_wherever_it_sits(monkeypatch):
+    # Python's max skips a NaN that does not come first; the worst rel_err,
+    # and so the verdict and homogeneity.json, must read NaN
+    rel_errs = iter([[1e-9, 2e-9], [math.nan, 1e-9]])
+
+    def verify(hz, ladder, battery, tol_rel):
+        rows = [{"rel_err": rel, "passed": rel <= tol_rel} for rel in next(rel_errs)]
+        passed = all(row["passed"] for row in rows)
+        return measures.HomogeneityReport(rows=rows, factor_decay=[], decay_ok=True, passed=passed)
+
+    monkeypatch.setattr(cli, "verify_homogeneity", verify)
+    _, rows, worst, verdicts = cli._homogeneity_battery(None, [0.5], ["a", "b"], 1e-6, 1, "h")
+    assert len(rows) == 4 and math.isnan(worst)
+    assert [(v.name, v.passed) for v in verdicts] == [("h", False), ("h-decay", True)]
+
+
 def test_cli_resolution_failure_exit_code(tmp_path):
     cfg = read_config("sigma_periodic")
     cfg["grid"]["max_nodes"] = 512
@@ -352,6 +369,20 @@ def test_cli_contract_rejects_zero_starts(tmp_path, capsys):
     code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "contraction.starts" in capsys.readouterr().err
+
+
+def test_cli_contract_counts_and_names_fixed_point_failures(tmp_path, capsys):
+    # l(eps^-1) = 2 at eps = 2: every start fails, the verdict counts them
+    # and stderr says why, once
+    cfg = read_config("contract")
+    cfg["contraction"]["eps"] = 2.0
+    path = tmp_path / "expanding.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["contract", "--config", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] fixed-point 1.000e+01 <= 0" in captured.out.splitlines()
+    assert captured.err.count("not a contraction") == 1
 
 
 def test_group_law_tolerance_rejected(tmp_path, capsys):
@@ -621,6 +652,7 @@ def test_cli_mean_sweeps_each_mean_once(tmp_path, monkeypatch, capsys):
     assert [line.split(" ", 2)[:2] for line in lines] == [
         ["closed-form", "mean:"],
         ["[pass]", "empirical-mean"],
+        ["[pass]", "empirical-mean-order"],
         ["[pass]", "translation-invariance"],
         ["[pass]", "convolution"],
         ["PASS"],
@@ -791,25 +823,27 @@ sys.exit(main(sys.argv[1:]))
 # their error, not only their bits, is bounded on both BLAS kernels: rel_err is
 # read directly, as abs_err / rel_err is 0 / 0 where the lhs is exactly 0
 _ROUNDING_ROWS = {"sigma_periodic": {"oscillation-free"}, "sigma_quasiperiodic": set()}
-# verdict lines whose final_rel is rounding: sigma_quasiperiodic's
+# sigma fields whose final_rel verdict value is rounding: sigma_quasiperiodic's
 # oscillation-free lhs converges to 0 from 0.076 and ends near 3e-16, so its
-# rows compare like any other, but the last figure of its verdict moves with
-# the kernel; it is compared only as below 1e-12 on both kernels
+# rows compare like any other, but the last figure of its sigma[...] verdict
+# moves with the kernel; that value is compared only as below 1e-12 on both
 _ROUNDING_VERDICTS = {"sigma_quasiperiodic": {"oscillation-free"}}
 _ACROSS_BLAS = 1e-12
 
 
 def _assert_verdicts_agree(lines_a, lines_b, rounding):
-    # equal lines, but for the final_rel of the sigma fields in ``rounding``
+    # equal lines, but for the value of the sigma[name] verdicts of the fields
+    # in ``rounding``; a verdict line reads "[flag] name value sense bound"
     assert len(lines_a) == len(lines_b)
+    names = {f"sigma[{name}]" for name in rounding}
     for a, b in zip(lines_a, lines_b):
-        if not any(f"sigma[{name}] final_rel=" in a for name in rounding):
+        words_a, words_b = a.split(), b.split()
+        if len(words_a) < 2 or words_a[1] not in names:
             assert a == b
             continue
-        (head_a, rest_a), (head_b, rest_b) = (line.split("final_rel=") for line in (a, b))
-        (rel_a, *tail_a), (rel_b, *tail_b) = rest_a.split(), rest_b.split()
-        assert (head_a, tail_a) == (head_b, tail_b)
-        assert max(float(rel_a), float(rel_b)) <= _ACROSS_BLAS
+        (value_a, *tail_a), (value_b, *tail_b) = words_a[2:], words_b[2:]
+        assert (words_a[:2], tail_a) == (words_b[:2], tail_b)
+        assert max(float(value_a), float(value_b)) <= _ACROSS_BLAS
 
 
 def test_reports_agree_across_blas_core_types(tmp_path):
@@ -982,6 +1016,8 @@ def _paired_values(out, rounding) -> dict:
         values.setdefault(key, []).append(complex(value))
 
     def walk(node, path):
+        if path[-1:] == ("verdicts",):
+            return  # judged numbers, compared by name and flag as the stdout lines are
         if isinstance(node, list):
             for item in node:
                 walk(item, (*path, item.get("field", "") if isinstance(item, dict) else ""))
@@ -1053,3 +1089,38 @@ def test_reports_agree_across_simd_dispatch(tmp_path):
                     node = node[key]
                 assert abs(node) <= _ACROSS_SIMD, (stem, keys, node)
     assert compared > 0
+
+
+# the seven configs, then two that fail: every rel a mean or sigma verdict
+# judges against is 1e-30
+_AGREEMENT_RUNS = (
+    *((subcommand, stem, []) for subcommand, stem in _SEVEN_CONFIGS),
+    ("mean", "mean_periodic", ["--tol-override", "rel=1e-30"]),
+    ("sigma", "sigma_periodic", ["--tol-override", "rel=1e-30"]),
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, stem, extra", _AGREEMENT_RUNS,
+    ids=[f"{stem}-failing" if extra else stem for _, stem, extra in _AGREEMENT_RUNS],
+)
+def test_stdout_passed_exit_code_and_verdicts_array_agree(
+        tmp_path, capsys, subcommand, stem, extra):
+    # one verdict list gives the stdout lines, the JSON report's passed and
+    # verdicts, and the exit code: each must read what the others read
+    code = run_cli([subcommand, "--config", os.path.join(CONFIG_DIR, f"{stem}.yaml"),
+                    "--out", str(tmp_path), *extra])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("closed-form mean: ")]
+    (name,) = [name for name in os.listdir(tmp_path) if name.endswith(".json")]
+    with open(tmp_path / name, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    verdicts = [reports.Verdict(v["name"], float(v["value"]), float(v["bound"]), v["sense"])
+                for v in doc["verdicts"]]
+    assert [v["passed"] for v in doc["verdicts"]] == [v.passed for v in verdicts]
+    assert lines[:-1] == [v.line() for v in verdicts]
+    passed = all(v.passed for v in verdicts)
+    assert doc["passed"] is passed
+    assert lines[-1] == ("PASS" if passed else "FAIL")
+    assert code == (cli.EXIT_PASS if passed else cli.EXIT_FAIL)
+    assert passed is not bool(extra)

@@ -52,6 +52,14 @@ def test_grid_knobs_are_pinned():
     assert set(_SCHEMA["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
 
 
+def test_verdict_fields_are_pinned():
+    # a verdict is what it compared: its pass flag is derived, not stored,
+    # and no detail string rides along
+    fields = dataclasses.fields(reports.Verdict)
+    assert tuple(f.name for f in fields) == ("name", "value", "bound", "sense")
+    assert isinstance(inspect.getattr_static(reports.Verdict, "passed"), property)
+
+
 def test_mean_function_fields_are_pinned():
     # a mean is the zero-frequency coefficient of poly, or else the limit:
     # no class string or cell is kept beside them

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from scaleflow.cli import main
-from scaleflow.reports import _format, write_json
+from scaleflow.reports import Verdict, _format, verdict_fields, write_json
 
 BASE = {
     "seed": 0,
@@ -33,6 +33,7 @@ SUBMULTIPLICATIVE = {"check", "passed", "worst_excess", "decay", "decay_monotone
 CENTER_NULL = {"check", "passed", "trivial", "masses"}
 CONVERGENCE = {"limit", "fitted_order", "rows"}
 COMPARISON = {"difference", "tolerance", "passed", "first", "second"}
+VERDICT = {"name", "value", "bound", "sense", "passed"}
 
 
 def run(tmp_path, subcommand, extra):
@@ -45,8 +46,12 @@ def run(tmp_path, subcommand, extra):
 
 
 def load(out, name):
+    """A JSON report, after checking its verdicts array and top-level passed."""
     with open(out / name, encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    assert doc["verdicts"] and all(set(v) == VERDICT for v in doc["verdicts"])
+    assert doc["passed"] == all(v["passed"] for v in doc["verdicts"])
+    return doc
 
 
 def columns(out, name):
@@ -61,7 +66,7 @@ def test_action_certificate_schema(tmp_path):
         "escape": {"point": [1.0], "radius": 10.0},
     })
     doc = load(out, "action_certificates.json")
-    assert set(doc) == {"header", "passed", "results"}
+    assert set(doc) == {"header", "passed", "verdicts", "results"}
     results = doc["results"]
     assert set(results) == {"group_law", "absorption", "escape"}
     for name, keys, tag in (("group_law", GROUP_LAW, "group-law"),
@@ -79,7 +84,7 @@ def test_action_certificate_schema(tmp_path):
 def test_contraction_schema(tmp_path):
     out = run(tmp_path, "contract", {"contraction": {"starts": 2, "pairs": 16}})
     doc = load(out, "contraction.json")
-    assert set(doc) == {"header", "passed", "submultiplicative", "fixed_point"}
+    assert set(doc) == {"header", "passed", "verdicts", "submultiplicative", "fixed_point"}
     assert set(doc["submultiplicative"]) == SUBMULTIPLICATIVE
     assert doc["submultiplicative"]["check"] == "submultiplicative"
     assert all(len(pair) == 2 for pair in doc["submultiplicative"]["decay"])
@@ -95,8 +100,8 @@ def test_homogeneity_schema(tmp_path):
         "homogenizer": {"measure": "lebesgue"},
     })
     doc = load(out, "homogeneity.json")
-    assert set(doc) == {"header", "passed", "worst_rel_err", "factor_multiplicative_defect",
-                        "center_null", "decay"}
+    assert set(doc) == {"header", "passed", "verdicts", "worst_rel_err",
+                        "factor_multiplicative_defect", "center_null", "decay"}
     assert set(doc["center_null"]) == CENTER_NULL
     assert doc["center_null"]["check"] == "center-null"
     assert columns(out, "homogeneity.csv") == [
@@ -118,6 +123,7 @@ def test_mean_schema_with_infinite_order(tmp_path):
         },
     })
     doc = load(out, "mean.json")
+    assert set(doc) == {"header", "passed", "verdicts", "results"}
     results = doc["results"]
     assert set(results) == {"empirical", "closed_form", "translation", "convolution"}
     empirical = results["empirical"]
@@ -135,6 +141,8 @@ def test_mean_schema_with_infinite_order(tmp_path):
     assert columns(out, "mean.csv") == ["eps", "value", "abs_err", "quad_est"]
     text = (out / "mean.json").read_text()
     assert '"fitted_order": "inf"' in text
+    assert {"name": "empirical-mean-order", "value": "inf", "bound": 0.9, "sense": ">=",
+            "passed": True} in doc["verdicts"]
     assert "Infinity" not in text
 
 
@@ -162,7 +170,7 @@ def test_sigma_schema(tmp_path):
         "oscillation_free",
     ]
     doc = load(out, "sigma.json")
-    assert set(doc) == {"header", "passed", "per_test", "norm_bound"}
+    assert set(doc) == {"header", "passed", "verdicts", "per_test", "norm_bound"}
     assert set(doc["norm_bound"][0]) == {"eps", "lhs", "rhs", "passed", "field"}
 
 
@@ -203,3 +211,30 @@ def test_json_writer_emits_strict_json(tmp_path):
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "bad.json"), {"o": object()}, {})
     assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("sense, below, equal, above", [
+    ("<=", True, True, False),
+    (">=", False, True, True),
+    (">", False, False, True),
+])
+def test_verdict_passed_by_sense(sense, below, equal, above):
+    def passed(value, bound=1.0):
+        return Verdict("v", value, bound, sense).passed
+
+    assert (passed(0.5), passed(1.0), passed(2.0)) == (below, equal, above)
+    assert (passed(-math.inf), passed(math.inf)) == (below, above)
+    assert passed(math.inf, math.inf) == passed(-math.inf, -math.inf) == equal
+    assert (passed(1.0, math.inf), passed(1.0, -math.inf)) == (below, above)
+    # a NaN value fails every sense, and so does a NaN bound
+    assert not passed(math.nan) and not passed(np.float64("nan")) and not passed(1.0, math.nan)
+    assert isinstance(passed(np.float64(0.5)), bool)
+
+
+def test_verdict_line_and_fields_come_from_its_four_fields():
+    verdicts = [Verdict("a", 0, 0, "<="), Verdict("b", math.nan, 1e-2, "<=")]
+    assert [v.line() for v in verdicts] == ["[pass] a 0.000e+00 <= 0", "[FAIL] b nan <= 0.01"]
+    fields = verdict_fields(verdicts)
+    assert fields["passed"] is False
+    assert [(v["name"], v["passed"]) for v in fields["verdicts"]] == [("a", True), ("b", False)]
+    assert verdict_fields([])["passed"] is True

@@ -413,6 +413,35 @@ def test_validate_ladder():
         validate_ladder(group, [0.25, 0.5])  # not decreasing
 
 
+def _gaussian_norm(center: float, sigma: float, q: float) -> float:
+    """(integral over [0, 1] of exp(-(x - c)^2 / (2 sigma^2))^q)^(1/q), by erf."""
+    a = q / (2.0 * sigma**2)
+    root = math.sqrt(a)
+    erfs = math.erf(root * (1.0 - center)) + math.erf(root * center)
+    integral = 0.5 * math.sqrt(math.pi / a) * erfs
+    return integral ** (1.0 / q)
+
+
+def test_sigma_error_fields_match_closed_form_envelope_norms():
+    # sin(2 pi y) against the character of frequency 2 has spectral pairing 0,
+    # so every row's scale, abs_err / rel_err, is the product of the envelope
+    # norms: u's at p = 3 and psi's at the dual exponent p' = 1.5, which
+    # differs from p, so a wrong dual exponent or a rel_err not divided by the
+    # scale moves rel_err.  Both fields' sups in y are 1, so each norm is its
+    # Gaussian's L^q norm in closed form
+    u = field([(gaussian([0.5], 0.15, name="G"), SIN_EL)], "u0")
+    psi = field([(gaussian([0.4], 0.2, name="H"), ALG.element(TrigPolynomial.character([2.0])))],
+                "second-harmonic")
+    ladder = [2.0**-n for n in range(1, 7)]
+    report = verify_sigma_convergence(u, [psi], SCALING, ladder, SPEC, p=3.0)
+    assert report.per_test["second-harmonic"]["rhs"] == 0.0
+    scale = _gaussian_norm(0.5, 0.15, 3.0) * _gaussian_norm(0.4, 0.2, 1.5)
+    assert len(report.rows) == len(ladder)
+    for row in report.rows:
+        assert row["abs_err"] > 0.0
+        assert row["rel_err"] == pytest.approx(row["abs_err"] / scale, rel=1e-10)
+
+
 def test_verify_sigma_convergence_periodic():
     g = gaussian([0.5], 0.15, name="G")
     u = field([(g, SIN_EL)], "u0")
@@ -422,8 +451,7 @@ def test_verify_sigma_convergence_periodic():
         field([(gaussian([0.5], 0.2, name="plain"), ONE_EL)], "plain"),
     ]
     ladder = [2.0**-n for n in range(1, 13)]
-    report = verify_sigma_convergence(u, battery, SCALING, ladder, SPEC, tol=1e-2)
-    assert report.passed
+    report = verify_sigma_convergence(u, battery, SCALING, ladder, SPEC)
     for info in report.per_test.values():
         assert info["final_rel_err"] <= 1e-2
         assert info["fitted_order"] >= 0.9
@@ -449,8 +477,9 @@ def test_verify_sigma_convergence_quasiperiodic():
                       name="root2-freq"),
     ]
     ladder = [2.0**-n for n in range(1, 13)]
-    report = verify_sigma_convergence(u, battery, SCALING, ladder, SPEC, tol=1e-2)
-    assert report.passed and norm_bound_holds([u, *battery], SCALING, ladder, SPEC)
+    report = verify_sigma_convergence(u, battery, SCALING, ladder, SPEC)
+    assert all(info["final_rel_err"] <= 1e-2 for info in report.per_test.values())
+    assert norm_bound_holds([u, *battery], SCALING, ladder, SPEC)
     # matched characters keep half the macro inner product
     for name in ("int-freq", "root2-freq"):
         rhs = report.per_test[name]["rhs"]
@@ -465,8 +494,9 @@ def test_verify_sigma_constant_in_oscillation_slot():
     u = field([(g, ONE_EL)], "u0")
     psi = field([(parabola(OMEGA), ONE_EL)], "psi")
     ladder = [2.0**-n for n in range(1, 7)]
-    report = verify_sigma_convergence(u, [psi], SCALING, ladder, SPEC, tol=1e-9)
-    assert report.passed and norm_bound_holds([u, psi], SCALING, ladder, SPEC)
+    report = verify_sigma_convergence(u, [psi], SCALING, ladder, SPEC)
+    assert report.per_test["psi"]["final_rel_err"] <= 1e-9
+    assert norm_bound_holds([u, psi], SCALING, ladder, SPEC)
     rhs = report.per_test["psi"]["rhs"]
     for row in report.rows:
         assert abs(row["lhs"] - rhs) <= 1e-10 * abs(rhs)
@@ -485,8 +515,9 @@ def test_sigma_two_dimensional_periodic():
                         name="matched2")
     spec = GridSpec(base_nodes=64, panel_order=16, max_nodes=1 << 11)
     ladder = [2.0**-n for n in range(1, 6)]
-    report = verify_sigma_convergence(u, [psi], action, ladder, spec, tol=1e-2)
-    assert report.passed and norm_bound_holds([u, psi], action, ladder, spec)
+    report = verify_sigma_convergence(u, [psi], action, ladder, spec)
+    assert report.per_test["matched2"]["final_rel_err"] <= 1e-2
+    assert norm_bound_holds([u, psi], action, ladder, spec)
     # matched pairing keeps the squared-sine mean (1/2)^2 per axis
     inner, _ = quad(
         lambda x: math.exp(-((x - 0.5) ** 2) / 0.045) * x * (1 - x) / 0.25, 0, 1
