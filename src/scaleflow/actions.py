@@ -373,7 +373,6 @@ def product(actions) -> ProductAction:
 @dataclass
 class GroupLawReport:
     check: str = field(default="group-law", init=False)
-    passed: bool
     worst_violation: float
     tolerance: float
     sample_count: int
@@ -408,7 +407,6 @@ def certify_group_law(action: Action, sample_count: int = 64, seed: int = 0) -> 
     rhs = action.apply(action.group.compose(eps1, eps2), xs)
     worst = float(np.max(_norms(lhs - rhs) / (1.0 + _norms(xs))))
     return GroupLawReport(
-        passed=worst <= GROUP_LAW_TOL,
         worst_violation=worst,
         tolerance=GROUP_LAW_TOL,
         sample_count=sample_count,
@@ -426,7 +424,6 @@ class AbsorptionCertificate:
     threshold: float | None
     sample_evidence: list  # (eps, worst sampled distance from center)
     exact_bounds: list | None  # (eps, operator-norm distance bound)
-    passed: bool
 
 
 def certify_absorption(
@@ -454,22 +451,19 @@ def certify_absorption(
     dist = np.max(np.linalg.norm(images - center, axis=2), axis=1)
     offset = _norms(action.apply(inv, np.asarray(source.center)) - center)
     bound = action.operator_norm(inv) * source.radius + offset
-    threshold = _threshold(ladder, dist <= target.radius)
     eps = ladder.tolist()
     return AbsorptionCertificate(
         source=source,
         target=target,
-        threshold=threshold,
+        threshold=_threshold(ladder, dist <= target.radius),
         sample_evidence=list(zip(eps, dist.tolist())),
         exact_bounds=list(zip(eps, bound.tolist())),
-        passed=threshold is not None,
     )
 
 
 @dataclass
 class EscapeReport:
     check: str = field(default="escape", init=False)
-    passed: bool
     threshold: float | None
     radius: float
     norms: list  # (eps, |H_eps(x)|)
@@ -482,6 +476,5 @@ def certify_escape(action: Action, x, ladder, radius: float) -> EscapeReport:
         raise ValueError("escape is undefined at the center")
     ladder = action.group.validate(ladder)
     norms = _norms(action.apply(ladder, x))
-    threshold = _threshold(ladder, norms > radius)
-    return EscapeReport(passed=threshold is not None, threshold=threshold, radius=radius,
+    return EscapeReport(threshold=_threshold(ladder, norms > radius), radius=radius,
                         norms=list(zip(ladder.tolist(), norms.tolist())))

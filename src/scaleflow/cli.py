@@ -35,6 +35,7 @@ from .measures import (
     FACTOR_DEFECT_TOL,
     SupportEscapeError,
     check_factor_multiplicative,
+    factor_decay,
     verify_center_null,
     verify_homogeneity,
 )
@@ -72,16 +73,16 @@ def _parallel(fn, items, jobs: int):
 
 
 def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int, name: str):
-    """verify_homogeneity per battery entry: (partials, rows, worst rel_err,
-    verdicts).  The worst is np.max's, so a NaN row reads NaN wherever it sits."""
-    partials = _parallel(
-        lambda phi: verify_homogeneity(hz, ladder, [phi], tol_rel=tol), battery, jobs
-    )
-    rows = [row for part in partials for row in part.rows]
+    """verify_homogeneity per battery entry: (rows, worst rel_err, verdicts),
+    with the ladder's factor decay judged once.  The worst is np.max's, so a
+    NaN row reads NaN wherever it sits."""
+    parts = _parallel(lambda phi: verify_homogeneity(hz, ladder, [phi]), battery, jobs)
+    rows = [row for part in parts for row in part]
     worst = float(np.max([row["rel_err"] for row in rows]))
-    return partials, rows, worst, [
+    _, decay_ok = factor_decay(hz, ladder)
+    return rows, worst, [
         reports.Verdict(name, worst, tol, "<="),
-        reports.Verdict(f"{name}-decay", _failures(part.decay_ok for part in partials), 0, "<="),
+        reports.Verdict(f"{name}-decay", _failures([decay_ok]), 0, "<="),
     ]
 
 
@@ -113,7 +114,7 @@ def _run_verify_action(cfg, header, out, jobs) -> list[reports.Verdict]:
         verdicts.append(reports.Verdict("escape", rep.norms[-1][1], rep.radius, ">"))
     reports.write_json(f"{out}/action_certificates.json",
                        {**reports.verdict_fields(verdicts), "results": results}, header)
-    rows = [{"check": name, "passed": payload.passed} for name, payload in results.items()]
+    rows = [{"check": v.name, "passed": v.passed} for v in verdicts]
     reports.write_csv(f"{out}/action_summary.csv", rows, header)
     return verdicts
 
@@ -169,8 +170,7 @@ def _run_homogeneity(cfg, header, out, jobs) -> list[reports.Verdict]:
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension, edge_checked=True)
     tol, _ = _bounds(cfg, HOMOGENEITY_REL)
-    partials, rows, worst, verdicts = _homogeneity_battery(
-        hz, ladder, battery, tol, jobs, "homogeneity")
+    rows, worst, verdicts = _homogeneity_battery(hz, ladder, battery, tol, jobs, "homogeneity")
     mult_defect = check_factor_multiplicative(hz, seed=cfg.get("seed", 0))
     null = verify_center_null(hz)
     verdicts += [
@@ -185,7 +185,7 @@ def _run_homogeneity(cfg, header, out, jobs) -> list[reports.Verdict]:
             "worst_rel_err": worst,
             "factor_multiplicative_defect": mult_defect,
             "center_null": null,
-            "decay": partials[0].factor_decay,
+            "decay": factor_decay(hz, ladder)[0],
         },
         header,
     )
@@ -198,7 +198,7 @@ def _run_construct(cfg, header, out, jobs) -> list[reports.Verdict]:
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol, _ = _bounds(cfg, CONSTRUCT_REL)
-    _, rows, worst, verdicts = _homogeneity_battery(
+    rows, worst, verdicts = _homogeneity_battery(
         hz, ladder, battery, tol, jobs, "construct-homogeneity")
     reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
     reports.write_json(
@@ -273,6 +273,11 @@ def _run_sigma(cfg, header, out, jobs) -> list[reports.Verdict]:
     ]
     if not battery:
         raise ConfigError("sigma runs need a non-empty battery")
+    names = [field.name for field in battery]
+    for i, name in enumerate(names):  # a field's verdicts and .dat file go by its name
+        if name in names[:i]:
+            raise ConfigError(f"sigma.battery[{i}].name: {name!r} already names "
+                              f"sigma.battery[{names.index(name)}]")
     ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
     try:  # a sigma ladder must also stay at or below the identity
         validate_ladder(action.group, ladder)

@@ -121,10 +121,12 @@ def _one_of(*names):
     return choose
 
 
-def _label(value):
+def _label(value) -> str:
+    """A name, as a string: a number is named by its text, so names sort
+    together and a name and its file stem agree."""
     if not isinstance(value, (str, int, float)):
         raise TypeError(f"a name must be a string or a number, got {value!r}")
-    return value
+    return str(value)
 
 
 def _box(pairs: list) -> Box:
@@ -163,10 +165,10 @@ _SCHEMA = {
     "tolerances": {"rel": float, "decay_order": float},
     "battery": [_TEST_FUNCTION],
     "absorption": {"source_center": _floats, "source_radius": _Required(float),
-                   "target_radius": _Required(float), "directions_per_dim": int},
+                   "target_radius": _Required(float), "directions_per_dim": _positive(int)},
     "escape": {"point": _POINT, "radius": _Required(float)},
-    "contraction": {"eps": float, "starts": int, "tol": float, "max_iter": int,
-                    "pairs": _positive(int)},
+    "contraction": {"eps": float, "starts": int, "tol": _positive(float),
+                    "max_iter": _positive(int), "pairs": _positive(int)},
     "homogenizer": _Variants("measure", {
         "lebesgue": {"factor_override": float},
         "weighted-power": {"factor_override": float, "power": float},

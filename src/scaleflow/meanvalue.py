@@ -223,7 +223,6 @@ class ComparisonReport:
     second: ConvergenceReport
     difference: float
     tolerance: float
-    passed: bool
 
 
 def _combined_tolerance(a: ConvergenceReport, b: ConvergenceReport) -> float:
@@ -243,8 +242,7 @@ def verify_translation_invariance(
     """
     diff = abs(report.rows[-1]["value"] - shifted.rows[-1]["value"])
     tol = _combined_tolerance(report, shifted)
-    return ComparisonReport(first=report, second=shifted, difference=diff, tolerance=tol,
-                            passed=diff <= tol)
+    return ComparisonReport(first=report, second=shifted, difference=diff, tolerance=tol)
 
 
 def convolve(kernel: TestFunction, u: MeanFunction, grid_spec: GridSpec) -> MeanFunction:
@@ -278,5 +276,4 @@ def verify_convolution(
     """
     diff = abs(convolved.rows[-1]["value"] - convolved.limit)
     tol = _combined_tolerance(convolved, report)
-    return ComparisonReport(first=convolved, second=report, difference=diff, tolerance=tol,
-                            passed=diff <= tol)
+    return ComparisonReport(first=convolved, second=report, difference=diff, tolerance=tol)

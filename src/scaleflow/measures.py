@@ -327,27 +327,12 @@ def _pushforward(hz: Homogenizer, eps: float, phi: TestFunction):
     return integrate(hz, TestFunction(f"{phi.name}@{eps:g}", fn, support), edge_tol=BOUNDARY_MASS_TOL)
 
 
-@dataclass
-class HomogeneityReport:
-    rows: list  # dicts: eps, phi, lhs, rhs, abs_err, rel_err, quad_est
-    factor_decay: list  # (eps, c(eps)) ordered toward the group infimum
-    decay_ok: bool
-    passed: bool
+def verify_homogeneity(hz: Homogenizer, ladder, battery) -> list:
+    """Rows comparing pushforward(eps, phi) with c(eps) * integral(phi) over a
+    battery: dicts of eps, phi, lhs, rhs, abs_err, rel_err and quad_est.
 
-
-def verify_homogeneity(
-    hz: Homogenizer,
-    ladder,
-    battery,
-    tol_rel: float = 1e-6,
-) -> HomogeneityReport:
-    """Check pushforward(eps, phi) = c(eps) * integral(phi) over a battery.
-
-    Also checks the factor decays along the ladder (ordered toward the
-    group infimum): strictly decreasing and at least halved overall, which
-    together with the certified multiplicativity forces the vanishing limit.
     Each battery entry pairs its pushforwards along the whole ladder by one
-    :func:`pushforward_pairing` call.
+    :func:`pushforward_pairing` call.  The caller judges rel_err.
     """
     rows = []
     for phi in battery:
@@ -357,7 +342,6 @@ def verify_homogeneity(
             c = float(hz.factor_map(eps))
             rhs = c * base
             scale = max(abs(rhs), 1e-300)
-            rel = abs(lhs - rhs) / scale
             rows.append(
                 {
                     "eps": float(eps),
@@ -365,16 +349,20 @@ def verify_homogeneity(
                     "lhs": lhs,
                     "rhs": rhs,
                     "abs_err": abs(lhs - rhs),
-                    "rel_err": rel,
+                    "rel_err": abs(lhs - rhs) / scale,
                     "quad_est": (lhs_est + c * base_est) / scale,
-                    "passed": rel <= tol_rel,
                 }
             )
+    return rows
+
+
+def factor_decay(hz: Homogenizer, ladder) -> tuple[list, bool]:
+    """(eps, c(eps)) along the ladder, ordered toward the group infimum, and
+    whether c decreases strictly and at least halves overall, which together
+    with the certified multiplicativity forces the vanishing limit."""
     factors = [(float(e), float(hz.factor_map(e))) for e in ladder]
     values = [c for _, c in factors]
-    decay_ok = all(b < a for a, b in zip(values, values[1:])) and values[-1] <= 0.5 * values[0]
-    passed = all(row["passed"] for row in rows) and decay_ok
-    return HomogeneityReport(rows=rows, factor_decay=factors, decay_ok=decay_ok, passed=passed)
+    return factors, all(b < a for a, b in zip(values, values[1:])) and values[-1] <= 0.5 * values[0]
 
 
 # sampled pairs (e, e') of the factor map's multiplicativity check, and the

@@ -334,18 +334,66 @@ def test_cli_homogeneity_negative_control(tmp_path):
     assert code == 1
 
 
+def test_homogeneity_decay_is_one_check_per_run(tmp_path, capsys):
+    # c(eps) = 1/eps grows along the ladder: one failed condition, however
+    # many battery entries the run pairs
+    cfg = read_config("homogeneity_r2")
+    cfg["homogenizer"] = {"measure": "lebesgue", "factor_override": -1.0}
+    path = tmp_path / "growing_factor.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["homogeneity", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_FAIL
+    assert "[FAIL] homogeneity-decay 1.000e+00 <= 0" in capsys.readouterr().out.splitlines()
+
+
+def _rename_sigma_battery(names) -> dict:
+    """configs/sigma_periodic.yaml with its battery named ``names``; None
+    drops an entry's name, so it takes the default."""
+    cfg = read_config("sigma_periodic")
+    for block, name in zip(cfg["sigma"]["battery"], names):
+        block.pop("name")
+        if name is not None:
+            block["name"] = name
+    return cfg
+
+
+@pytest.mark.parametrize("names, where", [
+    ((None, None, None), "sigma.battery[1].name: 'field'"),
+    (("a", 1, "1"), "sigma.battery[2].name: '1'"),
+], ids=["unnamed", "1-and-'1'"])
+def test_sigma_battery_repeated_name_is_config_error(tmp_path, capsys, names, where):
+    # a field's verdicts, per_test entry and sigma_<name>.dat go by its name:
+    # a repeated name would judge one of the two fields and drop the other
+    path = tmp_path / "repeated.yaml"
+    write_yaml(path, _rename_sigma_battery(names))
+    code = run_cli(["sigma", "--config", str(path), "--out", str(tmp_path / "o")])
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
+
+
+def test_sigma_battery_names_of_numbers_are_text(tmp_path, capsys):
+    # a number names a field by its text, so it sorts with string names
+    path = tmp_path / "numbered.yaml"
+    write_yaml(path, _rename_sigma_battery(["a", 1, 2.5]))
+    code = run_cli(["sigma", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("[pass] sigma[")] == [
+        "sigma[1]", "sigma[2.5]", "sigma[a]"]
+    curves = sorted(name for name in os.listdir(tmp_path / "o") if name.endswith(".dat"))
+    assert curves == ["sigma_1.dat", "sigma_2.5.dat", "sigma_a.dat"]
+
+
 def test_homogeneity_verdict_reads_a_nan_row_wherever_it_sits(monkeypatch):
     # Python's max skips a NaN that does not come first; the worst rel_err,
     # and so the verdict and homogeneity.json, must read NaN
     rel_errs = iter([[1e-9, 2e-9], [math.nan, 1e-9]])
 
-    def verify(hz, ladder, battery, tol_rel):
-        rows = [{"rel_err": rel, "passed": rel <= tol_rel} for rel in next(rel_errs)]
-        passed = all(row["passed"] for row in rows)
-        return measures.HomogeneityReport(rows=rows, factor_decay=[], decay_ok=True, passed=passed)
+    def verify(hz, ladder, battery):
+        return [{"rel_err": rel} for rel in next(rel_errs)]
 
     monkeypatch.setattr(cli, "verify_homogeneity", verify)
-    _, rows, worst, verdicts = cli._homogeneity_battery(None, [0.5], ["a", "b"], 1e-6, 1, "h")
+    monkeypatch.setattr(cli, "factor_decay", lambda hz, ladder: ([], True))
+    rows, worst, verdicts = cli._homogeneity_battery(None, [0.5], ["a", "b"], 1e-6, 1, "h")
     assert len(rows) == 4 and math.isnan(worst)
     assert [(v.name, v.passed) for v in verdicts] == [("h", False), ("h-decay", True)]
 
@@ -577,6 +625,11 @@ _OUT_OF_RANGE = [
     ("sigma", "sigma_periodic", {"ladder": {"values": [4.0, 2.0, 1.0, 0.5]}},
      "ladder: ladder entries must not exceed the identity"),
     ("contract", "contract", {"contraction": {"pairs": 0}}, "contraction.pairs: must be positive"),
+    ("contract", "contract", {"contraction": {"tol": 0.0}}, "contraction.tol: must be positive"),
+    ("contract", "contract", {"contraction": {"max_iter": 0}},
+     "contraction.max_iter: must be positive"),
+    ("verify-action", "verify_action", {"absorption": {"directions_per_dim": -3}},
+     "absorption.directions_per_dim: must be positive"),
     ("sigma", "sigma_quasiperiodic",
      {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[0.0]], "degree": 8}}},
      "sigma.algebra: a generator must have a nonzero entry"),
@@ -1124,3 +1177,8 @@ def test_stdout_passed_exit_code_and_verdicts_array_agree(
     assert lines[-1] == ("PASS" if passed else "FAIL")
     assert code == (cli.EXIT_PASS if passed else cli.EXIT_FAIL)
     assert passed is not bool(extra)
+    if subcommand == "verify-action":
+        with open(tmp_path / "action_summary.csv", encoding="utf-8", newline="") as handle:
+            summary = list(csv.DictReader(line for line in handle if not line.startswith("# ")))
+        assert [(row["check"], row["passed"]) for row in summary] == [
+            (v.name, "true" if v.passed else "false") for v in verdicts]

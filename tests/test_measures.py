@@ -39,7 +39,7 @@ from scaleflow import (
 )
 from scaleflow import kernels, measures, quadrature
 from scaleflow.config import build_seed_measure
-from scaleflow.measures import check_factor_multiplicative
+from scaleflow.measures import check_factor_multiplicative, factor_decay
 from scaleflow.quadrature import Box, QuadratureGrid, UnderResolvedError
 
 
@@ -124,15 +124,21 @@ def test_pushforward_dirac_center_invariant():
         assert value == pytest.approx(1.0, rel=1e-14)  # phi(center) every time
 
 
+def _homogeneous(hz, ladder, battery, tol: float) -> bool:
+    """Every verify_homogeneity row's rel_err within tol, and the factor decays."""
+    rows = verify_homogeneity(hz, ladder, battery)
+    return all(row["rel_err"] <= tol for row in rows) and factor_decay(hz, ladder)[1]
+
+
 def test_homogeneity_pass_and_negative_control():
     action = DiagonalScaling((1,))
     hz = Homogenizer.lebesgue(action, GridSpec(base_nodes=512))
     ladder = [2.0**-n for n in range(1, 9)]
     battery = default_battery(1)
-    report = verify_homogeneity(hz, ladder, battery, tol_rel=1e-6)
-    assert report.passed and report.decay_ok
+    assert _homogeneous(hz, ladder, battery, 1e-6)
     wrong = dataclasses.replace(hz, factor_map=lambda eps: float(eps) ** 2)
-    assert not verify_homogeneity(wrong, ladder, battery, tol_rel=1e-6).passed
+    assert factor_decay(wrong, ladder)[1]
+    assert not _homogeneous(wrong, ladder, battery, 1e-6)
 
 
 def test_homogeneity_weighted_power_density():
@@ -151,8 +157,7 @@ def test_homogeneity_weighted_power_density():
     )
     assert value == pytest.approx(oracle_push, rel=1e-9)
     assert value == pytest.approx(eps**2 * base, rel=1e-9)
-    report = verify_homogeneity(hz, [0.5, 0.25, 0.125], [phi], tol_rel=1e-6)
-    assert report.passed
+    assert _homogeneous(hz, [0.5, 0.25, 0.125], [phi], 1e-6)
 
 
 def test_no_invariant_measure_restated():
@@ -186,9 +191,9 @@ def test_homogeneity_error_within_refinement_estimate():
     action = ExpSemigroup.from_matrix(np.linalg.norm(p, 2) + 1.0, p)
     hz = Homogenizer.lebesgue(action, GridSpec(base_nodes=256))
     battery = default_battery(2)
-    report = verify_homogeneity(hz, [-0.5, -1.0, -1.5], battery, tol_rel=1e-6)
-    assert report.passed
-    for row in report.rows:
+    ladder = [-0.5, -1.0, -1.5]
+    assert _homogeneous(hz, ladder, battery, 1e-6)
+    for row in verify_homogeneity(hz, ladder, battery):
         floor = 1e-13 * max(abs(row["rhs"]), 1.0)
         assert row["abs_err"] <= 3.0 * row["quad_est"] * abs(row["rhs"]) + floor
 
@@ -242,8 +247,7 @@ def test_constructed_measure_homogeneity():
     hz = measure.as_homogenizer()
     battery = [gaussian([3.0], 0.5), gaussian([2.0], 0.25), bump([4.0], 2.0)]
     ladder = [2.0**-n for n in range(1, 9)]
-    report = verify_homogeneity(hz, ladder, battery, tol_rel=1e-5)
-    assert report.passed
+    assert _homogeneous(hz, ladder, battery, 1e-5)
     assert hz.factor_map(0.5) == pytest.approx(0.25, rel=1e-14)  # c(s) = s^2
 
 
@@ -659,8 +663,7 @@ def test_constructed_measure_integer_group():
     )
     assert value == pytest.approx(oracle, rel=1e-12)
     hz = measure.as_homogenizer()
-    report = verify_homogeneity(hz, [-1.0, -2.0, -3.0, -4.0], [phi], tol_rel=1e-8)
-    assert report.passed
+    assert _homogeneous(hz, [-1.0, -2.0, -3.0, -4.0], [phi], 1e-8)
     assert hz.factor_map(-1.0) == pytest.approx(0.5, rel=1e-14)
 
 
@@ -671,8 +674,7 @@ def test_product_action_homogenizer():
     pair = product([DiagonalScaling((1,)), DiagonalScaling((2,))])
     hz = Homogenizer.lebesgue(pair, GridSpec(base_nodes=256))
     assert hz.factor_map(0.5) == pytest.approx(0.5**3, rel=1e-14)
-    report = verify_homogeneity(hz, [0.5, 0.25, 0.125], default_battery(2), tol_rel=1e-6)
-    assert report.passed
+    assert _homogeneous(hz, [0.5, 0.25, 0.125], default_battery(2), 1e-6)
 
 
 def _mollifier_by_two_selects(center, width, pts):
@@ -707,7 +709,7 @@ def test_homogeneity_quad_est_bounds_each_of_its_parts():
     hz = Homogenizer.lebesgue(DiagonalScaling((1, 1)), GridSpec(base_nodes=512))
     ladder = [2.0, 1.0, 0.5]
     battery = [gaussian([0.3, 0.3], 0.5), bump([0.3, 0.3], 2.0)]
-    rows = verify_homogeneity(hz, ladder, battery).rows
+    rows = verify_homogeneity(hz, ladder, battery)
     both = 0
     for i, phi in enumerate(battery):
         base, base_est = integrate(hz, phi)

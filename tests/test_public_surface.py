@@ -6,7 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import actions, meanvalue, measures, quadrature, reports
+from scaleflow import actions, contraction, meanvalue, measures, quadrature, reports
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -58,6 +58,24 @@ def test_verdict_fields_are_pinned():
     fields = dataclasses.fields(reports.Verdict)
     assert tuple(f.name for f in fields) == ("name", "value", "bound", "sense")
     assert isinstance(inspect.getattr_static(reports.Verdict, "passed"), property)
+
+
+def test_report_fields_are_pinned():
+    # a report states what it measured and the CLI's verdicts judge it once:
+    # no report carries a pass flag that re-judges a verdict's number
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(actions.GroupLawReport) == (
+        "check", "worst_violation", "tolerance", "sample_count", "seed")
+    assert names(actions.AbsorptionCertificate) == (
+        "check", "source", "target", "threshold", "sample_evidence", "exact_bounds")
+    assert names(actions.EscapeReport) == ("check", "threshold", "radius", "norms")
+    assert names(contraction.SubmultiplicativityReport) == (
+        "check", "worst_excess", "decay", "decay_monotone", "decay_final", "bounded")
+    assert names(meanvalue.ComparisonReport) == ("first", "second", "difference", "tolerance")
+    assert list(inspect.signature(measures.verify_homogeneity).parameters) == [
+        "hz", "ladder", "battery"]
 
 
 def test_mean_function_fields_are_pinned():

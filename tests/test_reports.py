@@ -24,15 +24,14 @@ BASE = {
     "ladder": {"count": 6},
 }
 
-GROUP_LAW = {"check", "passed", "worst_violation", "tolerance", "sample_count", "seed"}
-ABSORPTION = {"check", "source", "target", "threshold", "passed", "sample_evidence",
-              "exact_bounds"}
-ESCAPE = {"check", "passed", "threshold", "radius", "norms"}
-SUBMULTIPLICATIVE = {"check", "passed", "worst_excess", "decay", "decay_monotone",
-                     "decay_final", "bounded"}
+GROUP_LAW = {"check", "worst_violation", "tolerance", "sample_count", "seed"}
+ABSORPTION = {"check", "source", "target", "threshold", "sample_evidence", "exact_bounds"}
+ESCAPE = {"check", "threshold", "radius", "norms"}
+SUBMULTIPLICATIVE = {"check", "worst_excess", "decay", "decay_monotone", "decay_final",
+                     "bounded"}
 CENTER_NULL = {"check", "passed", "trivial", "masses"}
 CONVERGENCE = {"limit", "fitted_order", "rows"}
-COMPARISON = {"difference", "tolerance", "passed", "first", "second"}
+COMPARISON = {"difference", "tolerance", "first", "second"}
 VERDICT = {"name", "value", "bound", "sense", "passed"}
 
 
@@ -105,7 +104,7 @@ def test_homogeneity_schema(tmp_path):
     assert set(doc["center_null"]) == CENTER_NULL
     assert doc["center_null"]["check"] == "center-null"
     assert columns(out, "homogeneity.csv") == [
-        "eps", "phi", "lhs", "rhs", "abs_err", "rel_err", "quad_est", "passed"
+        "eps", "phi", "lhs", "rhs", "abs_err", "rel_err", "quad_est"
     ]
 
 
