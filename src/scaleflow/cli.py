@@ -7,9 +7,11 @@ the output directory and exits 0 only when every verdict passes (2 for
 config errors, 3 for numerical resolution failures, 1 for verification
 failures).  Reports are byte-identical across repeated runs.
 
-Each runner returns a list of :class:`reports.Verdict`: the stdout lines,
-its JSON report's ``passed`` and ``verdicts`` and the exit code come from
-that list alone.
+Each runner takes the validated config alone and returns its
+:class:`reports.Verdict` list and its report files, file name to payload;
+:func:`reports.emit` writes them, adding the run's ``passed`` and
+``verdicts`` to every JSON report.  The stdout lines and the exit code come
+from the verdicts alone, and a run stopped by an error writes no report.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ def _parallel(fn, items, jobs: int):
     return [fn(item) for item in items]
 
 
-def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int, name: str):
+def _homogeneity_battery(hz, ladder, battery, tol: float, name: str):
     """verify_homogeneity per battery entry: (rows, worst rel_err, verdicts),
     with the ladder's factor decay judged once.  The worst is np.max's, so a
     NaN row reads NaN wherever it sits."""
-    parts = _parallel(lambda phi: verify_homogeneity(hz, ladder, [phi]), battery, jobs)
+    parts = _parallel(lambda phi: verify_homogeneity(hz, ladder, [phi]), battery, 1)
     rows = [row for part in parts for row in part]
     worst = float(np.max([row["rel_err"] for row in rows]))
     _, decay_ok = factor_decay(hz, ladder)
@@ -86,7 +88,7 @@ def _homogeneity_battery(hz, ladder, battery, tol: float, jobs: int, name: str):
     ]
 
 
-def _run_verify_action(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_verify_action(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     absorption = cfg.get("absorption")
@@ -112,14 +114,13 @@ def _run_verify_action(cfg, header, out, jobs) -> list[reports.Verdict]:
         rep = certify_escape(action, escape_point, ladder, escape["radius"])
         results["escape"] = rep
         verdicts.append(reports.Verdict("escape", rep.norms[-1][1], rep.radius, ">"))
-    reports.write_json(f"{out}/action_certificates.json",
-                       {**reports.verdict_fields(verdicts), "results": results}, header)
-    rows = [{"check": v.name, "passed": v.passed} for v in verdicts]
-    reports.write_csv(f"{out}/action_summary.csv", rows, header)
-    return verdicts
+    return verdicts, {
+        "action_certificates.json": {"results": results},
+        "action_summary.csv": [{"check": v.name, "passed": v.passed} for v in verdicts],
+    }
 
 
-def _run_contract(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_contract(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     block = cfg_mod.build_contraction(cfg, action.group)
@@ -155,61 +156,50 @@ def _run_contract(cfg, header, out, jobs) -> list[reports.Verdict]:
         reports.Verdict("submultiplicative-decay", _failures([sub.decay_ok]), 0, "<="),
         reports.Verdict("fixed-point", _failures(r["passed"] for r in fp_rows), 0, "<="),
     ]
-    reports.write_json(
-        f"{out}/contraction.json",
-        {**reports.verdict_fields(verdicts), "submultiplicative": sub, "fixed_point": fp_rows},
-        header,
-    )
-    reports.write_csv(f"{out}/fixed_point.csv", fp_rows, header)
-    return verdicts
+    return verdicts, {
+        "contraction.json": {"submultiplicative": sub, "fixed_point": fp_rows},
+        "fixed_point.csv": fp_rows,
+    }
 
 
-def _run_homogeneity(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_homogeneity(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_homogenizer(cfg, action)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension, edge_checked=True)
     tol, _ = _bounds(cfg, HOMOGENEITY_REL)
-    rows, worst, verdicts = _homogeneity_battery(hz, ladder, battery, tol, jobs, "homogeneity")
+    rows, worst, verdicts = _homogeneity_battery(hz, ladder, battery, tol, "homogeneity")
     mult_defect = check_factor_multiplicative(hz, seed=cfg.get("seed", 0))
     null = verify_center_null(hz)
     verdicts += [
         reports.Verdict("factor-multiplicative", mult_defect, FACTOR_DEFECT_TOL, "<="),
         reports.Verdict("center-null", _failures([null.passed]), 0, "<="),
     ]
-    reports.write_csv(f"{out}/homogeneity.csv", rows, header)
-    reports.write_json(
-        f"{out}/homogeneity.json",
-        {
-            **reports.verdict_fields(verdicts),
+    return verdicts, {
+        "homogeneity.csv": rows,
+        "homogeneity.json": {
             "worst_rel_err": worst,
             "factor_multiplicative_defect": mult_defect,
             "center_null": null,
             "decay": factor_decay(hz, ladder)[0],
         },
-        header,
-    )
-    return verdicts
+    }
 
 
-def _run_construct(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_construct(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_constructed_measure(cfg, action).as_homogenizer()
     ladder = cfg_mod.build_ladder(cfg, action.group)
     battery = cfg_mod.build_battery(cfg, action.dimension)
     tol, _ = _bounds(cfg, CONSTRUCT_REL)
-    rows, worst, verdicts = _homogeneity_battery(
-        hz, ladder, battery, tol, jobs, "construct-homogeneity")
-    reports.write_csv(f"{out}/construct_homogeneity.csv", rows, header)
-    reports.write_json(
-        f"{out}/construct_homogeneity.json",
-        {**reports.verdict_fields(verdicts), "worst_rel_err": worst},
-        header,
-    )
-    return verdicts
+    rows, worst, verdicts = _homogeneity_battery(hz, ladder, battery, tol, "construct-homogeneity")
+    return verdicts, {
+        "construct_homogeneity.csv": rows,
+        "construct_homogeneity.json": {"worst_rel_err": worst},
+    }
 
 
-def _run_mean(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_mean(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     dim = action.dimension
     hz = cfg_mod.build_homogenizer(cfg, action)
@@ -220,18 +210,18 @@ def _run_mean(cfg, header, out, jobs) -> list[reports.Verdict]:
     phi = cfg_mod.build_test_function(
         block.get("phi", {"kind": "triangle", "center": [0.3], "width": 0.7}), dim, "mean.phi"
     )
-    if "shift" in block:
-        cfg_mod.check_dimension("mean.shift", len(block["shift"]), dim)
-    if "kernel" in block:
-        kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
-    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
-    tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
     # u, its translate and its convolution share one sweep of the ladder
     functions = [u]
     if "shift" in block:
+        cfg_mod.check_dimension("mean.shift", len(block["shift"]), dim)
         functions.append(u.translate(block["shift"]))
     if "kernel" in block:
+        if u.poly is None:  # convolve scales Fourier coefficients
+            raise ConfigError("mean.kernel: a vanishing mean.function has no convolution")
+        kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
         functions.append(convolve(kernel, u, hz.grid_spec))
+    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
+    tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
     report, *others = empirical_mean(functions, hz, phi, ladder)
     # the closed-form mean is the limit the sweep measured against
     print(f"closed-form mean: {report.limit}")
@@ -241,22 +231,24 @@ def _run_mean(cfg, header, out, jobs) -> list[reports.Verdict]:
     ]
     results = {"empirical": report, "closed_form": report.limit}
     if "shift" in block:
-        trans = verify_translation_invariance(report, others.pop(0))
+        results["translated"] = others.pop(0)
+        trans = verify_translation_invariance(report, results["translated"])
         results["translation"] = trans
         verdicts.append(
             reports.Verdict("translation-invariance", trans.difference, trans.tolerance, "<="))
     if "kernel" in block:
-        conv = verify_convolution(report, others.pop(0))
+        results["convolved"] = others.pop(0)
+        conv = verify_convolution(report, results["convolved"])
         results["convolution"] = conv
         verdicts.append(reports.Verdict("convolution", conv.difference, conv.tolerance, "<="))
-    reports.write_csv(f"{out}/mean.csv", report.rows, header)
-    reports.write_json(f"{out}/mean.json",
-                       {**reports.verdict_fields(verdicts), "results": results}, header)
-    reports.write_curve(f"{out}/mean_error.dat", reports.log_error_curve(report.rows), header)
-    return verdicts
+    return verdicts, {
+        "mean.csv": report.rows,
+        "mean.json": {"results": results},
+        "mean_error.dat": reports.log_error_curve(report.rows),
+    }
 
 
-def _run_sigma(cfg, header, out, jobs) -> list[reports.Verdict]:
+def _run_sigma(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
     dim = action.dimension
     spec = cfg_mod.build_grid_spec(cfg)
@@ -290,25 +282,18 @@ def _run_sigma(cfg, header, out, jobs) -> list[reports.Verdict]:
     report = verify_sigma_convergence(u, battery, action, ladder, spec, p=p)
     norm_rows = trace_norm_bound_rows([u, *battery], action, ladder, p, spec)
     verdicts = []
+    files = {"sigma.csv": report.rows,
+             "sigma.json": {"per_test": report.per_test, "norm_bound": norm_rows}}
     for name, info in sorted(report.per_test.items()):
         verdicts += [
             reports.Verdict(f"sigma[{name}]", info["final_rel_err"], tol, "<="),
             reports.Verdict(f"sigma-order[{name}]", info["fitted_order"], order_floor, ">="),
         ]
+        files[f"sigma_{name}.dat"] = reports.log_error_curve(
+            [r for r in report.rows if r["psi"] == name], err_key="rel_err")
     failures = _failures(row["passed"] for row in norm_rows)
     verdicts.append(reports.Verdict("trace-norm-bound", failures, 0, "<="))
-    reports.write_csv(f"{out}/sigma.csv", report.rows, header)
-    reports.write_json(
-        f"{out}/sigma.json",
-        {**reports.verdict_fields(verdicts), "per_test": report.per_test, "norm_bound": norm_rows},
-        header,
-    )
-    for name in sorted(report.per_test):
-        curve = reports.log_error_curve(
-            [r for r in report.rows if r["psi"] == name], err_key="rel_err"
-        )
-        reports.write_curve(f"{out}/sigma_{name}.dat", curve, header)
-    return verdicts
+    return verdicts, files
 
 
 _RUNNERS = {
@@ -343,13 +328,14 @@ def main(argv=None) -> int:
         cfg_mod.apply_overrides(raw, args.tol_override)
         cfg = cfg_mod.validate_config(raw)
         header = reports.report_header(reports.config_digest(args.config), cfg.get("seed", 0))
-        verdicts = _RUNNERS[args.subcommand](cfg, header, args.out, args.jobs)
+        verdicts, files = _RUNNERS[args.subcommand](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnderResolvedError, SupportEscapeError) as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
+    reports.emit(args.out, header, verdicts, files)
     for verdict in verdicts:
         print(verdict.line())
     passed = all(verdict.passed for verdict in verdicts)

@@ -162,11 +162,11 @@ _SCHEMA = {
     "ladder": {"count": int, "step": float, "values": [float]},
     "grid": {"rule": _one_of("midpoint", "gauss"), "base_nodes": _positive(int),
              "panel_order": _positive(int), "max_nodes": _positive(int)},
-    "tolerances": {"rel": float, "decay_order": float},
+    "tolerances": {"rel": _positive(float), "decay_order": float},
     "battery": [_TEST_FUNCTION],
     "absorption": {"source_center": _floats, "source_radius": _Required(float),
                    "target_radius": _Required(float), "directions_per_dim": _positive(int)},
-    "escape": {"point": _POINT, "radius": _Required(float)},
+    "escape": {"point": _POINT, "radius": _Required(_positive(float))},
     "contraction": {"eps": float, "starts": int, "tol": _positive(float),
                     "max_iter": _positive(int), "pairs": _positive(int)},
     "homogenizer": _Variants("measure", {

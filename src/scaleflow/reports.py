@@ -83,7 +83,6 @@ def _format(value):
 
 
 def write_csv(path: str, rows, header: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fieldnames = list(rows[0]) if rows else []
     buffer = io.StringIO()
     for key, value in header.items():
@@ -116,7 +115,6 @@ def _sanitize(obj):
 
 
 def write_json(path: str, payload: dict, header: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     text = json.dumps(_sanitize({"header": header, **payload}), sort_keys=True, indent=2,
                       allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
@@ -125,12 +123,27 @@ def write_json(path: str, payload: dict, header: dict) -> None:
 
 def write_curve(path: str, points, header: dict) -> None:
     """Two-column whitespace-separated plot data, one file per curve."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for key, value in header.items():
             handle.write(f"# {key}: {value}\n")
         for x, y in points:
             handle.write(f"{_format(float(x))} {_format(float(y))}\n")
+
+
+def emit(out: str, header: dict, verdicts, files: dict) -> None:
+    """Write a run's report ``files`` into directory ``out``, each by the suffix
+    of its name: a ``.json`` payload gains the run's ``passed`` and
+    ``verdicts``, a ``.csv`` one is rows and a ``.dat`` one curve points."""
+    os.makedirs(out, exist_ok=True)
+    fields = verdict_fields(verdicts)
+    for name, payload in files.items():
+        path = os.path.join(out, name)
+        if name.endswith(".json"):
+            write_json(path, {**payload, **fields}, header)
+        elif name.endswith(".csv"):
+            write_csv(path, payload, header)
+        else:
+            write_curve(path, payload, header)
 
 
 def log_error_curve(rows, err_key: str = "abs_err"):

@@ -128,7 +128,7 @@ class TrigPolynomial:
         return np.max(np.abs(self.freqs), axis=0)
 
     def terms(self):
-        return [(tuple(f), complex(c)) for f, c in zip(self.freqs, self.coeffs)]
+        return [(tuple(f), complex(c)) for f, c in zip(self.freqs.tolist(), self.coeffs)]
 
     # -- evaluation ------------------------------------------------------------
 
@@ -211,5 +211,5 @@ class TrigPolynomial:
         raise TypeError(f"cannot combine TrigPolynomial with {type(other)!r}")
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{c:.3g}*e({tuple(f)})" for f, c in zip(self.freqs, self.coeffs))
+        inner = ", ".join(f"{c:.3g}*e({f})" for f, c in self.terms())
         return f"TrigPolynomial({inner})"

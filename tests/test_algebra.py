@@ -27,6 +27,15 @@ def test_trig_evaluation_matches_direct_sum():
     assert np.max(np.abs(p(xs) - direct)) <= 1e-13
 
 
+def test_trig_terms_and_repr_are_plain_python_numbers():
+    p = TrigPolynomial.from_terms([([0.5, -1.0], 2.0), ([0.0, 0.0], 1j)])
+    terms = p.terms()
+    assert terms == [((0.0, 0.0), 1j), ((0.5, -1.0), 2 + 0j)]
+    assert all(type(f) is float for freq, _ in terms for f in freq)
+    assert all(type(c) is complex for _, c in terms)
+    assert repr(p) == "TrigPolynomial(0+1j*e((0.0, 0.0)), 2+0j*e((0.5, -1.0)))"
+
+
 def test_trig_merges_duplicates_and_sorts():
     p = TrigPolynomial.from_terms([([1.0], 1.0), ([1.0], 2.0), ([0.0], 1.0)])
     assert p.freqs.shape == (2, 1)
@@ -102,8 +111,10 @@ def test_periodic_admissibility():
     assert alg.admissible([3.0])
     assert alg.admissible([0.0])
     assert not alg.admissible([0.5])
-    with pytest.raises(ValueError):
-        alg.element(TrigPolynomial.character([0.5]))
+    # the message names the frequency as plain floats, not numpy reprs
+    with pytest.raises(ValueError) as err:
+        alg.element(TrigPolynomial.character([-0.5]))
+    assert str(err.value) == "frequency (-0.5,) is not admissible in this algebra"
 
 
 def test_subgroup_admissibility():

@@ -393,7 +393,7 @@ def test_homogeneity_verdict_reads_a_nan_row_wherever_it_sits(monkeypatch):
 
     monkeypatch.setattr(cli, "verify_homogeneity", verify)
     monkeypatch.setattr(cli, "factor_decay", lambda hz, ladder: ([], True))
-    rows, worst, verdicts = cli._homogeneity_battery(None, [0.5], ["a", "b"], 1e-6, 1, "h")
+    rows, worst, verdicts = cli._homogeneity_battery(None, [0.5], ["a", "b"], 1e-6, "h")
     assert len(rows) == 4 and math.isnan(worst)
     assert [(v.name, v.passed) for v in verdicts] == [("h", False), ("h-decay", True)]
 
@@ -633,6 +633,9 @@ _OUT_OF_RANGE = [
     ("sigma", "sigma_quasiperiodic",
      {"sigma": {"algebra": {"kind": "ap-subgroup", "generators": [[0.0]], "degree": 8}}},
      "sigma.algebra: a generator must have a nonzero entry"),
+    ("mean", "mean_periodic", {"tolerances": {"rel": -1.0}}, "tolerances.rel: must be positive"),
+    ("verify-action", "verify_action", {"escape": {"point": [1.0], "radius": -5.0}},
+     "escape.radius: must be positive"),
 ]
 
 
@@ -646,6 +649,42 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, subcommand, stem, 
     write_yaml(path, cfg)
     code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
     _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
+
+
+def test_vanishing_mean_with_a_kernel_is_config_error(tmp_path, capsys):
+    # a convolution scales Fourier coefficients, which a vanishing function has none of
+    cfg = read_config("mean_periodic")
+    cfg["mean"]["function"] = {"class": "vanishing", "limit": 0.25}
+    path = tmp_path / "vanishing_kernel.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["mean", "--config", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    _assert_rejected_before_any_verdict(code, captured, "mean.kernel", tmp_path / "o")
+    assert "Traceback" not in captured.err
+
+
+def test_non_integer_periodic_frequency_names_a_plain_float(tmp_path, capsys):
+    cfg = read_config("mean_periodic")
+    cfg["mean"]["function"] = {"class": "periodic", "terms": [[[0.5], 1.0, 0.0]]}
+    path = tmp_path / "half_frequency.yaml"
+    write_yaml(path, cfg)
+    code = run_cli(["mean", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: mean.function.terms: frequency (0.5,) is not periodic on the cell\n")
+
+
+def test_resolution_failure_writes_no_report(tmp_path):
+    # runners return their files and only a finished run writes them
+    cfg = read_config("homogeneity_r2")
+    cfg["grid"]["max_nodes"] = cfg["grid"]["base_nodes"] // 2
+    path = tmp_path / "capped.yaml"
+    write_yaml(path, cfg)
+    out = tmp_path / "o"
+    out.mkdir()
+    code = run_cli(["homogeneity", "--config", str(path), "--out", str(out)])
+    assert code == 3
+    assert os.listdir(out) == []
 
 
 def test_cli_mean_point_mass_builds_no_grid(tmp_path):
@@ -748,7 +787,7 @@ def _mean_sweeps(path) -> list:
     # the empirical sweep and the translation and convolution sweeps of mean.json
     with open(path, encoding="utf-8") as handle:
         results = json.load(handle)["results"]
-    return [results["empirical"], results["translation"]["second"], results["convolution"]["first"]]
+    return [results["empirical"], results["translated"], results["convolved"]]
 
 
 def test_cli_mean_periodic_values_are_exactly_real(tmp_path):

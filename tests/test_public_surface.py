@@ -6,7 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import actions, contraction, meanvalue, measures, quadrature, reports
+from scaleflow import actions, cli, contraction, meanvalue, measures, quadrature, reports
 from scaleflow.config import _SCHEMA
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
@@ -73,7 +73,8 @@ def test_report_fields_are_pinned():
     assert names(actions.EscapeReport) == ("check", "threshold", "radius", "norms")
     assert names(contraction.SubmultiplicativityReport) == (
         "check", "worst_excess", "decay", "decay_monotone", "decay_final", "bounded")
-    assert names(meanvalue.ComparisonReport) == ("first", "second", "difference", "tolerance")
+    # a comparison states its two numbers; mean.json reports each sweep once
+    assert names(meanvalue.ComparisonReport) == ("difference", "tolerance")
     assert list(inspect.signature(measures.verify_homogeneity).parameters) == [
         "hz", "ladder", "battery"]
 
@@ -202,3 +203,45 @@ def test_only_measures_and_sigma_build_grids_that_resolve_a_frequency():
     calls = [entry for path in sorted(PACKAGE_DIR.glob("*.py"))
              for entry in _calls(path, "build", 2)]
     assert sorted({entry.split(":")[0] for entry in calls}) == ["measures.py", "sigma.py"]
+
+
+def test_every_runner_takes_the_config_alone():
+    # a runner computes: it returns its verdicts and files and reports.emit
+    # writes them, so no runner takes an output directory, a header or --jobs
+    runners = {name: fn for name, fn in vars(cli).items() if name.startswith("_run_")}
+    assert len(runners) == len(cli._RUNNERS) == 6
+    assert {name: list(inspect.signature(fn).parameters) for name, fn in runners.items()} == {
+        name: ["cfg"] for name in runners}
+    # perfbench wraps the battery map by name and passes it three arguments
+    assert list(inspect.signature(cli._parallel).parameters) == ["fn", "items", "jobs"]
+
+
+def test_only_reports_writes_reports():
+    # reports.emit adds every JSON report's passed and verdicts, so no other
+    # module calls a writer or the verdict fields itself
+    writers = [name for name in vars(reports) if name.startswith("write_")]
+    assert sorted(writers) == ["write_csv", "write_curve", "write_json"]
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "reports.py")
+    assert [entry for path in modules for name in [*writers, "verdict_fields"]
+            for entry in _calls(path, name)] == []
+
+
+def _opens_for_writing(path: pathlib.Path) -> list:
+    """Lines of ``path`` that call ``open`` with a mode other than reading, as
+    ``module:line``; a mode that is not a string literal counts as writing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_reports_opens_a_file_for_writing():
+    assert _opens_for_writing(PACKAGE_DIR / "reports.py")
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "reports.py")
+    assert [entry for path in modules for entry in _opens_for_writing(path)] == []

@@ -1,8 +1,8 @@
 """Report schema: the JSON keys and CSV columns every CLI report carries.
 
-Each report is written by the CLI through ``reports.write_json`` and
-``reports.write_csv``; the keys below are the byte-level format that
-downstream readers (and the benchmark's verdict reader) rely on.
+Each report is written by ``reports.emit`` from the files a CLI runner
+returns; the keys below are the byte-level format that downstream readers
+(and the benchmark's verdict reader) rely on.
 """
 
 import csv
@@ -31,7 +31,7 @@ SUBMULTIPLICATIVE = {"check", "worst_excess", "decay", "decay_monotone", "decay_
                      "bounded"}
 CENTER_NULL = {"check", "passed", "trivial", "masses"}
 CONVERGENCE = {"limit", "fitted_order", "rows"}
-COMPARISON = {"difference", "tolerance", "first", "second"}
+COMPARISON = {"difference", "tolerance"}
 VERDICT = {"name", "value", "bound", "sense", "passed"}
 
 
@@ -124,7 +124,8 @@ def test_mean_schema_with_infinite_order(tmp_path):
     doc = load(out, "mean.json")
     assert set(doc) == {"header", "passed", "verdicts", "results"}
     results = doc["results"]
-    assert set(results) == {"empirical", "closed_form", "translation", "convolution"}
+    assert set(results) == {"empirical", "closed_form", "translated", "translation",
+                            "convolved", "convolution"}
     empirical = results["empirical"]
     assert set(empirical) == CONVERGENCE
     assert empirical["fitted_order"] == "inf"
@@ -132,11 +133,10 @@ def test_mean_schema_with_infinite_order(tmp_path):
     assert set(empirical["rows"][0]) == {"eps", "value", "abs_err", "quad_est"}
     for name in ("translation", "convolution"):
         assert set(results[name]) == COMPARISON, name
-        assert set(results[name]["first"]) == CONVERGENCE
-        assert set(results[name]["second"]) == CONVERGENCE
-    # both comparisons reuse the sweep of u itself
-    assert results["translation"]["first"] == empirical
-    assert results["convolution"]["second"] == empirical
+    for name in ("translated", "convolved"):
+        assert set(results[name]) == CONVERGENCE, name
+    # each of the three sweeps is written once: both comparisons reuse u's
+    assert (out / "mean.json").read_text().count('"rows"') == 3
     assert columns(out, "mean.csv") == ["eps", "value", "abs_err", "quad_est"]
     text = (out / "mean.json").read_text()
     assert '"fitted_order": "inf"' in text
