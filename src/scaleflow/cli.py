@@ -7,16 +7,19 @@ the output directory and exits 0 only when every verdict passes (2 for
 config errors, 3 for numerical resolution failures, 1 for verification
 failures).  Reports are byte-identical across repeated runs.
 
-Each runner takes the validated config alone and returns its
-:class:`reports.Verdict` list and its report files, file name to payload;
-:func:`reports.emit` writes them, adding the run's ``passed`` and
-``verdicts`` to every JSON report.  The stdout lines and the exit code come
-from the verdicts alone, and a run stopped by an error writes no report.
+``_RUNNERS`` gives each subcommand its runner and the config blocks it
+reads.  The config module raises every config error, so a runner takes the
+validated config alone, computes and returns its :class:`reports.Verdict`
+list and its report files, file name to payload; :func:`reports.emit` writes
+them, adding the run's ``passed`` and ``verdicts`` to every JSON report.  The
+stdout lines and the exit code come from the verdicts alone, and a run
+stopped by an error writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -41,8 +44,8 @@ from .measures import (
     verify_center_null,
     verify_homogeneity,
 )
-from .quadrature import Box, UnderResolvedError
-from .sigma import trace_norm_bound_rows, validate_ladder, verify_sigma_convergence
+from .quadrature import UnderResolvedError
+from .sigma import trace_norm_bound_rows, verify_sigma_convergence
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -201,26 +204,15 @@ def _run_construct(cfg) -> tuple[list, dict]:
 
 def _run_mean(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
-    dim = action.dimension
     hz = cfg_mod.build_homogenizer(cfg, action)
-    if "mean" not in cfg:
-        raise ConfigError("mean runs need a mean block")
-    block = cfg["mean"]
-    u = cfg_mod.build_mean_function(block["function"], dim)
-    phi = cfg_mod.build_test_function(
-        block.get("phi", {"kind": "triangle", "center": [0.3], "width": 0.7}), dim, "mean.phi"
-    )
+    u, phi, shift, kernel = cfg_mod.build_mean(cfg["mean"], action.dimension)
+    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
     # u, its translate and its convolution share one sweep of the ladder
     functions = [u]
-    if "shift" in block:
-        cfg_mod.check_dimension("mean.shift", len(block["shift"]), dim)
-        functions.append(u.translate(block["shift"]))
-    if "kernel" in block:
-        if u.poly is None:  # convolve scales Fourier coefficients
-            raise ConfigError("mean.kernel: a vanishing mean.function has no convolution")
-        kernel = cfg_mod.build_test_function(block["kernel"], dim, "mean.kernel")
+    if shift is not None:
+        functions.append(u.translate(shift))
+    if kernel is not None:
         functions.append(convolve(kernel, u, hz.grid_spec))
-    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
     tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
     report, *others = empirical_mean(functions, hz, phi, ladder)
     # the closed-form mean is the limit the sweep measured against
@@ -230,13 +222,13 @@ def _run_mean(cfg) -> tuple[list, dict]:
         reports.Verdict("empirical-mean-order", report.fitted_order, order_floor, ">="),
     ]
     results = {"empirical": report, "closed_form": report.limit}
-    if "shift" in block:
+    if shift is not None:
         results["translated"] = others.pop(0)
         trans = verify_translation_invariance(report, results["translated"])
         results["translation"] = trans
         verdicts.append(
             reports.Verdict("translation-invariance", trans.difference, trans.tolerance, "<="))
-    if "kernel" in block:
+    if kernel is not None:
         results["convolved"] = others.pop(0)
         conv = verify_convolution(report, results["convolved"])
         results["convolution"] = conv
@@ -250,35 +242,9 @@ def _run_mean(cfg) -> tuple[list, dict]:
 
 def _run_sigma(cfg) -> tuple[list, dict]:
     action = cfg_mod.build_action(cfg)
-    dim = action.dimension
     spec = cfg_mod.build_grid_spec(cfg)
-    if "sigma" not in cfg:
-        raise ConfigError("sigma runs need a sigma block")
-    block = cfg["sigma"]
-    algebra = cfg_mod.build_algebra(block.get("algebra", {"kind": "periodic"}), dim)
-    domain = block.get("domain", Box((0.0,) * dim, (1.0,) * dim))
-    cfg_mod.check_dimension("sigma.domain", domain.dim, dim)
-    u = cfg_mod.build_field(block["u0"], algebra, domain, "sigma.u0")
-    battery = [
-        cfg_mod.build_field(b, algebra, domain, f"sigma.battery[{i}]")
-        for i, b in enumerate(block.get("battery", []))
-    ]
-    if not battery:
-        raise ConfigError("sigma runs need a non-empty battery")
-    names = [field.name for field in battery]
-    for i, name in enumerate(names):  # a field's verdicts and .dat file go by its name
-        if name in names[:i]:
-            raise ConfigError(f"sigma.battery[{i}].name: {name!r} already names "
-                              f"sigma.battery[{names.index(name)}]")
-    ladder = cfg_mod.build_ladder(cfg, action.group, min_rungs=2)
-    try:  # a sigma ladder must also stay at or below the identity
-        validate_ladder(action.group, ladder)
-    except ValueError as exc:
-        raise ConfigError(f"ladder: {exc}") from exc
+    u, battery, ladder, p = cfg_mod.build_sigma(cfg, action)
     tol, order_floor = _bounds(cfg, CONVERGENCE_REL)
-    p = block.get("p", 2.0)
-    if not 1.0 < p < float("inf"):
-        raise ConfigError(f"sigma.p must satisfy 1 < p < inf, got {p}")
     report = verify_sigma_convergence(u, battery, action, ladder, spec, p=p)
     norm_rows = trace_norm_bound_rows([u, *battery], action, ladder, p, spec)
     verdicts = []
@@ -296,13 +262,13 @@ def _run_sigma(cfg) -> tuple[list, dict]:
     return verdicts, files
 
 
-_RUNNERS = {
-    "verify-action": _run_verify_action,
-    "contract": _run_contract,
-    "homogeneity": _run_homogeneity,
-    "construct-measure": _run_construct,
-    "mean": _run_mean,
-    "sigma": _run_sigma,
+_RUNNERS = {  # each subcommand's runner and its blocks beside config.COMMON_BLOCKS
+    "verify-action": (_run_verify_action, ("absorption", "escape")),
+    "contract": (_run_contract, ("contraction",)),
+    "homogeneity": (_run_homogeneity, ("grid", "tolerances.rel", "homogenizer", "battery")),
+    "construct-measure": (_run_construct, ("tolerances.rel", "construct", "battery")),
+    "mean": (_run_mean, ("grid", "tolerances", "homogenizer", "mean")),
+    "sigma": (_run_sigma, ("grid", "tolerances", "sigma")),
 }
 
 
@@ -323,12 +289,15 @@ def main(argv=None) -> int:
         help="override a tolerances entry",
     )
     args = parser.parse_args(argv)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        parser.error(f"--out {args.out} is a file, not a directory")
+    run, blocks = _RUNNERS[args.subcommand]
     try:
         raw = cfg_mod.load_config(args.config)
         cfg_mod.apply_overrides(raw, args.tol_override)
-        cfg = cfg_mod.validate_config(raw)
+        cfg = cfg_mod.validate_config(raw, blocks)
         header = reports.report_header(reports.config_digest(args.config), cfg.get("seed", 0))
-        verdicts, files = _RUNNERS[args.subcommand](cfg)
+        verdicts, files = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,13 +1,15 @@
-"""Experiment configuration: one typed schema, one validating walk, object builders.
+"""Experiment configuration: typed blocks, one validating walk, object builders.
 
-:func:`validate_config` walks a YAML mapping against ``_SCHEMA`` once: it
-rejects unknown and missing keys, converts every value and names the path of
-a bad entry in a :class:`ConfigError` (exit code 2 at the CLI).  Builders read
-only converted values and add the checks that relate two fields.
+:func:`validate_config` walks a YAML mapping once against the blocks its
+subcommand reads (``cli._RUNNERS``): it rejects unknown, unread and missing
+keys, converts every value and names the path of a bad entry in a
+:class:`ConfigError` (exit code 2 at the CLI).  Builders read only converted
+values, add the checks that relate two fields and raise every config error.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
@@ -35,7 +37,7 @@ from .measures import (
     triangle,
 )
 from .quadrature import Box, GridSpec
-from .sigma import TwoScaleField
+from .sigma import TwoScaleField, validate_ladder
 from .trig import TrigPolynomial
 
 
@@ -60,12 +62,13 @@ def load_config(path: str) -> dict:
 
 @contextmanager
 def _at(path: str):
-    """Re-raise a ``TypeError`` or ``ValueError`` as a config error naming ``path``."""
+    """Re-raise a ``TypeError``, ``ValueError`` or ``OverflowError`` (an
+    infinity made an int) as a config error naming ``path``."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -89,9 +92,17 @@ class _Then(NamedTuple):  # ``node`` converted, then passed to ``build``
     build: object
 
 
+def _float(value) -> float:
+    """The one converter of a real number: NaN or an infinity is rejected."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
 def _floats(value) -> list:
-    """A number or a list of numbers, as a list of floats."""
-    return [float(v) for v in value] if isinstance(value, list) else [float(value)]
+    """A number or a list of numbers, as a list of finite floats."""
+    return [_float(v) for v in value] if isinstance(value, list) else [_float(value)]
 
 
 def _row(shape: str, *converters):
@@ -135,51 +146,53 @@ def _box(pairs: list) -> Box:
     return Box(tuple(low for low, _ in pairs), tuple(high for _, high in pairs))
 
 
-_BOX = _Then([_row("a [low, high] pair", float, float)], _box)
+_BOX = _Then([_row("a [low, high] pair", _float, _float)], _box)
 # a [frequency, re, im] term as (frequency list, coefficient)
-_TERMS = _Required([_Then(_row("[frequency, re, im]", _floats, float, float),
+_TERMS = _Required([_Then(_row("[frequency, re, im]", _floats, _float, _float),
                           lambda t: (t[0], complex(t[1], t[2])))])
 _POINT = _Required(_floats)
 _TEST_FUNCTION = _Variants("kind", {
-    "gaussian": {"center": _POINT, "sigma": _Required(float), "name": _label},
-    "bump": {"center": _POINT, "width": _Required(float), "name": _label},
-    "triangle": {"center": _POINT, "width": _Required(float), "name": _label},
-    "mollifier": {"center": _POINT, "width": _Required(float), "name": _label},
+    "gaussian": {"center": _POINT, "sigma": _Required(_float), "name": _label},
+    "bump": {"center": _POINT, "width": _Required(_float), "name": _label},
+    "triangle": {"center": _POINT, "width": _Required(_float), "name": _label},
+    "mollifier": {"center": _POINT, "width": _Required(_float), "name": _label},
     "parabola": {"box": _Required(_BOX), "name": _label},
 })
 _ACTION = _Variants("variant", {
     "diagonal-scaling": {"exponents": _Required([int])},
-    "exp-semigroup": {"k": _Required(float), "matrix": _Required([[float]])},
+    "exp-semigroup": {"k": _Required(_float), "matrix": _Required([[_float]])},
     "product": {},
 })
 _ACTION.choices["product"]["factors"] = _Required([_ACTION])
 _FIELD = {"name": _label,
           "terms": _Required([{"macro": _Required(_TEST_FUNCTION), "element": _TERMS}])}
-_SCHEMA = {
+
+COMMON_BLOCKS = ("seed", "group", "action", "ladder")
+_BLOCKS = {  # every top-level block; a required one is read by one subcommand only
     "seed": int,
-    "group": {"kind": _Required(str), "weight_param": float},
+    "group": {"kind": _Required(str), "weight_param": _float},
     "action": _ACTION,
-    "ladder": {"count": int, "step": float, "values": [float]},
+    "ladder": {"count": int, "step": _float, "values": [_float]},
     "grid": {"rule": _one_of("midpoint", "gauss"), "base_nodes": _positive(int),
              "panel_order": _positive(int), "max_nodes": _positive(int)},
-    "tolerances": {"rel": _positive(float), "decay_order": float},
+    "tolerances": {"rel": _positive(_float), "decay_order": _float},
     "battery": [_TEST_FUNCTION],
-    "absorption": {"source_center": _floats, "source_radius": _Required(float),
-                   "target_radius": _Required(float), "directions_per_dim": _positive(int)},
-    "escape": {"point": _POINT, "radius": _Required(_positive(float))},
-    "contraction": {"eps": float, "starts": int, "tol": _positive(float),
+    "absorption": {"source_center": _floats, "source_radius": _Required(_float),
+                   "target_radius": _Required(_float), "directions_per_dim": _positive(int)},
+    "escape": {"point": _POINT, "radius": _Required(_positive(_float))},
+    "contraction": {"eps": _float, "starts": _positive(int), "tol": _positive(_float),
                     "max_iter": _positive(int), "pairs": _positive(int)},
     "homogenizer": _Variants("measure", {
-        "lebesgue": {"factor_override": float},
-        "weighted-power": {"factor_override": float, "power": float},
-        "dirac": {"factor_override": float, "point": _floats},
+        "lebesgue": {"factor_override": _float},
+        "weighted-power": {"factor_override": _float, "power": _float},
+        "dirac": {"factor_override": _float, "point": _floats},
     }, default="lebesgue"),
     "construct": {
         "seed_measure": _Variants("kind", {"dirac": {"point": _POINT},
                                            "uniform": {"box": _Required(_BOX)}}),
-        "tail_cut": _positive(float),
+        "tail_cut": _positive(_float),
     },
-    "mean": {
+    "mean": _Required({
         "function": _Required(_Variants("class", {
             "periodic": {"terms": _TERMS},
             "almost-periodic": {"terms": _TERMS},
@@ -188,8 +201,8 @@ _SCHEMA = {
         "phi": _TEST_FUNCTION,
         "shift": _floats,
         "kernel": _TEST_FUNCTION,
-    },
-    "sigma": {
+    }),
+    "sigma": _Required({
         "algebra": _Variants("kind", {
             "periodic": {"dimension": int},
             "ap-subgroup": {"dimension": int, "generators": _Required([_floats]), "degree": int},
@@ -197,8 +210,8 @@ _SCHEMA = {
         "domain": _BOX,
         "u0": _Required(_FIELD),
         "battery": [_FIELD],
-        "p": float,
-    },
+        "p": _float,
+    }),
 }
 
 
@@ -234,10 +247,15 @@ def _walk(value, node, path: str):
     return out
 
 
-def validate_config(cfg: dict) -> dict:
-    """``cfg`` with every value converted; an unknown or missing key or a
+def validate_config(cfg: dict, blocks) -> dict:
+    """``cfg`` converted against COMMON_BLOCKS and ``blocks`` (a ``block.key``
+    entry accepts one key of a block); an unknown, missing or unread key or a
     malformed value is a config error naming its path."""
-    return _walk(cfg, _SCHEMA, "")
+    schema = {}
+    for name in (*COMMON_BLOCKS, *blocks):
+        block, _, key = name.partition(".")
+        schema[block] = {key: _BLOCKS[block][key]} if key else _BLOCKS[block]
+    return _walk(cfg, schema, "")
 
 
 def apply_overrides(cfg: dict, overrides) -> None:
@@ -310,6 +328,8 @@ def build_grid_spec(cfg: dict) -> GridSpec:
 
 def build_test_function(block: dict, dim: int, path: str) -> TestFunction:
     kind, name = block["kind"], block.get("name")
+    if kind == "triangle" and dim != 1:
+        raise ConfigError(f"{path}.kind: a triangle is 1-D, the action's dimension is {dim}")
     if kind == "parabola":
         check_dimension(f"{path}.box", block["box"].dim, dim)
         return parabola(block["box"], name)
@@ -362,8 +382,6 @@ def build_contraction(cfg: dict, group: RGroup) -> dict:
     """The ``contraction`` block with its defaults, ``eps`` a group element."""
     block = {"starts": 10, "tol": 1e-12, "max_iter": 10**5, "pairs": 256,
              **cfg.get("contraction", {})}
-    if block["starts"] < 1:
-        raise ConfigError("contraction.starts must be at least 1")
     with _at("contraction.eps"):
         block["eps"] = group.validate(block.get("eps", group.ladder(1)[0]))
     return block
@@ -388,29 +406,26 @@ def build_homogenizer(cfg: dict, action: Action) -> Homogenizer:
     return hz
 
 
-def build_seed_measure(block: dict, dim: int) -> Lebesgue | PointMass:
-    if block["kind"] == "dirac":
-        check_dimension("construct.seed_measure.point", len(block["point"]), dim)
-        return PointMass(block["point"])
-    box = block["box"]
-    check_dimension("construct.seed_measure.box", box.dim, dim)
-    return Lebesgue(domain=box)
-
-
 def build_constructed_measure(cfg: dict, action: Action) -> ConstructedMeasure:
     block = cfg.get("construct", {})
-    seed = build_seed_measure(block.get("seed_measure", {"kind": "dirac", "point": [1.0]}),
-                              action.dimension)
+    seed = block.get("seed_measure", {"kind": "dirac", "point": [1.0]})
+    if seed["kind"] == "dirac":
+        check_dimension("construct.seed_measure.point", len(seed["point"]), action.dimension)
+        seed = PointMass(seed["point"])
+    else:
+        check_dimension("construct.seed_measure.box", seed["box"].dim, action.dimension)
+        seed = Lebesgue(domain=seed["box"])
     with _at("construct.seed_measure"):
-        return construct_measure(action, seed,
-                                 tail_cut=block.get("tail_cut", DEFAULT_TAIL_CUT))
+        return construct_measure(action, seed, block.get("tail_cut", DEFAULT_TAIL_CUT))
 
 
-def build_mean_function(block: dict, dim: int) -> MeanFunction:
-    cls = block["class"]
-    if cls == "vanishing":
+def build_mean(block: dict, dim: int) -> tuple:
+    """(u, phi, shift, kernel) of the ``mean`` block, shift and kernel None
+    where unset: a vanishing u has no Fourier coefficients to convolve."""
+    function = block["function"]
+    if function["class"] == "vanishing":
         with _at("mean.function.limit"):
-            limit = complex(*block.get("limit", [0.0]))
+            limit = complex(*function.get("limit", [0.0]))
 
         def evaluator(pts):
             pts = np.atleast_2d(pts)
@@ -419,17 +434,48 @@ def build_mean_function(block: dict, dim: int) -> MeanFunction:
         u = MeanFunction.vanishing(evaluator, limit, dim)
     else:
         with _at("mean.function.terms"):
-            poly = TrigPolynomial.from_terms(block["terms"], dim)
-            u = MeanFunction.periodic_trig(poly) if cls == "periodic" else MeanFunction.almost_periodic(poly)
+            poly = TrigPolynomial.from_terms(function["terms"], dim)
+            periodic = function["class"] == "periodic"
+            u = MeanFunction.periodic_trig(poly) if periodic else MeanFunction.almost_periodic(poly)
     check_dimension("mean.function", u.dimension, dim)
-    return u
+    phi = build_test_function(
+        block.get("phi", {"kind": "triangle", "center": [0.3], "width": 0.7}), dim, "mean.phi")
+    shift, kernel = block.get("shift"), block.get("kernel")
+    if shift is not None:
+        check_dimension("mean.shift", len(shift), dim)
+    if kernel is not None:
+        if u.poly is None:
+            raise ConfigError("mean.kernel: a vanishing mean.function has no convolution")
+        kernel = build_test_function(kernel, dim, "mean.kernel")
+    return u, phi, shift, kernel
 
 
-def build_algebra(block: dict, dim: int) -> HAlgebra:
+def build_sigma(cfg: dict, action: Action) -> tuple:
+    """(u0, battery, ladder, p) of the ``sigma`` block: a non-empty battery of
+    distinct names, a ladder of two rungs or more at or below the identity."""
+    block, dim = cfg["sigma"], action.dimension
     with _at("sigma.algebra"):
-        algebra = HAlgebra(**{"dimension": dim, **block})
+        algebra = HAlgebra(**{"dimension": dim, **block.get("algebra", {"kind": "periodic"})})
     check_dimension("sigma.algebra", algebra.dimension, dim)
-    return algebra
+    domain = block.get("domain", Box((0.0,) * dim, (1.0,) * dim))
+    check_dimension("sigma.domain", domain.dim, dim)
+    u = build_field(block["u0"], algebra, domain, "sigma.u0")
+    battery = [build_field(b, algebra, domain, f"sigma.battery[{i}]")
+               for i, b in enumerate(block.get("battery", []))]
+    if not battery:
+        raise ConfigError("sigma.battery: a sigma run needs at least one field")
+    names = [field.name for field in battery]
+    for i, name in enumerate(names):  # a field's verdicts and .dat file go by its name
+        if name in names[:i]:
+            raise ConfigError(f"sigma.battery[{i}].name: {name!r} already names "
+                              f"sigma.battery[{names.index(name)}]")
+    ladder = build_ladder(cfg, action.group, min_rungs=2)
+    with _at("ladder"):
+        validate_ladder(action.group, ladder)
+    p = block.get("p", 2.0)
+    if not p > 1.0:
+        raise ConfigError(f"sigma.p must satisfy 1 < p < inf, got {p}")
+    return u, battery, ladder, p
 
 
 def build_field(block: dict, algebra: HAlgebra, domain: Box, path: str) -> TwoScaleField:

@@ -41,9 +41,13 @@ BASE = {
     "group": {"kind": "positive-multiplicative", "weight_param": 1.0},
     "action": {"variant": "diagonal-scaling", "exponents": [1]},
     "ladder": {"count": 6},
-    "grid": {"rule": "gauss", "base_nodes": 128, "panel_order": 16,
-             "max_nodes": 1 << 18},
 }
+
+
+def validated(cfg: dict, subcommand: str) -> dict:
+    """``cfg`` validated against the blocks ``subcommand`` reads."""
+    _, blocks = cli._RUNNERS[subcommand]
+    return validate_config(cfg, blocks)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -53,7 +57,7 @@ def test_unknown_key_rejected(tmp_path):
     write_yaml(path, cfg)
     data = load_config(str(path))
     with pytest.raises(ConfigError) as err:
-        validate_config(data)
+        validated(data, "verify-action")
     assert "actoin" in str(err.value)
 
 
@@ -63,7 +67,7 @@ def test_nested_unknown_key_path(tmp_path):
     path = tmp_path / "bad.yaml"
     write_yaml(path, cfg)
     with pytest.raises(ConfigError) as err:
-        validate_config(load_config(str(path)))
+        validated(load_config(str(path)), "homogeneity")
     assert "grid.'nodes'" in str(err.value)
 
 
@@ -434,14 +438,65 @@ def test_cli_contract_counts_and_names_fixed_point_failures(tmp_path, capsys):
 
 
 def test_group_law_tolerance_rejected(tmp_path, capsys):
-    # no verdict reads a group_law tolerance, so a config naming one is an error
+    # no verdict reads a group_law tolerance, so a config naming one is an
+    # error: verify-action judges no tolerances at all, so it rejects the block
     cfg = read_config("verify_action")
     cfg["tolerances"] = {"group_law": 1.0e-30}
     path = tmp_path / "group_law.yaml"
     write_yaml(path, cfg)
     code = run_cli(["verify-action", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "tolerances.'group_law'" in capsys.readouterr().err
+    assert "unknown key 'tolerances'" in capsys.readouterr().err
+
+
+# (subcommand, committed config, overlay, extra CLI arguments, error text): a
+# block the subcommand does not read, though another subcommand does
+_FOREIGN_BLOCKS = [
+    ("construct-measure", "construct_measure", {"grid": {"rule": "midpoint", "base_nodes": 1024}},
+     [], "unknown key 'grid'"),
+    ("sigma", "sigma_periodic", {"homogenizer": {"measure": "lebesgue"}}, [],
+     "unknown key 'homogenizer'"),
+    ("verify-action", "verify_action", {}, ["--tol-override", "rel=1e-3"],
+     "unknown key 'tolerances'"),
+    ("homogeneity", "homogeneity_r2", {"tolerances": {"rel": 1e-6, "decay_order": 0.9}}, [],
+     "unknown key tolerances.'decay_order'"),
+]
+
+
+@pytest.mark.parametrize("subcommand,stem,overlay,extra,where", _FOREIGN_BLOCKS,
+                         ids=[f"{case[0]}:{case[4]}" for case in _FOREIGN_BLOCKS])
+def test_block_of_another_subcommand_is_config_error(
+        tmp_path, capsys, subcommand, stem, overlay, extra, where):
+    path = tmp_path / "foreign.yaml"
+    write_yaml(path, {**read_config(stem), **overlay})
+    code = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path / "o"), *extra])
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(), where, tmp_path / "o")
+
+
+def test_out_naming_a_file_is_rejected_before_any_verdict(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify-action", "--config", os.path.join(CONFIG_DIR, "verify_action.yaml"),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"--out {out} is a file" in captured.err
+    assert captured.out == ""
+    assert out.read_text() == "not a directory"
+
+
+def test_finite_tolerance_override_stays_valid(tmp_path, capsys):
+    # a tiny rel is finite and fails the run; NaN is rejected before any verdict
+    config = os.path.join(CONFIG_DIR, "construct_measure.yaml")
+    code = run_cli(["construct-measure", "--config", config, "--out", str(tmp_path / "a"),
+                    "--tol-override", "rel=1e-30"])
+    assert code == cli.EXIT_FAIL
+    assert "[FAIL] construct-homogeneity" in capsys.readouterr().out
+    code = run_cli(["construct-measure", "--config", config, "--out", str(tmp_path / "b"),
+                    "--tol-override", "rel=nan"])
+    _assert_rejected_before_any_verdict(code, capsys.readouterr(),
+                                        "tolerances.rel: must be finite", tmp_path / "b")
 
 
 def test_unknown_tolerance_override_rejected(tmp_path):
@@ -478,6 +533,8 @@ _MISSING_KEYS = [
         {"terms": [{"macro": {"kind": "gaussian", "center": [0.5], "sigma": 0.15}}]}]}},
      "sigma.battery[0].terms[0].'element'"),
     ("homogeneity", {"battery": [{"kind": "gaussian", "center": [0.3]}]}, "battery[0].'sigma'"),
+    ("mean", {}, "missing key 'mean'"),
+    ("sigma", {}, "missing key 'sigma'"),
 ]
 
 
@@ -505,6 +562,11 @@ _PERIODIC = {"class": "periodic", "terms": [[[0.0], 0.5, 0.0], [[2.0], -0.25, 0.
 _PARABOLA_BATTERY = [{"kind": "gaussian", "center": [0.3], "sigma": 0.5},
                      {"kind": "parabola", "box": [[0.0, 1.0]]}]
 
+
+_ACTION_2D = {"variant": "diagonal-scaling", "exponents": [1, 1]}
+_PERIODIC_2D = {"class": "periodic", "terms": [[[0.0, 0.0], 0.5, 0.0], [[1.0, 2.0], -0.25, 0.0]]}
+_TRIANGLE_2D = {"kind": "triangle", "center": [0.3, 0.3], "width": 0.7}
+_TRIANGLE_FIELD = {"terms": [{"macro": _TRIANGLE_2D, "element": [[[1.0, 0.0], 1.0, 0.0]]}]}
 
 # (subcommand, config overlay on BASE, path of the malformed entry)
 _MALFORMED_ENTRIES = [
@@ -572,6 +634,23 @@ _MALFORMED_ENTRIES = [
     ("homogeneity", {"grid": {"rule": "midpoint", "panel_order": 7}},
      "grid.panel_order: the midpoint rule has no panels"),
     ("homogeneity", {"battery": _PARABOLA_BATTERY}, "battery[1]: a parabola"),
+    ("sigma", {"sigma": {"u0": _SIGMA_U0, "battery": []}},
+     "sigma.battery: a sigma run needs at least one field"),
+    # a number that is NaN or infinite, in a float leaf, a list of floats and a box
+    ("contract", {"group": {"kind": "positive-multiplicative", "weight_param": math.nan}},
+     "group.weight_param: must be finite"),
+    ("homogeneity", {"battery": [{"kind": "gaussian", "center": [math.nan], "sigma": 0.5}]},
+     "battery[0].center: must be finite"),
+    ("sigma", {"sigma": {"domain": [[0.0, math.inf]], "u0": _SIGMA_U0, "battery": [_SIGMA_U0]}},
+     "sigma.domain[0]: must be finite"),
+    ("contract", {"ladder": {"count": math.inf}}, "ladder.count: cannot convert float infinity"),
+    # a triangle is a 1-D hat, whatever the length of its center
+    ("mean", {"action": _ACTION_2D, "mean": {"function": _PERIODIC_2D, "phi": _TRIANGLE_2D}},
+     "mean.phi.kind: a triangle is 1-D"),
+    ("sigma", {"action": _ACTION_2D, "sigma": {"u0": _TRIANGLE_FIELD, "battery": [_TRIANGLE_FIELD]}},
+     "sigma.u0.terms[0].macro.kind: a triangle is 1-D"),
+    ("homogeneity", {"action": _ACTION_2D, "battery": [_TRIANGLE_2D]},
+     "battery[0].kind: a triangle is 1-D"),
 ]
 
 
@@ -707,7 +786,7 @@ def test_cli_mean_point_mass_builds_no_grid(tmp_path):
 
 def test_construct_measure_battery_keeps_a_parabola():
     # an orbit sweep judges no grid boundary, so only homogeneity rejects it
-    cfg = validate_config({**BASE, "battery": _PARABOLA_BATTERY})
+    cfg = validated({**BASE, "battery": _PARABOLA_BATTERY}, "construct-measure")
     assert [phi.name for phi in cfg_mod.build_battery(cfg, 1)] == ["gauss-0.5", "parabola"]
     with pytest.raises(ConfigError, match=r"battery\[1\]: a parabola"):
         cfg_mod.build_battery(cfg, 1, edge_checked=True)

@@ -32,6 +32,7 @@ from scaleflow import (
     verify_convolution,
     verify_translation_invariance,
 )
+from scaleflow import cli
 from scaleflow import config as cfg_mod
 from scaleflow import kernels, meanvalue, quadrature
 from scaleflow.cli import main
@@ -109,7 +110,8 @@ def test_empirical_mean_matches_oscillatory_oracle():
 
 
 def _mean_periodic_config():
-    return cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml")))
+    raw = cfg_mod.load_config(os.path.join(CONFIG_DIR, "mean_periodic.yaml"))
+    return cfg_mod.validate_config(raw, cli._RUNNERS["mean"][1])
 
 
 def test_mean_periodic_rows_match_the_triangle_closed_form():
@@ -121,8 +123,7 @@ def test_mean_periodic_rows_match_the_triangle_closed_form():
     block = cfg["mean"]
     assert block["phi"]["kind"] == "triangle"
     (c,), w = block["phi"]["center"], block["phi"]["width"]
-    u = cfg_mod.build_mean_function(block["function"], 1)
-    phi = cfg_mod.build_test_function(block["phi"], 1, "mean.phi")
+    u, phi, _, _ = cfg_mod.build_mean(block, 1)
     ladder = cfg_mod.build_ladder(cfg, action.group)
     (report,) = empirical_mean([u], cfg_mod.build_homogenizer(cfg, action), phi, ladder)
     assert len(report.rows) == len(ladder) == 10
@@ -371,7 +372,7 @@ def test_convolve_evaluates_the_kernel_once_per_row_block():
 def test_convolving_a_real_function_keeps_it_real():
     # T(-k) is conj T(k) bit for bit for a real kernel, so the convolved
     # coefficients stay conjugate-symmetric
-    one_d = cfg_mod.build_mean_function(_mean_periodic_config()["mean"]["function"], 1)
+    one_d, _, _, _ = cfg_mod.build_mean(_mean_periodic_config()["mean"], 1)
     two_d = MeanFunction.periodic_trig(TrigPolynomial.from_terms([
         ([0.0, 0.0], 0.5), ([1.0, 2.0], -0.25), ([-1.0, -2.0], -0.25),
         ([2.0, -1.0], 0.1 + 0.05j), ([-2.0, 1.0], 0.1 - 0.05j)]))

@@ -38,7 +38,6 @@ from scaleflow import (
     verify_homogeneity,
 )
 from scaleflow import kernels, measures, quadrature
-from scaleflow.config import build_seed_measure
 from scaleflow.measures import check_factor_multiplicative, factor_decay
 from scaleflow.quadrature import Box, QuadratureGrid, UnderResolvedError
 
@@ -304,7 +303,7 @@ def test_constructed_measure_real_additive_oracle(center, sigma):
 def _uniform_seed_measure():
     group = RGroup(POSITIVE_MULTIPLICATIVE, 2.0)
     action = DiagonalScaling((1,), group=group)
-    seed = build_seed_measure({"kind": "uniform", "box": Box((1.0,), (2.0,))}, 1)
+    seed = Lebesgue(domain=Box((1.0,), (2.0,)))
     return construct_measure(action, seed)
 
 

@@ -6,8 +6,7 @@ import inspect
 import pathlib
 
 import scaleflow
-from scaleflow import actions, cli, contraction, meanvalue, measures, quadrature, reports
-from scaleflow.config import _SCHEMA
+from scaleflow import actions, cli, config, contraction, meanvalue, measures, quadrature, reports
 
 PACKAGE_DIR = pathlib.Path(scaleflow.__file__).parent
 
@@ -49,7 +48,65 @@ def test_grid_knobs_are_pinned():
     assert not hasattr(quadrature, "resolved_nodes")
     assert names(scaleflow.QuadratureGrid) == ("box", "nodes_per_axis", "panel_order")
     assert list(inspect.signature(scaleflow.QuadratureGrid.refined).parameters) == ["self"]
-    assert set(_SCHEMA["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
+    assert set(config._BLOCKS["grid"]) == {"rule", "base_nodes", "panel_order", "max_nodes"}
+
+
+def test_each_subcommand_accepts_only_the_blocks_it_reads():
+    # one table gives each subcommand its runner and its blocks: a block no
+    # runner reads is a config error, not a key silently ignored, and only
+    # the two sweeps that fit a decay order accept tolerances.decay_order
+    assert config.COMMON_BLOCKS == ("seed", "group", "action", "ladder")
+    assert {name: blocks for name, (_, blocks) in cli._RUNNERS.items()} == {
+        "verify-action": ("absorption", "escape"),
+        "contract": ("contraction",),
+        "homogeneity": ("grid", "tolerances.rel", "homogenizer", "battery"),
+        "construct-measure": ("tolerances.rel", "construct", "battery"),
+        "mean": ("grid", "tolerances", "homogenizer", "mean"),
+        "sigma": ("grid", "tolerances", "sigma"),
+    }
+    read = {name.partition(".")[0] for _, blocks in cli._RUNNERS.values() for name in blocks}
+    assert set(config._BLOCKS) == read | set(config.COMMON_BLOCKS)
+    assert set(config._BLOCKS["tolerances"]) == {"rel", "decay_order"}
+    # a required block is read by its own subcommand alone
+    assert sorted(name for name, node in config._BLOCKS.items()
+                  if isinstance(node, config._Required)) == ["mean", "sigma"]
+
+
+_COMMITTED_CONFIGS = {
+    "verify_action": "verify-action", "contract": "contract", "homogeneity_r2": "homogeneity",
+    "construct_measure": "construct-measure", "mean_periodic": "mean",
+    "sigma_periodic": "sigma", "sigma_quasiperiodic": "sigma",
+}
+
+
+def test_every_committed_config_validates_against_its_own_subcommand():
+    configs = sorted((PACKAGE_DIR.parent.parent / "configs").glob("*.yaml"))
+    assert sorted(path.stem for path in configs) == sorted(_COMMITTED_CONFIGS)
+    for path in configs:
+        _, blocks = cli._RUNNERS[_COMMITTED_CONFIGS[path.stem]]
+        raw = config.load_config(str(path))
+        assert set(config.validate_config(raw, blocks)) == set(raw), path.name
+
+
+def _raises_or_calls(path: pathlib.Path, names) -> list:
+    """Lines of ``path`` that raise one of ``names`` or call one, as ``module:line:name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        target = node.exc if isinstance(node, ast.Raise) else node
+        if isinstance(target, ast.Call):
+            target = target.func
+        name = getattr(target, "attr", getattr(target, "id", None))
+        if isinstance(node, (ast.Raise, ast.Call)) and name in names:
+            found.append(f"{path.name}:{node.lineno}:{name}")
+    return found
+
+
+def test_config_owns_every_config_error():
+    # config's builders raise every config error, so a runner only computes:
+    # cli catches ConfigError but neither raises it nor checks a dimension
+    assert _raises_or_calls(PACKAGE_DIR / "config.py", {"ConfigError", "check_dimension"})
+    assert _raises_or_calls(PACKAGE_DIR / "cli.py", {"ConfigError", "check_dimension"}) == []
 
 
 def test_verdict_fields_are_pinned():

@@ -26,6 +26,7 @@ from scaleflow import (
     trace_norm_bound_check,
     verify_sigma_convergence,
 )
+from scaleflow import cli
 from scaleflow import config as cfg_mod
 from scaleflow import sigma as sigma_module
 from scaleflow.meanvalue import convolve
@@ -276,13 +277,10 @@ def test_lhs_over_a_ladder_is_the_lhs_at_each_entry():
 
 def _periodic_battery():
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "sigma_periodic.yaml")
-    cfg = cfg_mod.validate_config(cfg_mod.load_config(config))
-    action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
-    algebra = cfg_mod.build_algebra(block["algebra"], 1)
-    u = cfg_mod.build_field(block["u0"], algebra, block["domain"], "sigma.u0")
-    battery = {b["name"]: cfg_mod.build_field(b, algebra, block["domain"], "sigma.battery")
-               for b in block["battery"]}
-    return action, spec, u, battery
+    cfg = cfg_mod.validate_config(cfg_mod.load_config(config), cli._RUNNERS["sigma"][1])
+    action, spec = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg)
+    u, battery, _, _ = cfg_mod.build_sigma(cfg, action)
+    return action, spec, u, {field.name: field for field in battery}
 
 
 def _gp(x):

@@ -28,6 +28,7 @@ from scaleflow import (
     trace_norm_bound_check,
     triangle,
 )
+from scaleflow import cli
 from scaleflow import config as cfg_mod
 from scaleflow import kernels
 from scaleflow.cli import main
@@ -352,7 +353,7 @@ def test_real_form_on_random_gauss_grids(seed, dim, panels, lower, width):
 def test_homogeneity_r2_gaussian_base_integrals_match_closed_form():
     # the integral of exp(-|x - c|^2 / (2 sigma^2)) over R^2 is 2 pi sigma^2
     with open(os.path.join(CONFIG_DIR, "homogeneity_r2.yaml"), encoding="utf-8") as handle:
-        cfg = cfg_mod.validate_config(yaml.safe_load(handle))
+        cfg = cfg_mod.validate_config(yaml.safe_load(handle), cli._RUNNERS["homogeneity"][1])
     action = cfg_mod.build_action(cfg)
     hz = cfg_mod.build_homogenizer(cfg, action)
     gaussians = [phi for phi in cfg_mod.build_battery(cfg, action.dimension)
@@ -408,11 +409,10 @@ def test_one_dimensional_gauss_sigma_trace_never_materialises_a_grid(monkeypatch
     # the sigma_periodic trace norm bounds at a rung whose resolved Gauss
     # grids have several panels: every trig sum reads the split axis, and no
     # point array is built, for the traces or for the envelope norms
-    cfg = cfg_mod.validate_config(cfg_mod.load_config(os.path.join(CONFIG_DIR, "sigma_periodic.yaml")))
-    action, spec, block = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg), cfg["sigma"]
-    algebra = cfg_mod.build_algebra(block["algebra"], 1)
-    u, *battery = [cfg_mod.build_field(b, algebra, block["domain"], "sigma")
-                   for b in (block["u0"], *block["battery"])]
+    raw = cfg_mod.load_config(os.path.join(CONFIG_DIR, "sigma_periodic.yaml"))
+    cfg = cfg_mod.validate_config(raw, cli._RUNNERS["sigma"][1])
+    action, spec = cfg_mod.build_action(cfg), cfg_mod.build_grid_spec(cfg)
+    u, battery, _, _ = cfg_mod.build_sigma(cfg, action)
     assert spec.panel_order == 16
     seen = _spy_factors(monkeypatch)
     _refuse_materialising(monkeypatch)
